@@ -34,7 +34,7 @@ from .exceptions import (build_exceptions_theory, handle_term, raise_term,
 from .exceptions import LEMMAS as EXCEPTION_LEMMAS
 from .exceptions import builtin_proof as exceptions_builtin_proof
 from .exceptions import derive_lemma as derive_exceptions_lemma
-from .translators import (DualityMap, dualize_derivation, dualize_equation,
+from .translators import (dualize_derivation, dualize_equation,
                           dualize_term, dualize_theory, erase_derivation,
                           erase_equation, erase_theory, eval_explicit,
                           expand_exceptions, expand_exceptions_equation,
@@ -68,7 +68,7 @@ __all__ = [
     "build_exceptions_theory", "handle_term", "raise_term",
     "semi_pure_coproduct", "with_catch_all", "EXCEPTION_LEMMAS",
     "exceptions_builtin_proof", "derive_exceptions_lemma",
-    "DualityMap", "dualize_derivation", "dualize_equation", "dualize_term",
+    "dualize_derivation", "dualize_equation", "dualize_term",
     "dualize_theory", "erase_derivation", "erase_equation", "erase_theory",
     "eval_explicit", "expand_exceptions", "expand_exceptions_equation",
     "expand_states", "expand_states_equation",

@@ -14,28 +14,29 @@ judgment (reported, so validity is "relative to hypotheses").
 Rule naming follows the construct it governs, with the w- prefix for the weak
 variants. Conclusions are always associativity/identity-normalized; premise
 matching is structural equality of normalized judgments.
+
+States and exceptions are dual: each states-side rule and its exceptions-side
+partner are one implementation, read on either side (`_Side`), and
+`RuleSpec.dual` names the partner that `dualize_derivation` switches to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
-from typing import get_args
 
 from . import errors as E
 from .terms import (
     CaseSum, Catch, Coerce, Comp, ConstCotuple, FromEmpty, Id, Inj1, Inj2,
-    LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod, SemiProd, Term,
-    ToUnit, Throw, Update, cod, dom, normalize_assoc, subterms, term_size,
+    LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod, SemiProd, TERM_CLASSES,
+    Term, ToUnit, Throw, Update, cod, dom, normalize_assoc, subterms, term_size,
 )
 from .theory import (
     Equation, STRONG, Theory, WEAK, infer_decoration, norm_eq, typecheck,
     typecheck_equation,
 )
-from .types import EMPTY, TypeExpr, UNIT, Unit, Empty
-
-_TERM_CLASSES = get_args(Term)
-_TYPE_CLASSES = get_args(TypeExpr)
+from .types import EMPTY, TYPE_CLASSES, TypeExpr, UNIT, Unit, Empty
 
 
 # ------------------------------------------------------------- judgments
@@ -120,7 +121,7 @@ def _take(inst: dict, key: str, rid: str) -> Any:
 
 def _take_term(theory: Theory, inst: dict, key: str, rid: str) -> Term:
     v = _take(inst, key, rid)
-    if not isinstance(v, _TERM_CLASSES):
+    if not isinstance(v, TERM_CLASSES):
         raise E.BadInstantiation(f"{rid}: {key!r} must be a term")
     v = normalize_assoc(v)
     typecheck(theory, v)
@@ -130,7 +131,7 @@ def _take_term(theory: Theory, inst: dict, key: str, rid: str) -> Term:
 def _take_type(theory: Theory, inst: dict, key: str, rid: str) -> TypeExpr:
     from .theory import check_type
     v = _take(inst, key, rid)
-    if not isinstance(v, _TYPE_CLASSES):
+    if not isinstance(v, TYPE_CLASSES):
         raise E.BadInstantiation(f"{rid}: {key!r} must be a type")
     check_type(theory, v)
     return v
@@ -173,6 +174,7 @@ class RuleSpec:
     flavors: frozenset
     impl: Callable
     doc: str
+    dual: Optional[str]  # the rule read on the other side; None if it has none
 
 
 RULES: dict[str, RuleSpec] = {}
@@ -183,8 +185,64 @@ _EX = frozenset({"exceptions", "plain"})
 
 
 def _rule(rid: str, flavors: frozenset, doc: str):
+    """Register a rule of one reading: a core rule is its own dual, a rule
+    of one side only (the handler rules) has none."""
     def deco(fn):
-        RULES[rid] = RuleSpec(rid, flavors, fn, doc)
+        RULES[rid] = RuleSpec(rid, flavors, fn, doc,
+                              rid if flavors == _CORE else None)
+        return fn
+    return deco
+
+
+@dataclass(frozen=True)
+class _Side:
+    """One side of the duality between states and exceptions.
+
+    The exceptions side is the states side read in the opposite category:
+    sources and targets swap, composition reverses, and each construct is
+    traded for its dual. The fields are named after the states-side
+    construct they stand for, so a rule written once against a side reads
+    as the states-side rule and, on the other side, as its dual.
+    """
+
+    op: bool                 # read in the opposite category
+    unit: type               # Unit / Empty
+    to_unit: type            # ToUnit / FromEmpty
+    lookup: type             # Lookup / Throw
+    loc_tuple: type          # LocTuple / ConstCotuple
+    semi: type               # SemiProd / SemiCoprod
+    projs: tuple             # (Proj1, Proj2) / (Inj1, Inj2)
+
+    def src(self, t: Term) -> TypeExpr:
+        return cod(t) if self.op else dom(t)
+
+    def tgt(self, t: Term) -> TypeExpr:
+        return dom(t) if self.op else cod(t)
+
+    def then(self, g: Term, f: Term) -> Term:
+        """f, then g: g.f on the states side, f.g on the exceptions side."""
+        return normalize_assoc(Comp(f, g) if self.op else Comp(g, f))
+
+
+_STATES = _Side(False, Unit, ToUnit, Lookup, LocTuple, SemiProd, (Proj1, Proj2))
+_EXCEPTIONS = _Side(True, Empty, FromEmpty, Throw, ConstCotuple, SemiCoprod,
+                    (Inj1, Inj2))
+
+
+def _rule_pair(st_rid: str, st_doc: str, ex_rid: str, ex_doc: str,
+               flavors: tuple = (_ST, _EX), **params):
+    """Register one implementation twice: read on the states side as st_rid
+    and on the exceptions side as its dual ex_rid.
+
+    The implementation takes the side and the rule id ahead of the usual
+    (theory, premises, instantiation), and `params` as keywords.
+    """
+    def deco(fn):
+        for side, rid, doc, fl, dual in (
+                (_STATES, st_rid, st_doc, flavors[0], ex_rid),
+                (_EXCEPTIONS, ex_rid, ex_doc, flavors[1], st_rid)):
+            RULES[rid] = RuleSpec(rid, fl, partial(fn, side, rid, **params),
+                                  doc, dual)
         return fn
     return deco
 
@@ -237,20 +295,13 @@ def _r_assoc(theory, ps, inst):
     return Holds(Equation(lhs, rhs, STRONG))
 
 
-@_rule("id-src", _CORE, "=> f.id == f")
-def _r_id_src(theory, ps, inst):
-    _arity(ps, 0, "id-src")
-    f = _take_term(theory, inst, "f", "id-src")
-    _done(inst, "id-src")
-    return Holds(Equation(normalize_assoc(Comp(f, Id(dom(f)))), f, STRONG))
-
-
-@_rule("id-tgt", _CORE, "=> id.f == f")
-def _r_id_tgt(theory, ps, inst):
-    _arity(ps, 0, "id-tgt")
-    f = _take_term(theory, inst, "f", "id-tgt")
-    _done(inst, "id-tgt")
-    return Holds(Equation(normalize_assoc(Comp(Id(cod(f)), f)), f, STRONG))
+@_rule_pair("id-src", "=> f.id == f", "id-tgt", "=> id.f == f",
+            flavors=(_CORE, _CORE))
+def _r_id_src(side, rid, theory, ps, inst):
+    _arity(ps, 0, rid)
+    f = _take_term(theory, inst, "f", rid)
+    _done(inst, rid)
+    return Holds(Equation(side.then(f, Id(side.src(f))), f, STRONG))
 
 
 @_rule("eq-refl", _CORE, "=> f == f")
@@ -280,28 +331,33 @@ def _r_eq_trans(theory, ps, inst):
     return Holds(Equation(e1.lhs, e2.rhs, STRONG))
 
 
-@_rule("eq-subs", _CORE, "g1 == g2 => g1.f == g2.f")
-def _r_eq_subs(theory, ps, inst):
-    _arity(ps, 1, "eq-subs")
-    eq = _kind(_as_holds(ps[0], "eq-subs"), STRONG, "eq-subs")
-    f = _take_term(theory, inst, "by", "eq-subs")
-    _done(inst, "eq-subs")
-    if cod(f) != dom(eq.lhs):
-        raise E.BadInstantiation("eq-subs: substituted term does not compose")
-    return Holds(Equation(normalize_assoc(Comp(eq.lhs, f)),
-                          normalize_assoc(Comp(eq.rhs, f)), STRONG))
+@_rule_pair("eq-subs", "g1 == g2 => g1.f == g2.f",
+            "eq-repl", "f1 == f2 => g.f1 == g.f2",
+            flavors=(_CORE, _CORE), weak=False, after=False, pure=False)
+@_rule_pair("w-subs", "g1 ~~ g2 => g1.f ~~ g2.f (any f)",
+            "w-repl", "f1 ~~ f2 => g.f1 ~~ g.f2 (any g)",
+            weak=True, after=False, pure=False)
+@_rule_pair("w-repl-pure", "f1 ~~ f2 => g.f1 ~~ g.f2 (g pure)",
+            "w-subs-pure", "g1 ~~ g2 => g1.f ~~ g2.f (f pure)",
+            weak=True, after=True, pure=True)
+def _r_congruence(side, rid, theory, ps, inst, *, weak, after, pure):
+    """Compose the context `by` with both sides of the premise: first
+    (substitution) or, with `after`, last (replacement)."""
+    _arity(ps, 1, rid)
+    eq = _kind(_as_holds(ps[0], rid), _wkind(theory) if weak else STRONG, rid)
+    c = _take_term(theory, inst, "by", rid)
+    _done(inst, rid)
+    if pure:
+        _require_pure(theory, c, rid, "the context")
 
+    def around(t: Term) -> tuple[Term, Term]:
+        return (c, t) if after else (t, c)
 
-@_rule("eq-repl", _CORE, "f1 == f2 => g.f1 == g.f2")
-def _r_eq_repl(theory, ps, inst):
-    _arity(ps, 1, "eq-repl")
-    eq = _kind(_as_holds(ps[0], "eq-repl"), STRONG, "eq-repl")
-    g = _take_term(theory, inst, "by", "eq-repl")
-    _done(inst, "eq-repl")
-    if cod(eq.lhs) != dom(g):
-        raise E.BadInstantiation("eq-repl: replacement context does not compose")
-    return Holds(Equation(normalize_assoc(Comp(g, eq.lhs)),
-                          normalize_assoc(Comp(g, eq.rhs)), STRONG))
+    g, f = around(eq.lhs)
+    if side.tgt(f) != side.src(g):
+        raise E.BadInstantiation(f"{rid}: the context does not compose")
+    return Holds(Equation(side.then(*around(eq.lhs)),
+                          side.then(*around(eq.rhs)), eq.kind))
 
 
 # decoration bookkeeping ------------------------------------------------
@@ -388,7 +444,11 @@ def _r_s_to_w(theory, ps, inst):
     return Holds(Equation(eq.lhs, eq.rhs, _wkind(theory)))
 
 
-def _w_to_s(theory, ps, inst, rid):
+# rule pairs: each states-side rule, read on the exceptions side ---------
+
+@_rule_pair("w-to-s", "a ~~ b => a == b (both levels <= 1)",
+            "w-to-s-prop", "a ~~ b => a == b (both levels <= 1)")
+def _r_w_to_s(side, rid, theory, ps, inst):
     if len(ps) not in (1, 2):
         raise E.BadPremises(f"{rid} takes the weak premise, optionally a WF premise")
     eq = _kind(_as_holds(ps[0], rid), _wkind(theory), rid)
@@ -404,287 +464,106 @@ def _w_to_s(theory, ps, inst, rid):
     return Holds(Equation(eq.lhs, eq.rhs, STRONG))
 
 
-# states-side rules -----------------------------------------------------
-
-@_rule("w-subs", _ST, "g1 ~~ g2 => g1.f ~~ g2.f (any f)")
-def _r_w_subs(theory, ps, inst):
-    _arity(ps, 1, "w-subs")
-    eq = _kind(_as_holds(ps[0], "w-subs"), _wkind(theory), "w-subs")
-    f = _take_term(theory, inst, "by", "w-subs")
-    _done(inst, "w-subs")
-    if cod(f) != dom(eq.lhs):
-        raise E.BadInstantiation("w-subs: substituted term does not compose")
-    return Holds(Equation(normalize_assoc(Comp(eq.lhs, f)),
-                          normalize_assoc(Comp(eq.rhs, f)), eq.kind))
+@_rule_pair("final", "=> WF(id[1], 0)", "initial", "=> WF(id[0], 0)")
+def _r_final(side, rid, theory, ps, inst):
+    _arity(ps, 0, rid)
+    _done(inst, rid)
+    return WellFormed(Id(side.unit()), 0)
 
 
-@_rule("w-repl-pure", _ST, "f1 ~~ f2 => g.f1 ~~ g.f2 (g pure)")
-def _r_w_repl_pure(theory, ps, inst):
-    _arity(ps, 1, "w-repl-pure")
-    eq = _kind(_as_holds(ps[0], "w-repl-pure"), _wkind(theory), "w-repl-pure")
-    g = _take_term(theory, inst, "by", "w-repl-pure")
-    _done(inst, "w-repl-pure")
-    _require_pure(theory, g, "w-repl-pure", "the replacement context")
-    if cod(eq.lhs) != dom(g):
-        raise E.BadInstantiation("w-repl-pure: context does not compose")
-    return Holds(Equation(normalize_assoc(Comp(g, eq.lhs)),
-                          normalize_assoc(Comp(g, eq.rhs)), eq.kind))
+@_rule_pair("unit-arrow", "=> WF(unit[X], 0)",
+            "empty-arrow", "=> WF(empty[Y], 0)")
+def _r_unit_arrow(side, rid, theory, ps, inst):
+    _arity(ps, 0, rid)
+    at = _take_type(theory, inst, "at", rid)
+    _done(inst, rid)
+    return WellFormed(side.to_unit(at), 0)
 
 
-@_rule("w-to-s", _ST, "a ~~ b => a == b (both levels <= 1)")
-def _r_w_to_s(theory, ps, inst):
-    return _w_to_s(theory, ps, inst, "w-to-s")
+@_rule_pair("w-final", "=> f ~~ unit[X] for f: X -> 1",
+            "w-initial", "=> f ~~ empty[Y] for f: 0 -> Y")
+def _r_w_final(side, rid, theory, ps, inst):
+    _arity(ps, 0, rid)
+    f = _take_term(theory, inst, "f", rid)
+    _done(inst, rid)
+    if not isinstance(side.tgt(f), side.unit):
+        raise E.BadInstantiation(
+            f"{rid} applies to maps {'out of' if side.op else 'into'} {side.unit()}")
+    return Holds(Equation(f, side.to_unit(side.src(f)), _wkind(theory)))
 
 
-@_rule("final", _ST, "=> WF(id[1], 0)")
-def _r_final(theory, ps, inst):
-    _arity(ps, 0, "final")
-    _done(inst, "final")
-    return WellFormed(Id(UNIT), 0)
-
-
-@_rule("unit-arrow", _ST, "=> WF(unit[X], 0)")
-def _r_unit_arrow(theory, ps, inst):
-    _arity(ps, 0, "unit-arrow")
-    at = _take_type(theory, inst, "at", "unit-arrow")
-    _done(inst, "unit-arrow")
-    return WellFormed(ToUnit(at), 0)
-
-
-@_rule("w-final", _ST, "=> f ~~ unit[X] for f: X -> 1")
-def _r_w_final(theory, ps, inst):
-    _arity(ps, 0, "w-final")
-    f = _take_term(theory, inst, "f", "w-final")
-    _done(inst, "w-final")
-    if not isinstance(cod(f), Unit):
-        raise E.BadInstantiation("w-final applies to maps into 1")
-    return Holds(Equation(f, ToUnit(dom(f)), _wkind(theory)))
-
-
-@_rule("loc-tuple", _ST, "=> l[i].tuple(..) ~~ component i")
-def _r_loc_tuple(theory, ps, inst):
-    _arity(ps, 0, "loc-tuple")
-    fam = _take_family(theory, inst, "family", "loc-tuple")
-    at = _take(inst, "at", "loc-tuple")
-    _done(inst, "loc-tuple")
-    lt = LocTuple(fam)
-    typecheck(theory, lt)
+@_rule_pair("loc-tuple", "=> l[i].tuple(..) ~~ component i",
+            "const-cotuple", "=> cotuple(..).t[i] ~~ component i")
+def _r_loc_tuple(side, rid, theory, ps, inst):
+    _arity(ps, 0, rid)
+    fam = _take_family(theory, inst, "family", rid)
+    at = _take(inst, "at", rid)
+    _done(inst, rid)
+    cone = side.loc_tuple(fam)
+    typecheck(theory, cone)
     fam_map = dict(fam)
     if at not in fam_map:
-        raise E.BadInstantiation(f"loc-tuple: no component for {at!r}")
-    return Holds(Equation(normalize_assoc(Comp(Lookup(at), lt)),
-                          fam_map[at], _wkind(theory)))
-
-
-@_rule("loc-tuple-unique", _ST,
-       "l[i].g ~~ f_i for every location => g == tuple(f)")
-def _r_loc_tuple_unique(theory, ps, inst):
-    fam = _take_family(theory, inst, "family", "loc-tuple-unique")
-    g = _take_term(theory, inst, "g", "loc-tuple-unique")
-    _done(inst, "loc-tuple-unique")
-    lt = LocTuple(fam)
-    typecheck(theory, lt)
-    if dom(g) != dom(lt) or not isinstance(cod(g), Unit):
-        raise E.BadInstantiation("loc-tuple-unique: g must share the cone's profile")
-    _arity(ps, len(fam), "loc-tuple-unique")
-    wk = _wkind(theory)
-    for (i, fi), p in zip(fam, ps):
-        want = Equation(normalize_assoc(Comp(Lookup(i), g)), fi, wk)
-        if _as_holds(p, "loc-tuple-unique") != want:
-            raise E.BadPremises(
-                f"loc-tuple-unique: premise for {i!r} should be {want}, got {p}")
-    return Holds(Equation(g, lt, STRONG))
-
-
-@_rule("semiprod-P1", _ST, "=> weak projection law, pure factor")
-def _r_semiprod_p1(theory, ps, inst):
-    _arity(ps, 0, "semiprod-P1")
-    t = _take_term(theory, inst, "term", "semiprod-P1")
-    _done(inst, "semiprod-P1")
-    if not isinstance(t, SemiProd):
-        raise E.BadInstantiation("semiprod-P1 needs a semi-pure pairing")
-    ap, bp = dom(t.pure), cod(t.pure)
-    ae, be = dom(t.eff), cod(t.eff)
-    if t.pure_on_left:
-        lhs = Comp(Proj1(bp, be), t)
-        rhs = Comp(t.pure, Proj1(ap, ae))
-    else:
-        lhs = Comp(Proj2(be, bp), t)
-        rhs = Comp(t.pure, Proj2(ae, ap))
-    return Holds(Equation(normalize_assoc(lhs), normalize_assoc(rhs),
+        raise E.BadInstantiation(f"{rid}: no component for {at!r}")
+    return Holds(Equation(side.then(side.lookup(at), cone), fam_map[at],
                           _wkind(theory)))
 
 
-@_rule("semiprod-P2", _ST, "=> strong projection law, effectful factor")
-def _r_semiprod_p2(theory, ps, inst):
-    _arity(ps, 0, "semiprod-P2")
-    t = _take_term(theory, inst, "term", "semiprod-P2")
-    _done(inst, "semiprod-P2")
-    if not isinstance(t, SemiProd):
-        raise E.BadInstantiation("semiprod-P2 needs a semi-pure pairing")
-    ap, bp = dom(t.pure), cod(t.pure)
-    ae, be = dom(t.eff), cod(t.eff)
-    if t.pure_on_left:
-        lhs = Comp(Proj2(bp, be), t)
-        rhs = Comp(t.eff, Proj2(ap, ae))
-    else:
-        lhs = Comp(Proj1(be, bp), t)
-        rhs = Comp(t.eff, Proj1(ae, ap))
-    return Holds(Equation(normalize_assoc(lhs), normalize_assoc(rhs), STRONG))
-
-
-@_rule("binprod-proj", _ST, "=> WF(p1/p2, 0)")
-def _r_binprod_proj(theory, ps, inst):
-    _arity(ps, 0, "binprod-proj")
-    which = _take(inst, "which", "binprod-proj")
-    left = _take_type(theory, inst, "left", "binprod-proj")
-    right = _take_type(theory, inst, "right", "binprod-proj")
-    _done(inst, "binprod-proj")
-    if which not in (1, 2):
-        raise E.BadInstantiation("binprod-proj: which must be 1 or 2")
-    return WellFormed(Proj1(left, right) if which == 1 else Proj2(left, right), 0)
-
-
-# exceptions-side rules -------------------------------------------------
-
-@_rule("w-subs-pure", _EX, "g1 ~~ g2 => g1.f ~~ g2.f (f pure)")
-def _r_w_subs_pure(theory, ps, inst):
-    _arity(ps, 1, "w-subs-pure")
-    eq = _kind(_as_holds(ps[0], "w-subs-pure"), _wkind(theory), "w-subs-pure")
-    f = _take_term(theory, inst, "by", "w-subs-pure")
-    _done(inst, "w-subs-pure")
-    _require_pure(theory, f, "w-subs-pure", "the substituted term")
-    if cod(f) != dom(eq.lhs):
-        raise E.BadInstantiation("w-subs-pure: substituted term does not compose")
-    return Holds(Equation(normalize_assoc(Comp(eq.lhs, f)),
-                          normalize_assoc(Comp(eq.rhs, f)), eq.kind))
-
-
-@_rule("w-repl", _EX, "f1 ~~ f2 => g.f1 ~~ g.f2 (any g)")
-def _r_w_repl(theory, ps, inst):
-    _arity(ps, 1, "w-repl")
-    eq = _kind(_as_holds(ps[0], "w-repl"), _wkind(theory), "w-repl")
-    g = _take_term(theory, inst, "by", "w-repl")
-    _done(inst, "w-repl")
-    if cod(eq.lhs) != dom(g):
-        raise E.BadInstantiation("w-repl: context does not compose")
-    return Holds(Equation(normalize_assoc(Comp(g, eq.lhs)),
-                          normalize_assoc(Comp(g, eq.rhs)), eq.kind))
-
-
-@_rule("w-to-s-prop", _EX, "a ~~ b => a == b (both levels <= 1)")
-def _r_w_to_s_prop(theory, ps, inst):
-    return _w_to_s(theory, ps, inst, "w-to-s-prop")
-
-
-@_rule("initial", _EX, "=> WF(id[0], 0)")
-def _r_initial(theory, ps, inst):
-    _arity(ps, 0, "initial")
-    _done(inst, "initial")
-    return WellFormed(Id(EMPTY), 0)
-
-
-@_rule("empty-arrow", _EX, "=> WF(empty[Y], 0)")
-def _r_empty_arrow(theory, ps, inst):
-    _arity(ps, 0, "empty-arrow")
-    at = _take_type(theory, inst, "at", "empty-arrow")
-    _done(inst, "empty-arrow")
-    return WellFormed(FromEmpty(at), 0)
-
-
-@_rule("w-initial", _EX, "=> f ~~ empty[Y] for f: 0 -> Y")
-def _r_w_initial(theory, ps, inst):
-    _arity(ps, 0, "w-initial")
-    f = _take_term(theory, inst, "f", "w-initial")
-    _done(inst, "w-initial")
-    if not isinstance(dom(f), Empty):
-        raise E.BadInstantiation("w-initial applies to maps out of 0")
-    return Holds(Equation(f, FromEmpty(cod(f)), _wkind(theory)))
-
-
-@_rule("const-cotuple", _EX, "=> cotuple(..).t[i] ~~ component i")
-def _r_const_cotuple(theory, ps, inst):
-    _arity(ps, 0, "const-cotuple")
-    fam = _take_family(theory, inst, "family", "const-cotuple")
-    at = _take(inst, "at", "const-cotuple")
-    _done(inst, "const-cotuple")
-    ct = ConstCotuple(fam)
-    typecheck(theory, ct)
-    fam_map = dict(fam)
-    if at not in fam_map:
-        raise E.BadInstantiation(f"const-cotuple: no component for {at!r}")
-    return Holds(Equation(normalize_assoc(Comp(ct, Throw(at))),
-                          fam_map[at], _wkind(theory)))
-
-
-@_rule("const-cotuple-unique", _EX,
-       "g.t[i] ~~ f_i for every exception name => g == cotuple(f)")
-def _r_const_cotuple_unique(theory, ps, inst):
-    fam = _take_family(theory, inst, "family", "const-cotuple-unique")
-    g = _take_term(theory, inst, "g", "const-cotuple-unique")
-    _done(inst, "const-cotuple-unique")
-    ct = ConstCotuple(fam)
-    typecheck(theory, ct)
-    if cod(g) != cod(ct) or not isinstance(dom(g), Empty):
-        raise E.BadInstantiation("const-cotuple-unique: g must share the cocone's profile")
-    _arity(ps, len(fam), "const-cotuple-unique")
+@_rule_pair("loc-tuple-unique",
+            "l[i].g ~~ f_i for every location => g == tuple(f)",
+            "const-cotuple-unique",
+            "g.t[i] ~~ f_i for every exception name => g == cotuple(f)")
+def _r_loc_tuple_unique(side, rid, theory, ps, inst):
+    fam = _take_family(theory, inst, "family", rid)
+    g = _take_term(theory, inst, "g", rid)
+    _done(inst, rid)
+    cone = side.loc_tuple(fam)
+    typecheck(theory, cone)
+    if side.src(g) != side.src(cone) or not isinstance(side.tgt(g), side.unit):
+        raise E.BadInstantiation(f"{rid}: g must share the cone's profile")
+    _arity(ps, len(fam), rid)
     wk = _wkind(theory)
     for (i, fi), p in zip(fam, ps):
-        want = Equation(normalize_assoc(Comp(g, Throw(i))), fi, wk)
-        if _as_holds(p, "const-cotuple-unique") != want:
+        want = Equation(side.then(side.lookup(i), g), fi, wk)
+        if _as_holds(p, rid) != want:
             raise E.BadPremises(
-                f"const-cotuple-unique: premise for {i!r} should be {want}, got {p}")
-    return Holds(Equation(g, ct, STRONG))
+                f"{rid}: premise for {i!r} should be {want}, got {p}")
+    return Holds(Equation(g, cone, STRONG))
 
 
-@_rule("semicoprod-P1", _EX, "=> weak injection law, pure factor")
-def _r_semicoprod_p1(theory, ps, inst):
-    _arity(ps, 0, "semicoprod-P1")
-    t = _take_term(theory, inst, "term", "semicoprod-P1")
-    _done(inst, "semicoprod-P1")
-    if not isinstance(t, SemiCoprod):
-        raise E.BadInstantiation("semicoprod-P1 needs a semi-pure case map")
-    ap, bp = dom(t.pure), cod(t.pure)
-    ae, be = dom(t.eff), cod(t.eff)
-    if t.pure_on_left:
-        lhs = Comp(t, Inj1(ap, ae))
-        rhs = Comp(Inj1(bp, be), t.pure)
-    else:
-        lhs = Comp(t, Inj2(ae, ap))
-        rhs = Comp(Inj2(be, bp), t.pure)
-    return Holds(Equation(normalize_assoc(lhs), normalize_assoc(rhs),
-                          _wkind(theory)))
+@_rule_pair("semiprod-P1", "=> weak projection law, pure factor",
+            "semicoprod-P1", "=> weak injection law, pure factor", pure=True)
+@_rule_pair("semiprod-P2", "=> strong projection law, effectful factor",
+            "semicoprod-P2", "=> strong injection law, effectful factor",
+            pure=False)
+def _r_semi_projection(side, rid, theory, ps, inst, *, pure):
+    """Projecting a semi-pure pairing onto one factor: weakly the pure one,
+    strongly the effectful one."""
+    _arity(ps, 0, rid)
+    t = _take_term(theory, inst, "term", rid)
+    _done(inst, rid)
+    if not isinstance(t, side.semi):
+        raise E.BadInstantiation(f"{rid} needs a {side.semi.__name__} term")
+    first, second = (t.pure, t.eff) if t.pure_on_left else (t.eff, t.pure)
+    proj = side.projs[0] if pure == t.pure_on_left else side.projs[1]
+    lhs = side.then(proj(side.tgt(first), side.tgt(second)), t)
+    rhs = side.then(t.pure if pure else t.eff,
+                    proj(side.src(first), side.src(second)))
+    return Holds(Equation(lhs, rhs, _wkind(theory) if pure else STRONG))
 
 
-@_rule("semicoprod-P2", _EX, "=> strong injection law, effectful factor")
-def _r_semicoprod_p2(theory, ps, inst):
-    _arity(ps, 0, "semicoprod-P2")
-    t = _take_term(theory, inst, "term", "semicoprod-P2")
-    _done(inst, "semicoprod-P2")
-    if not isinstance(t, SemiCoprod):
-        raise E.BadInstantiation("semicoprod-P2 needs a semi-pure case map")
-    ap, bp = dom(t.pure), cod(t.pure)
-    ae, be = dom(t.eff), cod(t.eff)
-    if t.pure_on_left:
-        lhs = Comp(t, Inj2(ap, ae))
-        rhs = Comp(Inj2(bp, be), t.eff)
-    else:
-        lhs = Comp(t, Inj1(ae, ap))
-        rhs = Comp(Inj1(be, bp), t.eff)
-    return Holds(Equation(normalize_assoc(lhs), normalize_assoc(rhs), STRONG))
-
-
-@_rule("bincoprod-inj", _EX, "=> WF(in1/in2, 0)")
-def _r_bincoprod_inj(theory, ps, inst):
-    _arity(ps, 0, "bincoprod-inj")
-    which = _take(inst, "which", "bincoprod-inj")
-    left = _take_type(theory, inst, "left", "bincoprod-inj")
-    right = _take_type(theory, inst, "right", "bincoprod-inj")
-    _done(inst, "bincoprod-inj")
+@_rule_pair("binprod-proj", "=> WF(p1/p2, 0)", "bincoprod-inj", "=> WF(in1/in2, 0)")
+def _r_binprod_proj(side, rid, theory, ps, inst):
+    _arity(ps, 0, rid)
+    which = _take(inst, "which", rid)
+    left = _take_type(theory, inst, "left", rid)
+    right = _take_type(theory, inst, "right", rid)
+    _done(inst, rid)
     if which not in (1, 2):
-        raise E.BadInstantiation("bincoprod-inj: which must be 1 or 2")
-    return WellFormed(Inj1(left, right) if which == 1 else Inj2(left, right), 0)
+        raise E.BadInstantiation(f"{rid}: which must be 1 or 2")
+    return WellFormed((side.projs[0] if which == 1 else side.projs[1])(left, right), 0)
 
+
+# handler rules: exceptions side only, no dual ---------------------------
 
 def _case_term(theory, inst, rid) -> CaseSum:
     t = _take_term(theory, inst, "term", rid)
@@ -918,26 +797,29 @@ def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
 
 # ------------------------------------------------- packaged derivations
 
-def derive_final_uniqueness(theory: Theory, f: Term) -> Derivation:
-    """f == unit[X] for any accessor f: X -> 1 (three nodes)."""
+def _unit_uniqueness(theory: Theory, side: _Side, f: Term,
+                     level_error: type) -> Derivation:
+    """f == unit[X] for any f: X -> 1 of level <= 1, read on `side`."""
+    def rule(rid: str) -> str:
+        return RULES[rid].dual if side.op else rid
+
     f = normalize_assoc(f)
     typecheck(theory, f)
     if _decorated(theory) and infer_decoration(f) > 1:
-        raise E.NotAnAccessor(f"{f} is level {infer_decoration(f)}")
-    n1 = node(theory, "w-final", f=f)
-    n2 = node(theory, "unit-arrow", at=dom(f))
-    return node(theory, "w-to-s", [n1, n2])
+        raise level_error(f"{f} is level {infer_decoration(f)}")
+    n1 = node(theory, rule("w-final"), f=f)
+    n2 = node(theory, rule("unit-arrow"), at=side.src(f))
+    return node(theory, rule("w-to-s"), [n1, n2])
+
+
+def derive_final_uniqueness(theory: Theory, f: Term) -> Derivation:
+    """f == unit[X] for any accessor f: X -> 1 (three nodes)."""
+    return _unit_uniqueness(theory, _STATES, f, E.NotAnAccessor)
 
 
 def derive_initial_uniqueness(theory: Theory, f: Term) -> Derivation:
     """f == empty[Y] for any propagator f: 0 -> Y (the exceptions-side twin)."""
-    f = normalize_assoc(f)
-    typecheck(theory, f)
-    if _decorated(theory) and infer_decoration(f) > 1:
-        raise E.NotAPropagator(f"{f} is level {infer_decoration(f)}")
-    n1 = node(theory, "w-initial", f=f)
-    n2 = node(theory, "empty-arrow", at=cod(f))
-    return node(theory, "w-to-s-prop", [n1, n2])
+    return _unit_uniqueness(theory, _EXCEPTIONS, f, E.NotAPropagator)
 
 
 # ------------------------------------------------------------ saturation

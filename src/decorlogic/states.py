@@ -89,15 +89,6 @@ def interaction3_equation(theory: Theory, i: str) -> Equation:
     return eq_strong(lhs, rhs)
 
 
-def mirror3_equation(theory: Theory, i: str) -> Equation:
-    """The mirrored double write: first component wins when it runs second."""
-    vi = Value(i)
-    sp = SemiProd(Id(vi), Update(i), pure_on_left=True)
-    lhs = comp(Update(i), Proj1(vi, UNIT), sp)
-    rhs = comp(Update(i), Proj1(vi, vi))
-    return eq_strong(lhs, rhs)
-
-
 @dataclass(frozen=True)
 class SevenGoal:
     name: str

@@ -14,7 +14,7 @@ identities; it does nothing else (no unit/product laws), so two terms are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Tuple, Union, get_args
 
 from .types import EMPTY, UNIT, Coprod, Param, Prod, TypeExpr, Value
 
@@ -266,6 +266,7 @@ Term = Union[
     SemiProd, SemiCoprod, LocTuple, ConstCotuple,
     CaseSum, PropCase, Coerce,
 ]
+TERM_CLASSES = get_args(Term)
 
 
 def _paren(t: Term) -> str:

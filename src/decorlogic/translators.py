@@ -22,23 +22,20 @@ from typing import Any, Optional, Union
 
 from . import errors as E
 from .kernel import (
-    Derivation, Holds, Judgment, WellFormed, axiom_node, gen_node, hyp_node,
-    node,
+    RULES, Derivation, Holds, Judgment, WellFormed, axiom_node, gen_node,
+    hyp_node, node,
 )
 from .terms import (
     CaseSum, Catch, CatchAll, Coerce, Comp, ConstCotuple, FromEmpty, Gen, Id,
     Inj1, Inj2, LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod,
-    SemiProd, Term, ToUnit, Throw, Update, cod, dom, normalize_assoc,
+    SemiProd, TERM_CLASSES, Term, ToUnit, Throw, Update, cod, dom,
+    normalize_assoc,
 )
 from .theory import Axiom, Equation, STRONG, Theory, infer_decoration
 from .types import (
-    Coprod, EMPTY, Empty, Named, Param, Prod, TypeExpr, UNIT, Unit, Value,
+    Coprod, EMPTY, Empty, Named, Param, Prod, TYPE_CLASSES, TypeExpr, UNIT,
+    Unit, Value,
 )
-
-_TERM_TYPES = (Id, Comp, ToUnit, FromEmpty, Proj1, Proj2, Inj1, Inj2, Lookup,
-               Update, Throw, Catch, CatchAll, Gen, SemiProd, SemiCoprod,
-               LocTuple, ConstCotuple, CaseSum, PropCase, Coerce)
-_TYPE_TYPES = (Unit, Empty, Value, Param, Named, Prod, Coprod)
 
 
 # =============================================================== erasure
@@ -81,36 +78,8 @@ def erase_derivation(theory: Theory, d: Derivation) -> Derivation:
 
 # =============================================================== duality
 
-_DUAL_PAIRS = (
-    ("eq-subs", "eq-repl"),
-    ("id-src", "id-tgt"),
-    ("w-subs", "w-repl"),
-    ("w-repl-pure", "w-subs-pure"),
-    ("w-to-s", "w-to-s-prop"),
-    ("final", "initial"),
-    ("unit-arrow", "empty-arrow"),
-    ("w-final", "w-initial"),
-    ("loc-tuple", "const-cotuple"),
-    ("loc-tuple-unique", "const-cotuple-unique"),
-    ("semiprod-P1", "semicoprod-P1"),
-    ("semiprod-P2", "semicoprod-P2"),
-    ("binprod-proj", "bincoprod-inj"),
-)
-
-RULE_DUALS: dict[str, str] = {}
-for _a, _b in _DUAL_PAIRS:
-    RULE_DUALS[_a] = _b
-    RULE_DUALS[_b] = _a
-
 # rules whose two well-formedness premises compose; order flips under duality
 _REVERSED_PREMISES = frozenset({"comp", "0-comp", "1-comp"})
-
-# handler-specific constructs have no states-side counterpart
-_NO_DUAL_RULES = frozenset({
-    "sum-case-exists", "sum-case-weak", "sum-case-empty", "sum-case-prop",
-    "sum-case-unique", "coerce-exists", "coerce-weak", "coerce-unique",
-    "propcase-inl", "propcase-inr",
-})
 
 
 def dualize_type(ty: TypeExpr) -> TypeExpr:
@@ -212,9 +181,9 @@ def dualize_judgment(j: Judgment) -> Judgment:
 
 
 def _dualize_inst_value(v: Any) -> Any:
-    if isinstance(v, _TERM_TYPES):
+    if isinstance(v, TERM_CLASSES):
         return dualize_term(v)
-    if isinstance(v, _TYPE_TYPES):
+    if isinstance(v, TYPE_CLASSES):
         return dualize_type(v)
     if isinstance(v, tuple):
         return tuple((i, dualize_term(f)) for i, f in v)
@@ -239,10 +208,11 @@ def dualize_derivation(theory: Theory, d: Derivation,
             if tag == "gen":
                 return gen_node(target, name)
             return hyp_node(target, name, dualize_judgment(n.conclusion))
-        if n.rule in _NO_DUAL_RULES:
+        # an unknown rule id passes through, for node() to reject
+        rid = RULES[n.rule].dual if n.rule in RULES else n.rule
+        if rid is None:
             raise E.OutsideDualityDomain(
                 f"rule {n.rule!r} has no counterpart on the other side")
-        rid = RULE_DUALS.get(n.rule, n.rule)
         prems = [go(p) for p in n.premises]
         if n.rule in _REVERSED_PREMISES:
             prems.reverse()
@@ -252,35 +222,6 @@ def dualize_derivation(theory: Theory, d: Derivation,
         return node(target, rid, prems, **inst)
 
     return go(d)
-
-
-@dataclass(frozen=True)
-class DualityMap:
-    """The involutive swap between the two decorated logics, bundled."""
-
-    def type(self, ty: TypeExpr) -> TypeExpr:
-        return dualize_type(ty)
-
-    def term(self, t: Term) -> Term:
-        return dualize_term(t)
-
-    def equation(self, eq: Equation) -> Equation:
-        return dualize_equation(eq)
-
-    def theory(self, th: Theory) -> Theory:
-        return dualize_theory(th)
-
-    def derivation(self, th: Theory, d: Derivation,
-                   target: Optional[Theory] = None) -> Derivation:
-        return dualize_derivation(th, d, target)
-
-    def rule(self, rid: str) -> str:
-        if rid in _NO_DUAL_RULES:
-            raise E.OutsideDualityDomain(f"rule {rid!r} has no counterpart")
-        return RULE_DUALS.get(rid, rid)
-
-
-DUALITY = DualityMap()
 
 
 # ============================================================== expansion
@@ -548,12 +489,6 @@ def pack_state(theory: Theory, state: tuple) -> Any:
     return out
 
 
-def _st_in_ty(theory: Theory, a: TypeExpr) -> TypeExpr:
-    """The expanded carrier for a decorated type: a * S, with 1 * S = S."""
-    s = state_type(theory)
-    return s if isinstance(a, Unit) else Prod(a, s)
-
-
 def _loc_proj(theory: Theory, i: str) -> ETerm:
     """Project location i out of the nested state product."""
     locs = theory.locations
@@ -753,11 +688,6 @@ def pack_exception(theory: Theory, name: str, payload: Any) -> Any:
     for _ in range(idx):
         out = ("r", out)
     return out
-
-
-def _exc_in_ty(theory: Theory, a: TypeExpr) -> TypeExpr:
-    e = exception_type(theory)
-    return e if isinstance(a, Empty) else Coprod(a, e)
 
 
 def _exc_inj(theory: Theory, i: str) -> ETerm:

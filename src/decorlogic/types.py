@@ -14,7 +14,7 @@ and printing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,7 @@ class Coprod:
 
 
 TypeExpr = Union[Unit, Empty, Value, Param, Named, Prod, Coprod]
+TYPE_CLASSES = get_args(TypeExpr)
 
 UNIT = Unit()
 EMPTY = Empty()
-
-
-def type_to_text(t: TypeExpr) -> str:
-    return str(t)

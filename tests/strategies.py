@@ -12,11 +12,12 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from decorlogic.exceptions import build_exceptions_theory
-from decorlogic.kernel import axiom_node, node
+from decorlogic.kernel import RULES, Holds, WellFormed, axiom_node, node
 from decorlogic.states import build_states_theory
-from decorlogic.terms import (Catch, Comp, FromEmpty, Id, LocTuple, Lookup,
-                              Throw, ToUnit, Update, cod, dom)
-from decorlogic.theory import Theory
+from decorlogic.terms import (Catch, Comp, ConstCotuple, FromEmpty, Id,
+                              LocTuple, Lookup, SemiCoprod, SemiProd, Throw,
+                              ToUnit, Update, cod, comp, dom)
+from decorlogic.theory import Equation, STRONG, Theory, WEAK, infer_decoration
 from decorlogic.types import EMPTY, Param, UNIT, Value
 
 STATES2 = build_states_theory("S", ["x", "y"])
@@ -75,12 +76,13 @@ _PURE_SHAPES = (Id, ToUnit, FromEmpty)
 def weak_derivations(draw, theory: Theory, atoms, max_steps: int = 3):
     """An axiom leaf extended by random weak-rule applications.
 
-    The free/pure split of substitution and replacement is mirrored between
-    the two flavors, so the rule ids depend on which side we are on.
+    The exceptions side reads composition backwards, so its substitution
+    rule (pure context) is the dual of the states-side replacement rule,
+    and its replacement rule (any context) the dual of substitution.
     """
     states_side = theory.flavor == "states"
-    subs_rule = "w-subs" if states_side else "w-subs-pure"
-    repl_rule = "w-repl-pure" if states_side else "w-repl"
+    subs_rule = "w-subs" if states_side else RULES["w-repl-pure"].dual
+    repl_rule = "w-repl-pure" if states_side else RULES["w-subs"].dual
     name = draw(st.sampled_from([a.name for a in theory.axioms]))
     d = axiom_node(theory, name)
     for _ in range(draw(st.integers(min_value=0, max_value=max_steps))):
@@ -113,3 +115,92 @@ def states_derivations(theory: Theory = STATES2, max_steps: int = 3):
 def exceptions_derivations(theory: Theory = EXC2, max_steps: int = 3):
     return weak_derivations(theory, exception_atoms(theory.constructors),
                             max_steps)
+
+
+# ------------------------------------------------------ paired kernel rules
+
+PAIRED_RULES = sorted(r for r, s in RULES.items() if s.dual not in (None, r))
+
+
+def _atoms(theory: Theory) -> list:
+    if theory.flavor == "states":
+        return state_atoms(theory.locations)
+    return exception_atoms(theory.constructors)
+
+
+@st.composite
+def full_families(draw, theory: Theory):
+    """Components for a complete tuple (states) or cotuple (exceptions)."""
+    comps = []
+    for i in theory.locations:
+        comps.append((i, draw(st.sampled_from(
+            [Lookup(i), Comp(Lookup(i), ToUnit(UNIT))]))))
+    for i in theory.constructors:
+        comps.append((i, draw(st.sampled_from(
+            [Throw(i), Comp(FromEmpty(EMPTY), Throw(i))]))))
+    return tuple(comps)
+
+
+def _observe(theory: Theory, i: str, g):
+    """The premise shape of the unique rules: l[i].g, or g.t[i]."""
+    if theory.flavor == "states":
+        return comp(Lookup(i), g)
+    return comp(g, Throw(i))
+
+
+@st.composite
+def paired_rule_inputs(draw, theory: Theory, rid: str):
+    """Premises and instantiation for one paired rule, drawn on the rule's
+    own side so that it usually applies.
+
+    Types come from the side's own atoms. check_type admits 1 on the
+    exceptions side but not 0 on the states side, so an exceptions-side
+    input at type 1 would have no dual input.
+    """
+    atoms = _atoms(theory)
+    terms = composed_terms(atoms, max_factors=3)
+
+    def equation(kind: str) -> Equation:
+        lhs = comp(draw(terms))
+        rhs = comp(draw(terms))
+        if (dom(rhs), cod(rhs)) != (dom(lhs), cod(lhs)):
+            rhs = lhs
+        return Equation(lhs, rhs, kind)
+
+    if rid in ("final", "initial"):
+        return [], {}
+    if rid in ("unit-arrow", "empty-arrow"):
+        t = draw(terms)
+        return [], {"at": draw(st.sampled_from([dom(t), cod(t)]))}
+    if rid in ("id-src", "id-tgt", "w-final", "w-initial"):
+        return [], {"f": draw(terms)}
+    if rid in ("binprod-proj", "bincoprod-inj"):
+        tys = [dom(a) for a in atoms] + [cod(a) for a in atoms]
+        return [], {"which": draw(st.sampled_from([1, 2])),
+                    "left": draw(st.sampled_from(tys)),
+                    "right": draw(st.sampled_from(tys))}
+    if rid in ("w-to-s", "w-to-s-prop"):
+        eq = equation(WEAK)
+        ps = [Holds(eq)]
+        if draw(st.booleans()):
+            ps.append(WellFormed(eq.lhs, infer_decoration(eq.lhs)))
+        return ps, {}
+    if rid.startswith(("semiprod", "semicoprod")):
+        pure = draw(st.sampled_from(
+            [a for a in atoms if infer_decoration(a) == 0]))
+        cls = SemiProd if theory.flavor == "states" else SemiCoprod
+        return [], {"term": cls(pure, draw(terms), draw(st.booleans()))}
+    fam = draw(full_families(theory))
+    if rid in ("loc-tuple", "const-cotuple"):
+        return [], {"family": fam,
+                    "at": draw(st.sampled_from([i for i, _ in fam]))}
+    if rid.endswith("-unique"):
+        cone = (LocTuple if theory.flavor == "states" else ConstCotuple)(fam)
+        g = draw(st.sampled_from([cone, comp(draw(terms))]))
+        ps = [Holds(Equation(_observe(theory, i, g), comp(f), WEAK))
+              for i, f in fam]
+        return ps, {"family": fam, "g": g}
+    # substitution and replacement: one premise and a context `by`
+    eq = equation(STRONG if rid.startswith("eq-") else WEAK)
+    fits = [a for a in atoms if cod(a) == dom(eq.lhs) or dom(a) == cod(eq.lhs)]
+    return [Holds(eq)], {"by": draw(st.sampled_from(fits))}

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import strategies as strat
 from decorlogic import errors as E
 from decorlogic.exceptions import (build_exceptions_theory, with_catch_all,
                                    builtin_proof as exc_proof,
                                    derive_lemma as exc_lemma)
-from decorlogic.kernel import check_derivation
+from decorlogic.kernel import RULES, check_derivation, hyp_node, node
 from decorlogic.models import (FiniteExceptionModel, FiniteStateModel,
                                eval_exceptions, eval_states)
 from decorlogic.states import (build_states_theory, builtin_proof as st_proof,
@@ -19,11 +20,11 @@ from decorlogic.terms import (Catch, CatchAll, Comp, FromEmpty, Id, Lookup,
                               SemiProd, SemiCoprod, Throw, ToUnit, Update,
                               cod, dom)
 from decorlogic.theory import Equation, STRONG, WEAK
-from decorlogic.translators import (DUALITY, ECase, EGen, EId, EInitial,
-                                    EInj1, EInj2, EPair, EProj1, EProj2,
-                                    ETerminal, RULE_DUALS, dual_axiom_name,
-                                    dualize_derivation, dualize_equation,
-                                    dualize_term, dualize_theory,
+from decorlogic.translators import (ECase, EGen, EId, EInitial, EInj1,
+                                    EInj2, EPair, EProj1, EProj2, ETerminal,
+                                    dual_axiom_name, dualize_derivation,
+                                    dualize_judgment, dualize_term,
+                                    dualize_theory,
                                     dualize_type, ecomp, erase_derivation,
                                     erase_equation, erase_theory, esimplify,
                                     eval_explicit, exception_type,
@@ -179,22 +180,32 @@ def test_exception_lemmas_dualize_to_state_facts(exc2):
         assert check_derivation(dual, dd).valid
 
 
-def test_duality_map_bundles_the_functions(states2):
-    t = Comp(Lookup("y"), Update("x"))
-    assert DUALITY.type(Value("x")) == dualize_type(Value("x"))
-    assert DUALITY.term(t) == dualize_term(t)
-    eq = states2.axiom("A2_x_y").eq
-    assert DUALITY.equation(eq) == dualize_equation(eq)
-    assert DUALITY.theory(states2) == dualize_theory(states2)
-    d = st_proof(states2, "pr5")
-    assert (DUALITY.derivation(states2, d)
-            == dualize_derivation(states2, d))
-    assert DUALITY.rule("w-subs") == "w-repl"
-    assert DUALITY.rule("comp") == "comp"
-    for rid, dual_rid in RULE_DUALS.items():
-        assert DUALITY.rule(dual_rid) == rid
-    with pytest.raises(E.OutsideDualityDomain):
-        DUALITY.rule("sum-case-weak")
+def test_rule_table_pairs_each_rule_with_its_dual():
+    assert RULES["w-subs"].dual == "w-repl"
+    assert RULES["comp"].dual == "comp"
+    assert RULES["sum-case-weak"].dual is None
+    assert len(strat.PAIRED_RULES) == 26
+    for rid, spec in RULES.items():
+        if spec.dual is not None:
+            assert RULES[spec.dual].dual == rid
+
+
+@given(st.sampled_from(strat.PAIRED_RULES), st.data())
+@settings(max_examples=600, deadline=None)
+def test_paired_rules_commute_with_duality(rid, data):
+    """Applying a paired rule and then dualizing gives what its dual gives
+    on the dualized input, whenever both rules accept their input."""
+    theory = data.draw(st.sampled_from(
+        [t for t in (strat.STATES2, strat.EXC2) if t.flavor in RULES[rid].flavors]))
+    ps, inst = data.draw(strat.paired_rule_inputs(theory, rid))
+    try:
+        d = node(theory, rid, [hyp_node(theory, f"p{k}", p)
+                               for k, p in enumerate(ps)], **inst)
+    except E.DecorError:
+        reject()
+    dd = dualize_derivation(theory, d)
+    assert dd.rule == RULES[rid].dual
+    assert dd.conclusion == dualize_judgment(d.conclusion)
 
 
 @given(strat.states_derivations())
