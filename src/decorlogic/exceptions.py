@@ -23,7 +23,7 @@ from .kernel import Derivation, derive_initial_uniqueness, node
 from .states import build_states_theory, mirror_interaction3
 from .states import derive_lemma as _states_lemma
 from .terms import (
-    CaseSum, Catch, CatchAll, Coerce, Comp, FromEmpty, Id, Inj1, Inj2,
+    CaseSum, Catch, CatchAll, Coerce, FromEmpty, Id, Inj1, Inj2,
     PropCase, SemiCoprod, Term, Throw, comp, normalize_assoc,
 )
 from .theory import (

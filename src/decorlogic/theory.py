@@ -13,8 +13,8 @@ finite models (models.py) attach cardinalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal, Optional
+from dataclasses import dataclass
+from typing import Literal
 
 from . import errors as E
 from .terms import (

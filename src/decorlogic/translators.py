@@ -221,7 +221,13 @@ def dualize_derivation(theory: Theory, d: Derivation,
             inst["f"], inst["h"] = inst["h"], inst["f"]
         return node(target, rid, prems, **inst)
 
-    return go(d)
+    try:
+        return go(d)
+    except E.FlavorViolation as exc:
+        # d holds on its own side, so the dual uses a construct the target
+        # side lacks, such as 0, the dual of 1, on the states side
+        raise E.OutsideDualityDomain(
+            f"the dual leaves the {target.flavor} logic: {exc}") from exc
 
 
 # ============================================================== expansion

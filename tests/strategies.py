@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from decorlogic.exceptions import build_exceptions_theory
+from decorlogic.exceptions import build_exceptions_theory, handle_term
 from decorlogic.kernel import RULES, Holds, WellFormed, axiom_node, node
 from decorlogic.states import build_states_theory
-from decorlogic.terms import (Catch, Comp, ConstCotuple, FromEmpty, Id,
-                              LocTuple, Lookup, SemiCoprod, SemiProd, Throw,
-                              ToUnit, Update, cod, comp, dom)
+from decorlogic.terms import (Catch, CatchAll, Comp, ConstCotuple, FromEmpty,
+                              Id, Inj1, Inj2, LocTuple, Lookup, Proj1, Proj2,
+                              PropCase, SemiCoprod, SemiProd, Throw, ToUnit,
+                              Update, cod, comp, dom)
 from decorlogic.theory import Equation, STRONG, Theory, WEAK, infer_decoration
-from decorlogic.types import EMPTY, Param, UNIT, Value
+from decorlogic.types import EMPTY, Coprod, Param, Prod, UNIT, Value
 
 STATES2 = build_states_theory("S", ["x", "y"])
 EXC2 = build_exceptions_theory("E", ["i", "j"])
@@ -39,10 +40,11 @@ def exception_atoms(constructors) -> list:
 
 
 @st.composite
-def composed_terms(draw, atoms, max_factors: int = 5):
+def composed_terms(draw, atoms, max_factors: int = 5, first=None):
     """A left-to-right composition walk; each factor's domain matches the
-    codomain reached so far, so the result always typechecks."""
-    t = draw(st.sampled_from(atoms))
+    codomain reached so far, so the result always typechecks. The first
+    factor comes from `first` when given."""
+    t = draw(st.sampled_from(first or atoms))
     extra = draw(st.integers(min_value=0, max_value=max_factors - 1))
     for _ in range(extra):
         fits = [a for a in atoms if dom(a) == cod(t)]
@@ -204,3 +206,110 @@ def paired_rule_inputs(draw, theory: Theory, rid: str):
     eq = equation(STRONG if rid.startswith("eq-") else WEAK)
     fits = [a for a in atoms if cod(a) == dom(eq.lhs) or dom(a) == cod(eq.lhs)]
     return [Holds(eq)], {"by": draw(st.sampled_from(fits))}
+
+
+# --------------------------------------------------------- random equations
+
+def _into_hub(draw, theory: Theory, a):
+    """A term a -> 1 (states) or a -> 0 (exceptions)."""
+    if theory.flavor == "states":
+        return draw(st.sampled_from(
+            [ToUnit(a)] + ([Update(a.index)] if isinstance(a, Value) else [])))
+    if isinstance(a, Coprod):
+        return PropCase(_into_hub(draw, theory, a.left),
+                        _into_hub(draw, theory, a.right))
+    return Throw(a.index) if isinstance(a, Param) else Id(EMPTY)
+
+
+def _from_hub(draw, theory: Theory, b):
+    """A term 1 -> b (states, b not a product) or 0 -> b (exceptions)."""
+    if theory.flavor == "states":
+        return Lookup(b.index) if isinstance(b, Value) else Id(UNIT)
+    outs = [FromEmpty(b)]
+    if isinstance(b, Param):
+        outs.append(Catch(b.index))
+    elif b == UNIT and theory.catch_all:
+        outs.append(CatchAll())
+    elif isinstance(b, Coprod):
+        outs.append(comp(Inj1(b.left, b.right), _from_hub(draw, theory, b.left)))
+    return draw(st.sampled_from(outs))
+
+
+def _bridge(draw, theory: Theory, a, b):
+    """A term a -> b, by way of 1 (states) or 0 (exceptions)."""
+    if a == b and draw(st.booleans()):
+        return Id(a)
+    if theory.flavor == "exceptions" and b == UNIT and draw(st.booleans()):
+        return ToUnit(a)
+    return comp(_from_hub(draw, theory, b), _into_hub(draw, theory, a))
+
+
+@st.composite
+def structured_atoms(draw, theory: Theory, extra=()):
+    """The side's atoms and `extra` ones, plus its product or sum
+    structure: semi-pure pairs of drawn atoms with the projections or the
+    injections and case splits around them, the mediating arrow
+    (full_tuples / full_families) and, on the exceptions side, try/catch
+    handlers."""
+    flat = _atoms(theory) + list(extra)
+    atoms = list(flat)
+    pure = [a for a in flat if infer_decoration(a) == 0]
+    states_side = theory.flavor == "states"
+    for _ in range(3):
+        s = (SemiProd if states_side else SemiCoprod)(
+            draw(st.sampled_from(pure)), draw(st.sampled_from(flat)),
+            draw(st.booleans()))
+        a, b = cod(s).left, cod(s).right
+        if states_side:
+            atoms += [s, Proj1(a, b), Proj2(a, b)]
+        else:
+            c = draw(st.sampled_from([EMPTY] + [Param(i) for i in
+                                                theory.constructors]))
+            atoms += [s, PropCase(comp(FromEmpty(c), _into_hub(draw, theory, a)),
+                                  comp(FromEmpty(c), _into_hub(draw, theory, b))),
+                      Inj1(dom(s).left, dom(s).right),
+                      Inj2(dom(s).left, dom(s).right)]
+    if states_side:
+        atoms.append(draw(full_tuples(theory)))
+        return atoms
+    atoms.append(ConstCotuple(draw(full_families(theory))))
+    for _ in range(2):
+        y = Param(draw(st.sampled_from(theory.constructors)))
+
+        def to_y(i):
+            """Propagators P[i] -> y: re-raise, recover, or cast and raise."""
+            outs = [comp(FromEmpty(y), Throw(i))]
+            outs += [Id(y)] if Param(i) == y else []
+            for g in extra:
+                if dom(g) == Param(i) and isinstance(cod(g), Param):
+                    outs.append(comp(FromEmpty(y), Throw(cod(g).index), g))
+                    outs += [g] if cod(g) == y else []
+            return outs
+
+        body = draw(st.sampled_from(
+            to_y(draw(st.sampled_from(theory.constructors)))))
+        clauses = [(i, draw(st.sampled_from(to_y(i))))
+                   for i in draw(st.lists(st.sampled_from(theory.constructors),
+                                          min_size=1, max_size=2))]
+        parts = handle_term(theory, body, clauses)
+        atoms += [parts.term, parts.handle]
+    return atoms
+
+
+@st.composite
+def equations(draw, theory: Theory, atoms):
+    """A strong or weak equation over `atoms`: a composition walk on the
+    left; on the right a walk from the same domain, led to the left's
+    codomain through 1 (states) or 0 (exceptions). On the exceptions side
+    both sides may end in 1, by way of catchall when the theory has it."""
+    lhs = draw(composed_terms(atoms))
+    if isinstance(cod(lhs), Prod):
+        lhs = Comp(draw(st.sampled_from(
+            [Proj1(cod(lhs).left, cod(lhs).right),
+             Proj2(cod(lhs).left, cod(lhs).right)])), lhs)
+    if theory.flavor == "exceptions" and draw(st.booleans()):
+        lhs = Comp(_bridge(draw, theory, cod(lhs), UNIT), lhs)
+    rhs = draw(composed_terms(
+        atoms, first=[a for a in atoms if dom(a) == dom(lhs)]))
+    rhs = Comp(_bridge(draw, theory, cod(rhs), cod(lhs)), rhs)
+    return Equation(comp(lhs), comp(rhs), draw(st.sampled_from([STRONG, WEAK])))

@@ -10,10 +10,10 @@ from decorlogic import errors as E
 from decorlogic.terms import (CaseSum, Catch, Coerce, Comp, ConstCotuple,
                               FromEmpty, Gen, Id, Inj1, Inj2, LocTuple,
                               Lookup, PropCase, Proj1, SemiProd, Throw,
-                              ToUnit, Update, cod, comp, dom,
+                              Update, cod, comp, dom,
                               normalize_assoc, subterms, term_size,
                               term_to_text)
-from decorlogic.theory import (Equation, STRONG, WEAK, eq_strong, eq_weak,
+from decorlogic.theory import (STRONG, WEAK, eq_strong, eq_weak,
                                infer_decoration, norm_eq, typecheck,
                                typecheck_equation)
 from decorlogic.types import (Coprod, EMPTY, Named, Param, Prod, UNIT, Value)

@@ -8,14 +8,13 @@ import pytest
 
 from decorlogic import errors as E
 from decorlogic.cli import main
-from decorlogic.dsl import (ExecConfig, Script, build_proof,
+from decorlogic.dsl import (ExecConfig, build_proof,
                             derivation_json, derivation_to_proof,
                             derivation_tree_lines, emit_report, execute,
                             parse_script, print_script, report_json, _lex)
 from decorlogic.exceptions import derive_lemma as exc_lemma
 from decorlogic.kernel import check_derivation
 from decorlogic.states import builtin_proof as st_proof, derive_lemma as st_lemma
-from decorlogic.terms import Comp, Lookup, Update
 
 
 SRC = """\

@@ -9,7 +9,7 @@ from decorlogic.exceptions import (LEMMAS, build_exceptions_theory,
                                    builtin_proof, derive_lemma, handle_term,
                                    raise_term, with_catch_all)
 from decorlogic.kernel import check_derivation
-from decorlogic.terms import (CaseSum, Catch, CatchAll, Comp, FromEmpty,
+from decorlogic.terms import (Catch, CatchAll, Comp, FromEmpty,
                               Gen, Id, Throw, comp)
 from decorlogic.theory import (STRONG, WEAK, infer_decoration, typecheck)
 from decorlogic.types import EMPTY, Param, UNIT

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 
 import strategies as strat
 from decorlogic import errors as E
-from decorlogic.kernel import (Derivation, Holds, WellFormed, apply_rule,
+from decorlogic.kernel import (Holds, WellFormed, apply_rule,
                                axiom_node, check_derivation,
                                derive_final_uniqueness,
                                derive_initial_uniqueness, gen_node,
                                hyp_node, list_rules, node, saturate_prove)
 from decorlogic.terms import (Catch, Comp, FromEmpty, Gen, Id, Lookup,
                               ToUnit, Update, comp)
-from decorlogic.theory import (Equation, STRONG, WEAK, eq_strong, eq_weak)
+from decorlogic.theory import (STRONG, WEAK, eq_strong, eq_weak)
 from decorlogic.types import Param, UNIT, Value
 
 

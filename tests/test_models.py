@@ -8,17 +8,18 @@ carries its constructor name and payload) and then frozen.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import strategies as strat
 from decorlogic import errors as E
+from decorlogic.exceptions import build_exceptions_theory, with_catch_all
 from decorlogic.kernel import Holds
 from decorlogic.models import (FiniteExceptionModel, FiniteStateModel,
                                Valuation, check_equation, eval_exceptions,
                                eval_states, observational_equiv,
-                               verify_law_suite)
-from decorlogic.terms import (Catch, Comp, FromEmpty, Gen, Id, Lookup,
-                              Throw, ToUnit, Update, comp)
+                               sweep_equation, verify_law_suite)
+from decorlogic.terms import (Catch, CatchAll, FromEmpty, Gen, Id, LocTuple,
+                              Lookup, Throw, Update, comp)
 from decorlogic.theory import eq_strong, eq_weak
 from decorlogic.types import Param, UNIT, Value
 
@@ -173,3 +174,91 @@ def test_kernel_soundness_in_exception_models(exc_model22, d):
     concl = d.conclusion
     if isinstance(concl, Holds):
         assert check_equation(exc_model22, concl.eq).holds
+
+
+# ------------------------------------------- compiled tables vs interpreter
+
+def _with_gens(theory, ty):
+    """theory plus `inc` and `cast` (tables in the models below) and `raw`
+    (no table)."""
+    gens = [Gen("inc", ty("x"), ty("x"), 0), Gen("cast", ty("x"), ty("y"), 0),
+            Gen("raw", ty("y"), ty("y"), 0)]
+    for g in gens:
+        theory = theory.with_gen(g)
+    return theory, gens
+
+
+_ST_GENS, _ST_GEN_ATOMS = _with_gens(strat.STATES2, Value)
+_EX_GENS, _EX_GEN_ATOMS = _with_gens(
+    with_catch_all(build_exceptions_theory("E", ["x", "y"])), Param)
+_DIFF_MODELS = {
+    "states": FiniteStateModel(_ST_GENS, {"x": 3, "y": 2},
+                               Valuation(tables={"inc": (1, 2, 0),
+                                                 "cast": (1, 0, 1)})),
+    "exceptions": FiniteExceptionModel(_EX_GENS, {"x": 3, "y": 2},
+                                       Valuation(tables={"inc": (2, 0, 1),
+                                                     "cast": (0, 1, 1)})),
+}
+
+
+def _decision(check, model, eq):
+    try:
+        r = check(model, eq, "law")
+    except E.DecorError as exc:
+        return type(exc), str(exc)
+    return r.status, r.witness, r.points
+
+
+@pytest.mark.parametrize("side", ["states", "exceptions"])
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_compiled_check_agrees_with_the_interpreter_sweep(side, data):
+    """Same status, witness and points, or the same error, including for
+    a generator without a table (`raw`)."""
+    model = _DIFF_MODELS[side]
+    gens = _ST_GEN_ATOMS if side == "states" else _EX_GEN_ATOMS
+    atoms = data.draw(strat.structured_atoms(model.theory, gens))
+    eq = data.draw(strat.equations(model.theory, atoms))
+    assert (_decision(check_equation, model, eq)
+            == _decision(sweep_equation, model, eq))
+
+
+def test_footprint_slicing_keeps_the_full_sweep_witness(model32, exc_model22):
+    """Only the named location (or exception name) is enumerated, yet the
+    witness is the full sweep's: the other locations sit at 0, and the
+    points count the full enumeration."""
+    a1_y = eq_strong(comp(Lookup("y"), Update("y")), Id(Value("y")))
+    r = check_equation(model32, a1_y, "A1_y")
+    assert r == sweep_equation(model32, a1_y, "A1_y")
+    assert r.witness == {"input": 0, "state": (0, 1),
+                         "lhs": (0, (0, 0)), "rhs": (0, (0, 1))}
+    assert r.points == 6 * 2
+
+    b1_j = eq_strong(comp(Catch("j"), Throw("j")), Id(Param("j")))
+    r = check_equation(exc_model22, b1_j, "B1_j")
+    assert r == sweep_equation(exc_model22, b1_j, "B1_j")
+    assert r.witness == {"input": ("exc", ("j", 0)),
+                         "lhs": ("val", 0), "rhs": ("exc", ("j", 0))}
+    assert r.points == 2 + 4
+
+
+def test_mediating_arrows_and_catchall_see_every_index(states2, exc2):
+    """A tuple or catchall reaches indices the equation does not name, so
+    the enumeration covers them all."""
+    const = Gen("one", UNIT, Value("y"), 0)
+    th = states2.with_gen(const)
+    m = FiniteStateModel(th, {"x": 3, "y": 2}, Valuation(tables={"one": (1,)}))
+    eq = eq_strong(LocTuple((("x", Lookup("x")), ("y", const))), Id(UNIT))
+    r = check_equation(m, eq, "set-y")
+    assert r == sweep_equation(m, eq, "set-y")
+    assert r.witness == {"input": (), "state": (0, 0),
+                         "lhs": ((), (0, 1)), "rhs": ((), (0, 0))}
+
+    ca = with_catch_all(exc2)
+    m = FiniteExceptionModel(ca, {"i": 2, "j": 3})
+    eq = eq_strong(CatchAll(), FromEmpty(UNIT))
+    r = check_equation(m, eq, "catchall")
+    assert r == sweep_equation(m, eq, "catchall")
+    assert r.witness["input"] == ("exc", ("i", 0)) and r.points == 5
+    for ax in ca.axioms:
+        assert check_equation(m, ax.eq, ax.name).holds, ax.name

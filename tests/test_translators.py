@@ -19,7 +19,7 @@ from decorlogic.states import (build_states_theory, builtin_proof as st_proof,
 from decorlogic.terms import (Catch, CatchAll, Comp, FromEmpty, Id, Lookup,
                               SemiProd, SemiCoprod, Throw, ToUnit, Update,
                               cod, dom)
-from decorlogic.theory import Equation, STRONG, WEAK
+from decorlogic.theory import Equation, STRONG
 from decorlogic.translators import (ECase, EGen, EId, EInitial, EInj1,
                                     EInj2, EPair, EProj1, EProj2, ETerminal,
                                     dual_axiom_name, dualize_derivation,
@@ -167,6 +167,15 @@ def test_handler_constructs_have_no_dual(exc2):
     for d in (exc_lemma(exc2, "handler-commute", {"i": "i", "j": "j"}),
               exc_proof(exc2, "bridge-r"),
               exc_proof(exc2, "bridge-l")):
+        with pytest.raises(E.OutsideDualityDomain):
+            dualize_derivation(exc2, d)
+
+
+def test_type_one_has_no_states_side_dual(exc2):
+    """1 is an exceptions-side type; its dual 0 is not a states-side one."""
+    for d in (node(exc2, "empty-arrow", at=UNIT),
+              node(exc2, "bincoprod-inj", which=1, left=UNIT,
+                   right=Param("i"))):
         with pytest.raises(E.OutsideDualityDomain):
             dualize_derivation(exc2, d)
 
