@@ -1421,17 +1421,27 @@ def _run_prove(env: _Env, cmd: ProveCmd) -> Outcome:
     target = f"prove in {cmd.theory}: {_eq_text(cmd.eq)}"
     budget = cmd.budget or env.config.budget or 4
     try:
-        res = saturate_prove(th, cmd.eq, budget=budget)
+        model = env.model_for(cmd.theory, None, cmd.pos)
+    except E.DecorError:
+        model = None  # the search runs without refuting first
+    try:
+        res = saturate_prove(th, cmd.eq, budget=budget, model=model)
     except E.ScriptError:
         raise
     except E.DecorError as exc:
         return Outcome("prove", target, False, {"error": str(exc)}, 0.0)
     detail = {"status": res.status, "rounds": res.rounds,
               "facts": res.facts, "reason": res.reason, "budget": budget}
+    if res.witness is not None:
+        detail["witness"] = _jsonable(res.witness)
+    ok = res.proven
     if res.derivation is not None:
-        detail["nodes"] = check_derivation(th, res.derivation).nodes
+        replay = check_derivation(th, res.derivation)
+        detail["nodes"] = replay.nodes
         detail["tree"] = derivation_json(res.derivation)
-    return Outcome("prove", target, res.proven, detail, 0.0)
+        if not replay.valid:
+            ok, detail["error"] = False, replay.error
+    return Outcome("prove", target, ok, detail, 0.0)
 
 
 def _run_translate(env: _Env, cmd: TranslateCmd) -> Outcome:
@@ -1588,7 +1598,8 @@ def _outcome_text(o: Outcome) -> list[str]:
     if o.kind == "prove":
         lines.append(f"      status {o.detail.get('status')} "
                      f"rounds {o.detail.get('rounds')} "
-                     f"facts {o.detail.get('facts')}")
+                     f"facts {o.detail.get('facts')}"
+                     f"{_witness_text(o.detail.get('witness'))}")
     if o.kind in ("erase", "dualize") and "dsl" in o.detail:
         lines.append(f"      {o.detail['dsl']}")
     if o.kind == "expand":

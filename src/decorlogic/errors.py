@@ -59,7 +59,12 @@ class EmptyHandler(TypingError):
 
 
 class CodomainMismatch(TypingError):
-    """Handler clauses must share one codomain."""
+    """Handler clauses, case branches or cotuple components must share one
+    codomain."""
+
+
+class DomainMismatch(TypingError):
+    """Tuple components must share one domain (the dual of CodomainMismatch)."""
 
 
 # ---------------------------------------------------------------- kernel

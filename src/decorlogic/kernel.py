@@ -18,10 +18,17 @@ matching is structural equality of normalized judgments.
 States and exceptions are dual: each states-side rule and its exceptions-side
 partner are one implementation, read on either side (`_Side`), and
 `RuleSpec.dual` names the partner that `dualize_derivation` switches to.
+
+The prover, `saturate_prove`, is not trusted. It refutes a goal on a finite
+model of the axioms when it is given one, and otherwise saturates over
+proof-producing union-find (`_Classes`), one structure per equation kind,
+building kernel nodes only for the derivation it returns; callers replay
+that derivation with `check_derivation`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
@@ -826,11 +833,12 @@ def derive_initial_uniqueness(theory: Theory, f: Term) -> Derivation:
 
 @dataclass(frozen=True)
 class ProveResult:
-    status: str  # 'proven' | 'unknown'
+    status: str  # 'proven' | 'refuted' | 'unknown'
     derivation: Optional[Derivation]
     reason: str
     rounds: int
     facts: int
+    witness: Optional[dict] = None  # the model's counterexample when refuted
 
     @property
     def proven(self) -> bool:
@@ -838,154 +846,330 @@ class ProveResult:
 
 
 def saturate_prove(theory: Theory, goal: Equation, budget: int = 4,
-                   max_term_size: int = 7, fact_cap: int = 20000) -> ProveResult:
-    """Forward saturation from the axioms.
+                   max_term_size: int = 7, fact_cap: int = 20000,
+                   model: Any = None) -> ProveResult:
+    """Decide goal by refutation on a finite model, then by saturation.
 
-    Each budget round composes every known fact with every pool term on both
-    sides (substitution/replacement, respecting the flavor's restrictions),
-    then closes under symmetry, transitivity, the strong/weak conversions,
-    and the final/initial seeds. Deterministic: the fact table keeps insertion
-    order and the pool is sorted, so reruns build the same derivation.
-    Returns the derivation when the goal is reached.
+    With a finite model of the theory (`models.FiniteStateModel` or
+    `FiniteExceptionModel`), the axioms are checked in it first. If
+    they all hold and the goal fails, the goal is not derivable and the
+    result is `refuted`, with the model's witness. If an axiom fails or the
+    model cannot decide (a missing carrier or generator table, too many
+    points), the search runs as without a model.
+
+    The search is forward saturation from the axioms over two proof-producing
+    union-finds, one for strong and one for weak equations (`_Classes`).
+    Every strong union is also a weak one (s-to-w), and each weak class's
+    members of level <= 1 are strongly equal (w-to-s). Each budget round
+    composes every class of the round's start with every pool term (the
+    terms and subterms seen so far) on both sides, as the flavor's
+    substitution and replacement rules allow: when one member's composite
+    has at most `max_term_size` nodes, composing each tree edge of the class
+    relates all the composites. A goal found in a class is explained as a
+    chain of the tree edges' justifications, which are built only then.
+
+    `facts` counts proof-forest edges, one per union of two classes; the
+    search stops as soon as it holds `fact_cap + 1` of them. Deterministic:
+    classes keep insertion order and the pool is sorted, so reruns build the
+    same derivation.
     """
     goal = norm_eq(goal)
     typecheck_equation(theory, goal)
-    wk = _wkind(theory)
-    facts: dict[Equation, Derivation] = {}
+    if model is not None:
+        witness = _refute(theory, goal, model)
+        if witness is not None:
+            return ProveResult("refuted", None,
+                               "the goal fails in a model of the axioms",
+                               0, 0, witness)
+    search = _Search(theory, goal, max_term_size, fact_cap)
+    try:
+        return search.run(budget)
+    except _CapReached:
+        return ProveResult("unknown", None, f"fact cap {fact_cap} reached",
+                           search.rounds, search.facts)
 
-    def add(eq: Equation, mk: Callable[[], Derivation]) -> bool:
-        # membership first: building a node re-runs the rule, which is the
-        # expensive part, and saturation regenerates the same facts a lot
-        if eq.lhs == eq.rhs or eq in facts:
-            return False
-        facts[eq] = mk()
-        return True
 
-    for ax in theory.axioms:
-        nm = ax.name
-        add(norm_eq(ax.eq), lambda nm=nm: axiom_node(theory, nm))
+def _refute(theory: Theory, goal: Equation, model: Any) -> Optional[dict]:
+    """The model's witness against goal, if every axiom holds in the model
+    and goal does not; None when the model cannot settle it."""
+    from .models import check_equation
+    try:
+        if all(check_equation(model, norm_eq(ax.eq)).holds
+               for ax in theory.axioms):
+            res = check_equation(model, goal)
+            if not res.holds:
+                return res.witness
+    except E.DecorError:
+        pass
+    return None
 
-    prims: list[Term] = []
-    if theory.flavor in ("states", "plain"):
-        prims += [Lookup(i) for i in theory.locations]
-        prims += [Update(i) for i in theory.locations]
-        prims.append(Id(UNIT))
-    if theory.flavor in ("exceptions", "plain"):
-        prims += [Throw(i) for i in theory.constructors]
-        prims += [Catch(i) for i in theory.constructors]
-        prims.append(Id(EMPTY))
 
-    def pool() -> list[Term]:
-        seen: dict[Term, None] = {}
-        for t in prims:
-            seen.setdefault(t)
-        for side in (goal.lhs, goal.rhs):
-            for s in subterms(side):
-                seen.setdefault(s)
-        for eq in facts:
-            for side in (eq.lhs, eq.rhs):
-                for s in subterms(side):
-                    seen.setdefault(s)
-        return sorted(seen, key=lambda t: (term_size(t), str(t)))
+class _CapReached(Exception):
+    """A union took the search past its fact cap."""
 
-    def seed_finals(terms: list[Term]) -> None:
-        for t in terms:
-            if theory.flavor == "states" and isinstance(cod(t), Unit):
-                add(Equation(t, ToUnit(dom(t)), wk),
-                    lambda t=t: node(theory, "w-final", f=t))
-            if theory.flavor == "exceptions" and isinstance(dom(t), Empty):
-                add(Equation(t, FromEmpty(cod(t)), wk),
-                    lambda t=t: node(theory, "w-initial", f=t))
 
-    def close() -> None:
-        changed = True
-        while changed:
-            changed = False
-            snapshot = list(facts.items())
-            by_lhs: dict[tuple, list[Equation]] = {}
-            for eq in facts:
-                by_lhs.setdefault((eq.lhs, eq.kind), []).append(eq)
-            for eq, d in snapshot:
-                if goal in facts:
-                    return
-                sym_rule = "eq-sym" if eq.kind == STRONG else "w-sym"
-                if add(Equation(eq.rhs, eq.lhs, eq.kind),
-                       lambda r=sym_rule, d=d: node(theory, r, [d])):
-                    changed = True
-                if eq.kind == STRONG and wk == WEAK:
-                    if add(Equation(eq.lhs, eq.rhs, WEAK),
-                           lambda d=d: node(theory, "s-to-w", [d])):
-                        changed = True
-                if (eq.kind == WEAK and infer_decoration(eq.lhs) <= 1
-                        and infer_decoration(eq.rhs) <= 1):
-                    conv = "w-to-s" if theory.flavor == "states" else "w-to-s-prop"
-                    if add(Equation(eq.lhs, eq.rhs, STRONG),
-                           lambda c=conv, d=d: node(theory, c, [d])):
-                        changed = True
-                for nxt in by_lhs.get((eq.rhs, eq.kind), []):
-                    tr = "eq-trans" if eq.kind == STRONG else "w-trans"
-                    if add(Equation(eq.lhs, nxt.rhs, eq.kind),
-                           lambda r=tr, d=d, n=nxt: node(theory, r, [d, facts[n]])):
-                        changed = True
-            if len(facts) > fact_cap:
-                return
+class _Edge:
+    """A proof-forest edge u ~ v between term ids, with its justification
+    built on first use."""
 
-    def found() -> Optional[Derivation]:
-        return facts.get(goal)
+    __slots__ = ("u", "v", "_mk", "_proof")
 
-    seed_finals(pool())
-    close()
-    if found():
-        return ProveResult("proven", found(), "closure of the axioms", 0, len(facts))
-    if len(facts) > fact_cap:
-        return ProveResult("unknown", None, f"fact cap {fact_cap} reached", 0, len(facts))
+    def __init__(self, u: int, v: int, mk: Callable[[], Derivation]):
+        self.u, self.v, self._mk, self._proof = u, v, mk, None
 
-    for rnd in range(1, budget + 1):
-        p = pool()
-        snapshot = list(facts.items())
-        for eq, d in snapshot:
-            if goal in facts:
-                break
-            for f in p:
-                # substitution: build  lhs.f ~ rhs.f
-                if cod(f) == dom(eq.lhs):
-                    t1 = normalize_assoc(Comp(eq.lhs, f))
-                    if term_size(t1) <= max_term_size:
-                        r1 = normalize_assoc(Comp(eq.rhs, f))
-                        if eq.kind == STRONG:
-                            add(Equation(t1, r1, STRONG),
-                                lambda d=d, f=f: node(theory, "eq-subs", [d], by=f))
-                        elif theory.flavor == "states":
-                            add(Equation(t1, r1, WEAK),
-                                lambda d=d, f=f: node(theory, "w-subs", [d], by=f))
-                        elif infer_decoration(f) == 0:
-                            add(Equation(t1, r1, WEAK),
-                                lambda d=d, f=f: node(theory, "w-subs-pure", [d], by=f))
-                # replacement: build  f.lhs ~ f.rhs
-                if dom(f) == cod(eq.lhs):
-                    t2 = normalize_assoc(Comp(f, eq.lhs))
-                    if term_size(t2) <= max_term_size:
-                        r2 = normalize_assoc(Comp(f, eq.rhs))
-                        if eq.kind == STRONG:
-                            add(Equation(t2, r2, STRONG),
-                                lambda d=d, f=f: node(theory, "eq-repl", [d], by=f))
-                        elif theory.flavor == "exceptions":
-                            add(Equation(t2, r2, WEAK),
-                                lambda d=d, f=f: node(theory, "w-repl", [d], by=f))
-                        elif infer_decoration(f) == 0:
-                            add(Equation(t2, r2, WEAK),
-                                lambda d=d, f=f: node(theory, "w-repl-pure", [d], by=f))
-            if len(facts) > fact_cap:
-                return ProveResult("unknown", None,
-                                   f"fact cap {fact_cap} reached", rnd, len(facts))
-        seed_finals(pool())
-        close()
-        if found():
-            return ProveResult("proven", found(), f"found in round {rnd}",
-                               rnd, len(facts))
-        if len(facts) > fact_cap:
-            return ProveResult("unknown", None,
-                               f"fact cap {fact_cap} reached", rnd, len(facts))
+    def other(self, n: int) -> int:
+        return self.v if n == self.u else self.u
 
-    return ProveResult("unknown", None, f"budget of {budget} rounds exhausted",
-                       budget, len(facts))
+    def proof(self) -> Derivation:
+        if self._proof is None:
+            self._proof, self._mk = self._mk(), None
+        return self._proof
+
+
+class _Classes:
+    """Proof-producing union-find over term ids, for one kind of equation
+    (Nieuwenhuis & Oliveras, *Proof-producing congruence closure*, 2005).
+
+    Classes are member lists merged smaller into larger. The proof forest
+    is kept apart: each node's edge to its parent. A union reroots the
+    smaller tree at its end of the new edge and hangs it there, so the path
+    between two members never changes once they are joined.
+    """
+
+    def __init__(self, refl: str, sym: str, trans: str):
+        self.refl, self.sym, self.trans = refl, sym, trans
+        self.rep: dict[int, int] = {}
+        self.members: dict[int, list[int]] = {}   # by representative
+        self.edges: dict[int, list[_Edge]] = {}   # the class's tree edges
+        self.up: dict[int, _Edge] = {}            # edge to the parent
+
+    def add(self, n: int) -> None:
+        self.rep[n] = n
+        self.members[n] = [n]
+        self.edges[n] = []
+
+    def union(self, e: _Edge) -> Optional[tuple[int, int]]:
+        """Join e's ends; returns (kept, absorbed) representatives, or None
+        if they are already one class."""
+        keep, gone = self.rep[e.u], self.rep[e.v]
+        if keep == gone:
+            return None
+        if len(self.members[keep]) < len(self.members[gone]):
+            keep, gone = gone, keep
+        end = e.u if self.rep[e.u] == gone else e.v
+        edge, n = self.up.pop(end, None), end
+        while edge is not None:           # reverse the path from end to root
+            nxt = edge.other(n)
+            nxt_edge = self.up.pop(nxt, None)
+            self.up[nxt] = edge
+            edge, n = nxt_edge, nxt
+        self.up[end] = e
+        moved = self.members.pop(gone)
+        for m in moved:
+            self.rep[m] = keep
+        self.members[keep] += moved
+        self.edges[keep] += self.edges.pop(gone)
+        self.edges[keep].append(e)
+        return keep, gone
+
+    def path(self, a: int, b: int) -> list[tuple[_Edge, bool]]:
+        """The tree path from a to b in one class, each edge flagged True
+        when it runs along the path (u first)."""
+        rise, n = [a], a
+        while n in self.up:
+            n = self.up[n].other(n)
+            rise.append(n)
+        depth = {m: k for k, m in enumerate(rise)}
+        fall, n = [], b
+        while n not in depth:
+            e = self.up[n]
+            fall.append((e, e.v == n))
+            n = e.other(n)
+        return ([(self.up[m], self.up[m].u == m) for m in rise[:depth[n]]]
+                + fall[::-1])
+
+
+class _Search:
+    """The state of one saturation search; see `saturate_prove`."""
+
+    def __init__(self, theory: Theory, goal: Equation, max_term_size: int,
+                 fact_cap: int):
+        self.theory, self.goal = theory, goal
+        self.max_size, self.cap = max_term_size, fact_cap
+        self.side = _EXCEPTIONS if theory.flavor == "exceptions" else _STATES
+        self.terms: list[Term] = []
+        self.ids: dict[Term, int] = {}
+        self.classes = {STRONG: _Classes("eq-refl", "eq-sym", "eq-trans")}
+        if _wkind(theory) == WEAK:
+            self.classes[WEAK] = _Classes("w-refl", "w-sym", "w-trans")
+        self.low: dict[int, int] = {}   # weak representative -> first member of level <= 1
+        self.facts = 0
+        self.rounds = 0
+        self.fresh: list[int] = []      # ids whose subterms are not pooled yet
+        self.pool: dict[Term, tuple] = {}   # term -> (size, str, level)
+        self.goal_ids = (self.node_id(goal.lhs), self.node_id(goal.rhs))
+
+    def rule(self, rid: str) -> str:
+        """The states-side rule rid, read on this search's side."""
+        return RULES[rid].dual if self.side.op else rid
+
+    def node_id(self, t: Term) -> int:
+        n = self.ids.get(t)
+        if n is None:
+            n = self.ids[t] = len(self.terms)
+            self.terms.append(t)
+            for cls in self.classes.values():
+                cls.add(n)
+            if infer_decoration(t) <= 1:
+                self.low[n] = n
+            self.fresh.append(n)
+        return n
+
+    def union(self, kind: str, u: int, v: int,
+              mk: Callable[[], Derivation]) -> None:
+        """Record terms u ~ v of `kind`, proved by mk(), with the unions it
+        entails between the two kinds."""
+        e = _Edge(u, v, mk)
+        merged = self.classes[kind].union(e)
+        if merged is None:
+            return
+        self.facts += 1
+        if self.facts > self.cap:
+            raise _CapReached
+        th = self.theory
+        if kind == STRONG:
+            if WEAK in self.classes:
+                self.union(WEAK, u, v, lambda: node(th, "s-to-w", [e.proof()]))
+            return
+        keep, gone = merged
+        a, b = self.low.get(keep), self.low.pop(gone, None)
+        if b is None:
+            return
+        if a is None:
+            self.low[keep] = b
+            return
+        self.low[keep] = min(a, b)
+        self.union(STRONG, a, b, lambda: node(
+            th, self.rule("w-to-s"), [self.explain(WEAK, a, b)]))
+
+    def explain(self, kind: str, a: int, b: int) -> Derivation:
+        """Derive terms a ~ b along their class's tree path."""
+        cls, th = self.classes[kind], self.theory
+        steps = [e.proof() if along else node(th, cls.sym, [e.proof()])
+                 for e, along in cls.path(a, b)]
+        if not steps:
+            return node(th, cls.refl, f=self.terms[a])
+        d = steps[0]
+        for s in steps[1:]:
+            d = node(th, cls.trans, [d, s])
+        return d
+
+    def found(self) -> bool:
+        # the plain logic has no weak classes: a weak goal is never found
+        cls = self.classes.get(self.goal.kind)
+        a, b = self.goal_ids
+        return cls is not None and cls.rep[a] == cls.rep[b]
+
+    def proven(self, reason: str) -> ProveResult:
+        d = self.explain(self.goal.kind, *self.goal_ids)
+        return ProveResult("proven", d, reason, self.rounds, self.facts)
+
+    def extend_pool(self, terms: Sequence[Term] = ()) -> list[Term]:
+        """Pool terms and the subterms of every newly registered term; return
+        the terms new to the pool, in the order first seen."""
+        new = []
+        for t in itertools.chain(terms, (self.terms[n] for n in self.fresh)):
+            for s in subterms(t):
+                if s not in self.pool:
+                    self.pool[s] = (term_size(s), str(s), infer_decoration(s))
+                    new.append(s)
+        self.fresh.clear()
+        return new
+
+    def settle(self, terms: Sequence[Term] = ()) -> None:
+        """Pool the new terms and seed f ~~ unit for each new f into 1
+        (states), f ~~ empty for each new f out of 0 (exceptions)."""
+        side, th, rid = self.side, self.theory, self.rule("w-final")
+        new = self.extend_pool(terms)
+        while new:
+            if WEAK in self.classes:
+                for t in new:
+                    if isinstance(side.tgt(t), side.unit):
+                        self.union(WEAK, self.node_id(t),
+                                   self.node_id(side.to_unit(side.src(t))),
+                                   partial(node, th, rid, f=t))
+            new = self.extend_pool()
+
+    def run(self, budget: int) -> ProveResult:
+        th, goal = self.theory, self.goal
+        for ax in th.axioms:
+            eq = norm_eq(ax.eq)
+            if eq.kind in self.classes:
+                self.union(eq.kind, self.node_id(eq.lhs), self.node_id(eq.rhs),
+                           partial(axiom_node, th, ax.name))
+        prims: list[Term] = []
+        if th.flavor in ("states", "plain"):
+            prims += [Lookup(i) for i in th.locations]
+            prims += [Update(i) for i in th.locations]
+            prims.append(Id(UNIT))
+        if th.flavor in ("exceptions", "plain"):
+            prims += [Throw(i) for i in th.constructors]
+            prims += [Catch(i) for i in th.constructors]
+            prims.append(Id(EMPTY))
+        self.settle(prims)
+        if self.found():
+            return self.proven("closure of the axioms")
+        for rnd in range(1, budget + 1):
+            self.rounds = rnd
+            if not self.compose_round():
+                self.settle()
+            if self.found():
+                return self.proven(f"found in round {rnd}")
+        return ProveResult("unknown", None,
+                           f"budget of {budget} rounds exhausted",
+                           self.rounds, self.facts)
+
+    def compose_round(self) -> bool:
+        """Compose the classes of the round's start with the pool; True as
+        soon as the goal is reached."""
+        side, th = self.side, self.theory
+        info = self.pool
+        by_src: dict[TypeExpr, list[Term]] = {}
+        by_tgt: dict[TypeExpr, list[Term]] = {}
+        for c in sorted(info, key=lambda t: info[t][:2]):
+            if not isinstance(c, Id):
+                by_src.setdefault(side.src(c), []).append(c)
+                by_tgt.setdefault(side.tgt(c), []).append(c)
+        snapshot = [(kind, list(cls.members[r]), list(cls.edges[r]))
+                    for kind, cls in self.classes.items()
+                    for r in cls.members if len(cls.members[r]) >= 2]
+        # (context last, strong rule, weak rule, weak rule needs a pure context)
+        ways = ((False, self.rule("eq-subs"), self.rule("w-subs"), False),
+                (True, self.rule("eq-repl"), self.rule("w-repl-pure"), True))
+        for kind, members, edges in snapshot:
+            t0 = self.terms[members[0]]
+            extra = min(0 if isinstance(self.terms[m], Id)
+                        else info[self.terms[m]][0] + 1 for m in members)
+            for last, strong_rid, weak_rid, pure in ways:
+                rid = strong_rid if kind == STRONG else weak_rid
+                need_pure = pure and kind == WEAK
+                for c in (by_src.get(side.tgt(t0), ()) if last
+                          else by_tgt.get(side.src(t0), ())):
+                    size, _, level = info[c]
+                    if size + extra > self.max_size:
+                        break
+                    if need_pure and level > 0:
+                        continue
+                    comp = {m: self.node_id(side.then(c, self.terms[m]) if last
+                                            else side.then(self.terms[m], c))
+                            for m in members}
+                    for e in edges:
+                        self.union(kind, comp[e.u], comp[e.v],
+                                   partial(_congruence, th, rid, e, c))
+                    if self.found():
+                        return True
+        return False
+
+
+def _congruence(theory: Theory, rid: str, e: _Edge, c: Term) -> Derivation:
+    return node(theory, rid, [e.proof()], by=c)

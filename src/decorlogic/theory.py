@@ -218,7 +218,7 @@ def typecheck(theory: Theory, t: Term) -> tuple[TypeExpr, TypeExpr]:
         for i, f in t.components:
             typecheck(theory, f)
             if dom(f) != base:
-                raise E.TypingError(f"tuple components disagree on domain at {i!r}")
+                raise E.DomainMismatch(f"tuple components disagree on domain at {i!r}")
             if cod(f) != Value(i):
                 raise E.TypingError(f"component for {i!r} must end at V[{i}], got {cod(f)}")
             if infer_decoration(f) > 1:

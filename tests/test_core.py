@@ -10,12 +10,13 @@ from decorlogic import errors as E
 from decorlogic.terms import (CaseSum, Catch, Coerce, Comp, ConstCotuple,
                               FromEmpty, Gen, Id, Inj1, Inj2, LocTuple,
                               Lookup, PropCase, Proj1, SemiProd, Throw,
-                              Update, cod, comp, dom,
+                              ToUnit, Update, cod, comp, dom,
                               normalize_assoc, subterms, term_size,
                               term_to_text)
 from decorlogic.theory import (STRONG, WEAK, eq_strong, eq_weak,
                                infer_decoration, norm_eq, typecheck,
                                typecheck_equation)
+from decorlogic.translators import dualize_term, dualize_theory
 from decorlogic.types import (Coprod, EMPTY, Named, Param, Prod, UNIT, Value)
 
 
@@ -89,6 +90,18 @@ def test_typecheck_rejects_unknown_index(states2):
 def test_loc_tuple_needs_every_location(states2):
     with pytest.raises(E.IncompleteFamily):
         typecheck(states2, LocTuple((("x", Lookup("x")),)))
+
+
+def test_tuple_and_cotuple_mismatches_are_dual(states2):
+    # the y component starts at V[x], the x component at 1
+    bad = LocTuple((("x", Lookup("x")),
+                    ("y", comp(Lookup("y"), ToUnit(Value("x"))))))
+    with pytest.raises(E.DomainMismatch):
+        typecheck(states2, bad)
+    with pytest.raises(E.CodomainMismatch):
+        typecheck(dualize_theory(states2), dualize_term(bad))
+    assert not issubclass(E.DomainMismatch, E.CodomainMismatch)
+    assert not issubclass(E.CodomainMismatch, E.DomainMismatch)
 
 
 def test_semi_product_pure_slot_is_enforced(states2):

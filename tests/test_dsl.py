@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from decorlogic import errors as E
+from decorlogic import dsl, errors as E
 from decorlogic.cli import main
 from decorlogic.dsl import (ExecConfig, build_proof,
                             derivation_json, derivation_to_proof,
                             derivation_tree_lines, emit_report, execute,
                             parse_script, print_script, report_json, _lex)
 from decorlogic.exceptions import derive_lemma as exc_lemma
-from decorlogic.kernel import check_derivation
+from decorlogic.kernel import ProveResult, axiom_node, check_derivation, node
 from decorlogic.states import builtin_proof as st_proof, derive_lemma as st_lemma
 
 
@@ -178,7 +179,24 @@ def test_failing_commands_are_recorded_not_raised():
     assert not report.ok
     check, prove = report.outcomes
     assert not check.ok and "error" in check.detail
-    assert not prove.ok and prove.detail["status"] == "unknown"
+    assert not prove.ok and prove.detail["status"] == "refuted"
+    assert prove.detail["witness"]
+
+
+def test_prove_fails_when_the_kernel_rejects_the_tree(monkeypatch):
+    def forged(th, goal, **kwargs):
+        # a w-sym node claiming its premise unchanged
+        a1 = axiom_node(th, "A1_x")
+        d = dataclasses.replace(node(th, "w-sym", [a1]),
+                                conclusion=a1.conclusion)
+        return ProveResult("proven", d, "forged", 1, 1)
+
+    monkeypatch.setattr(dsl, "saturate_prove", forged)
+    report = execute(parse_script("theory S = states(x: 2, y: 2)\n"
+                                  "prove in S : l[x] . u[x] ~~ id[V[x]]\n"))
+    (prove,) = report.outcomes
+    assert prove.detail["status"] == "proven"
+    assert not prove.ok and "claims" in prove.detail["error"]
 
 
 def test_fail_fast_stops_at_the_first_failure():

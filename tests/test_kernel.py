@@ -3,21 +3,28 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import strategies as strat
 from decorlogic import errors as E
+from decorlogic.dsl import execute, parse_script
 from decorlogic.kernel import (Holds, WellFormed, apply_rule,
                                axiom_node, check_derivation,
                                derive_final_uniqueness,
                                derive_initial_uniqueness, gen_node,
                                hyp_node, list_rules, node, saturate_prove)
+from decorlogic.models import FiniteStateModel, check_equation
+from decorlogic.states import build_states_theory
 from decorlogic.terms import (Catch, Comp, FromEmpty, Gen, Id, Lookup,
-                              ToUnit, Update, comp)
-from decorlogic.theory import (STRONG, WEAK, eq_strong, eq_weak)
+                              ToUnit, Throw, Update, comp)
+from decorlogic.theory import (Axiom, STRONG, WEAK, eq_strong, eq_weak,
+                               norm_eq)
 from decorlogic.types import Param, UNIT, Value
+
+STRONG_A1 = eq_strong(comp(Lookup("x"), Update("x")), Id(Value("x")))
 
 
 def test_axiom_node_conclusion(states2):
@@ -213,3 +220,88 @@ def test_saturation_is_deterministic(states2):
     r2 = saturate_prove(states2, goal, budget=3)
     assert r1.derivation == r2.derivation
     assert r1.facts == r2.facts
+
+
+def test_saturation_proves_the_three_location_read_back():
+    th = build_states_theory("T", ["x", "m", "z"])
+    goal = eq_weak(comp(Lookup("x"), Update("m"), Lookup("m")), Lookup("x"))
+    res = saturate_prove(th, goal, budget=4)
+    assert res.proven
+    assert check_derivation(th, res.derivation).valid
+    assert res.derivation.conclusion == Holds(goal)
+
+
+def test_saturation_proves_the_exceptions_side_read_back(exc2):
+    # the dual of l[j] . u[i] . l[i] ~~ l[j]: rule ids read on the other side
+    goal = eq_weak(comp(Throw("i"), Catch("i"), Throw("j")), Throw("j"))
+    res = saturate_prove(exc2, goal, budget=4)
+    assert res.proven
+    assert check_derivation(exc2, res.derivation).valid
+    assert res.derivation.conclusion == Holds(goal)
+
+
+def test_fact_cap_is_a_hard_bound(states2):
+    res = saturate_prove(states2, STRONG_A1, budget=4, fact_cap=500)
+    assert res.status == "unknown" and res.derivation is None
+    assert res.facts == 501
+    assert res.reason == "fact cap 500 reached"
+
+
+def test_refute_first_returns_the_model_witness(states2, model22):
+    res = saturate_prove(states2, STRONG_A1, model=model22)
+    assert res.status == "refuted" and res.derivation is None
+    assert res.witness == check_equation(model22, STRONG_A1).witness
+    assert res.facts == 0 and res.rounds == 0
+
+
+def test_refute_first_needs_a_model_of_every_axiom(states2):
+    # strong A1 fails in the model, but so does the added axiom: no refutation
+    false_law = Axiom("false", eq_strong(Update("x"), ToUnit(Value("x"))))
+    th = states2.with_axiom(false_law)
+    model = FiniteStateModel(th, {"x": 2, "y": 2})
+    assert not check_equation(model, false_law.eq).holds
+    res = saturate_prove(th, STRONG_A1, budget=4, fact_cap=200, model=model)
+    assert res.status != "refuted" and res.witness is None
+
+
+def test_refute_first_skips_a_generator_without_table(states2):
+    g = Gen("g", Value("x"), Value("x"), 0)
+    th = states2.with_gen(g)
+    model = FiniteStateModel(th, {"x": 2, "y": 2})
+    goal = eq_strong(comp(g, Lookup("x"), Update("x")), g)
+    with pytest.raises(E.DecorError):
+        check_equation(model, goal)
+    res = saturate_prove(th, goal, budget=4, fact_cap=200, model=model)
+    assert res.status == "unknown" and res.reason == "fact cap 200 reached"
+
+
+def test_dsl_prove_reports_a_reproducible_witness(model22):
+    report = execute(parse_script("theory S = states(x: 2, y: 2)\n"
+                                  "prove in S : l[x] . u[x] == id[V[x]]\n"))
+    (prove,) = report.outcomes
+    assert not prove.ok and prove.detail["status"] == "refuted"
+    want = check_equation(model22, STRONG_A1).witness
+    assert prove.detail["witness"] == json.loads(json.dumps(want))
+
+
+@pytest.mark.parametrize("side", ["states", "exceptions"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_saturation_verdicts_agree_with_the_model(side, data, states2,
+                                                  model22, exc2, exc_model22):
+    """Proofs replay and hold in the model; every goal the model breaks is
+    refuted with its witness, so only goals that hold there stay unknown."""
+    th, model, atoms = ((states2, model22, strat.state_atoms(states2.locations))
+                        if side == "states" else
+                        (exc2, exc_model22,
+                         strat.exception_atoms(exc2.constructors)))
+    eq = data.draw(strat.equations(th, atoms))
+    res = saturate_prove(th, eq, budget=2, fact_cap=1000, model=model)
+    truth = check_equation(model, eq)
+    if res.status == "refuted":
+        assert not truth.holds and res.witness == truth.witness
+    else:
+        assert truth.holds
+    if res.proven:
+        assert check_derivation(th, res.derivation).valid
+        assert res.derivation.conclusion == Holds(norm_eq(eq))
