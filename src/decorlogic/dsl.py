@@ -291,10 +291,14 @@ def _retarget_empty(body: Term, y: TypeExpr) -> Term:
     when such a body sits inside a handler, the empty[..] at the head of the
     composite is what fixes the codomain, so rewrite it to y.
     """
+    befores = []
+    while isinstance(body, Comp):
+        befores.append(body.before)
+        body = body.after
     if isinstance(body, FromEmpty):
-        return FromEmpty(y)
-    if isinstance(body, Comp):
-        return Comp(_retarget_empty(body.after, y), body.before)
+        body = FromEmpty(y)
+    for f in reversed(befores):
+        body = Comp(body, f)
     return body
 
 
@@ -598,10 +602,9 @@ class _Parser:
                        catch_all: Optional[Term]) -> Term:
         # the same chain handle_term builds, but without a Theory at hand:
         # fold the clauses from the right onto the body, then coerce
-        from .terms import cod as _cod
         if not clauses and catch_all is None:
             raise self.fail("a handler needs at least one clause")
-        y = _cod(clauses[0][1] if clauses else catch_all)
+        y = (clauses[0][1] if clauses else catch_all).cod
         body = _retarget_empty(body, y)
         if catch_all is not None:
             chain: Term = Comp(catch_all, CatchAll())

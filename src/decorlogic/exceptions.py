@@ -26,9 +26,7 @@ from .terms import (
     CaseSum, Catch, CatchAll, Coerce, FromEmpty, Id, Inj1, Inj2,
     PropCase, SemiCoprod, Term, Throw, comp, normalize_assoc,
 )
-from .theory import (
-    Axiom, Equation, Theory, eq_strong, eq_weak, infer_decoration, typecheck,
-)
+from .theory import Axiom, Equation, Theory, eq_strong, eq_weak, typecheck
 from .translators import dualize_derivation
 from .types import EMPTY, Param, TypeExpr, UNIT
 
@@ -113,7 +111,7 @@ def handle_term(theory: Theory, body: Term,
     """
     body = normalize_assoc(body)
     typecheck(theory, body)
-    if infer_decoration(body) > 1:
+    if body.level > 1:
         raise E.NotAPropagator(f"handler body must be level <= 1: {body}")
     y = _cod_of(theory, body)
     cl = tuple((i, normalize_assoc(g)) for i, g in clauses)
@@ -123,7 +121,7 @@ def handle_term(theory: Theory, body: Term,
         if i not in theory.constructors:
             raise E.UnknownIndex(f"unknown exception name {i!r}")
         typecheck(theory, g)
-        if infer_decoration(g) > 1:
+        if g.level > 1:
             raise E.NotAPropagator(f"clause for {i!r} must be level <= 1: {g}")
         if _dom_of(theory, g) != Param(i):
             raise E.TypingError(f"clause for {i!r} must start at P[{i}]")
@@ -134,7 +132,7 @@ def handle_term(theory: Theory, body: Term,
     if catch_all is not None:
         catch_all = normalize_assoc(catch_all)
         typecheck(theory, catch_all)
-        if infer_decoration(catch_all) > 1:
+        if catch_all.level > 1:
             raise E.NotAPropagator("the catch-all recovery must be level <= 1")
         if _dom_of(theory, catch_all) != UNIT:
             raise E.TypingError("the catch-all recovery takes no payload (1 -> Y)")
@@ -234,7 +232,7 @@ def _catch_throw(theory: Theory, i: str, to: TypeExpr) -> Derivation:
 def _check_clause(theory: Theory, g: Term, at: str, y: TypeExpr) -> Term:
     g = normalize_assoc(g)
     typecheck(theory, g)
-    if infer_decoration(g) > 1:
+    if g.level > 1:
         raise E.NotAPropagator(f"clause must be level <= 1: {g}")
     if _dom_of(theory, g) != Param(at) or _cod_of(theory, g) != y:
         raise E.TypingError(f"clause must map P[{at}] to {y}: {g}")
@@ -310,7 +308,7 @@ def _handler_commute(theory: Theory, i: str, j: str, f: Term, g: Term,
         raise E.BadParams("handler-commute needs two different keys")
     f = normalize_assoc(f)
     typecheck(theory, f)
-    if infer_decoration(f) > 1:
+    if f.level > 1:
         raise E.NotAPropagator("the handled body must be level <= 1")
     y = _cod_of(theory, f)
     g = _check_clause(theory, g, i, y)
@@ -344,7 +342,7 @@ def _handler_idempotent(theory: Theory, i: str, f: Term, g: Term,
                         h: Term) -> Derivation:
     f = normalize_assoc(f)
     typecheck(theory, f)
-    if infer_decoration(f) > 1:
+    if f.level > 1:
         raise E.NotAPropagator("the handled body must be level <= 1")
     y = _cod_of(theory, f)
     g = _check_clause(theory, g, i, y)

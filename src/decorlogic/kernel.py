@@ -37,10 +37,10 @@ from . import errors as E
 from .terms import (
     CaseSum, Catch, Coerce, Comp, ConstCotuple, FromEmpty, Id, Inj1, Inj2,
     LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod, SemiProd, TERM_CLASSES,
-    Term, ToUnit, Throw, Update, cod, dom, normalize_assoc, subterms, term_size,
+    Term, ToUnit, Throw, Update, normalize_assoc, subterms,
 )
 from .theory import (
-    Equation, STRONG, Theory, WEAK, infer_decoration, norm_eq, typecheck,
+    Equation, STRONG, Theory, WEAK, norm_eq, typecheck,
     typecheck_equation,
 )
 from .types import EMPTY, TYPE_CLASSES, TypeExpr, UNIT, Unit, Empty
@@ -164,9 +164,9 @@ def _decorated(theory: Theory) -> bool:
 
 
 def _require_level(theory: Theory, t: Term, k: int, rid: str, what: str) -> None:
-    if _decorated(theory) and infer_decoration(t) > k:
+    if _decorated(theory) and t.level > k:
         raise E.SideConditionViolated(
-            f"{rid}: {what} must be level <= {k}, {t} has level {infer_decoration(t)}")
+            f"{rid}: {what} must be level <= {k}, {t} has level {t.level}")
 
 
 def _require_pure(theory: Theory, t: Term, rid: str, what: str) -> None:
@@ -221,10 +221,10 @@ class _Side:
     projs: tuple             # (Proj1, Proj2) / (Inj1, Inj2)
 
     def src(self, t: Term) -> TypeExpr:
-        return cod(t) if self.op else dom(t)
+        return t.cod if self.op else t.dom
 
     def tgt(self, t: Term) -> TypeExpr:
-        return dom(t) if self.op else cod(t)
+        return t.dom if self.op else t.cod
 
     def then(self, g: Term, f: Term) -> Term:
         """f, then g: g.f on the states side, f.g on the exceptions side."""
@@ -267,7 +267,7 @@ def _r_comp(theory, ps, inst):
     _arity(ps, 2, "comp")
     wf_f, wf_g = _as_wf(ps[0], "comp"), _as_wf(ps[1], "comp")
     _done(inst, "comp")
-    if cod(wf_f.term) != dom(wf_g.term):
+    if wf_f.term.cod != wf_g.term.dom:
         raise E.BadPremises("comp: premises do not compose")
     t = normalize_assoc(Comp(wf_g.term, wf_f.term))
     return WellFormed(t, max(wf_f.level, wf_g.level))
@@ -396,7 +396,7 @@ def _r_0_comp(theory, ps, inst):
     _done(inst, "0-comp")
     if wf_f.level != 0 or wf_g.level != 0:
         raise E.BadPremises("0-comp composes two level-0 terms")
-    if cod(wf_f.term) != dom(wf_g.term):
+    if wf_f.term.cod != wf_g.term.dom:
         raise E.BadPremises("0-comp: premises do not compose")
     return WellFormed(normalize_assoc(Comp(wf_g.term, wf_f.term)), 0)
 
@@ -408,7 +408,7 @@ def _r_1_comp(theory, ps, inst):
     _done(inst, "1-comp")
     if wf_f.level > 1 or wf_g.level > 1:
         raise E.BadPremises("1-comp composes two level-<=1 terms")
-    if cod(wf_f.term) != dom(wf_g.term):
+    if wf_f.term.cod != wf_g.term.dom:
         raise E.BadPremises("1-comp: premises do not compose")
     return WellFormed(normalize_assoc(Comp(wf_g.term, wf_f.term)), 1)
 
@@ -584,7 +584,7 @@ def _r_sum_case_exists(theory, ps, inst):
     _arity(ps, 0, "sum-case-exists")
     t = _case_term(theory, inst, "sum-case-exists")
     _done(inst, "sum-case-exists")
-    return WellFormed(t, infer_decoration(t))
+    return WellFormed(t, t.level)
 
 
 @_rule("sum-case-weak", _EX, "=> case(g,k) ~~ g")
@@ -600,7 +600,7 @@ def _r_sum_case_empty(theory, ps, inst):
     _arity(ps, 0, "sum-case-empty")
     t = _case_term(theory, inst, "sum-case-empty")
     _done(inst, "sum-case-empty")
-    return Holds(Equation(normalize_assoc(Comp(t, FromEmpty(dom(t)))),
+    return Holds(Equation(normalize_assoc(Comp(t, FromEmpty(t.dom))),
                           t.on_empty, STRONG))
 
 
@@ -622,7 +622,7 @@ def _r_sum_case_unique(theory, ps, inst):
     _done(inst, "sum-case-unique")
     wk = _wkind(theory)
     want1 = Equation(h, t.on_value, wk)
-    want2 = Equation(normalize_assoc(Comp(h, FromEmpty(dom(h)))), t.on_empty, STRONG)
+    want2 = Equation(normalize_assoc(Comp(h, FromEmpty(h.dom))), t.on_empty, STRONG)
     if _as_holds(ps[0], "sum-case-unique") != want1:
         raise E.BadPremises(f"sum-case-unique: first premise should be {want1}")
     if _as_holds(ps[1], "sum-case-unique") != want2:
@@ -642,7 +642,7 @@ def _r_coerce_exists(theory, ps, inst):
     _arity(ps, 0, "coerce-exists")
     t = _coerce_term(theory, inst, "coerce-exists")
     _done(inst, "coerce-exists")
-    return WellFormed(t, min(infer_decoration(t), 1))
+    return WellFormed(t, min(t.level, 1))
 
 
 @_rule("coerce-weak", _EX, "=> coerce(k) ~~ k")
@@ -678,7 +678,7 @@ def _r_propcase_inl(theory, ps, inst):
     _arity(ps, 0, "propcase-inl")
     t = _propcase_term(theory, inst, "propcase-inl")
     _done(inst, "propcase-inl")
-    inj = Inj1(dom(t.on_left), dom(t.on_right))
+    inj = Inj1(t.on_left.dom, t.on_right.dom)
     return Holds(Equation(normalize_assoc(Comp(t, inj)), t.on_left, STRONG))
 
 
@@ -687,7 +687,7 @@ def _r_propcase_inr(theory, ps, inst):
     _arity(ps, 0, "propcase-inr")
     t = _propcase_term(theory, inst, "propcase-inr")
     _done(inst, "propcase-inr")
-    inj = Inj2(dom(t.on_left), dom(t.on_right))
+    inj = Inj2(t.on_left.dom, t.on_right.dom)
     return Holds(Equation(normalize_assoc(Comp(t, inj)), t.on_right, STRONG))
 
 
@@ -812,8 +812,8 @@ def _unit_uniqueness(theory: Theory, side: _Side, f: Term,
 
     f = normalize_assoc(f)
     typecheck(theory, f)
-    if _decorated(theory) and infer_decoration(f) > 1:
-        raise level_error(f"{f} is level {infer_decoration(f)}")
+    if _decorated(theory) and f.level > 1:
+        raise level_error(f"{f} is level {f.level}")
     n1 = node(theory, rule("w-final"), f=f)
     n2 = node(theory, rule("unit-arrow"), at=side.src(f))
     return node(theory, rule("w-to-s"), [n1, n2])
@@ -887,6 +887,10 @@ def saturate_prove(theory: Theory, goal: Equation, budget: int = 4,
     except _CapReached:
         return ProveResult("unknown", None, f"fact cap {fact_cap} reached",
                            search.rounds, search.facts)
+    finally:
+        # unused justifications refer back to the search; dropping the
+        # classes frees it now, not at some later garbage collection
+        search.classes.clear()
 
 
 def _refute(theory: Theory, goal: Equation, model: Any) -> Optional[dict]:
@@ -1006,7 +1010,7 @@ class _Search:
         self.facts = 0
         self.rounds = 0
         self.fresh: list[int] = []      # ids whose subterms are not pooled yet
-        self.pool: dict[Term, tuple] = {}   # term -> (size, str, level)
+        self.pool: dict[Term, str] = {}     # term -> its text
         self.goal_ids = (self.node_id(goal.lhs), self.node_id(goal.rhs))
 
     def rule(self, rid: str) -> str:
@@ -1020,7 +1024,7 @@ class _Search:
             self.terms.append(t)
             for cls in self.classes.values():
                 cls.add(n)
-            if infer_decoration(t) <= 1:
+            if t.level <= 1:
                 self.low[n] = n
             self.fresh.append(n)
         return n
@@ -1081,7 +1085,7 @@ class _Search:
         for t in itertools.chain(terms, (self.terms[n] for n in self.fresh)):
             for s in subterms(t):
                 if s not in self.pool:
-                    self.pool[s] = (term_size(s), str(s), infer_decoration(s))
+                    self.pool[s] = str(s)
                     new.append(s)
         self.fresh.clear()
         return new
@@ -1133,10 +1137,10 @@ class _Search:
         """Compose the classes of the round's start with the pool; True as
         soon as the goal is reached."""
         side, th = self.side, self.theory
-        info = self.pool
+        pool = self.pool
         by_src: dict[TypeExpr, list[Term]] = {}
         by_tgt: dict[TypeExpr, list[Term]] = {}
-        for c in sorted(info, key=lambda t: info[t][:2]):
+        for c in sorted(pool, key=lambda t: (t.size, pool[t])):
             if not isinstance(c, Id):
                 by_src.setdefault(side.src(c), []).append(c)
                 by_tgt.setdefault(side.tgt(c), []).append(c)
@@ -1149,16 +1153,15 @@ class _Search:
         for kind, members, edges in snapshot:
             t0 = self.terms[members[0]]
             extra = min(0 if isinstance(self.terms[m], Id)
-                        else info[self.terms[m]][0] + 1 for m in members)
+                        else self.terms[m].size + 1 for m in members)
             for last, strong_rid, weak_rid, pure in ways:
                 rid = strong_rid if kind == STRONG else weak_rid
                 need_pure = pure and kind == WEAK
                 for c in (by_src.get(side.tgt(t0), ()) if last
                           else by_tgt.get(side.src(t0), ())):
-                    size, _, level = info[c]
-                    if size + extra > self.max_size:
+                    if c.size + extra > self.max_size:
                         break
-                    if need_pure and level > 0:
+                    if need_pure and c.level > 0:
                         continue
                     comp = {m: self.node_id(side.then(c, self.terms[m]) if last
                                             else side.then(self.terms[m], c))

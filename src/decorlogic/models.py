@@ -50,7 +50,7 @@ from . import errors as E
 from .terms import (
     CaseSum, Catch, CatchAll, Coerce, Comp, ConstCotuple, FromEmpty, Gen, Id,
     Inj1, Inj2, LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod, SemiProd,
-    Term, ToUnit, Throw, Update, cod, dom, subterms,
+    Term, ToUnit, Throw, Update, factors, subterms,
 )
 from .theory import Equation, STRONG, Theory, typecheck_equation
 from .types import Coprod, Empty, Named, Param, Prod, TypeExpr, Unit, Value
@@ -191,11 +191,16 @@ class FiniteExceptionModel(_Model):
 def eval_states(model: FiniteStateModel, t: Term, value: Any, state: tuple
                 ) -> tuple[Any, tuple]:
     """Run t on (value, state); returns (result, new state)."""
+    for f in factors(t):
+        value, state = _step_states(model, f, value, state)
+    return value, state
+
+
+def _step_states(model: FiniteStateModel, t: Term, value: Any, state: tuple
+                 ) -> tuple[Any, tuple]:
+    """eval_states on a term that is not a composite."""
     if isinstance(t, Id):
         return value, state
-    if isinstance(t, Comp):
-        mid, st = eval_states(model, t.before, value, state)
-        return eval_states(model, t.after, mid, st)
     if isinstance(t, ToUnit):
         return (), state
     if isinstance(t, Proj1):
@@ -232,11 +237,15 @@ ExcVal = tuple  # ('val', x) | ('exc', (name, arg))
 
 def eval_exceptions(model: FiniteExceptionModel, t: Term, inp: ExcVal) -> ExcVal:
     """Run t on a tagged input, total over ordinary and exceptional inputs."""
-    tag, payload = inp
-    if isinstance(t, Comp):
-        return eval_exceptions(model, t.after,
-                               eval_exceptions(model, t.before, inp))
+    for f in factors(t):
+        inp = _step_exceptions(model, f, inp)
+    return inp
 
+
+def _step_exceptions(model: FiniteExceptionModel, t: Term, inp: ExcVal
+                     ) -> ExcVal:
+    """eval_exceptions on a term that is not a composite."""
+    tag, payload = inp
     if tag == "exc":
         name, arg = payload
         if isinstance(t, Catch):
@@ -414,16 +423,16 @@ class _StateTables(_Tables):
         pure, eff = self.table(t.pure), self.table(t.eff)
         out: list[int] = []
         if t.pure_on_left:
-            width = size(cod(t.eff)) * n
-            for a in range(size(dom(t.pure))):
+            width = size(t.eff.cod) * n
+            for a in range(size(t.pure.dom)):
                 row = [p // n * width for p in pure[a * n:a * n + n]]
-                for b in range(size(dom(t.eff))):
+                for b in range(size(t.eff.dom)):
                     out += map(add, row, eff[b * n:b * n + n])
             return out
-        width = size(cod(t.pure)) * n
+        width = size(t.pure.cod) * n
         rows = [[p // n * n for p in pure[b * n:b * n + n]]
-                for b in range(size(dom(t.pure)))]
-        for a in range(size(dom(t.eff))):
+                for b in range(size(t.pure.dom))]
+        for a in range(size(t.eff.dom)):
             row = [p // n * width + p % n for p in eff[a * n:a * n + n]]
             for pr in rows:
                 out += map(add, row, pr)
@@ -497,15 +506,15 @@ class _ExceptionTables(_Tables):
                 out += self.table(f)[:self.model.sizes[i]]
             return out
         if isinstance(t, CaseSum):
-            nx = size(dom(t.on_value))
+            nx = size(t.on_value.dom)
             return self.table(t.on_value)[:nx] + self.table(t.on_empty)
         if isinstance(t, PropCase):
-            na, nb = size(dom(t.on_left)), size(dom(t.on_right))
+            na, nb = size(t.on_left.dom), size(t.on_right.dom)
             return (self.table(t.on_left)[:na] + self.table(t.on_right)[:nb]
-                    + self.passed(size(cod(t.on_left))))
+                    + self.passed(size(t.on_left.cod)))
         if isinstance(t, Coerce):
-            nx = size(dom(t.inner))
-            return self.table(t.inner)[:nx] + self.passed(size(cod(t.inner)))
+            nx = size(t.inner.dom)
+            return self.table(t.inner)[:nx] + self.passed(size(t.inner.cod))
         raise E.ModelError(f"{type(t).__name__} cannot run on the exceptions side")
 
     def _semi(self, t: SemiCoprod) -> list[int]:
@@ -515,10 +524,10 @@ class _ExceptionTables(_Tables):
         pure, eff = self.table(t.pure), self.table(t.eff)
         if t.pure_on_left:
             # outcome o of eff lands at o + |A'|, whether value or exception
-            shift = size(cod(t.pure))
-            return pure[:size(dom(t.pure))] + [o + shift for o in eff]
-        na, nb = size(dom(t.eff)), size(dom(t.pure))
-        na2, nb2 = size(cod(t.eff)), size(cod(t.pure))
+            shift = size(t.pure.cod)
+            return pure[:size(t.pure.dom)] + [o + shift for o in eff]
+        na, nb = size(t.eff.dom), size(t.pure.dom)
+        na2, nb2 = size(t.eff.cod), size(t.pure.cod)
         left = [o if o < na2 else o + nb2 for o in eff]
         return left[:na] + [na2 + p for p in pure[:nb]] + left[na:]
 
@@ -562,7 +571,7 @@ def _footprint(eq: Equation, indices: Sequence[str], keyed: tuple,
 
 def _points(model: _Model, eq: Equation) -> tuple[list, int]:
     """The domain's carrier and the size of the full enumeration."""
-    dcar = model.carrier(dom(eq.lhs))
+    dcar = model.carrier(eq.lhs.dom)
     if isinstance(model, FiniteStateModel):
         total = len(dcar) * math.prod(
             model.sizes[i] for i in model.theory.locations)
@@ -601,7 +610,7 @@ def check_equation(model: _Model, eq: Equation, name: str = "") -> LawResult:
                 eq, model.theory.constructors, (Throw, Catch),
                 (ConstCotuple, CatchAll)))
         t1, t2 = tabs.table(eq.lhs), tabs.table(eq.rhs)
-        ycar = model.carrier(cod(eq.lhs))
+        ycar = model.carrier(eq.lhs.cod)
     except E.DecorError:
         # the theory's typecheck refuses eq, or a carrier or a generator's
         # table is missing: the interpreter decides, and raises where it

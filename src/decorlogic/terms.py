@@ -1,149 +1,276 @@
 """Term syntax shared by the three logics.
 
-Terms are plain frozen dataclasses, so structural equality and hashing come
-for free; the kernel compares normalized terms with `==`. Domain and codomain
-are computable without a theory (generators carry their declared profile);
-whether a term is *legal* in a given theory is `theory.typecheck`'s job.
+Terms are frozen, slotted dataclasses, so structural equality and hashing
+come from their fields; the kernel compares normalized terms with `==`.
+Every node also stores four facts, worked out once when it is built from
+the facts its children already store, and left out of equality, hashing
+and repr:
+
+* `dom` and `cod`, its profile (generators carry their declared one);
+* `level`, its decoration: 0 pure, 1 accessor/propagator, 2 modifier/catcher;
+* `size`, its number of nodes.
+
+Each class states its profile and level once, in `_facts`, so building a
+node is O(1) and never walks a term. Whether a term is *legal* in a given
+theory is `theory.typecheck`'s job.
 
 Composition is written `Comp(after, before)`: `Comp(g, f)` is g∘f, "f then g".
 `normalize_assoc` flattens composite spines to right-nested form and drops
 identities; it does nothing else (no unit/product laws), so two terms are
 "the same up to associativity and identities" iff their normal forms are ==.
+Spines are walked with loops, so composites of any length are fine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Tuple, Union, get_args
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import Iterator, Optional, Tuple, Union, get_args
 
 from .types import EMPTY, UNIT, Coprod, Param, Prod, TypeExpr, Value
 
 
-@dataclass(frozen=True)
-class Id:
+class Node:
+    """Base of the term classes, here and in `translators`: the stored
+    facts, and the children, read from the fields `term_class` marks."""
+
+    __slots__ = ("dom", "cod", "level", "size")
+    _kids: tuple[str, ...] = ()  # the term-valued fields, in field order
+
+    def __post_init__(self) -> None:
+        dom, cod, level = self._facts()
+        size = 1
+        for k in self.kids():
+            size += k.size
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_level(self, level)
+        _set_size(self, size)
+
+    def _facts(self) -> tuple[Optional[TypeExpr], TypeExpr, int]:
+        """(dom, cod, level), from the fields and the children's facts."""
+        raise NotImplementedError
+
+    def kids(self) -> tuple:
+        """The children, in field order; `term_class` installs a reader
+        for the classes that have any."""
+        return ()
+
+    def with_kids(self, kids) -> "Node":
+        """This node with its children replaced, in `kids()` order."""
+        return replace(self, **dict(zip(self._kids, kids)))
+
+
+# the slots' own setters, since a frozen dataclass refuses attribute assignment
+_set_dom, _set_cod, _set_level, _set_size = (
+    getattr(Node, name).__set__ for name in Node.__slots__)
+
+
+def term_class(kid_type: str = "Term"):
+    """Make a frozen, slotted dataclass whose fields annotated `kid_type`
+    are its children."""
+    def deco(cls):
+        cls = dataclass(frozen=True, slots=True)(cls)
+        names = tuple(f.name for f in fields(cls) if f.type == kid_type)
+        if names:
+            cls._kids, cls.kids = names, _reader(names)
+        return cls
+    return deco
+
+
+def _reader(names: tuple[str, ...]):
+    """A method returning the fields `names`, as a tuple."""
+    get = attrgetter(*names)
+    if len(names) == 1:
+        return lambda self: (get(self),)
+    return lambda self: get(self)
+
+
+@term_class()
+class Id(Node):
     at: TypeExpr
+
+    def _facts(self):
+        return self.at, self.at, 0
 
     def __str__(self) -> str:
         return f"id[{self.at}]"
 
 
-@dataclass(frozen=True)
-class Comp:
+@term_class()
+class Comp(Node):
     """Composition g∘f, stored as Comp(after=g, before=f)."""
 
-    after: "Term"
-    before: "Term"
+    after: Term
+    before: Term
+
+    def _facts(self):
+        a, b = self.after, self.before
+        return b.dom, a.cod, a.level if a.level > b.level else b.level
 
     def __str__(self) -> str:
-        return f"{_paren(self.after)} . {_paren(self.before)}"
+        out: list[str] = []
+        todo: list = [self]     # what is left to write, last item first
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif isinstance(t, Comp):
+                _push_operand(todo, t.before)
+                todo.append(" . ")
+                _push_operand(todo, t.after)
+            else:
+                out.append(str(t))
+        return "".join(out)
 
 
-@dataclass(frozen=True)
-class ToUnit:
+def _push_operand(todo: list, t: Term) -> None:
+    """Push t to be written, parenthesized when it is a composite."""
+    if isinstance(t, Comp):
+        todo += (")", t, "(")
+    else:
+        todo.append(t)
+
+
+@term_class()
+class ToUnit(Node):
     """The unique pure map into 1, written unit[X]."""
 
     frm: TypeExpr
+
+    def _facts(self):
+        return self.frm, UNIT, 0
 
     def __str__(self) -> str:
         return f"unit[{self.frm}]"
 
 
-@dataclass(frozen=True)
-class FromEmpty:
+@term_class()
+class FromEmpty(Node):
     """The unique pure map out of 0, written empty[Y]."""
 
     to: TypeExpr
+
+    def _facts(self):
+        return EMPTY, self.to, 0
 
     def __str__(self) -> str:
         return f"empty[{self.to}]"
 
 
-@dataclass(frozen=True)
-class Proj1:
+@term_class()
+class Proj1(Node):
     left: TypeExpr
     right: TypeExpr
+
+    def _facts(self):
+        return Prod(self.left, self.right), self.left, 0
 
     def __str__(self) -> str:
         return f"p1[{self.left},{self.right}]"
 
 
-@dataclass(frozen=True)
-class Proj2:
+@term_class()
+class Proj2(Node):
     left: TypeExpr
     right: TypeExpr
+
+    def _facts(self):
+        return Prod(self.left, self.right), self.right, 0
 
     def __str__(self) -> str:
         return f"p2[{self.left},{self.right}]"
 
 
-@dataclass(frozen=True)
-class Inj1:
+@term_class()
+class Inj1(Node):
     left: TypeExpr
     right: TypeExpr
+
+    def _facts(self):
+        return self.left, Coprod(self.left, self.right), 0
 
     def __str__(self) -> str:
         return f"in1[{self.left},{self.right}]"
 
 
-@dataclass(frozen=True)
-class Inj2:
+@term_class()
+class Inj2(Node):
     left: TypeExpr
     right: TypeExpr
+
+    def _facts(self):
+        return self.right, Coprod(self.left, self.right), 0
 
     def __str__(self) -> str:
         return f"in2[{self.left},{self.right}]"
 
 
-@dataclass(frozen=True)
-class Lookup:
+@term_class()
+class Lookup(Node):
     """l[i]: 1 -> V[i]. Reads location i; level 1."""
 
     index: str
+
+    def _facts(self):
+        return UNIT, Value(self.index), 1
 
     def __str__(self) -> str:
         return f"l[{self.index}]"
 
 
-@dataclass(frozen=True)
-class Update:
+@term_class()
+class Update(Node):
     """u[i]: V[i] -> 1. Writes location i; level 2."""
 
     index: str
+
+    def _facts(self):
+        return Value(self.index), UNIT, 2
 
     def __str__(self) -> str:
         return f"u[{self.index}]"
 
 
-@dataclass(frozen=True)
-class Throw:
+@term_class()
+class Throw(Node):
     """t[i]: P[i] -> 0. Wraps its argument as exception i; level 1."""
 
     index: str
+
+    def _facts(self):
+        return Param(self.index), EMPTY, 1
 
     def __str__(self) -> str:
         return f"t[{self.index}]"
 
 
-@dataclass(frozen=True)
-class Catch:
+@term_class()
+class Catch(Node):
     """c[i]: 0 -> P[i]. Unwraps exception i, re-raises others; level 2."""
 
     index: str
+
+    def _facts(self):
+        return EMPTY, Param(self.index), 2
 
     def __str__(self) -> str:
         return f"c[{self.index}]"
 
 
-@dataclass(frozen=True)
-class CatchAll:
+@term_class()
+class CatchAll(Node):
     """catchall: 0 -> 1. Recovers from every exception; level 2."""
+
+    def _facts(self):
+        return EMPTY, UNIT, 2
 
     def __str__(self) -> str:
         return "catchall"
 
 
-@dataclass(frozen=True)
-class Gen:
+@term_class()
+class Gen(Node):
     """A user generator with its declared profile and level inlined."""
 
     name: str
@@ -151,12 +278,15 @@ class Gen:
     cod: TypeExpr
     dec: int = 0
 
+    def _facts(self):
+        return self.dom, self.cod, self.dec
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class SemiProd:
+@term_class()
+class SemiProd(Node):
     """Semi-pure pairing of a pure map with an arbitrary one.
 
     pure_on_left=True  renders lsemi(pure, eff): A*B -> A'*B', pure: A->A'.
@@ -167,9 +297,13 @@ class SemiProd:
     value survives it unchanged only up to the state).
     """
 
-    pure: "Term"
-    eff: "Term"
+    pure: Term
+    eff: Term
     pure_on_left: bool
+
+    def _facts(self):
+        a, b = _in_order(self)
+        return Prod(a.dom, b.dom), Prod(a.cod, b.cod), max(a.level, b.level)
 
     def __str__(self) -> str:
         if self.pure_on_left:
@@ -177,13 +311,17 @@ class SemiProd:
         return f"rsemi({self.eff}, {self.pure})"
 
 
-@dataclass(frozen=True)
-class SemiCoprod:
+@term_class()
+class SemiCoprod(Node):
     """Semi-pure case-map of a pure map with an arbitrary one (dual pairing)."""
 
-    pure: "Term"
-    eff: "Term"
+    pure: Term
+    eff: Term
     pure_on_left: bool
+
+    def _facts(self):
+        a, b = _in_order(self)
+        return Coprod(a.dom, b.dom), Coprod(a.cod, b.cod), max(a.level, b.level)
 
     def __str__(self) -> str:
         if self.pure_on_left:
@@ -191,70 +329,110 @@ class SemiCoprod:
         return f"rsum({self.eff}, {self.pure})"
 
 
-@dataclass(frozen=True)
-class LocTuple:
+def _in_order(t: Union[SemiProd, SemiCoprod]) -> tuple[Term, Term]:
+    """The two factors of a semi-pure pairing, left one first."""
+    return (t.pure, t.eff) if t.pure_on_left else (t.eff, t.pure)
+
+
+class _Family(Node):
+    """A mediating arrow, whose children are its components' terms.
+    An empty family has no domain or codomain; no theory admits one."""
+
+    __slots__ = ()
+
+    def kids(self) -> tuple:
+        return tuple([f for _, f in self.components])
+
+    def with_kids(self, kids) -> "Node":
+        return type(self)(tuple(zip([i for i, _ in self.components], kids)))
+
+
+@term_class()
+class LocTuple(_Family):
     """Mediating arrow of the observation cone: X -> 1.
 
     components maps every location i to an accessor f_i: X -> V[i]; the
     defining (weak) property is l[i] ∘ tuple(...) ~~ f_i.
     """
 
-    components: Tuple[Tuple[str, "Term"], ...]
+    components: Tuple[Tuple[str, Term], ...]
+
+    def _facts(self):
+        # the mediating arrow writes the whole state
+        fs = self.components
+        return (fs[0][1].dom if fs else None), UNIT, 2
 
     def __str__(self) -> str:
         inner = ", ".join(f"{i}: {t}" for i, t in self.components)
         return f"tuple({inner})"
 
 
-@dataclass(frozen=True)
-class ConstCotuple:
+@term_class()
+class ConstCotuple(_Family):
     """Mediating arrow of the exception cocone: 0 -> Y.
 
     components maps every constructor i to a propagator f_i: P[i] -> Y; the
     defining (weak) property is cotuple(...) ∘ t[i] ~~ f_i.
     """
 
-    components: Tuple[Tuple[str, "Term"], ...]
+    components: Tuple[Tuple[str, Term], ...]
+
+    def _facts(self):
+        # the mediating arrow catches everything
+        fs = self.components
+        return EMPTY, (fs[0][1].cod if fs else None), 2
 
     def __str__(self) -> str:
         inner = ", ".join(f"{i}: {t}" for i, t in self.components)
         return f"cotuple({inner})"
 
 
-@dataclass(frozen=True)
-class CaseSum:
+@term_class()
+class CaseSum(Node):
     """case(g, k): X -> Y. Runs g on ordinary values, k on exceptional input.
 
     on_value must be a propagator (level <= 1); on_empty: 0 -> Y may catch.
     """
 
-    on_value: "Term"
-    on_empty: "Term"
+    on_value: Term
+    on_empty: Term
+
+    def _facts(self):
+        g, k = self.on_value, self.on_empty
+        return g.dom, g.cod, max(g.level, k.level)
 
     def __str__(self) -> str:
         return f"case({self.on_value}, {self.on_empty})"
 
 
-@dataclass(frozen=True)
-class PropCase:
+@term_class()
+class PropCase(Node):
     """cases(g, h): X+Y -> Z, coproduct case of two propagators."""
 
-    on_left: "Term"
-    on_right: "Term"
+    on_left: Term
+    on_right: Term
+
+    def _facts(self):
+        g, h = self.on_left, self.on_right
+        return Coprod(g.dom, h.dom), g.cod, max(g.level, h.level)
 
     def __str__(self) -> str:
         return f"cases({self.on_left}, {self.on_right})"
 
 
-@dataclass(frozen=True)
-class Coerce:
+@term_class()
+class Coerce(Node):
     """coerce(k): the catcher k seen as a mere propagator (level 1).
 
     Same action on ordinary values; exceptional inputs pass through instead
     of being caught. This is how a finished handler is packaged.
     """
 
-    inner: "Term"
+    inner: Term
+
+    def _facts(self):
+        k = self.inner
+        return k.dom, k.cod, min(k.level, 1)
 
     def __str__(self) -> str:
         return f"coerce({self.inner})"
@@ -269,148 +447,87 @@ Term = Union[
 TERM_CLASSES = get_args(Term)
 
 
-def _paren(t: Term) -> str:
-    return f"({t})" if isinstance(t, Comp) else str(t)
-
-
 def term_to_text(t: Term) -> str:
     """Render in the script syntax (parseable back by the DSL)."""
     return str(t)
 
 
-# ---------------------------------------------------------------- typing
-
 def dom(t: Term) -> TypeExpr:
-    if isinstance(t, Id):
-        return t.at
-    if isinstance(t, Comp):
-        return dom(t.before)
-    if isinstance(t, ToUnit):
-        return t.frm
-    if isinstance(t, FromEmpty):
-        return EMPTY
-    if isinstance(t, (Proj1, Proj2)):
-        return Prod(t.left, t.right)
-    if isinstance(t, Inj1):
-        return t.left
-    if isinstance(t, Inj2):
-        return t.right
-    if isinstance(t, Lookup):
-        return UNIT
-    if isinstance(t, Update):
-        return Value(t.index)
-    if isinstance(t, Throw):
-        return Param(t.index)
-    if isinstance(t, (Catch, CatchAll)):
-        return EMPTY
-    if isinstance(t, Gen):
-        return t.dom
-    if isinstance(t, SemiProd):
-        if t.pure_on_left:
-            return Prod(dom(t.pure), dom(t.eff))
-        return Prod(dom(t.eff), dom(t.pure))
-    if isinstance(t, SemiCoprod):
-        if t.pure_on_left:
-            return Coprod(dom(t.pure), dom(t.eff))
-        return Coprod(dom(t.eff), dom(t.pure))
-    if isinstance(t, LocTuple):
-        return dom(t.components[0][1])
-    if isinstance(t, ConstCotuple):
-        return EMPTY
-    if isinstance(t, CaseSum):
-        return dom(t.on_value)
-    if isinstance(t, PropCase):
-        return Coprod(dom(t.on_left), dom(t.on_right))
-    if isinstance(t, Coerce):
-        return dom(t.inner)
-    raise TypeError(f"not a term: {t!r}")
+    return t.dom
 
 
 def cod(t: Term) -> TypeExpr:
-    if isinstance(t, Id):
-        return t.at
-    if isinstance(t, Comp):
-        return cod(t.after)
-    if isinstance(t, ToUnit):
-        return UNIT
-    if isinstance(t, FromEmpty):
-        return t.to
-    if isinstance(t, Proj1):
-        return t.left
-    if isinstance(t, Proj2):
-        return t.right
-    if isinstance(t, (Inj1, Inj2)):
-        return Coprod(t.left, t.right)
-    if isinstance(t, Lookup):
-        return Value(t.index)
-    if isinstance(t, Update):
-        return UNIT
-    if isinstance(t, Throw):
-        return EMPTY
-    if isinstance(t, Catch):
-        return Param(t.index)
-    if isinstance(t, CatchAll):
-        return UNIT
-    if isinstance(t, Gen):
-        return t.cod
-    if isinstance(t, SemiProd):
-        if t.pure_on_left:
-            return Prod(cod(t.pure), cod(t.eff))
-        return Prod(cod(t.eff), cod(t.pure))
-    if isinstance(t, SemiCoprod):
-        if t.pure_on_left:
-            return Coprod(cod(t.pure), cod(t.eff))
-        return Coprod(cod(t.eff), cod(t.pure))
-    if isinstance(t, LocTuple):
-        return UNIT
-    if isinstance(t, ConstCotuple):
-        return cod(t.components[0][1])
-    if isinstance(t, CaseSum):
-        return cod(t.on_value)
-    if isinstance(t, PropCase):
-        return cod(t.on_left)
-    if isinstance(t, Coerce):
-        return cod(t.inner)
-    raise TypeError(f"not a term: {t!r}")
+    return t.cod
+
+
+def term_size(t: Term) -> int:
+    return t.size
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """Yield t and every nested subterm (with repeats), parents first."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        todo += reversed(t.kids())
 
 
 # ------------------------------------------------------- normalization
 
-def _children_normalized(t: Term) -> Term:
-    if isinstance(t, SemiProd):
-        return SemiProd(normalize_assoc(t.pure), normalize_assoc(t.eff), t.pure_on_left)
-    if isinstance(t, SemiCoprod):
-        return SemiCoprod(normalize_assoc(t.pure), normalize_assoc(t.eff), t.pure_on_left)
-    if isinstance(t, LocTuple):
-        return LocTuple(tuple((i, normalize_assoc(f)) for i, f in t.components))
-    if isinstance(t, ConstCotuple):
-        return ConstCotuple(tuple((i, normalize_assoc(f)) for i, f in t.components))
-    if isinstance(t, CaseSum):
-        return CaseSum(normalize_assoc(t.on_value), normalize_assoc(t.on_empty))
-    if isinstance(t, PropCase):
-        return PropCase(normalize_assoc(t.on_left), normalize_assoc(t.on_right))
-    if isinstance(t, Coerce):
-        return Coerce(normalize_assoc(t.inner))
-    return t
+def _is_normal(t: Term) -> bool:
+    """Whether normalize_assoc(t) == t: every spine right-nested with no
+    identity on it, unless the spine is that identity alone."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Comp):
+            while isinstance(t, Comp):
+                if isinstance(t.after, (Comp, Id)):
+                    return False
+                todo += t.after.kids()
+                t = t.before
+            if isinstance(t, Id):
+                return False
+        todo += t.kids()
+    return True
 
 
-def _spine(t: Term) -> list[Term]:
-    if isinstance(t, Comp):
-        return _spine(t.after) + _spine(t.before)
-    if isinstance(t, Id):
-        return []
-    return [_children_normalized(t)]
+def _kids_normalized(t: Term) -> Term:
+    kids = t.kids()
+    new = [normalize_assoc(k) for k in kids]
+    if all(a is b for a, b in zip(kids, new)):
+        return t
+    return t.with_kids(new)
 
 
 def normalize_assoc(t: Term) -> Term:
-    """Right-nest composites, drop identities, recurse into constructor args."""
-    parts = _spine(t)
-    if not parts:
-        return Id(dom(t))
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Comp(p, out)
-    return out
+    """Right-nest composites, drop identities, recurse into constructor
+    args. A term already in normal form comes back itself, and so does
+    the normal right factor of a composite, as the tail of the result."""
+    if _is_normal(t):
+        return t
+    out = None
+    if (isinstance(t, Comp) and not isinstance(t.before, Id)
+            and _is_normal(t.before)):
+        out, t = t.before, t.after
+    for f in factors(t):
+        if not isinstance(f, Id):
+            f = _kids_normalized(f)
+            out = f if out is None else Comp(f, out)
+    return Id(t.dom) if out is None else out
+
+
+def factors(t: Term) -> Iterator[Term]:
+    """The factors of t's composite spine, identities included, in the
+    order they run: `before` ahead of `after`."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Comp):
+            todo += (t.after, t.before)
+        else:
+            yield t
 
 
 def comp(*fs: Term) -> Term:
@@ -421,29 +538,3 @@ def comp(*fs: Term) -> Term:
     for f in reversed(fs[:-1]):
         out = Comp(f, out)
     return normalize_assoc(out)
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """Yield t and every nested subterm (with repeats)."""
-    yield t
-    if isinstance(t, Comp):
-        yield from subterms(t.after)
-        yield from subterms(t.before)
-    elif isinstance(t, (SemiProd, SemiCoprod)):
-        yield from subterms(t.pure)
-        yield from subterms(t.eff)
-    elif isinstance(t, (LocTuple, ConstCotuple)):
-        for _, f in t.components:
-            yield from subterms(f)
-    elif isinstance(t, CaseSum):
-        yield from subterms(t.on_value)
-        yield from subterms(t.on_empty)
-    elif isinstance(t, PropCase):
-        yield from subterms(t.on_left)
-        yield from subterms(t.on_right)
-    elif isinstance(t, Coerce):
-        yield from subterms(t.inner)
-
-
-def term_size(t: Term) -> int:
-    return sum(1 for _ in subterms(t))

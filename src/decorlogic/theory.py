@@ -2,10 +2,10 @@
 and the decoration (effect level) inference.
 
 Levels: 0 = pure, 1 = may observe the effect (read the state / throw),
-2 = may cause it (write the state / catch). Level inference never needs a
-theory because generators carry their declared level; the type checker is
-what ties a term to a particular theory (index existence, flavor gating,
-generator profiles).
+2 = may cause it (write the state / catch). Every term stores its level
+(`terms.Node`), generators their declared one, so level inference never
+needs a theory; the type checker is what ties a term to a particular
+theory (index existence, flavor gating, generator profiles).
 
 Carrier sizes are deliberately *not* part of a theory: theories are symbolic,
 finite models (models.py) attach cardinalities.
@@ -14,13 +14,13 @@ finite models (models.py) attach cardinalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
 from . import errors as E
 from .terms import (
     CaseSum, Catch, CatchAll, Coerce, Comp, ConstCotuple, FromEmpty, Gen, Id,
     Inj1, Inj2, LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod, SemiProd,
-    Term, ToUnit, Throw, Update, cod, dom, normalize_assoc,
+    Term, ToUnit, Throw, Update, normalize_assoc,
 )
 from .types import Coprod, Empty, Named, Param, Prod, TypeExpr, Unit, Value
 
@@ -97,29 +97,8 @@ class Theory:
 # ----------------------------------------------------------- decorations
 
 def infer_decoration(t: Term) -> int:
-    """Smallest honest level of t. Does not typecheck."""
-    if isinstance(t, (Id, ToUnit, FromEmpty, Proj1, Proj2, Inj1, Inj2)):
-        return 0
-    if isinstance(t, (Lookup, Throw)):
-        return 1
-    if isinstance(t, (Update, Catch, CatchAll)):
-        return 2
-    if isinstance(t, Gen):
-        return t.dec
-    if isinstance(t, Comp):
-        return max(infer_decoration(t.after), infer_decoration(t.before))
-    if isinstance(t, (SemiProd, SemiCoprod)):
-        return max(infer_decoration(t.pure), infer_decoration(t.eff))
-    if isinstance(t, (LocTuple, ConstCotuple)):
-        # the mediating arrow writes the whole state / catches everything
-        return 2
-    if isinstance(t, CaseSum):
-        return max(infer_decoration(t.on_value), infer_decoration(t.on_empty))
-    if isinstance(t, PropCase):
-        return max(infer_decoration(t.on_left), infer_decoration(t.on_right))
-    if isinstance(t, Coerce):
-        return min(infer_decoration(t.inner), 1)
-    raise TypeError(f"not a term: {t!r}")
+    """Smallest honest level of t, as the term stores it. Does not typecheck."""
+    return t.level
 
 
 # ------------------------------------------------------------ typecheck
@@ -162,7 +141,31 @@ _EXC_ONLY = (Throw, Catch, CatchAll, SemiCoprod, ConstCotuple, CaseSum,
 
 
 def typecheck(theory: Theory, t: Term) -> tuple[TypeExpr, TypeExpr]:
-    """Check t against the theory; return (dom, cod) on success."""
+    """Check t against the theory; return (dom, cod) on success.
+
+    One pass over the nodes in written order, each checked against the
+    facts its children store: a node's own fields before its children, the
+    way it combines them after them, a family's component after that
+    component. The first failing check raises.
+    """
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, tuple):
+            _check_combination(theory, *u)
+            continue
+        _check_node(theory, u)
+        if isinstance(u, (LocTuple, ConstCotuple)):
+            for k in reversed(range(len(u.components))):
+                todo += ((u, k), u.components[k][1])
+        elif u._kids:
+            todo.append((u, None))
+            todo += reversed(u.kids())
+    return t.dom, t.cod
+
+
+def _check_node(theory: Theory, t: Term) -> None:
+    """The checks that read t's own fields only."""
     fl = theory.flavor
     if fl == "states" and isinstance(t, _EXC_ONLY):
         raise E.FlavorViolation(f"{type(t).__name__} is an exceptions-side construct")
@@ -194,79 +197,69 @@ def typecheck(theory: Theory, t: Term) -> tuple[TypeExpr, TypeExpr]:
             raise E.TypingError(
                 f"generator {t.name!r} used with profile {t.dom}->{t.cod} level "
                 f"{t.dec}, declared {declared.dom}->{declared.cod} level {declared.dec}")
-    elif isinstance(t, Comp):
-        typecheck(theory, t.after)
-        typecheck(theory, t.before)
-        if cod(t.before) != dom(t.after):
-            raise E.CompositionMismatch(
-                f"cannot compose: {t.before} ends at {cod(t.before)}, "
-                f"{t.after} starts at {dom(t.after)}")
-    elif isinstance(t, (SemiProd, SemiCoprod)):
-        typecheck(theory, t.pure)
-        typecheck(theory, t.eff)
-        if infer_decoration(t.pure) != 0:
-            raise E.PureSideRequired(
-                f"the designated pure factor {t.pure} has level "
-                f"{infer_decoration(t.pure)}")
     elif isinstance(t, LocTuple):
         keys = tuple(i for i, _ in t.components)
         if keys != theory.locations:
             raise E.IncompleteFamily(
                 f"tuple must list every location once, in order "
                 f"{theory.locations}, got {keys}")
-        base = dom(t.components[0][1])
-        for i, f in t.components:
-            typecheck(theory, f)
-            if dom(f) != base:
-                raise E.DomainMismatch(f"tuple components disagree on domain at {i!r}")
-            if cod(f) != Value(i):
-                raise E.TypingError(f"component for {i!r} must end at V[{i}], got {cod(f)}")
-            if infer_decoration(f) > 1:
-                raise E.NotAnAccessor(f"tuple component for {i!r} is a modifier")
     elif isinstance(t, ConstCotuple):
         keys = tuple(i for i, _ in t.components)
         if keys != theory.constructors:
             raise E.IncompleteFamily(
                 f"cotuple must list every exception name once, in order "
                 f"{theory.constructors}, got {keys}")
-        base = cod(t.components[0][1])
-        for i, f in t.components:
-            typecheck(theory, f)
-            if cod(f) != base:
-                raise E.CodomainMismatch(f"cotuple components disagree on codomain at {i!r}")
-            if dom(f) != Param(i):
-                raise E.TypingError(f"component for {i!r} must start at P[{i}], got {dom(f)}")
-            if infer_decoration(f) > 1:
-                raise E.NotAPropagator(f"cotuple component for {i!r} is a catcher")
+
+
+def _check_combination(theory: Theory, t: Term, k: Optional[int]) -> None:
+    """The checks on how t combines its children (component k of a
+    family), once they are checked."""
+    if isinstance(t, Comp):
+        if t.before.cod != t.after.dom:
+            raise E.CompositionMismatch(
+                f"cannot compose: {t.before} ends at {t.before.cod}, "
+                f"{t.after} starts at {t.after.dom}")
+    elif isinstance(t, (SemiProd, SemiCoprod)):
+        if t.pure.level != 0:
+            raise E.PureSideRequired(
+                f"the designated pure factor {t.pure} has level {t.pure.level}")
+    elif isinstance(t, LocTuple):
+        i, f = t.components[k]
+        if f.dom != t.dom:
+            raise E.DomainMismatch(f"tuple components disagree on domain at {i!r}")
+        if f.cod != Value(i):
+            raise E.TypingError(f"component for {i!r} must end at V[{i}], got {f.cod}")
+        if f.level > 1:
+            raise E.NotAnAccessor(f"tuple component for {i!r} is a modifier")
+    elif isinstance(t, ConstCotuple):
+        i, f = t.components[k]
+        if f.cod != t.cod:
+            raise E.CodomainMismatch(f"cotuple components disagree on codomain at {i!r}")
+        if f.dom != Param(i):
+            raise E.TypingError(f"component for {i!r} must start at P[{i}], got {f.dom}")
+        if f.level > 1:
+            raise E.NotAPropagator(f"cotuple component for {i!r} is a catcher")
     elif isinstance(t, CaseSum):
-        typecheck(theory, t.on_value)
-        typecheck(theory, t.on_empty)
-        if infer_decoration(t.on_value) > 1:
+        if t.on_value.level > 1:
             raise E.NotAPropagator("case's value branch must not catch")
-        if not isinstance(dom(t.on_empty), Empty):
+        if not isinstance(t.on_empty.dom, Empty):
             raise E.TypingError("case's exception branch must start at 0")
-        if cod(t.on_value) != cod(t.on_empty):
+        if t.on_value.cod != t.on_empty.cod:
             raise E.CodomainMismatch("case branches must share a codomain")
     elif isinstance(t, PropCase):
-        typecheck(theory, t.on_left)
-        typecheck(theory, t.on_right)
-        if infer_decoration(t.on_left) > 1 or infer_decoration(t.on_right) > 1:
+        if t.on_left.level > 1 or t.on_right.level > 1:
             raise E.NotAPropagator("cases() takes propagators, not catchers")
-        if cod(t.on_left) != cod(t.on_right):
+        if t.on_left.cod != t.on_right.cod:
             raise E.CodomainMismatch("cases branches must share a codomain")
-    elif isinstance(t, Coerce):
-        typecheck(theory, t.inner)
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    return dom(t), cod(t)
 
 
 def typecheck_equation(theory: Theory, eq: Equation) -> None:
     typecheck(theory, eq.lhs)
     typecheck(theory, eq.rhs)
-    if dom(eq.lhs) != dom(eq.rhs) or cod(eq.lhs) != cod(eq.rhs):
+    lhs, rhs = eq.lhs, eq.rhs
+    if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
         raise E.TypingError(
             f"equation relates maps of different profile: "
-            f"{dom(eq.lhs)}->{cod(eq.lhs)} vs {dom(eq.rhs)}->{cod(eq.rhs)}")
+            f"{lhs.dom}->{lhs.cod} vs {rhs.dom}->{rhs.cod}")
     if eq.kind not in (STRONG, WEAK):
         raise E.TypingError(f"unknown equation kind {eq.kind!r}")

@@ -17,7 +17,6 @@ a translated tree is re-validated while it is being produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from . import errors as E
@@ -27,11 +26,11 @@ from .kernel import (
 )
 from .terms import (
     CaseSum, Catch, CatchAll, Coerce, Comp, ConstCotuple, FromEmpty, Gen, Id,
-    Inj1, Inj2, LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod,
-    SemiProd, TERM_CLASSES, Term, ToUnit, Throw, Update, cod, dom,
-    normalize_assoc,
+    Inj1, Inj2, LocTuple, Lookup, Node, PropCase, Proj1, Proj2, SemiCoprod,
+    SemiProd, TERM_CLASSES, Term, ToUnit, Throw, Update, normalize_assoc,
+    term_class,
 )
-from .theory import Axiom, Equation, STRONG, Theory, infer_decoration
+from .theory import Axiom, Equation, STRONG, Theory
 from .types import (
     Coprod, EMPTY, Empty, Named, Param, Prod, TYPE_CLASSES, TypeExpr, UNIT,
     Unit, Value,
@@ -100,44 +99,28 @@ def dualize_type(ty: TypeExpr) -> TypeExpr:
     raise TypeError(f"not a type: {ty!r}")
 
 
+# each construct and its counterpart on the other side, their fields in step
+_DUAL_CLASS = {Id: Id, ToUnit: FromEmpty, Proj1: Inj1, Proj2: Inj2,
+               Lookup: Throw, Update: Catch, SemiProd: SemiCoprod,
+               LocTuple: ConstCotuple}
+_DUAL_CLASS.update({b: a for a, b in _DUAL_CLASS.items()})
+
+
 def dualize_term(t: Term) -> Term:
-    D, Dt = dualize_term, dualize_type
-    if isinstance(t, Id):
-        return Id(Dt(t.at))
+    """t read on the other side: each construct traded for its
+    counterpart, composition reversed, a generator's profile swapped."""
     if isinstance(t, Comp):
-        return Comp(D(t.before), D(t.after))
-    if isinstance(t, ToUnit):
-        return FromEmpty(Dt(t.frm))
-    if isinstance(t, FromEmpty):
-        return ToUnit(Dt(t.to))
-    if isinstance(t, Proj1):
-        return Inj1(Dt(t.left), Dt(t.right))
-    if isinstance(t, Proj2):
-        return Inj2(Dt(t.left), Dt(t.right))
-    if isinstance(t, Inj1):
-        return Proj1(Dt(t.left), Dt(t.right))
-    if isinstance(t, Inj2):
-        return Proj2(Dt(t.left), Dt(t.right))
-    if isinstance(t, Lookup):
-        return Throw(t.index)
-    if isinstance(t, Update):
-        return Catch(t.index)
-    if isinstance(t, Throw):
-        return Lookup(t.index)
-    if isinstance(t, Catch):
-        return Update(t.index)
+        return Comp(dualize_term(t.before), dualize_term(t.after))
     if isinstance(t, Gen):
-        return Gen(t.name, Dt(t.cod), Dt(t.dom), t.dec)
-    if isinstance(t, SemiProd):
-        return SemiCoprod(D(t.pure), D(t.eff), t.pure_on_left)
-    if isinstance(t, SemiCoprod):
-        return SemiProd(D(t.pure), D(t.eff), t.pure_on_left)
-    if isinstance(t, LocTuple):
-        return ConstCotuple(tuple((i, D(f)) for i, f in t.components))
-    if isinstance(t, ConstCotuple):
-        return LocTuple(tuple((i, D(f)) for i, f in t.components))
-    raise E.OutsideDualityDomain(
-        f"{type(t).__name__} has no counterpart on the other side")
+        return Gen(t.name, dualize_type(t.cod), dualize_type(t.dom), t.dec)
+    if type(t) not in _DUAL_CLASS:
+        raise E.OutsideDualityDomain(
+            f"{type(t).__name__} has no counterpart on the other side")
+    return _DUAL_CLASS[type(t)](*map(_dualize_value, _field_values(t)))
+
+
+def _field_values(t: Any) -> list:
+    return [getattr(t, name) for name in t.__match_args__]
 
 
 def dualize_equation(eq: Equation) -> Equation:
@@ -180,7 +163,7 @@ def dualize_judgment(j: Judgment) -> Judgment:
     return WellFormed(normalize_assoc(dualize_term(j.term)), j.level)
 
 
-def _dualize_inst_value(v: Any) -> Any:
+def _dualize_value(v: Any) -> Any:
     if isinstance(v, TERM_CLASSES):
         return dualize_term(v)
     if isinstance(v, TYPE_CLASSES):
@@ -216,7 +199,7 @@ def dualize_derivation(theory: Theory, d: Derivation,
         prems = [go(p) for p in n.premises]
         if n.rule in _REVERSED_PREMISES:
             prems.reverse()
-        inst = {k: _dualize_inst_value(v) for k, v in n.inst}
+        inst = {k: _dualize_value(v) for k, v in n.inst}
         if n.rule == "assoc":
             inst["f"], inst["h"] = inst["h"], inst["f"]
         return node(target, rid, prems, **inst)
@@ -233,20 +216,30 @@ def dualize_derivation(theory: Theory, d: Derivation,
 # ============================================================== expansion
 #
 # Explicit terms: a tiny total language over the base category. No
-# decorations, no effects; evaluation is plain structural recursion.
+# decorations, no effects; evaluation is plain structural recursion. Like
+# decorated terms, each node stores its profile (`terms.Node`), at level 0.
 
-@dataclass(frozen=True)
-class EId:
+_eterm = term_class("ETerm")
+
+
+@_eterm
+class EId(Node):
     ty: TypeExpr
+
+    def _facts(self):
+        return self.ty, self.ty, 0
 
     def __str__(self) -> str:
         return f"id[{self.ty}]"
 
 
-@dataclass(frozen=True)
-class EComp:
-    after: "ETerm"
-    before: "ETerm"
+@_eterm
+class EComp(Node):
+    after: ETerm
+    before: ETerm
+
+    def _facts(self):
+        return self.before.dom, self.after.cod, 0
 
     def __str__(self) -> str:
         def wrap(t):
@@ -254,81 +247,108 @@ class EComp:
         return f"{wrap(self.after)} . {wrap(self.before)}"
 
 
-@dataclass(frozen=True)
-class EPair:
-    fst: "ETerm"
-    snd: "ETerm"
+@_eterm
+class EPair(Node):
+    fst: ETerm
+    snd: ETerm
+
+    def _facts(self):
+        return self.fst.dom, Prod(self.fst.cod, self.snd.cod), 0
 
     def __str__(self) -> str:
         return f"<{self.fst}, {self.snd}>"
 
 
-@dataclass(frozen=True)
-class EProj1:
+@_eterm
+class EProj1(Node):
     left: TypeExpr
     right: TypeExpr
+
+    def _facts(self):
+        return Prod(self.left, self.right), self.left, 0
 
     def __str__(self) -> str:
         return f"p1[{self.left},{self.right}]"
 
 
-@dataclass(frozen=True)
-class EProj2:
+@_eterm
+class EProj2(Node):
     left: TypeExpr
     right: TypeExpr
+
+    def _facts(self):
+        return Prod(self.left, self.right), self.right, 0
 
     def __str__(self) -> str:
         return f"p2[{self.left},{self.right}]"
 
 
-@dataclass(frozen=True)
-class ECase:
-    on_left: "ETerm"
-    on_right: "ETerm"
+@_eterm
+class ECase(Node):
+    on_left: ETerm
+    on_right: ETerm
+
+    def _facts(self):
+        return Coprod(self.on_left.dom, self.on_right.dom), self.on_left.cod, 0
 
     def __str__(self) -> str:
         return f"[{self.on_left} | {self.on_right}]"
 
 
-@dataclass(frozen=True)
-class EInj1:
+@_eterm
+class EInj1(Node):
     left: TypeExpr
     right: TypeExpr
+
+    def _facts(self):
+        return self.left, Coprod(self.left, self.right), 0
 
     def __str__(self) -> str:
         return f"in1[{self.left},{self.right}]"
 
 
-@dataclass(frozen=True)
-class EInj2:
+@_eterm
+class EInj2(Node):
     left: TypeExpr
     right: TypeExpr
+
+    def _facts(self):
+        return self.right, Coprod(self.left, self.right), 0
 
     def __str__(self) -> str:
         return f"in2[{self.left},{self.right}]"
 
 
-@dataclass(frozen=True)
-class ETerminal:
+@_eterm
+class ETerminal(Node):
     frm: TypeExpr
+
+    def _facts(self):
+        return self.frm, UNIT, 0
 
     def __str__(self) -> str:
         return f"unit[{self.frm}]"
 
 
-@dataclass(frozen=True)
-class EInitial:
+@_eterm
+class EInitial(Node):
     to: TypeExpr
+
+    def _facts(self):
+        return EMPTY, self.to, 0
 
     def __str__(self) -> str:
         return f"empty[{self.to}]"
 
 
-@dataclass(frozen=True)
-class EGen:
+@_eterm
+class EGen(Node):
     name: str
     dom: TypeExpr
     cod: TypeExpr
+
+    def _facts(self):
+        return self.dom, self.cod, 0
 
     def __str__(self) -> str:
         return self.name
@@ -336,52 +356,6 @@ class EGen:
 
 ETerm = Union[EId, EComp, EPair, EProj1, EProj2, ECase, EInj1, EInj2,
               ETerminal, EInitial, EGen]
-
-
-def edom(t: ETerm) -> TypeExpr:
-    if isinstance(t, EId):
-        return t.ty
-    if isinstance(t, EComp):
-        return edom(t.before)
-    if isinstance(t, EPair):
-        return edom(t.fst)
-    if isinstance(t, (EProj1, EProj2)):
-        return Prod(t.left, t.right)
-    if isinstance(t, ECase):
-        return Coprod(edom(t.on_left), edom(t.on_right))
-    if isinstance(t, (EInj1, EInj2)):
-        return t.left if isinstance(t, EInj1) else t.right
-    if isinstance(t, ETerminal):
-        return t.frm
-    if isinstance(t, EInitial):
-        return EMPTY
-    if isinstance(t, EGen):
-        return t.dom
-    raise TypeError(f"not an explicit term: {t!r}")
-
-
-def ecod(t: ETerm) -> TypeExpr:
-    if isinstance(t, EId):
-        return t.ty
-    if isinstance(t, EComp):
-        return ecod(t.after)
-    if isinstance(t, EPair):
-        return Prod(ecod(t.fst), ecod(t.snd))
-    if isinstance(t, EProj1):
-        return t.left
-    if isinstance(t, EProj2):
-        return t.right
-    if isinstance(t, ECase):
-        return ecod(t.on_left)
-    if isinstance(t, (EInj1, EInj2)):
-        return Coprod(t.left, t.right)
-    if isinstance(t, ETerminal):
-        return UNIT
-    if isinstance(t, EInitial):
-        return t.to
-    if isinstance(t, EGen):
-        return t.cod
-    raise TypeError(f"not an explicit term: {t!r}")
 
 
 def ecomp(*parts: ETerm) -> ETerm:
@@ -398,7 +372,7 @@ def ecomp(*parts: ETerm) -> ETerm:
     for p in parts:
         push(p)
     if not flat:
-        return EId(edom(parts[-1]))
+        return EId(parts[-1].dom)
     out = flat[-1]
     for t in reversed(flat[:-1]):
         out = EComp(t, out)
@@ -406,12 +380,12 @@ def ecomp(*parts: ETerm) -> ETerm:
 
 
 def eprodmap(f: ETerm, g: ETerm) -> ETerm:
-    a, b = edom(f), edom(g)
+    a, b = f.dom, g.dom
     return EPair(ecomp(f, EProj1(a, b)), ecomp(g, EProj2(a, b)))
 
 
 def esummap(f: ETerm, g: ETerm) -> ETerm:
-    a, b = ecod(f), ecod(g)
+    a, b = f.cod, g.cod
     return ECase(ecomp(EInj1(a, b), f), ecomp(EInj2(a, b), g))
 
 
@@ -426,9 +400,9 @@ def _contract(a: ETerm, b: ETerm) -> ETerm | None:
     if isinstance(a, ECase) and isinstance(b, EInj2):
         return a.on_right
     if isinstance(a, ETerminal):
-        return ETerminal(edom(b))
+        return ETerminal(b.dom)
     if isinstance(b, EInitial):
-        return EInitial(ecod(a))
+        return EInitial(a.cod)
     return None
 
 
@@ -532,48 +506,41 @@ def _state_write(theory: Theory, i: str) -> ETerm:
     return build(theory.locations, s)
 
 
+# the pure constructs and their explicit images, their fields in step
+_EXPLICIT = {Id: EId, ToUnit: ETerminal, FromEmpty: EInitial, Proj1: EProj1,
+             Proj2: EProj2, Inj1: EInj1, Inj2: EInj2}
+
+
 def _pure_base(theory: Theory, t: Term) -> ETerm:
     """The explicit image of a level-0 term, no state column."""
-    if isinstance(t, Id):
-        return EId(t.at)
+    if type(t) in _EXPLICIT:
+        return _EXPLICIT[type(t)](*_field_values(t))
     if isinstance(t, Comp):
         return ecomp(_pure_base(theory, t.after), _pure_base(theory, t.before))
-    if isinstance(t, ToUnit):
-        return ETerminal(t.frm)
-    if isinstance(t, FromEmpty):
-        return EInitial(t.to)
-    if isinstance(t, Proj1):
-        return EProj1(t.left, t.right)
-    if isinstance(t, Proj2):
-        return EProj2(t.left, t.right)
-    if isinstance(t, Inj1):
-        return EInj1(t.left, t.right)
-    if isinstance(t, Inj2):
-        return EInj2(t.left, t.right)
     if isinstance(t, Gen) and t.dec == 0:
         return EGen(t.name, t.dom, t.cod)
-    if isinstance(t, SemiProd) and infer_decoration(t) == 0:
+    if isinstance(t, SemiProd) and t.level == 0:
         f = _pure_base(theory, t.pure if t.pure_on_left else t.eff)
         g = _pure_base(theory, t.eff if t.pure_on_left else t.pure)
         return eprodmap(f, g)
-    if isinstance(t, SemiCoprod) and infer_decoration(t) == 0:
+    if isinstance(t, SemiCoprod) and t.level == 0:
         f = _pure_base(theory, t.pure if t.pure_on_left else t.eff)
         g = _pure_base(theory, t.eff if t.pure_on_left else t.pure)
         return esummap(f, g)
-    if isinstance(t, PropCase) and infer_decoration(t) == 0:
+    if isinstance(t, PropCase) and t.level == 0:
         return ECase(_pure_base(theory, t.on_left),
                      _pure_base(theory, t.on_right))
-    if isinstance(t, CaseSum) and infer_decoration(t) == 0:
+    if isinstance(t, CaseSum) and t.level == 0:
         return ECase(_pure_base(theory, t.on_value),
                      _pure_base(theory, t.on_empty))
-    if isinstance(t, Coerce) and infer_decoration(t) == 0:
+    if isinstance(t, Coerce) and t.level == 0:
         return _pure_base(theory, t.inner)
     raise E.TypingError(f"{t} is not a pure term with an explicit image")
 
 
 def _st_pure(theory: Theory, t: Term) -> ETerm:
     """Expand a pure map: act on the value column, pass the state through."""
-    a, b = dom(t), cod(t)
+    a, b = t.dom, t.cod
     s = state_type(theory)
     base = _pure_base(theory, t)
     if isinstance(a, Unit):
@@ -597,7 +564,7 @@ def expand_states(theory: Theory, t: Term) -> ETerm:
     s = state_type(theory)
 
     def go(t: Term) -> ETerm:
-        if infer_decoration(t) == 0:
+        if t.level == 0:
             return _st_pure(theory, t)
         if isinstance(t, Comp):
             return ecomp(go(t.after), go(t.before))
@@ -620,10 +587,10 @@ def expand_states(theory: Theory, t: Term) -> ETerm:
             return build(theory.locations, s)
         if isinstance(t, SemiProd):
             eff, pure = t.eff, t.pure
-            ae, be = dom(eff), cod(eff)
-            ap, bp = dom(pure), cod(pure)
-            in_ty = Prod(dom(t), s)
-            pin = EProj1(dom(t), s)
+            ae, be = eff.dom, eff.cod
+            ap, bp = pure.dom, pure.cod
+            in_ty = Prod(t.dom, s)
+            pin = EProj1(t.dom, s)
             # the effectful component, fed its own column plus the state
             if t.pure_on_left:
                 eff_col: ETerm = EProj2(ap, ae)
@@ -632,9 +599,9 @@ def expand_states(theory: Theory, t: Term) -> ETerm:
                 eff_col = EProj1(ae, ap)
                 pure_col = EProj2(ae, ap)
             if isinstance(ae, Unit):
-                eff_in: ETerm = EProj2(dom(t), s)
+                eff_in: ETerm = EProj2(t.dom, s)
             else:
-                eff_in = EPair(ecomp(eff_col, pin), EProj2(dom(t), s))
+                eff_in = EPair(ecomp(eff_col, pin), EProj2(t.dom, s))
             eff_out = ecomp(go(eff), eff_in)
             if isinstance(be, Unit):
                 val_e: ETerm = ETerminal(in_ty)
@@ -658,12 +625,12 @@ def expand_states_equation(theory: Theory, eq: Equation) -> tuple[ETerm, ETerm]:
     """Expand both sides; a weak equation keeps only the value column."""
     lhs, rhs = expand_states(theory, eq.lhs), expand_states(theory, eq.rhs)
     if eq.kind != STRONG:
-        y = cod(eq.lhs)
+        y = eq.lhs.cod
         s = state_type(theory)
         if isinstance(y, Unit):
             # nothing to observe but the unit value; both sides collapse
-            lhs = ETerminal(edom(lhs))
-            rhs = ETerminal(edom(rhs))
+            lhs = ETerminal(lhs.dom)
+            rhs = ETerminal(rhs.dom)
         else:
             lhs = esimplify(ecomp(EProj1(y, s), lhs))
             rhs = esimplify(ecomp(EProj1(y, s), rhs))
@@ -728,7 +695,7 @@ def _exc_case(theory: Theory, arms) -> ETerm:
 
 
 def _exc_pure(theory: Theory, t: Term) -> ETerm:
-    a, b = dom(t), cod(t)
+    a, b = t.dom, t.cod
     e = exception_type(theory)
     if isinstance(a, Empty):
         # only the empty map lands here; it re-raises whatever it is given
@@ -761,7 +728,7 @@ def expand_exceptions(theory: Theory, t: Term) -> ETerm:
         return EId(e) if isinstance(a, Empty) else EInj2(a, e)
 
     def go(t: Term) -> ETerm:
-        if infer_decoration(t) == 0:
+        if t.level == 0:
             return _exc_pure(theory, t)
         if isinstance(t, Comp):
             return ecomp(go(t.after), go(t.before))
@@ -781,7 +748,7 @@ def expand_exceptions(theory: Theory, t: Term) -> ETerm:
         if isinstance(t, CatchAll):
             return ecomp(EInj1(UNIT, e), ETerminal(e))
         if isinstance(t, ConstCotuple):
-            y = cod(t)
+            y = t.cod
             comps = dict(t.components)
 
             def arm(j):
@@ -790,26 +757,26 @@ def expand_exceptions(theory: Theory, t: Term) -> ETerm:
             return _exc_case(theory, arm)
         if isinstance(t, CaseSum):
             g, k = t.on_value, t.on_empty
-            x = dom(t)
+            x = t.dom
             kk = go(k)
             if isinstance(x, Empty):
                 return kk
             return ECase(ecomp(go(g), EInj1(x, e)), kk)
         if isinstance(t, PropCase):
-            a, b = dom(t.on_left), dom(t.on_right)
+            a, b = t.on_left.dom, t.on_right.dom
             inner = ECase(ecomp(go(t.on_left), val_in(a)),
                           ecomp(go(t.on_right), val_in(b)))
-            return ECase(inner, exc_in(cod(t)))
+            return ECase(inner, exc_in(t.cod))
         if isinstance(t, Coerce):
-            x = dom(t)
+            x = t.dom
             if isinstance(x, Empty):
-                return exc_in(cod(t))
-            return ECase(ecomp(go(t.inner), EInj1(x, e)), exc_in(cod(t)))
+                return exc_in(t.cod)
+            return ECase(ecomp(go(t.inner), EInj1(x, e)), exc_in(t.cod))
         if isinstance(t, SemiCoprod):
             eff, pure = t.eff, t.pure
-            ae, be = dom(eff), cod(eff)
-            ap, bp = dom(pure), cod(pure)
-            out_val = cod(t)
+            ae, be = eff.dom, eff.cod
+            ap, bp = pure.dom, pure.cod
+            out_val = t.cod
             eff_out = go(eff)
 
             def embed_eff() -> ETerm:
@@ -846,11 +813,11 @@ def expand_exceptions_equation(theory: Theory, eq: Equation
     lhs = expand_exceptions(theory, eq.lhs)
     rhs = expand_exceptions(theory, eq.rhs)
     if eq.kind != STRONG:
-        x = dom(eq.lhs)
+        x = eq.lhs.dom
         e = exception_type(theory)
         if isinstance(x, Empty):
-            lhs = EInitial(ecod(lhs))
-            rhs = EInitial(ecod(rhs))
+            lhs = EInitial(lhs.cod)
+            rhs = EInitial(rhs.cod)
         else:
             lhs = esimplify(ecomp(lhs, EInj1(x, e)))
             rhs = esimplify(ecomp(rhs, EInj1(x, e)))

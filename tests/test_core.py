@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import strategies as strat
 from decorlogic import errors as E
@@ -16,7 +17,7 @@ from decorlogic.terms import (CaseSum, Catch, Coerce, Comp, ConstCotuple,
 from decorlogic.theory import (STRONG, WEAK, eq_strong, eq_weak,
                                infer_decoration, norm_eq, typecheck,
                                typecheck_equation)
-from decorlogic.translators import dualize_term, dualize_theory
+from decorlogic.translators import dualize_term, dualize_theory, dualize_type
 from decorlogic.types import (Coprod, EMPTY, Named, Param, Prod, UNIT, Value)
 
 
@@ -63,6 +64,30 @@ def test_comp_normalizes_to_right_nesting():
 def test_normalize_assoc_is_idempotent(t):
     once = normalize_assoc(t)
     assert normalize_assoc(once) == once
+
+
+@st.composite
+def structured_terms(draw, theory):
+    """Composites over a side's atoms and its product or sum structure,
+    with an identity on either end or none."""
+    t = draw(strat.composed_terms(draw(strat.structured_atoms(theory))))
+    return draw(st.sampled_from([t, Comp(Id(t.cod), t), Comp(t, Id(t.dom))]))
+
+
+@given(st.one_of(structured_terms(strat.STATES2),
+                 strat.exceptions_terms(strat.EXC2)))
+def test_stored_facts_obey_duality(t):
+    d = dualize_term(t)
+    assert d.dom == dualize_type(t.cod) and d.cod == dualize_type(t.dom)
+    assert (d.level, d.size) == (t.level, t.size)
+
+
+@given(st.one_of(structured_terms(strat.STATES2),
+                 structured_terms(strat.EXC2)))
+def test_normalize_assoc_keeps_the_facts(t):
+    norm = normalize_assoc(t)
+    assert (norm.dom, norm.cod, norm.level) == (t.dom, t.cod, t.level)
+    assert normalize_assoc(norm) is norm
 
 
 def test_typecheck_accepts_composable(states2):

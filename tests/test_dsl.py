@@ -16,6 +16,8 @@ from decorlogic.dsl import (ExecConfig, build_proof,
 from decorlogic.exceptions import derive_lemma as exc_lemma
 from decorlogic.kernel import ProveResult, axiom_node, check_derivation, node
 from decorlogic.states import builtin_proof as st_proof, derive_lemma as st_lemma
+from decorlogic.terms import Comp, Lookup, Update, normalize_assoc, term_size
+from decorlogic.theory import typecheck
 
 
 SRC = """\
@@ -363,3 +365,47 @@ def test_cli_mode_filters_commands(tmp_path, capfdbinary):
     assert main(["eval", path, "--format", "json"]) == 0
     data = json.loads(capfdbinary.readouterr().out)
     assert [c["kind"] for c in data["commands"]] == ["eval", "eval", "eval"]
+
+
+# ------------------------------------------------------------- deep terms
+
+
+def _deep_script(n):
+    """n-atom composites on both sides, as the parser nests them (to the
+    left), over generators that count up modulo 3."""
+    return ("theory S = states(x: 3)\n"
+            "pure gen step : V[x] -> V[x] in S = [1, 2, 0]\n"
+            f"term climb in S = {' . '.join(['step'] * (n - 1))} . l[x]\n"
+            "eval in S : climb on 0 state (1)\n"
+            "theory Ex = exceptions(i: 3)\n"
+            "pure gen bump : P[i] -> P[i] in Ex = [1, 2, 0]\n"
+            f"term rise in Ex = c[i] . t[i] . {' . '.join(['bump'] * (n - 2))}\n"
+            "eval in Ex : rise on 1\n")
+
+
+def test_deep_composites_eval_and_check(tmp_path, capfdbinary):
+    n = 3000
+    path = _write(tmp_path, _deep_script(n))
+    assert main(["eval", path, "--format", "json"]) == 0
+    states, exc = json.loads(capfdbinary.readouterr().out)["commands"]
+    # l[x] reads 1, then n - 1 steps; the throw is caught again
+    assert states["detail"]["result"] == (1 + n - 1) % 3
+    assert states["detail"]["result_state"] == [1]
+    assert exc["detail"]["result"] == ["val", (1 + n - 2) % 3]
+    assert main(["check", path]) == 0
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_deep_composites_through_the_term_core(states2, nesting):
+    n = 5000
+    atoms = [Lookup("x") if k % 2 else Update("x") for k in range(n)]
+    t = atoms[0]
+    for a in atoms[1:]:
+        t = Comp(t, a) if nesting == "left" else Comp(a, t)
+    assert term_size(t) == 2 * n - 1
+    assert typecheck(states2, t) == (t.dom, t.cod)
+    norm = normalize_assoc(t)
+    assert term_size(norm) == term_size(t) and normalize_assoc(norm) is norm
+    text = str(t)
+    assert text.count("l[x]") + text.count("u[x]") == n
+    assert text.count("(") == n - 2

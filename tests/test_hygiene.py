@@ -1,0 +1,59 @@
+"""Source hygiene: no module of the package imports a name it never uses.
+
+`__init__.py` is left out, since re-exporting is what it imports for.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "decorlogic"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names `source` binds by import and never reads, in order."""
+    tree = ast.parse(source)
+    bound: list[str] = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            for a in n.names:
+                if a.name == "*" or (isinstance(n, ast.ImportFrom)
+                                     and n.module == "__future__"):
+                    continue
+                bound.append(a.asname or a.name.split(".")[0])
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # a name read only in a quoted annotation counts as used
+    for ann in _annotations(tree):
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                expr = ast.parse(c.value, mode="eval")
+                used |= {m.id for m in ast.walk(expr)
+                         if isinstance(m, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def _annotations(tree: ast.AST):
+    for n in ast.walk(tree):
+        if isinstance(n, ast.AnnAssign):
+            yield n.annotation
+        elif isinstance(n, ast.arg) and n.annotation is not None:
+            yield n.annotation
+        elif (isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and n.returns is not None):
+            yield n.returns
+
+
+def test_the_scan_sees_an_unused_import():
+    assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
+        "os", "b"]
+    assert unused_imports("from x import T\ny: 'T' = 1\n") == []
+    assert unused_imports("from x import T\ny = 'T'\n") == ["T"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
