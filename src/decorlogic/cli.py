@@ -44,6 +44,21 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and kept for the process.
+
+    Reuse is safe: each `parse_args` fills a fresh namespace, and the
+    `append` action of `--model` copies its default list before appending.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def _overrides(pairs: list[str]) -> dict[str, int]:
     out: dict[str, int] = {}
     for pair in pairs:
@@ -55,7 +70,7 @@ def _overrides(pairs: list[str]) -> dict[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = Path(args.script).read_text(encoding="utf-8")
     except OSError as exc:

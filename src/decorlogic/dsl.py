@@ -86,60 +86,45 @@ def _inst_kind(rule: str, key: str) -> str:
 
 # ------------------------------------------------------------------ lexer
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'ident' | 'int' | 'sym' | 'eof'
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # 'ident' | 'int' | 'sym' | 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
-# rule names like 0-comp and 1-to-2 start with a digit
-_NUMIDENT_RE = re.compile(r"[0-9]+(?:-[A-Za-z][A-Za-z0-9_-]*)")
-_INT_RE = re.compile(r"[0-9]+")
-_TWO_CHAR = ("==", "~~", "=>", "->")
-_ONE_CHAR = "=:;,.(){}[]*+|"
+# one pattern, alternatives in match order: rule names like 0-comp and
+# 1-to-2 start with a digit, so they are tried before plain integers
+_TOKEN_RE = re.compile(r"""
+    (?P<skip>[ \t]+|\#.*)
+  | (?P<sym2>==|~~|=>|->)
+  | (?P<numident>[0-9]+-[A-Za-z][A-Za-z0-9_-]*)
+  | (?P<int>[0-9]+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
+  | (?P<sym>[=:;,.(){}\[\]*+|])
+  | (?P<stray>.)
+""", re.VERBOSE | re.DOTALL)
+_TOKEN_KIND = {"sym2": "sym", "numident": "ident", "int": "int",
+               "ident": "ident", "sym": "sym"}
 
 
 def _lex(text: str) -> list[Token]:
     toks: list[Token] = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        i, n = 0, len(line)
-        while i < n:
-            ch = line[i]
-            if ch in " \t":
-                i += 1
+    append = toks.append
+    lines = text.splitlines()
+    for ln, line in enumerate(lines, start=1):
+        for m in _TOKEN_RE.finditer(line):
+            group = m.lastgroup
+            if group == "skip":
                 continue
-            if ch == "#":
-                break
-            col = i + 1
-            two = line[i:i + 2]
-            if two in _TWO_CHAR:
-                toks.append(Token("sym", two, ln, col))
-                i += 2
-                continue
-            m = _NUMIDENT_RE.match(line, i)
-            if m:
-                toks.append(Token("ident", m.group(), ln, col))
-                i = m.end()
-                continue
-            m = _INT_RE.match(line, i)
-            if m:
-                toks.append(Token("int", m.group(), ln, col))
-                i = m.end()
-                continue
-            m = _IDENT_RE.match(line, i)
-            if m:
-                toks.append(Token("ident", m.group(), ln, col))
-                i = m.end()
-                continue
-            if ch in _ONE_CHAR:
-                toks.append(Token("sym", ch, ln, col))
-                i += 1
-                continue
-            raise E.LexError(f"stray character {ch!r}", ln, col)
-    toks.append(Token("eof", "", len(text.splitlines()) + 1, 1))
+            if group == "stray":
+                raise E.LexError(f"stray character {m.group()!r}", ln,
+                                 m.start() + 1)
+            append(Token(_TOKEN_KIND[group], m.group(), ln, m.start() + 1))
+    append(Token("eof", "", len(lines) + 1, 1))
     return toks
 
 
@@ -322,10 +307,17 @@ _LEMMA_ARG_KIND = {"i": "name", "j": "name", "f": "term", "to": "type"}
 _LEMMA_OPTIONAL = {"catch-throw": 1}
 
 
+# how deeply term_expr and type_expr may nest (parentheses, bracketed and
+# argument positions, the right operands of * and +); past it a script is
+# refused with a ParseError instead of exhausting the Python stack
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.i = 0
+        self.depth = 0  # open term_expr/type_expr calls
         self.theories: dict[str, str] = {}  # name -> kind
         self.gens: dict[tuple[str, str], Gen] = {}
         self.terms: dict[tuple[str, str], Term] = {}
@@ -333,8 +325,9 @@ class _Parser:
 
     # ---- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        # next() never moves past the eof sentinel, so i is always in range
+        return self.toks[self.i]
 
     def next(self) -> Token:
         tok = self.toks[self.i]
@@ -343,19 +336,20 @@ class _Parser:
         return tok
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
+        tok = self.toks[self.i]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self.toks[self.i]
+        if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             raise E.ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
                                tok.line, tok.col)
         return self.next()
 
     def eat(self, kind: str, text: Optional[str] = None) -> bool:
-        if self.at(kind, text):
+        tok = self.toks[self.i]
+        if tok.kind == kind and (text is None or tok.text == text):
             self.next()
             return True
         return False
@@ -367,6 +361,11 @@ class _Parser:
     def fail(self, msg: str) -> E.ParseError:
         tok = self.peek()
         return E.ParseError(msg, tok.line, tok.col)
+
+    def enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     # ---- names
 
@@ -411,21 +410,29 @@ class _Parser:
         raise self.fail(f"expected a type, found {tok.text!r}")
 
     def type_expr(self) -> TypeExpr:
-        left = self.type_atom()
-        if self.eat("sym", "*"):
-            return Prod(left, self.type_expr())
-        if self.eat("sym", "+"):
-            return Coprod(left, self.type_expr())
-        return left
+        try:
+            self.enter()
+            left = self.type_atom()
+            if self.eat("sym", "*"):
+                return Prod(left, self.type_expr())
+            if self.eat("sym", "+"):
+                return Coprod(left, self.type_expr())
+            return left
+        finally:
+            self.depth -= 1
 
     # ---- terms
 
     def term_expr(self, theory: str) -> Term:
-        t = self.term_atom(theory)
-        while self.eat("sym", "."):
-            # `g . f` runs f first; keep the written association
-            t = Comp(t, self.term_atom(theory))
-        return t
+        try:
+            self.enter()
+            t = self.term_atom(theory)
+            while self.eat("sym", "."):
+                # `g . f` runs f first; keep the written association
+                t = Comp(t, self.term_atom(theory))
+            return t
+        finally:
+            self.depth -= 1
 
     def _bracket_type(self) -> TypeExpr:
         self.expect("sym", "[")
@@ -1115,22 +1122,6 @@ def derivation_json(d: Derivation) -> dict:
         "conclusion": str(d.conclusion),
         "premises": [derivation_json(p) for p in d.premises],
     }
-
-
-def derivation_tree_lines(d: Derivation, indent: int = 0) -> list[str]:
-    """Indented rule-tree rendering for text reports."""
-    if isinstance(d.rule, tuple):
-        head = f"{d.rule[0]}({d.rule[1]})"
-    else:
-        head = d.rule
-        if d.inst:
-            args = ", ".join(f"{k}={_inst_text(d.rule, k, v)}"
-                             for k, v in d.inst)
-            head += f"({args})"
-    lines = [f"{'  ' * indent}{head}  |-  {d.conclusion}"]
-    for p in d.premises:
-        lines += derivation_tree_lines(p, indent + 1)
-    return lines
 
 
 # --------------------------------------------------------------- executor

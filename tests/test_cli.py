@@ -1,0 +1,148 @@
+"""The `decor` command run in-process: parser reuse, nesting bounds, and
+the golden report bytes of the bank-account example."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from decorlogic import cli
+from decorlogic.dsl import MAX_NESTING
+
+ROOT = Path(__file__).resolve().parent.parent
+BANK = ROOT / "docs" / "bank_account.dec"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MODES = ("check", "verify", "eval", "erase", "expand", "dualize")
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "script.dec"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+# ---------------------------------------------------------- parser reuse
+
+
+def test_the_parser_is_built_once(tmp_path, monkeypatch, capfdbinary):
+    built, build = [], cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    path = _write(tmp_path, "theory S = states(x: 2)\nerase S\n")
+    for mode in ("erase", "check", "erase"):
+        assert cli.main([mode, path]) == 0
+    assert len(built) == 1
+    capfdbinary.readouterr()
+
+
+def test_model_overrides_do_not_leak_into_the_next_call(tmp_path,
+                                                         capfdbinary):
+    path = _write(tmp_path, "theory S = states(x: 2, y: 2)\n"
+                            "model m for S (x: 2, y: 2)\n"
+                            "verify states-seven in S with m\n")
+
+    def sizes(*extra):
+        assert cli.main(["verify", path, "--format", "json", *extra]) == 0
+        data = json.loads(capfdbinary.readouterr().out)
+        return data["commands"][0]["detail"]["model"]["sizes"]
+
+    assert sizes("--model", "x=3") == {"x": 3, "y": 2}
+    assert sizes() == {"x": 2, "y": 2}
+    assert sizes("--model", "y=3", "--model", "x=3") == {"x": 3, "y": 3}
+    assert sizes() == {"x": 2, "y": 2}
+
+
+@pytest.mark.parametrize("argv", [["frobnicate", "x.dec"], ["check"],
+                                  ["eval", "x.dec", "--format", "xml"]],
+                         ids=["unknown-command", "no-script", "bad-choice"])
+def test_usage_errors_repeat_byte_for_byte(argv, capfdbinary):
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        errs.append(captured.err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(b"usage: decor")
+
+
+# -------------------------------------------------------------- nesting
+
+_HEAD = ("theory S = states(x: 3)\n"
+         "pure gen step : V[x] -> V[x] in S = [1, 2, 0]\n"
+         "theory Ex = exceptions(i: 3)\n"
+         "pure gen bump : P[i] -> P[i] in Ex = [1, 2, 0]\n")
+
+
+def _nested(depth):
+    """Lines whose deepest term_expr/type_expr call is `depth` levels down:
+    parentheses around a term, parentheses inside a bracketed type, a
+    chain of products, and try blocks nested in their bodies."""
+    k = depth - 1
+    return {
+        "paren-term": (f"eval in S : {'(' * k}step{')' * k} . l[x] "
+                       f"on 0 state (1)\n"),
+        "paren-type": (f"term q1 in S = id[{'(' * (k - 1)}V[x]"
+                       f"{')' * (k - 1)}]\n"),
+        "product": f"term q2 in S = id[{' * '.join(['V[x]'] * k)}]\n",
+        "try": (f"term q3 in Ex = {'try ' * k}raise(i)"
+                f"{' catch (i => bump)' * k}\n"
+                "eval in Ex : q3 on 1\n"),
+    }
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_nesting_at_the_bound_runs_in_every_mode(tmp_path, mode,
+                                                 capfdbinary):
+    path = _write(tmp_path, _HEAD + "".join(_nested(MAX_NESTING).values()))
+    assert cli.main([mode, path, "--format", "json"]) == 0
+    out = capfdbinary.readouterr().out
+    if mode == "eval":
+        states, exc = json.loads(out)["commands"]
+        assert states["detail"]["result"] == 2  # step after reading 1
+        assert exc["detail"]["result"] == ["val", 2]  # caught, then bumped
+
+
+@pytest.mark.parametrize("shape", sorted(_nested(2)))
+def test_nesting_past_the_bound_is_a_parse_error(tmp_path, shape,
+                                                 capfdbinary):
+    line = _nested(MAX_NESTING + 1)[shape]
+    path = _write(tmp_path, _HEAD + line)
+    # the token that opens the level past the bound
+    opener = {"paren-term": "step", "paren-type": "V[x]", "product": "V[x]",
+              "try": "raise"}[shape]
+    col = line.rindex(opener) + 1
+    assert cli.main(["eval", path]) == 2
+    err = capfdbinary.readouterr().err.decode()
+    assert err == (f"error: line 5:{col}: nesting deeper than "
+                   f"{MAX_NESTING} levels\n")
+
+
+@pytest.mark.parametrize("shape", sorted(_nested(2)))
+def test_deep_nesting_exits_two_without_a_traceback(tmp_path, shape,
+                                                    capfdbinary):
+    # depth 1200 overflowed the Python stack before nesting was bounded
+    path = _write(tmp_path, _HEAD + _nested(1200)[shape])
+    for mode in MODES:
+        assert cli.main([mode, path]) == 2
+    err = capfdbinary.readouterr().err.decode()
+    assert err.count("nesting deeper than") == len(MODES)
+
+
+# --------------------------------------------------------- golden bytes
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bank_account_reports_match_the_golden_bytes(mode, capfdbinary):
+    assert cli.main([mode, str(BANK), "--format", "json"]) == 0
+    golden = GOLDEN / f"bank_account.{mode}.json"
+    assert capfdbinary.readouterr().out == golden.read_bytes()

@@ -11,8 +11,8 @@ from decorlogic import dsl, errors as E
 from decorlogic.cli import main
 from decorlogic.dsl import (ExecConfig, build_proof,
                             derivation_json, derivation_to_proof,
-                            derivation_tree_lines, emit_report, execute,
-                            parse_script, print_script, report_json, _lex)
+                            emit_report, execute, parse_script, print_script,
+                            report_json, _lex, _tree_text)
 from decorlogic.exceptions import derive_lemma as exc_lemma
 from decorlogic.kernel import ProveResult, axiom_node, check_derivation, node
 from decorlogic.states import builtin_proof as st_proof, derive_lemma as st_lemma
@@ -70,6 +70,52 @@ def test_lexer_rejects_stray_characters():
     with pytest.raises(E.LexError) as err:
         _lex("theory S ?= states(x: 2)")
     assert (err.value.line, err.value.col) == (1, 10)
+
+
+def _positions(text):
+    return [(t.text, t.line, t.col) for t in _lex(text)]
+
+
+def test_lexer_positions_count_tabs_as_one_column():
+    assert _positions("\ta\t=\tb \t\n\t \n c\t") == [
+        ("a", 1, 2), ("=", 1, 4), ("b", 1, 6), ("c", 3, 2), ("", 4, 1)]
+
+
+def test_lexer_positions_skip_comments():
+    assert _positions("a # b ? c\n  # only a comment\n  d") == [
+        ("a", 1, 1), ("d", 3, 3), ("", 4, 1)]
+
+
+def test_lexer_positions_follow_splitlines():
+    # \r\n is one break; \x0c, \x0b, \x1c and \u2028 break lines too
+    assert _positions("a\r\n b\r\n") == [("a", 1, 1), ("b", 2, 2), ("", 3, 1)]
+    assert _positions("a\x0cb\x0b c\x1cd\u2028  e") == [
+        ("a", 1, 1), ("b", 2, 1), ("c", 3, 2), ("d", 4, 1), ("e", 5, 3),
+        ("", 6, 1)]
+
+
+def test_lexer_eof_token_sits_after_the_last_line():
+    assert _positions("") == [("", 1, 1)]
+    assert _positions("a\nb") == _positions("a\nb\n") == [
+        ("a", 1, 1), ("b", 2, 1), ("", 3, 1)]
+    assert _positions("a\n\n\n")[-1] == ("", 4, 1)
+    assert _lex("a\n")[-1].kind == "eof"
+
+
+def test_lexer_reports_a_stray_character_on_a_later_line():
+    src = "theory S = states(x: 2)\n\n  term q in S = l[x] @ u[x]\n"
+    with pytest.raises(E.LexError) as err:
+        _lex(src)
+    assert (err.value.line, err.value.col) == (3, 22)
+    assert str(err.value) == "line 3:22: stray character '@'"
+
+
+def test_lexer_keeps_digit_led_rule_names_apart_from_ints():
+    toks = _lex("1-to-2 0-comp 1 0 12 1->0 3-x")
+    assert [(t.kind, t.text) for t in toks[:-1]] == [
+        ("ident", "1-to-2"), ("ident", "0-comp"), ("int", "1"), ("int", "0"),
+        ("int", "12"), ("int", "1"), ("sym", "->"), ("int", "0"),
+        ("ident", "3-x")]
 
 
 # ---------------------------------------------------------------- parsing
@@ -309,7 +355,7 @@ def test_derivation_json_shape(states2):
     tree = derivation_json(d)
     assert set(tree) == {"rule", "inst", "conclusion", "premises"}
     assert tree["conclusion"] == str(d.conclusion)
-    lines = derivation_tree_lines(d)
+    lines = _tree_text(tree, 0)
     assert lines[0].startswith(tree["rule"].split("(")[0][:4] or tree["rule"])
     assert len(lines) == check_derivation(states2, d).nodes
 

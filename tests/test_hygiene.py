@@ -1,6 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and none raises the interpreter's recursion limit.
 
-`__init__.py` is left out, since re-exporting is what it imports for.
+`__init__.py` is left out of the import scan, since re-exporting is what
+it imports for.
 """
 
 from __future__ import annotations
@@ -57,3 +59,32 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def recursion_limit_uses(source: str) -> list[int]:
+    """Lines of `source` that call setrecursionlimit or import it by name."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            if name == "setrecursionlimit":
+                lines.append(n.lineno)
+        elif isinstance(n, ast.ImportFrom) and any(
+                a.name == "setrecursionlimit" for a in n.names):
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_sees_a_recursion_limit_change():
+    assert recursion_limit_uses(
+        "import sys\nsys.setrecursionlimit(9)\n"
+        "from sys import setrecursionlimit as s\ns(9)\n") == [2, 3]
+    assert recursion_limit_uses("import sys\nsys.getrecursionlimit()\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_recursion_limit_changes(path):
+    assert recursion_limit_uses(path.read_text(encoding="utf-8")) == []
