@@ -64,26 +64,6 @@ _RESERVED = frozenset({
     "holds", "wf", "level", "states", "exceptions", "dual", "V", "P",
 }) | frozenset(_LEVEL_KEYWORDS)
 
-# instantiation argument kinds, by rule and key ("name" is a bare index)
-_INST_KIND: dict[tuple[str, str], str] = {}
-for _r in ("id", "0-id", "unit-arrow", "empty-arrow"):
-    _INST_KIND[(_r, "at")] = "type"
-for _r in ("loc-tuple", "const-cotuple"):
-    _INST_KIND[(_r, "at")] = "name"
-    _INST_KIND[(_r, "family")] = "family"
-for _r in ("loc-tuple-unique", "const-cotuple-unique"):
-    _INST_KIND[(_r, "family")] = "family"
-    _INST_KIND[(_r, "g")] = "term"
-for _r in ("binprod-proj", "bincoprod-inj"):
-    _INST_KIND[(_r, "which")] = "int"
-    _INST_KIND[(_r, "left")] = "type"
-    _INST_KIND[(_r, "right")] = "type"
-
-
-def _inst_kind(rule: str, key: str) -> str:
-    return _INST_KIND.get((rule, key), "term")
-
-
 # ------------------------------------------------------------------ lexer
 
 class Token:
@@ -472,21 +452,9 @@ class _Parser:
     def _handler_clauses(self, theory: str
                          ) -> tuple[list[tuple[str, Term]], Optional[Term]]:
         self.expect("sym", "(")
-        clauses: list[tuple[str, Term]] = []
-        catch_all: Optional[Term] = None
-        while True:
-            if self.at("ident", "_"):
-                self.next()
-                self.expect("sym", "=>")
-                catch_all = self.term_expr(theory)
-            else:
-                idx = self.expect("ident").text
-                self.expect("sym", "=>")
-                clauses.append((idx, self.term_expr(theory)))
-            if not self.eat("sym", ","):
-                break
+        out = self._handler_clauses_tail(theory)
         self.expect("sym", ")")
-        return clauses, catch_all
+        return out
 
     def term_atom(self, theory: str) -> Term:
         tok = self.peek()
@@ -600,9 +568,8 @@ class _Parser:
                 idx = self.expect("ident").text
                 self.expect("sym", "=>")
                 clauses.append((idx, self.term_expr(theory)))
-            if not self.at("sym", ","):
+            if not self.eat("sym", ","):
                 break
-            self.next()
         return clauses, catch_all
 
     def _build_handler(self, body: Term, clauses: list[tuple[str, Term]],
@@ -626,7 +593,7 @@ class _Parser:
     # ---- proof steps
 
     def _inst_value(self, theory: str, rule: str, key: str) -> Any:
-        kind = _inst_kind(rule, key)
+        kind = RULES[rule].key_kind(key)
         if kind == "type":
             return self.type_expr()
         if kind == "name":
@@ -948,8 +915,9 @@ def _type_text(ty: TypeExpr) -> str:
     return str(ty)
 
 
-def _inst_text(rule: str, key: str, value: Any) -> str:
-    kind = _inst_kind(rule, key)
+def _inst_text(rule: Any, key: str, value: Any) -> str:
+    spec = RULES.get(rule)
+    kind = spec.key_kind(key) if spec else "term"
     if kind == "family":
         inner = ", ".join(f"{i}: {term_to_text(t)}" for i, t in value)
         return f"({inner})"
@@ -1117,8 +1085,7 @@ def derivation_json(d: Derivation) -> dict:
         rule = d.rule
     return {
         "rule": rule,
-        "inst": {k: _inst_text(d.rule if isinstance(d.rule, str) else "",
-                               k, v) for k, v in d.inst},
+        "inst": {k: _inst_text(d.rule, k, v) for k, v in d.inst},
         "conclusion": str(d.conclusion),
         "premises": [derivation_json(p) for p in d.premises],
     }

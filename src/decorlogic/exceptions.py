@@ -171,8 +171,9 @@ def catch_equation(theory: Theory, i: str,
     return eq_strong(comp(raise_term(theory, i, to), Catch(i)), FromEmpty(to))
 
 
-def _default_commute(theory: Theory, i: str, j: str, f, g, h):
-    y = Param(j)
+def _default_clauses(theory: Theory, i: str, y: TypeExpr, f, g, h):
+    """The handler body f and clauses g, h a law leaves out: raise i into
+    y, raise it again, and the identity of y."""
     if f is None:
         f = raise_term(theory, i, y)
     if g is None:
@@ -185,27 +186,16 @@ def _default_commute(theory: Theory, i: str, j: str, f, g, h):
 def handler_commute_equation(theory: Theory, i: str, j: str,
                              f=None, g=None, h=None) -> Equation:
     """Clauses for two different keys can swap places."""
-    f, g, h = _default_commute(theory, i, j, f, g, h)
+    f, g, h = _default_clauses(theory, i, Param(j), f, g, h)
     lhs = handle_term(theory, f, [(i, g), (j, h)]).term
     rhs = handle_term(theory, f, [(j, h), (i, g)]).term
     return eq_strong(lhs, rhs)
 
 
-def _default_idem(theory: Theory, i: str, f, g, h):
-    y = Param(i)
-    if f is None:
-        f = raise_term(theory, i, y)
-    if g is None:
-        g = raise_term(theory, i, y)
-    if h is None:
-        h = Id(y)
-    return f, g, h
-
-
 def handler_idempotent_equation(theory: Theory, i: str,
                                 f=None, g=None, h=None) -> Equation:
     """A second clause for the same key is dead code."""
-    f, g, h = _default_idem(theory, i, f, g, h)
+    f, g, h = _default_clauses(theory, i, Param(i), f, g, h)
     lhs = handle_term(theory, f, [(i, g), (i, h)]).term
     rhs = handle_term(theory, f, [(i, g)]).term
     return eq_strong(lhs, rhs)
@@ -403,12 +393,13 @@ def derive_lemma(theory: Theory, lemma_id: str, params=None) -> Derivation:
         return _catch_throw(theory, i, p.get("to", Param(i)))
     if lemma_id == "handler-commute":
         i, j = _name(theory, want("i")), _name(theory, want("j"))
-        f, g, h = _default_commute(theory, i, j,
+        f, g, h = _default_clauses(theory, i, Param(j),
                                    p.get("f"), p.get("g"), p.get("h"))
         return _handler_commute(theory, i, j, f, g, h)
     if lemma_id == "handler-idempotent":
         i = _name(theory, want("i"))
-        f, g, h = _default_idem(theory, i, p.get("f"), p.get("g"), p.get("h"))
+        f, g, h = _default_clauses(theory, i, Param(i),
+                                   p.get("f"), p.get("g"), p.get("h"))
         return _handler_idempotent(theory, i, f, g, h)
     raise E.UnknownLemma(f"no exceptions lemma {lemma_id!r} "
                          f"(expected one of {', '.join(LEMMAS)})")

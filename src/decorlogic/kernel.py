@@ -15,6 +15,14 @@ Rule naming follows the construct it governs, with the w- prefix for the weak
 variants. Conclusions are always associativity/identity-normalized; premise
 matching is structural equality of normalized judgments.
 
+Each rule declares, where it is registered (`_rule`, `_rule_pair`), its
+premise count and its instantiation keys with their kinds (`RuleSpec`).
+`apply_rule` checks the count, takes each key in order (a term is
+normalized and typechecked, a type checked against the theory), refuses
+keys the rule does not declare, and hands the checked values to the rule
+body, which holds only the rule's logic. The script front end reads the
+same declarations to parse and print instantiations.
+
 States and exceptions are dual: each states-side rule and its exceptions-side
 partner are one implementation, read on either side (`_Side`), and
 `RuleSpec.dual` names the partner that `dualize_derivation` switches to.
@@ -40,7 +48,7 @@ from .terms import (
     Term, ToUnit, Throw, Update, normalize_assoc, subterms,
 )
 from .theory import (
-    Equation, STRONG, Theory, WEAK, norm_eq, typecheck,
+    Equation, STRONG, Theory, WEAK, check_type, norm_eq, typecheck,
     typecheck_equation,
 )
 from .types import EMPTY, TYPE_CLASSES, TypeExpr, UNIT, Unit, Empty
@@ -90,12 +98,7 @@ class Derivation:
         return sum(1 for _ in self.iter_nodes())
 
 
-# ------------------------------------------------- instantiation helpers
-
-def _arity(premises: tuple, n: int, rid: str) -> None:
-    if len(premises) != n:
-        raise E.BadPremises(f"{rid} takes {n} premises, got {len(premises)}")
-
+# ------------------------------------------------------- premise helpers
 
 def _as_holds(p: Judgment, rid: str) -> Equation:
     if not isinstance(p, Holds):
@@ -120,45 +123,6 @@ def _wkind(theory: Theory) -> str:
     return WEAK if theory.flavor != "plain" else STRONG
 
 
-def _take(inst: dict, key: str, rid: str) -> Any:
-    if key not in inst:
-        raise E.BadInstantiation(f"{rid} needs instantiation key {key!r}")
-    return inst.pop(key)
-
-
-def _take_term(theory: Theory, inst: dict, key: str, rid: str) -> Term:
-    v = _take(inst, key, rid)
-    if not isinstance(v, TERM_CLASSES):
-        raise E.BadInstantiation(f"{rid}: {key!r} must be a term")
-    v = normalize_assoc(v)
-    typecheck(theory, v)
-    return v
-
-
-def _take_type(theory: Theory, inst: dict, key: str, rid: str) -> TypeExpr:
-    from .theory import check_type
-    v = _take(inst, key, rid)
-    if not isinstance(v, TYPE_CLASSES):
-        raise E.BadInstantiation(f"{rid}: {key!r} must be a type")
-    check_type(theory, v)
-    return v
-
-
-def _take_family(theory: Theory, inst: dict, key: str, rid: str
-                 ) -> tuple[tuple[str, Term], ...]:
-    v = _take(inst, key, rid)
-    try:
-        fam = tuple((str(i), normalize_assoc(f)) for i, f in v)
-    except Exception:
-        raise E.BadInstantiation(f"{rid}: {key!r} must be (index, term) pairs")
-    return fam
-
-
-def _done(inst: dict, rid: str) -> None:
-    if inst:
-        raise E.BadInstantiation(f"{rid}: unexpected keys {sorted(inst)}")
-
-
 def _decorated(theory: Theory) -> bool:
     return theory.flavor != "plain"
 
@@ -173,15 +137,61 @@ def _require_pure(theory: Theory, t: Term, rid: str, what: str) -> None:
     _require_level(theory, t, 0, rid, what)
 
 
+# -------------------------------------------------- instantiation values
+
+# how a required term class reads in a complaint, when not by its name
+_SHAPES = {CaseSum: "case(g, k)", Coerce: "coerce(k)", PropCase: "cases(g, h)"}
+
+
+def _inst_value(theory: Theory, rid: str, key: str, kind: Any, v: Any) -> Any:
+    """Check one instantiation value of the declared kind; returns it in
+    the form the rule body reads."""
+    if kind in ("name", "int"):
+        return v
+    if kind == "type":
+        if not isinstance(v, TYPE_CLASSES):
+            raise E.BadInstantiation(f"{rid}: {key!r} must be a type")
+        check_type(theory, v)
+        return v
+    if kind == "family":
+        try:
+            return tuple((str(i), normalize_assoc(f)) for i, f in v)
+        except Exception:
+            raise E.BadInstantiation(f"{rid}: {key!r} must be (index, term) pairs")
+    if not isinstance(v, TERM_CLASSES):
+        raise E.BadInstantiation(f"{rid}: {key!r} must be a term")
+    v = normalize_assoc(v)
+    typecheck(theory, v)
+    if kind != "term" and not isinstance(v, kind):
+        raise E.BadInstantiation(
+            f"{rid} needs a {_SHAPES.get(kind, kind.__name__)} term")
+    return v
+
+
 # ----------------------------------------------------------- rule table
 
 @dataclass(frozen=True)
 class RuleSpec:
+    """A catalog rule. `premises` is its premise count (None when the body
+    checks a count that depends on the input) and `keys` its instantiation
+    keys in the order they are taken, each with its kind: "term", "type",
+    "family" ((index, term) pairs), "name", "int", or a term class the
+    value must be an instance of. `impl` gets the checked values as
+    keywords."""
+
     rid: str
     flavors: frozenset
     impl: Callable
     doc: str
     dual: Optional[str]  # the rule read on the other side; None if it has none
+    premises: Optional[int]
+    keys: Mapping[str, Any]
+
+    def key_kind(self, key: str) -> str:
+        """How key's value is written: a term class is a "term", and so is
+        a key the rule does not declare."""
+        kind = self.keys.get(key, "term")
+        return kind if isinstance(kind, str) else "term"
 
 
 RULES: dict[str, RuleSpec] = {}
@@ -191,12 +201,14 @@ _ST = frozenset({"states", "plain"})
 _EX = frozenset({"exceptions", "plain"})
 
 
-def _rule(rid: str, flavors: frozenset, doc: str):
+def _rule(rid: str, flavors: frozenset, doc: str, premises: Optional[int],
+          keys: Optional[Mapping[str, Any]] = None):
     """Register a rule of one reading: a core rule is its own dual, a rule
     of one side only (the handler rules) has none."""
     def deco(fn):
         RULES[rid] = RuleSpec(rid, flavors, fn, doc,
-                              rid if flavors == _CORE else None)
+                              rid if flavors == _CORE else None,
+                              premises, dict(keys or {}))
         return fn
     return deco
 
@@ -217,7 +229,6 @@ class _Side:
     to_unit: type            # ToUnit / FromEmpty
     lookup: type             # Lookup / Throw
     loc_tuple: type          # LocTuple / ConstCotuple
-    semi: type               # SemiProd / SemiCoprod
     projs: tuple             # (Proj1, Proj2) / (Inj1, Inj2)
 
     def src(self, t: Term) -> TypeExpr:
@@ -231,25 +242,29 @@ class _Side:
         return normalize_assoc(Comp(f, g) if self.op else Comp(g, f))
 
 
-_STATES = _Side(False, Unit, ToUnit, Lookup, LocTuple, SemiProd, (Proj1, Proj2))
-_EXCEPTIONS = _Side(True, Empty, FromEmpty, Throw, ConstCotuple, SemiCoprod,
-                    (Inj1, Inj2))
+_STATES = _Side(False, Unit, ToUnit, Lookup, LocTuple, (Proj1, Proj2))
+_EXCEPTIONS = _Side(True, Empty, FromEmpty, Throw, ConstCotuple, (Inj1, Inj2))
 
 
 def _rule_pair(st_rid: str, st_doc: str, ex_rid: str, ex_doc: str,
+               premises: Optional[int],
+               keys: Optional[Mapping[str, Any]] = None,
                flavors: tuple = (_ST, _EX), **params):
     """Register one implementation twice: read on the states side as st_rid
     and on the exceptions side as its dual ex_rid.
 
-    The implementation takes the side and the rule id ahead of the usual
+    A key's kind may be a (states, exceptions) pair, like `flavors`. The
+    implementation takes the side and the rule id ahead of the usual
     (theory, premises, instantiation), and `params` as keywords.
     """
     def deco(fn):
         for side, rid, doc, fl, dual in (
                 (_STATES, st_rid, st_doc, flavors[0], ex_rid),
                 (_EXCEPTIONS, ex_rid, ex_doc, flavors[1], st_rid)):
+            sided = {k: kind[side.op] if isinstance(kind, tuple) else kind
+                     for k, kind in (keys or {}).items()}
             RULES[rid] = RuleSpec(rid, fl, partial(fn, side, rid, **params),
-                                  doc, dual)
+                                  doc, dual, premises, sided)
         return fn
     return deco
 
@@ -262,103 +277,78 @@ def list_rules(flavor: Optional[str] = None) -> list[str]:
 
 # core category rules ---------------------------------------------------
 
-@_rule("comp", _CORE, "WF(f,a), WF(g,b) => WF(g.f, max(a,b))")
-def _r_comp(theory, ps, inst):
-    _arity(ps, 2, "comp")
+@_rule("comp", _CORE, "WF(f,a), WF(g,b) => WF(g.f, max(a,b))", 2)
+def _r_comp(theory, ps):
     wf_f, wf_g = _as_wf(ps[0], "comp"), _as_wf(ps[1], "comp")
-    _done(inst, "comp")
     if wf_f.term.cod != wf_g.term.dom:
         raise E.BadPremises("comp: premises do not compose")
     t = normalize_assoc(Comp(wf_g.term, wf_f.term))
     return WellFormed(t, max(wf_f.level, wf_g.level))
 
 
-@_rule("id", _CORE, "=> WF(id[T], 2)")
-def _r_id(theory, ps, inst):
-    _arity(ps, 0, "id")
-    at = _take_type(theory, inst, "at", "id")
-    _done(inst, "id")
+@_rule("id", _CORE, "=> WF(id[T], 2)", 0, dict(at="type"))
+def _r_id(theory, ps, at):
     return WellFormed(Id(at), 2)
 
 
-@_rule("0-id", _CORE, "=> WF(id[T], 0)")
-def _r_zid(theory, ps, inst):
-    _arity(ps, 0, "0-id")
-    at = _take_type(theory, inst, "at", "0-id")
-    _done(inst, "0-id")
+@_rule("0-id", _CORE, "=> WF(id[T], 0)", 0, dict(at="type"))
+def _r_zid(theory, ps, at):
     return WellFormed(Id(at), 0)
 
 
-@_rule("assoc", _CORE, "=> h.(g.f) == (h.g).f  (normal forms coincide)")
-def _r_assoc(theory, ps, inst):
-    _arity(ps, 0, "assoc")
-    f = _take_term(theory, inst, "f", "assoc")
-    g = _take_term(theory, inst, "g", "assoc")
-    h = _take_term(theory, inst, "h", "assoc")
-    _done(inst, "assoc")
+@_rule("assoc", _CORE, "=> h.(g.f) == (h.g).f  (normal forms coincide)", 0,
+       dict(f="term", g="term", h="term"))
+def _r_assoc(theory, ps, f, g, h):
     lhs = normalize_assoc(Comp(h, Comp(g, f)))
     rhs = normalize_assoc(Comp(Comp(h, g), f))
     typecheck(theory, lhs)
     return Holds(Equation(lhs, rhs, STRONG))
 
 
-@_rule_pair("id-src", "=> f.id == f", "id-tgt", "=> id.f == f",
-            flavors=(_CORE, _CORE))
-def _r_id_src(side, rid, theory, ps, inst):
-    _arity(ps, 0, rid)
-    f = _take_term(theory, inst, "f", rid)
-    _done(inst, rid)
+@_rule_pair("id-src", "=> f.id == f", "id-tgt", "=> id.f == f", 0,
+            dict(f="term"), flavors=(_CORE, _CORE))
+def _r_id_src(side, rid, theory, ps, f):
     return Holds(Equation(side.then(f, Id(side.src(f))), f, STRONG))
 
 
-@_rule("eq-refl", _CORE, "=> f == f")
-def _r_eq_refl(theory, ps, inst):
-    _arity(ps, 0, "eq-refl")
-    f = _take_term(theory, inst, "f", "eq-refl")
-    _done(inst, "eq-refl")
+@_rule("eq-refl", _CORE, "=> f == f", 0, dict(f="term"))
+def _r_eq_refl(theory, ps, f):
     return Holds(Equation(f, f, STRONG))
 
 
-@_rule("eq-sym", _CORE, "a == b => b == a")
-def _r_eq_sym(theory, ps, inst):
-    _arity(ps, 1, "eq-sym")
+@_rule("eq-sym", _CORE, "a == b => b == a", 1)
+def _r_eq_sym(theory, ps):
     eq = _kind(_as_holds(ps[0], "eq-sym"), STRONG, "eq-sym")
-    _done(inst, "eq-sym")
     return Holds(Equation(eq.rhs, eq.lhs, STRONG))
 
 
-@_rule("eq-trans", _CORE, "a == b, b == c => a == c")
-def _r_eq_trans(theory, ps, inst):
-    _arity(ps, 2, "eq-trans")
+@_rule("eq-trans", _CORE, "a == b, b == c => a == c", 2)
+def _r_eq_trans(theory, ps):
     e1 = _kind(_as_holds(ps[0], "eq-trans"), STRONG, "eq-trans")
     e2 = _kind(_as_holds(ps[1], "eq-trans"), STRONG, "eq-trans")
-    _done(inst, "eq-trans")
     if e1.rhs != e2.lhs:
         raise E.BadPremises("eq-trans: middle terms differ")
     return Holds(Equation(e1.lhs, e2.rhs, STRONG))
 
 
 @_rule_pair("eq-subs", "g1 == g2 => g1.f == g2.f",
-            "eq-repl", "f1 == f2 => g.f1 == g.f2",
+            "eq-repl", "f1 == f2 => g.f1 == g.f2", 1, dict(by="term"),
             flavors=(_CORE, _CORE), weak=False, after=False, pure=False)
 @_rule_pair("w-subs", "g1 ~~ g2 => g1.f ~~ g2.f (any f)",
-            "w-repl", "f1 ~~ f2 => g.f1 ~~ g.f2 (any g)",
+            "w-repl", "f1 ~~ f2 => g.f1 ~~ g.f2 (any g)", 1, dict(by="term"),
             weak=True, after=False, pure=False)
 @_rule_pair("w-repl-pure", "f1 ~~ f2 => g.f1 ~~ g.f2 (g pure)",
-            "w-subs-pure", "g1 ~~ g2 => g1.f ~~ g2.f (f pure)",
-            weak=True, after=True, pure=True)
-def _r_congruence(side, rid, theory, ps, inst, *, weak, after, pure):
+            "w-subs-pure", "g1 ~~ g2 => g1.f ~~ g2.f (f pure)", 1,
+            dict(by="term"), weak=True, after=True, pure=True)
+def _r_congruence(side, rid, theory, ps, by, *, weak, after, pure):
     """Compose the context `by` with both sides of the premise: first
     (substitution) or, with `after`, last (replacement)."""
-    _arity(ps, 1, rid)
     eq = _kind(_as_holds(ps[0], rid), _wkind(theory) if weak else STRONG, rid)
-    c = _take_term(theory, inst, "by", rid)
-    _done(inst, rid)
     if pure:
-        _require_pure(theory, c, rid, "the context")
+        _require_pure(theory, by, rid, "the context")
 
     def around(t: Term) -> tuple[Term, Term]:
-        return (c, t) if after else (t, c)
+        return (by, t) if after else (t, by)
 
     g, f = around(eq.lhs)
     if side.tgt(f) != side.src(g):
@@ -369,31 +359,25 @@ def _r_congruence(side, rid, theory, ps, inst, *, weak, after, pure):
 
 # decoration bookkeeping ------------------------------------------------
 
-@_rule("0-to-1", _CORE, "WF(t,0) => WF(t,1)")
-def _r_0_to_1(theory, ps, inst):
-    _arity(ps, 1, "0-to-1")
+@_rule("0-to-1", _CORE, "WF(t,0) => WF(t,1)", 1)
+def _r_0_to_1(theory, ps):
     wf = _as_wf(ps[0], "0-to-1")
-    _done(inst, "0-to-1")
     if wf.level != 0:
         raise E.BadPremises("0-to-1 lifts level 0")
     return WellFormed(wf.term, 1)
 
 
-@_rule("1-to-2", _CORE, "WF(t,1) => WF(t,2)")
-def _r_1_to_2(theory, ps, inst):
-    _arity(ps, 1, "1-to-2")
+@_rule("1-to-2", _CORE, "WF(t,1) => WF(t,2)", 1)
+def _r_1_to_2(theory, ps):
     wf = _as_wf(ps[0], "1-to-2")
-    _done(inst, "1-to-2")
     if wf.level != 1:
         raise E.BadPremises("1-to-2 lifts level 1")
     return WellFormed(wf.term, 2)
 
 
-@_rule("0-comp", _CORE, "WF(f,0), WF(g,0) => WF(g.f, 0)")
-def _r_0_comp(theory, ps, inst):
-    _arity(ps, 2, "0-comp")
+@_rule("0-comp", _CORE, "WF(f,0), WF(g,0) => WF(g.f, 0)", 2)
+def _r_0_comp(theory, ps):
     wf_f, wf_g = _as_wf(ps[0], "0-comp"), _as_wf(ps[1], "0-comp")
-    _done(inst, "0-comp")
     if wf_f.level != 0 or wf_g.level != 0:
         raise E.BadPremises("0-comp composes two level-0 terms")
     if wf_f.term.cod != wf_g.term.dom:
@@ -401,11 +385,9 @@ def _r_0_comp(theory, ps, inst):
     return WellFormed(normalize_assoc(Comp(wf_g.term, wf_f.term)), 0)
 
 
-@_rule("1-comp", _CORE, "WF(f,1), WF(g,1) => WF(g.f, 1)")
-def _r_1_comp(theory, ps, inst):
-    _arity(ps, 2, "1-comp")
+@_rule("1-comp", _CORE, "WF(f,1), WF(g,1) => WF(g.f, 1)", 2)
+def _r_1_comp(theory, ps):
     wf_f, wf_g = _as_wf(ps[0], "1-comp"), _as_wf(ps[1], "1-comp")
-    _done(inst, "1-comp")
     if wf_f.level > 1 or wf_g.level > 1:
         raise E.BadPremises("1-comp composes two level-<=1 terms")
     if wf_f.term.cod != wf_g.term.dom:
@@ -415,47 +397,38 @@ def _r_1_comp(theory, ps, inst):
 
 # weak-equation core ----------------------------------------------------
 
-@_rule("w-refl", _CORE, "=> f ~~ f")
-def _r_w_refl(theory, ps, inst):
-    _arity(ps, 0, "w-refl")
-    f = _take_term(theory, inst, "f", "w-refl")
-    _done(inst, "w-refl")
+@_rule("w-refl", _CORE, "=> f ~~ f", 0, dict(f="term"))
+def _r_w_refl(theory, ps, f):
     return Holds(Equation(f, f, _wkind(theory)))
 
 
-@_rule("w-sym", _CORE, "a ~~ b => b ~~ a")
-def _r_w_sym(theory, ps, inst):
-    _arity(ps, 1, "w-sym")
+@_rule("w-sym", _CORE, "a ~~ b => b ~~ a", 1)
+def _r_w_sym(theory, ps):
     eq = _kind(_as_holds(ps[0], "w-sym"), _wkind(theory), "w-sym")
-    _done(inst, "w-sym")
     return Holds(Equation(eq.rhs, eq.lhs, eq.kind))
 
 
-@_rule("w-trans", _CORE, "a ~~ b, b ~~ c => a ~~ c")
-def _r_w_trans(theory, ps, inst):
-    _arity(ps, 2, "w-trans")
+@_rule("w-trans", _CORE, "a ~~ b, b ~~ c => a ~~ c", 2)
+def _r_w_trans(theory, ps):
     wk = _wkind(theory)
     e1 = _kind(_as_holds(ps[0], "w-trans"), wk, "w-trans")
     e2 = _kind(_as_holds(ps[1], "w-trans"), wk, "w-trans")
-    _done(inst, "w-trans")
     if e1.rhs != e2.lhs:
         raise E.BadPremises("w-trans: middle terms differ")
     return Holds(Equation(e1.lhs, e2.rhs, wk))
 
 
-@_rule("s-to-w", _CORE, "a == b => a ~~ b")
-def _r_s_to_w(theory, ps, inst):
-    _arity(ps, 1, "s-to-w")
+@_rule("s-to-w", _CORE, "a == b => a ~~ b", 1)
+def _r_s_to_w(theory, ps):
     eq = _kind(_as_holds(ps[0], "s-to-w"), STRONG, "s-to-w")
-    _done(inst, "s-to-w")
     return Holds(Equation(eq.lhs, eq.rhs, _wkind(theory)))
 
 
 # rule pairs: each states-side rule, read on the exceptions side ---------
 
 @_rule_pair("w-to-s", "a ~~ b => a == b (both levels <= 1)",
-            "w-to-s-prop", "a ~~ b => a == b (both levels <= 1)")
-def _r_w_to_s(side, rid, theory, ps, inst):
+            "w-to-s-prop", "a ~~ b => a == b (both levels <= 1)", None)
+def _r_w_to_s(side, rid, theory, ps):
     if len(ps) not in (1, 2):
         raise E.BadPremises(f"{rid} takes the weak premise, optionally a WF premise")
     eq = _kind(_as_holds(ps[0], rid), _wkind(theory), rid)
@@ -465,34 +438,25 @@ def _r_w_to_s(side, rid, theory, ps, inst):
             raise E.BadPremises(f"{rid}: WF premise names a term not in the equation")
         if wf.level > 1:
             raise E.BadPremises(f"{rid}: WF premise must be level <= 1")
-    _done(inst, rid)
     _require_level(theory, eq.lhs, 1, rid, "left side")
     _require_level(theory, eq.rhs, 1, rid, "right side")
     return Holds(Equation(eq.lhs, eq.rhs, STRONG))
 
 
-@_rule_pair("final", "=> WF(id[1], 0)", "initial", "=> WF(id[0], 0)")
-def _r_final(side, rid, theory, ps, inst):
-    _arity(ps, 0, rid)
-    _done(inst, rid)
+@_rule_pair("final", "=> WF(id[1], 0)", "initial", "=> WF(id[0], 0)", 0)
+def _r_final(side, rid, theory, ps):
     return WellFormed(Id(side.unit()), 0)
 
 
 @_rule_pair("unit-arrow", "=> WF(unit[X], 0)",
-            "empty-arrow", "=> WF(empty[Y], 0)")
-def _r_unit_arrow(side, rid, theory, ps, inst):
-    _arity(ps, 0, rid)
-    at = _take_type(theory, inst, "at", rid)
-    _done(inst, rid)
+            "empty-arrow", "=> WF(empty[Y], 0)", 0, dict(at="type"))
+def _r_unit_arrow(side, rid, theory, ps, at):
     return WellFormed(side.to_unit(at), 0)
 
 
 @_rule_pair("w-final", "=> f ~~ unit[X] for f: X -> 1",
-            "w-initial", "=> f ~~ empty[Y] for f: 0 -> Y")
-def _r_w_final(side, rid, theory, ps, inst):
-    _arity(ps, 0, rid)
-    f = _take_term(theory, inst, "f", rid)
-    _done(inst, rid)
+            "w-initial", "=> f ~~ empty[Y] for f: 0 -> Y", 0, dict(f="term"))
+def _r_w_final(side, rid, theory, ps, f):
     if not isinstance(side.tgt(f), side.unit):
         raise E.BadInstantiation(
             f"{rid} applies to maps {'out of' if side.op else 'into'} {side.unit()}")
@@ -500,15 +464,12 @@ def _r_w_final(side, rid, theory, ps, inst):
 
 
 @_rule_pair("loc-tuple", "=> l[i].tuple(..) ~~ component i",
-            "const-cotuple", "=> cotuple(..).t[i] ~~ component i")
-def _r_loc_tuple(side, rid, theory, ps, inst):
-    _arity(ps, 0, rid)
-    fam = _take_family(theory, inst, "family", rid)
-    at = _take(inst, "at", rid)
-    _done(inst, rid)
-    cone = side.loc_tuple(fam)
+            "const-cotuple", "=> cotuple(..).t[i] ~~ component i", 0,
+            dict(family="family", at="name"))
+def _r_loc_tuple(side, rid, theory, ps, family, at):
+    cone = side.loc_tuple(family)
     typecheck(theory, cone)
-    fam_map = dict(fam)
+    fam_map = dict(family)
     if at not in fam_map:
         raise E.BadInstantiation(f"{rid}: no component for {at!r}")
     return Holds(Equation(side.then(side.lookup(at), cone), fam_map[at],
@@ -518,18 +479,17 @@ def _r_loc_tuple(side, rid, theory, ps, inst):
 @_rule_pair("loc-tuple-unique",
             "l[i].g ~~ f_i for every location => g == tuple(f)",
             "const-cotuple-unique",
-            "g.t[i] ~~ f_i for every exception name => g == cotuple(f)")
-def _r_loc_tuple_unique(side, rid, theory, ps, inst):
-    fam = _take_family(theory, inst, "family", rid)
-    g = _take_term(theory, inst, "g", rid)
-    _done(inst, rid)
-    cone = side.loc_tuple(fam)
+            "g.t[i] ~~ f_i for every exception name => g == cotuple(f)",
+            None, dict(family="family", g="term"))
+def _r_loc_tuple_unique(side, rid, theory, ps, family, g):
+    cone = side.loc_tuple(family)
     typecheck(theory, cone)
     if side.src(g) != side.src(cone) or not isinstance(side.tgt(g), side.unit):
         raise E.BadInstantiation(f"{rid}: g must share the cone's profile")
-    _arity(ps, len(fam), rid)
+    if len(ps) != len(family):
+        raise E.BadPremises(f"{rid} takes {len(family)} premises, got {len(ps)}")
     wk = _wkind(theory)
-    for (i, fi), p in zip(fam, ps):
+    for (i, fi), p in zip(family, ps):
         want = Equation(side.then(side.lookup(i), g), fi, wk)
         if _as_holds(p, rid) != want:
             raise E.BadPremises(
@@ -538,33 +498,26 @@ def _r_loc_tuple_unique(side, rid, theory, ps, inst):
 
 
 @_rule_pair("semiprod-P1", "=> weak projection law, pure factor",
-            "semicoprod-P1", "=> weak injection law, pure factor", pure=True)
+            "semicoprod-P1", "=> weak injection law, pure factor", 0,
+            dict(term=(SemiProd, SemiCoprod)), pure=True)
 @_rule_pair("semiprod-P2", "=> strong projection law, effectful factor",
-            "semicoprod-P2", "=> strong injection law, effectful factor",
-            pure=False)
-def _r_semi_projection(side, rid, theory, ps, inst, *, pure):
+            "semicoprod-P2", "=> strong injection law, effectful factor", 0,
+            dict(term=(SemiProd, SemiCoprod)), pure=False)
+def _r_semi_projection(side, rid, theory, ps, term, *, pure):
     """Projecting a semi-pure pairing onto one factor: weakly the pure one,
     strongly the effectful one."""
-    _arity(ps, 0, rid)
-    t = _take_term(theory, inst, "term", rid)
-    _done(inst, rid)
-    if not isinstance(t, side.semi):
-        raise E.BadInstantiation(f"{rid} needs a {side.semi.__name__} term")
-    first, second = (t.pure, t.eff) if t.pure_on_left else (t.eff, t.pure)
-    proj = side.projs[0] if pure == t.pure_on_left else side.projs[1]
-    lhs = side.then(proj(side.tgt(first), side.tgt(second)), t)
-    rhs = side.then(t.pure if pure else t.eff,
+    first, second = ((term.pure, term.eff) if term.pure_on_left
+                     else (term.eff, term.pure))
+    proj = side.projs[0] if pure == term.pure_on_left else side.projs[1]
+    lhs = side.then(proj(side.tgt(first), side.tgt(second)), term)
+    rhs = side.then(term.pure if pure else term.eff,
                     proj(side.src(first), side.src(second)))
     return Holds(Equation(lhs, rhs, _wkind(theory) if pure else STRONG))
 
 
-@_rule_pair("binprod-proj", "=> WF(p1/p2, 0)", "bincoprod-inj", "=> WF(in1/in2, 0)")
-def _r_binprod_proj(side, rid, theory, ps, inst):
-    _arity(ps, 0, rid)
-    which = _take(inst, "which", rid)
-    left = _take_type(theory, inst, "left", rid)
-    right = _take_type(theory, inst, "right", rid)
-    _done(inst, rid)
+@_rule_pair("binprod-proj", "=> WF(p1/p2, 0)", "bincoprod-inj",
+            "=> WF(in1/in2, 0)", 0, dict(which="int", left="type", right="type"))
+def _r_binprod_proj(side, rid, theory, ps, which, left, right):
     if which not in (1, 2):
         raise E.BadInstantiation(f"{rid}: which must be 1 or 2")
     return WellFormed((side.projs[0] if which == 1 else side.projs[1])(left, right), 0)
@@ -572,137 +525,107 @@ def _r_binprod_proj(side, rid, theory, ps, inst):
 
 # handler rules: exceptions side only, no dual ---------------------------
 
-def _case_term(theory, inst, rid) -> CaseSum:
-    t = _take_term(theory, inst, "term", rid)
-    if not isinstance(t, CaseSum):
-        raise E.BadInstantiation(f"{rid} needs a case(g, k) term")
-    return t
+@_rule("sum-case-exists", _EX, "=> WF(case(g,k), level)", 0,
+       dict(term=CaseSum))
+def _r_sum_case_exists(theory, ps, term):
+    return WellFormed(term, term.level)
 
 
-@_rule("sum-case-exists", _EX, "=> WF(case(g,k), level)")
-def _r_sum_case_exists(theory, ps, inst):
-    _arity(ps, 0, "sum-case-exists")
-    t = _case_term(theory, inst, "sum-case-exists")
-    _done(inst, "sum-case-exists")
-    return WellFormed(t, t.level)
+@_rule("sum-case-weak", _EX, "=> case(g,k) ~~ g", 0, dict(term=CaseSum))
+def _r_sum_case_weak(theory, ps, term):
+    return Holds(Equation(term, term.on_value, _wkind(theory)))
 
 
-@_rule("sum-case-weak", _EX, "=> case(g,k) ~~ g")
-def _r_sum_case_weak(theory, ps, inst):
-    _arity(ps, 0, "sum-case-weak")
-    t = _case_term(theory, inst, "sum-case-weak")
-    _done(inst, "sum-case-weak")
-    return Holds(Equation(t, t.on_value, _wkind(theory)))
+@_rule("sum-case-empty", _EX, "=> case(g,k).empty[X] == k", 0,
+       dict(term=CaseSum))
+def _r_sum_case_empty(theory, ps, term):
+    return Holds(Equation(normalize_assoc(Comp(term, FromEmpty(term.dom))),
+                          term.on_empty, STRONG))
 
 
-@_rule("sum-case-empty", _EX, "=> case(g,k).empty[X] == k")
-def _r_sum_case_empty(theory, ps, inst):
-    _arity(ps, 0, "sum-case-empty")
-    t = _case_term(theory, inst, "sum-case-empty")
-    _done(inst, "sum-case-empty")
-    return Holds(Equation(normalize_assoc(Comp(t, FromEmpty(t.dom))),
-                          t.on_empty, STRONG))
-
-
-@_rule("sum-case-prop", _EX, "=> case(g,k) == g when k cannot catch")
-def _r_sum_case_prop(theory, ps, inst):
-    _arity(ps, 0, "sum-case-prop")
-    t = _case_term(theory, inst, "sum-case-prop")
-    _done(inst, "sum-case-prop")
-    _require_level(theory, t.on_empty, 1, "sum-case-prop", "the exception branch")
-    return Holds(Equation(t, t.on_value, STRONG))
+@_rule("sum-case-prop", _EX, "=> case(g,k) == g when k cannot catch", 0,
+       dict(term=CaseSum))
+def _r_sum_case_prop(theory, ps, term):
+    _require_level(theory, term.on_empty, 1, "sum-case-prop", "the exception branch")
+    return Holds(Equation(term, term.on_value, STRONG))
 
 
 @_rule("sum-case-unique", _EX,
-       "h ~~ g and h.empty[X] == k => h == case(g, k)")
-def _r_sum_case_unique(theory, ps, inst):
-    _arity(ps, 2, "sum-case-unique")
-    t = _case_term(theory, inst, "sum-case-unique")
-    h = _take_term(theory, inst, "h", "sum-case-unique")
-    _done(inst, "sum-case-unique")
-    wk = _wkind(theory)
-    want1 = Equation(h, t.on_value, wk)
-    want2 = Equation(normalize_assoc(Comp(h, FromEmpty(h.dom))), t.on_empty, STRONG)
+       "h ~~ g and h.empty[X] == k => h == case(g, k)", 2,
+       dict(term=CaseSum, h="term"))
+def _r_sum_case_unique(theory, ps, term, h):
+    want1 = Equation(h, term.on_value, _wkind(theory))
+    want2 = Equation(normalize_assoc(Comp(h, FromEmpty(h.dom))), term.on_empty,
+                     STRONG)
     if _as_holds(ps[0], "sum-case-unique") != want1:
         raise E.BadPremises(f"sum-case-unique: first premise should be {want1}")
     if _as_holds(ps[1], "sum-case-unique") != want2:
         raise E.BadPremises(f"sum-case-unique: second premise should be {want2}")
-    return Holds(Equation(h, t, STRONG))
+    return Holds(Equation(h, term, STRONG))
 
 
-def _coerce_term(theory, inst, rid) -> Coerce:
-    t = _take_term(theory, inst, "term", rid)
-    if not isinstance(t, Coerce):
-        raise E.BadInstantiation(f"{rid} needs a coerce(k) term")
-    return t
+@_rule("coerce-exists", _EX, "=> WF(coerce(k), 1)", 0, dict(term=Coerce))
+def _r_coerce_exists(theory, ps, term):
+    return WellFormed(term, min(term.level, 1))
 
 
-@_rule("coerce-exists", _EX, "=> WF(coerce(k), 1)")
-def _r_coerce_exists(theory, ps, inst):
-    _arity(ps, 0, "coerce-exists")
-    t = _coerce_term(theory, inst, "coerce-exists")
-    _done(inst, "coerce-exists")
-    return WellFormed(t, min(t.level, 1))
+@_rule("coerce-weak", _EX, "=> coerce(k) ~~ k", 0, dict(term=Coerce))
+def _r_coerce_weak(theory, ps, term):
+    return Holds(Equation(term, term.inner, _wkind(theory)))
 
 
-@_rule("coerce-weak", _EX, "=> coerce(k) ~~ k")
-def _r_coerce_weak(theory, ps, inst):
-    _arity(ps, 0, "coerce-weak")
-    t = _coerce_term(theory, inst, "coerce-weak")
-    _done(inst, "coerce-weak")
-    return Holds(Equation(t, t.inner, _wkind(theory)))
-
-
-@_rule("coerce-unique", _EX, "p ~~ k => p == coerce(k) (p level <= 1)")
-def _r_coerce_unique(theory, ps, inst):
-    _arity(ps, 1, "coerce-unique")
-    t = _coerce_term(theory, inst, "coerce-unique")
-    p = _take_term(theory, inst, "p", "coerce-unique")
-    _done(inst, "coerce-unique")
+@_rule("coerce-unique", _EX, "p ~~ k => p == coerce(k) (p level <= 1)", 1,
+       dict(term=Coerce, p="term"))
+def _r_coerce_unique(theory, ps, term, p):
     _require_level(theory, p, 1, "coerce-unique", "the compared propagator")
-    want = Equation(p, t.inner, _wkind(theory))
+    want = Equation(p, term.inner, _wkind(theory))
     if _as_holds(ps[0], "coerce-unique") != want:
         raise E.BadPremises(f"coerce-unique: premise should be {want}")
-    return Holds(Equation(p, t, STRONG))
+    return Holds(Equation(p, term, STRONG))
 
 
-def _propcase_term(theory, inst, rid) -> PropCase:
-    t = _take_term(theory, inst, "term", rid)
-    if not isinstance(t, PropCase):
-        raise E.BadInstantiation(f"{rid} needs a cases(g, h) term")
-    return t
+@_rule("propcase-inl", _EX, "=> cases(g,h).in1 == g", 0, dict(term=PropCase))
+def _r_propcase_inl(theory, ps, term):
+    inj = Inj1(term.on_left.dom, term.on_right.dom)
+    return Holds(Equation(normalize_assoc(Comp(term, inj)), term.on_left, STRONG))
 
 
-@_rule("propcase-inl", _EX, "=> cases(g,h).in1 == g")
-def _r_propcase_inl(theory, ps, inst):
-    _arity(ps, 0, "propcase-inl")
-    t = _propcase_term(theory, inst, "propcase-inl")
-    _done(inst, "propcase-inl")
-    inj = Inj1(t.on_left.dom, t.on_right.dom)
-    return Holds(Equation(normalize_assoc(Comp(t, inj)), t.on_left, STRONG))
-
-
-@_rule("propcase-inr", _EX, "=> cases(g,h).in2 == h")
-def _r_propcase_inr(theory, ps, inst):
-    _arity(ps, 0, "propcase-inr")
-    t = _propcase_term(theory, inst, "propcase-inr")
-    _done(inst, "propcase-inr")
-    inj = Inj2(t.on_left.dom, t.on_right.dom)
-    return Holds(Equation(normalize_assoc(Comp(t, inj)), t.on_right, STRONG))
+@_rule("propcase-inr", _EX, "=> cases(g,h).in2 == h", 0, dict(term=PropCase))
+def _r_propcase_inr(theory, ps, term):
+    inj = Inj2(term.on_left.dom, term.on_right.dom)
+    return Holds(Equation(normalize_assoc(Comp(term, inj)), term.on_right, STRONG))
 
 
 # -------------------------------------------------------- rule dispatch
 
 def apply_rule(theory: Theory, rule_id: str, premises: Sequence[Judgment],
                inst: Optional[Mapping[str, Any]] = None) -> Judgment:
-    """Apply one catalog rule; returns the (normalized) conclusion."""
+    """Apply one catalog rule; returns the (normalized) conclusion.
+
+    The shared work happens here, in this order: the premise count, each
+    declared instantiation key in turn (missing, or not of its kind), and
+    keys the rule does not declare. The rule body gets the checked values.
+    """
     spec = RULES.get(rule_id)
     if spec is None:
         raise E.UnknownRule(f"no rule named {rule_id!r}")
     if theory.flavor not in spec.flavors:
         raise E.RuleNotInFlavor(
             f"rule {rule_id!r} is not part of the {theory.flavor} logic")
-    return spec.impl(theory, tuple(premises), dict(inst or {}))
+    ps = tuple(premises)
+    if spec.premises is not None and len(ps) != spec.premises:
+        raise E.BadPremises(
+            f"{rule_id} takes {spec.premises} premises, got {len(ps)}")
+    inst = inst or {}
+    vals = {}
+    for key, kind in spec.keys.items():
+        if key not in inst:
+            raise E.BadInstantiation(f"{rule_id} needs instantiation key {key!r}")
+        vals[key] = _inst_value(theory, rule_id, key, kind, inst[key])
+    if len(inst) != len(vals):
+        raise E.BadInstantiation(f"{rule_id}: unexpected keys "
+                                 f"{sorted(k for k in inst if k not in vals)}")
+    return spec.impl(theory, ps, **vals)
 
 
 def _canon_inst(inst: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:

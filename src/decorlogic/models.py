@@ -114,6 +114,21 @@ class _Model:
         self._carriers[ty] = out
         return out
 
+    def carrier_size(self, ty: TypeExpr) -> int:
+        """len(self.carrier(ty)), worked out from ty's shape and the sizes
+        without building the carrier; raises where `carrier` raises."""
+        if isinstance(ty, Prod):
+            # carrier never reaches the right factor of an empty left one
+            n = self.carrier_size(ty.left)
+            return n * self.carrier_size(ty.right) if n else 0
+        if isinstance(ty, Coprod):
+            return self.carrier_size(ty.left) + self.carrier_size(ty.right)
+        if isinstance(ty, (Value, Param)) and ty.index in self.sizes:
+            return self.sizes[ty.index]
+        if isinstance(ty, Named) and ty.name in self.valuation.base:
+            return self.valuation.base[ty.name]
+        return len(self.carrier(ty))  # 1 or 0, or CarrierMissing
+
     def positions(self, ty: TypeExpr) -> dict:
         """The enumeration position of every element of ty's carrier."""
         at = self._positions.get(ty)
@@ -570,20 +585,19 @@ def _footprint(eq: Equation, indices: Sequence[str], keyed: tuple,
 
 
 def _points(model: _Model, eq: Equation) -> tuple[list, int]:
-    """The domain's carrier and the size of the full enumeration."""
-    dcar = model.carrier(eq.lhs.dom)
+    """The domain's carrier and the size of the full enumeration; the size
+    is checked against the bound before the carrier is built."""
+    total = model.carrier_size(eq.lhs.dom)
     if isinstance(model, FiniteStateModel):
-        total = len(dcar) * math.prod(
-            model.sizes[i] for i in model.theory.locations)
+        total *= math.prod(model.sizes[i] for i in model.theory.locations)
     elif isinstance(model, FiniteExceptionModel):
-        total = len(dcar)
         if eq.kind == STRONG:
             total += sum(model.sizes[i] for i in model.theory.constructors)
     else:
         raise E.ModelError("unknown model kind")
     if total > model.bound:
         raise E.SearchSpaceTooLarge(f"{total} points exceeds bound {model.bound}")
-    return dcar, total
+    return model.carrier(eq.lhs.dom), total
 
 
 def check_equation(model: _Model, eq: Equation, name: str = "") -> LawResult:

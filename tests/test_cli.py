@@ -1,9 +1,13 @@
 """The `decor` command run in-process: parser reuse, nesting bounds, and
-the golden report bytes of the bank-account example."""
+the golden report bytes of the bank-account example; and in a child
+process under a memory cap."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,3 +150,30 @@ def test_bank_account_reports_match_the_golden_bytes(mode, capfdbinary):
     assert cli.main([mode, str(BANK), "--format", "json"]) == 0
     golden = GOLDEN / f"bank_account.{mode}.json"
     assert capfdbinary.readouterr().out == golden.read_bytes()
+
+
+# ------------------------------------------------------- memory bounds
+
+
+def test_a_deep_semi_pure_goal_is_decided_within_a_memory_cap(tmp_path):
+    """Refuting on the model would need the 3^16-element domain carrier:
+    the point bound stops it before it is built, and the search proves
+    the goal. Run in a child process capped at 1.5 GB of address space."""
+    term = "l[x]"
+    for _ in range(16):
+        term = f"lsemi(step, {term})"
+    path = _write(tmp_path, "theory S = states(x: 3)\n"
+                  "pure gen step : V[x] -> V[x] in S = [1, 2, 0]\n"
+                  f"term q in S = {term}\n"
+                  "prove in S : q ~~ q\n")
+    child = ("import resource, sys\n"
+             "cap = 1536 * 2**20\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+             "from decorlogic import cli\n"
+             "sys.exit(cli.main(['check', sys.argv[1], '--format', 'json']))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", child, path], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    (cmd,) = json.loads(run.stdout)["commands"]
+    assert cmd["detail"]["status"] == "proven"

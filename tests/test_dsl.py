@@ -18,6 +18,7 @@ from decorlogic.kernel import ProveResult, axiom_node, check_derivation, node
 from decorlogic.states import builtin_proof as st_proof, derive_lemma as st_lemma
 from decorlogic.terms import Comp, Lookup, Update, normalize_assoc, term_size
 from decorlogic.theory import typecheck
+from decorlogic.types import Prod, UNIT, Value
 
 
 SRC = """\
@@ -455,3 +456,29 @@ def test_deep_composites_through_the_term_core(states2, nesting):
     text = str(t)
     assert text.count("l[x]") + text.count("u[x]") == n
     assert text.count("(") == n - 2
+
+
+def test_int_and_name_instantiations_round_trip():
+    """The kinds the builtin proofs never use: an int (which=) and a bare
+    name (at=), read from the kernel's rule table by parser and printer."""
+    src = ("theory S = states(x: 2, y: 2)\n"
+           "proof pj in S {\n"
+           "  s1: binprod-proj(which=2, left=V[x], right=(V[y] * 1));\n"
+           "}\n"
+           "proof pt in S {\n"
+           "  s1: loc-tuple(family=(x: l[x], y: l[y]), at=y);\n"
+           "}\n"
+           "check proof pj in S\n"
+           "check proof pt in S\n")
+    script = parse_script(src)
+    assert print_script(script) == src
+    assert parse_script(print_script(script)) == script
+    assert [dict(d.steps[0].inst) for d in script.decls[1:3]] == [
+        {"which": 2, "left": Value("x"), "right": Prod(Value("y"), UNIT)},
+        {"family": (("x", Lookup("x")), ("y", Lookup("y"))), "at": "y"}]
+    pj, pt = execute(script).outcomes
+    assert pj.ok and pt.ok
+    assert pj.detail["tree"]["inst"] == {
+        "which": "2", "left": "V[x]", "right": "(V[y] * 1)"}
+    assert pt.detail["tree"]["inst"] == {
+        "at": "y", "family": "(x: l[x], y: l[y])"}

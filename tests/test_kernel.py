@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 import strategies as strat
 from decorlogic import errors as E
 from decorlogic.dsl import execute, parse_script
-from decorlogic.kernel import (Holds, WellFormed, apply_rule,
+from decorlogic.kernel import (Holds, RULES, WellFormed, apply_rule,
                                axiom_node, check_derivation,
                                derive_final_uniqueness,
                                derive_initial_uniqueness, gen_node,
                                hyp_node, list_rules, node, saturate_prove)
 from decorlogic.models import FiniteStateModel, check_equation
 from decorlogic.states import build_states_theory
-from decorlogic.terms import (Catch, Comp, FromEmpty, Gen, Id, Lookup,
+from decorlogic.terms import (CaseSum, Catch, Coerce, Comp, FromEmpty, Gen,
+                              Id, Lookup, PropCase, SemiCoprod, SemiProd,
                               ToUnit, Throw, Update, comp)
 from decorlogic.theory import (Axiom, STRONG, WEAK, eq_strong, eq_weak,
                                norm_eq)
@@ -305,3 +306,61 @@ def test_saturation_verdicts_agree_with_the_model(side, data, states2,
     if res.proven:
         assert check_derivation(th, res.derivation).valid
         assert res.derivation.conclusion == Holds(norm_eq(eq))
+
+
+# ------------------------------------------------- declared signatures
+
+_P, _V = Param("i"), Value("x")
+# a value of each kind that every rule accepts as an instantiation
+_SAMPLES = {"term": Id(UNIT), "type": UNIT, "family": (("x", Lookup("x")),),
+            "name": "x", "int": 1,
+            SemiProd: SemiProd(Id(_V), Lookup("x"), True),
+            SemiCoprod: SemiCoprod(Id(_P), Catch("i"), True),
+            CaseSum: CaseSum(Id(_P), FromEmpty(_P)), Coerce: Coerce(Catch("i")),
+            PropCase: PropCase(Id(_P), Id(_P))}
+
+
+@pytest.mark.parametrize("rid", list_rules())
+def test_every_rule_checks_its_declared_signature(rid, states2, exc2):
+    spec = RULES[rid]
+    theory = states2 if "states" in spec.flavors else exc2
+    premise = Holds(eq_strong(Id(UNIT), Id(UNIT)))
+    ps = [premise] * (spec.premises or 0)
+    full = {key: _SAMPLES[kind] for key, kind in spec.keys.items()}
+    for key in spec.keys:
+        inst = {k: v for k, v in full.items() if k != key}
+        with pytest.raises(E.BadInstantiation, match=repr(key)):
+            apply_rule(theory, rid, ps, inst)
+    with pytest.raises(E.BadInstantiation, match="'stray'"):
+        apply_rule(theory, rid, ps, dict(full, stray=Id(UNIT)))
+    if spec.premises is not None:
+        for n in (spec.premises - 1, spec.premises + 1):
+            if n >= 0:
+                with pytest.raises(E.BadPremises, match="premises"):
+                    apply_rule(theory, rid, [premise] * n, full)
+
+
+@pytest.mark.parametrize("kind,wrong", [
+    ("term", UNIT), ("type", Id(UNIT)), ("family", 3),
+    (CaseSum, Coerce(Catch("i")))])
+def test_a_value_of_the_wrong_kind_is_refused(kind, wrong, states2, exc2):
+    rid = next(r for r, s in sorted(RULES.items()) if kind in s.keys.values())
+    spec = RULES[rid]
+    theory = states2 if "states" in spec.flavors else exc2
+    inst = {key: wrong if k == kind else _SAMPLES[k]
+            for key, k in spec.keys.items()}
+    with pytest.raises(E.BadInstantiation):
+        apply_rule(theory, rid, [], inst)
+
+
+def test_the_rule_table_declares_counts_and_kinds():
+    assert len(RULES) == 51
+    assert {r for r, s in RULES.items() if s.premises is None} == {
+        "w-to-s", "w-to-s-prop", "loc-tuple-unique", "const-cotuple-unique"}
+    assert RULES["binprod-proj"].keys == {"which": "int", "left": "type",
+                                          "right": "type"}
+    assert RULES["semiprod-P1"].keys == {"term": SemiProd}
+    assert RULES["semicoprod-P1"].keys == {"term": SemiCoprod}
+    assert RULES["semicoprod-P1"].key_kind("term") == "term"
+    assert RULES["loc-tuple"].key_kind("at") == "name"
+    assert RULES["eq-sym"].key_kind("undeclared") == "term"

@@ -19,9 +19,9 @@ from decorlogic.models import (FiniteExceptionModel, FiniteStateModel,
                                eval_states, observational_equiv,
                                sweep_equation, verify_law_suite)
 from decorlogic.terms import (Catch, CatchAll, FromEmpty, Gen, Id, LocTuple,
-                              Lookup, Throw, Update, comp)
+                              Lookup, SemiProd, Throw, Update, comp)
 from decorlogic.theory import eq_strong, eq_weak
-from decorlogic.types import Param, UNIT, Value
+from decorlogic.types import Coprod, Named, Param, Prod, UNIT, Value
 
 
 def test_lookup_and_update(model32):
@@ -262,3 +262,41 @@ def test_mediating_arrows_and_catchall_see_every_index(states2, exc2):
     assert r.witness["input"] == ("exc", ("i", 0)) and r.points == 5
     for ax in ca.axioms:
         assert check_equation(m, ax.eq, ax.name).holds, ax.name
+
+
+def _semi_chain(depth: int):
+    """lsemi(step, ... lsemi(step, l[x]) ...), depth deep: its domain is
+    V[x]^depth * 1, so its carrier has 3^depth elements at size 3."""
+    step = Gen("step", Value("x"), Value("x"), 0)
+    t = Lookup("x")
+    for _ in range(depth):
+        t = SemiProd(step, t, pure_on_left=True)
+    return step, t
+
+
+def test_the_point_bound_is_checked_before_any_carrier_is_built(states2):
+    step, q = _semi_chain(8)
+    th = states2.with_gen(step)
+    m = FiniteStateModel(th, {"x": 3, "y": 1},
+                         Valuation(tables={"step": (1, 2, 0)}), bound=1000)
+    with pytest.raises(E.SearchSpaceTooLarge, match="19683 points"):
+        check_equation(m, eq_weak(q, q))
+    with pytest.raises(E.SearchSpaceTooLarge):
+        sweep_equation(m, eq_weak(q, q))
+    assert all(len(c) <= m.bound for c in m._carriers.values())
+
+
+def test_carrier_size_follows_the_carrier(states2, exc2):
+    m = FiniteStateModel(states2, {"x": 3, "y": 2},
+                         Valuation(base={"N": 4, "Z": 0}))
+    tys = [UNIT, Value("x"), Named("N"), Prod(Value("x"), Prod(Named("N"), UNIT)),
+           Coprod(Value("y"), Prod(Value("x"), Value("y"))),
+           Prod(Named("Z"), Named("missing"))]
+    for ty in tys:
+        assert m.carrier_size(ty) == len(m.carrier(ty)), ty
+    for ty in (Named("missing"), Prod(Value("x"), Value("q")),
+               Coprod(Named("Z"), Named("missing"))):
+        with pytest.raises(E.CarrierMissing):
+            m.carrier_size(ty)
+        with pytest.raises(E.CarrierMissing):
+            m.carrier(ty)
