@@ -1,0 +1,94 @@
+"""Lemma catalogues: each side's library lemmas and built-in proofs,
+declared once with their parameters, and the readers that build them.
+The script front end parses, prints and defaults lemma arguments from the
+same entries."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Optional
+
+from . import errors as E
+from .kernel import Derivation
+from .theory import Theory
+
+
+@dataclass(frozen=True)
+class Entry:
+    """A lemma or built-in proof, built as `build(theory, **values)`.
+
+    `params` are its parameters in order, (key, kind) pairs with the kinds
+    "name", "term" and "type" of `kernel.RuleSpec.keys`; the last
+    `optional` may be left out, and `extra` are keywords only a library
+    caller passes. `check proof NAME` takes name parameters from the
+    theory's indices in order (the last one again where it has too few)
+    and a term parameter from `example(first index)`. A built-in takes
+    every parameter from the indices; `too_few` says it has too few.
+    """
+
+    build: Callable[..., Derivation]
+    params: tuple[tuple[str, str], ...] = (("i", "name"),)
+    optional: int = 0
+    extra: tuple[str, ...] = ()
+    example: Optional[Callable[[str], Any]] = None
+    too_few: str = ""
+
+    @property
+    def required(self) -> int:
+        return len(self.params) - self.optional
+
+
+@dataclass(frozen=True)
+class Catalogue:
+    """One side's lemmas and built-in proofs, by name."""
+
+    flavor: str  # the theory flavor a lemma needs
+    a_theory: str  # "a <flavor> theory", for messages
+    index_word: str  # what an index is called on this side
+    lemmas: Mapping[str, Entry]
+    builtins: Mapping[str, Entry]
+
+    def indices(self, theory: Theory) -> tuple[str, ...]:
+        if self.flavor == "states":
+            return theory.locations
+        return theory.constructors
+
+    def derive_lemma(self, theory: Theory, lemma_id: str,
+                     params=None) -> Derivation:
+        """Build a lemma from `params`, key -> value; other keys are ignored."""
+        p = dict(params or {})
+        if theory.flavor != self.flavor:
+            raise E.BadParams(f"{self.flavor} lemmas need {self.a_theory}")
+        if lemma_id not in self.lemmas:
+            raise E.UnknownLemma(f"no {self.flavor} lemma {lemma_id!r} "
+                                 f"(expected one of {', '.join(self.lemmas)})")
+        entry = self.lemmas[lemma_id]
+        values = {}
+        for k, (key, kind) in enumerate(entry.params):
+            if key not in p:
+                if k < entry.required:
+                    raise E.BadParams(
+                        f"lemma {lemma_id!r} needs parameter {key!r}")
+                continue
+            if kind == "name" and p[key] not in self.indices(theory):
+                raise E.UnknownIndex(f"unknown {self.index_word} {p[key]!r}")
+            values[key] = p[key]
+        values.update((key, p[key]) for key in entry.extra if key in p)
+        return entry.build(theory, **values)
+
+    def default_params(self, theory: Theory, lemma_id: str) -> dict[str, Any]:
+        """The parameters `check proof NAME` builds a lemma with."""
+        entry, ix = self.lemmas[lemma_id], self.indices(theory)
+        return {key: entry.example(ix[0]) if kind == "term"
+                else ix[min(k, len(ix) - 1)]
+                for k, (key, kind) in enumerate(entry.params[:entry.required])}
+
+    def builtin_proof(self, theory: Theory, name: str) -> Derivation:
+        """Build a built-in proof at the theory's first indices."""
+        if name not in self.builtins:
+            raise E.UnknownLemma(f"no built-in proof {name!r}")
+        entry, ix = self.builtins[name], self.indices(theory)
+        if len(ix) < len(entry.params):
+            raise E.BadParams(entry.too_few.format(name=name, n=len(ix)))
+        return entry.build(theory, **{key: i for (key, _), i
+                                      in zip(entry.params, ix)})

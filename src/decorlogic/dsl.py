@@ -21,17 +21,18 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from . import errors as E
-from .exceptions import LEMMAS as EXC_LEMMAS
-from .exceptions import build_exceptions_theory
+from .exceptions import CATALOGUE as EXC_CATALOGUE
+from .exceptions import build_exceptions_theory, handler_chain
 from .exceptions import builtin_proof as _exc_builtin
 from .exceptions import derive_lemma as _exc_lemma
 from .exceptions import with_catch_all
 from .kernel import (Derivation, Holds, Judgment, RULES, WellFormed,
                      axiom_node, check_derivation, gen_node, hyp_node, node,
                      saturate_prove)
-from .models import (FiniteExceptionModel, FiniteStateModel, Valuation,
-                     eval_exceptions, eval_states, verify_law_suite)
-from .states import LEMMAS as STATE_LEMMAS
+from .models import (FiniteExceptionModel, FiniteStateModel, SUITES,
+                     Valuation, eval_exceptions, eval_states,
+                     verify_law_suite)
+from .states import CATALOGUE as STATE_CATALOGUE
 from .states import build_states_theory
 from .states import builtin_proof as _states_builtin
 from .states import derive_lemma as _states_lemma
@@ -46,9 +47,6 @@ from .translators import (dualize_theory, erase_theory,
 from .types import (Coprod, EMPTY, Named, Param, Prod, TypeExpr, UNIT, Value)
 
 REPORT_SCHEMA = "decor-report/1"
-
-SUITES = ("states-seven", "exceptions-laws", "nesting-matrix",
-          "duality-semantic")
 
 _LEVEL_KEYWORDS = {"pure": 0, "accessor": 1, "modifier": 2,
                    "propagator": 1, "catcher": 2}
@@ -269,22 +267,8 @@ def _retarget_empty(body: Term, y: TypeExpr) -> Term:
 
 _THEORY_KINDS = ("states", "exceptions", "plain-states", "plain-exceptions")
 
-_STATE_LEMMA_SIG = {
-    "annihilation": ("i",),
-    "final-uniqueness": ("f",),
-    "commutation-6": ("i", "j"),
-    "interaction-3": ("i",),
-}
-_EXC_LEMMA_SIG = {
-    "key-annihilation": ("i",),
-    "initial-uniqueness": ("f",),
-    "catch-throw": ("i", "to"),
-    "handler-commute": ("i", "j"),
-    "handler-idempotent": ("i",),
-}
-_LEMMA_ARG_KIND = {"i": "name", "j": "name", "f": "term", "to": "type"}
-# trailing parameters that may be omitted
-_LEMMA_OPTIONAL = {"catch-throw": 1}
+# the lemmas a script may name, from both sides' catalogues
+_LEMMAS = {**STATE_CATALOGUE.lemmas, **EXC_CATALOGUE.lemmas}
 
 
 # how deeply term_expr and type_expr may nest (parentheses, bracketed and
@@ -574,26 +558,19 @@ class _Parser:
 
     def _build_handler(self, body: Term, clauses: list[tuple[str, Term]],
                        catch_all: Optional[Term]) -> Term:
-        # the same chain handle_term builds, but without a Theory at hand:
-        # fold the clauses from the right onto the body, then coerce
+        # handle_term's chain, unchecked and as written, since no Theory
+        # is at hand; the body runs into it, then coerce
         if not clauses and catch_all is None:
             raise self.fail("a handler needs at least one clause")
         y = (clauses[0][1] if clauses else catch_all).cod
         body = _retarget_empty(body, y)
-        if catch_all is not None:
-            chain: Term = Comp(catch_all, CatchAll())
-            rest = clauses
-        else:
-            (last_i, last_g), rest = clauses[-1], clauses[:-1]
-            chain = Comp(last_g, Catch(last_i))
-        for i, g in reversed(rest):
-            chain = Comp(CaseSum(g, chain), Catch(i))
+        chain = handler_chain(clauses, catch_all)
         return Coerce(Comp(CaseSum(Id(y), chain), body))
 
     # ---- proof steps
 
-    def _inst_value(self, theory: str, rule: str, key: str) -> Any:
-        kind = RULES[rule].key_kind(key)
+    def _inst_value(self, theory: str, kind: str) -> Any:
+        """A rule instantiation or lemma argument of the given kind."""
         if kind == "type":
             return self.type_expr()
         if kind == "name":
@@ -642,7 +619,8 @@ class _Parser:
                     while True:
                         key = self.expect("ident").text
                         self.expect("sym", "=")
-                        pairs.append((key, self._inst_value(theory, name, key)))
+                        pairs.append((key, self._inst_value(
+                            theory, RULES[name].key_kind(key))))
                         if not self.eat("sym", ","):
                             break
                 self.expect("sym", ")")
@@ -825,11 +803,11 @@ class _Parser:
     def lemma_cmd(self, pos: SrcPos) -> LemmaCmd:
         name_tok = self.expect("ident")
         lemma = name_tok.text
-        sig = _STATE_LEMMA_SIG.get(lemma) or _EXC_LEMMA_SIG.get(lemma)
-        if sig is None:
-            known = sorted(set(_STATE_LEMMA_SIG) | set(_EXC_LEMMA_SIG))
+        if lemma not in _LEMMAS:
             raise E.ParseError(f"unknown lemma {lemma!r}; one of "
-                               f"{', '.join(known)}", name_tok.line, name_tok.col)
+                               f"{', '.join(sorted(_LEMMAS))}",
+                               name_tok.line, name_tok.col)
+        params = _LEMMAS[lemma].params
         args: list[Any] = []
         # the theory is parsed after the args, so term args resolve against
         # the `in` clause; peek ahead for it
@@ -849,22 +827,15 @@ class _Parser:
         end = self.i
         self.i = save
         if self.eat("sym", "("):
-            k = 0
             while not self.at("sym", ")"):
-                if k >= len(sig):
-                    raise self.fail(f"{lemma} takes at most {len(sig)} arguments")
-                kind = _LEMMA_ARG_KIND[sig[k]]
-                if kind == "name":
-                    args.append(self.expect("ident").text)
-                elif kind == "type":
-                    args.append(self.type_expr())
-                else:
-                    args.append(self.term_expr(th))
-                k += 1
+                if len(args) >= len(params):
+                    raise self.fail(
+                        f"{lemma} takes at most {len(params)} arguments")
+                args.append(self._inst_value(th, params[len(args)][1]))
                 if not self.eat("sym", ","):
                     break
             self.expect("sym", ")")
-        need = len(sig) - _LEMMA_OPTIONAL.get(lemma, 0)
+        need = _LEMMAS[lemma].required
         if len(args) < need:
             raise self.fail(f"{lemma} needs {need} argument(s)")
         self.i = end
@@ -915,9 +886,13 @@ def _type_text(ty: TypeExpr) -> str:
     return str(ty)
 
 
-def _inst_text(rule: Any, key: str, value: Any) -> str:
+def _rule_kind(rule: Any, key: str) -> str:
     spec = RULES.get(rule)
-    kind = spec.key_kind(key) if spec else "term"
+    return spec.key_kind(key) if spec else "term"
+
+
+def _inst_text(kind: str, value: Any) -> str:
+    """A rule instantiation or lemma argument of the given kind, as text."""
     if kind == "family":
         inner = ", ".join(f"{i}: {term_to_text(t)}" for i, t in value)
         return f"({inner})"
@@ -943,7 +918,7 @@ def _step_text(step: ProofStep) -> str:
             t, lvl = step.claim
             head = f"hyp({step.name}) wf {term_to_text(t)} level {lvl}"
     else:
-        args = ", ".join(f"{k}={_inst_text(step.name, k, v)}"
+        args = ", ".join(f"{k}={_inst_text(_rule_kind(step.name, k), v)}"
                          for k, v in step.inst)
         head = f"{step.name}({args})" if step.inst else step.name
     out = f"  {step.label}: {head}"
@@ -987,16 +962,8 @@ def _decl_text(d: Decl) -> str:
             out += f" with {d.model}"
         return out
     if isinstance(d, LemmaCmd):
-        parts = []
-        sig = _STATE_LEMMA_SIG.get(d.lemma) or _EXC_LEMMA_SIG[d.lemma]
-        for k, v in zip(sig, d.args):
-            kind = _LEMMA_ARG_KIND[k]
-            if kind == "name":
-                parts.append(v)
-            elif kind == "type":
-                parts.append(_type_text(v))
-            else:
-                parts.append(term_to_text(v))
+        parts = [_inst_text(kind, v)
+                 for (_, kind), v in zip(_LEMMAS[d.lemma].params, d.args)]
         args = f"({', '.join(parts)})" if parts else ""
         return f"lemma {d.lemma}{args} in {d.theory}"
     if isinstance(d, EvalCmd):
@@ -1085,7 +1052,7 @@ def derivation_json(d: Derivation) -> dict:
         rule = d.rule
     return {
         "rule": rule,
-        "inst": {k: _inst_text(d.rule, k, v) for k, v in d.inst},
+        "inst": {k: _inst_text(_rule_kind(d.rule, k), v) for k, v in d.inst},
         "conclusion": str(d.conclusion),
         "premises": [derivation_json(p) for p in d.premises],
     }
@@ -1192,38 +1159,27 @@ def _declare_theory(env: _Env, d: TheoryDecl) -> None:
     env.theories[d.name] = built
 
 
-def _lemma_params(cmd: LemmaCmd) -> dict[str, Any]:
-    sig = _STATE_LEMMA_SIG.get(cmd.lemma) or _EXC_LEMMA_SIG[cmd.lemma]
-    return dict(zip(sig, cmd.args))
+def _library(th: Theory):
+    """th's catalogue with its lemma and built-in derive functions, or None;
+    the functions are looked up per call, as tracing rebinds them."""
+    if th.flavor == "states":
+        return STATE_CATALOGUE, _states_lemma, _states_builtin
+    if th.flavor == "exceptions":
+        return EXC_CATALOGUE, _exc_lemma, _exc_builtin
+    return None
 
 
 def _builtin_derivation(th: Theory, name: str) -> Derivation:
-    """Resolve a named proof that ships with the library."""
-    if th.flavor == "states":
-        if name in ("pr1", "pr2", "pr3", "pr4", "pr5", "pr6", "pr7", "pr8"):
-            return _states_builtin(th, name)
-        if name in STATE_LEMMAS:
-            return _states_lemma(th, name, _default_lemma_params(th, name))
-    if th.flavor == "exceptions":
-        if name in ("bridge-r", "bridge-l"):
-            return _exc_builtin(th, name)
-        if name in EXC_LEMMAS:
-            return _exc_lemma(th, name, _default_lemma_params(th, name))
+    """Resolve a named proof that ships with the library: a built-in, or a
+    lemma at its default parameters."""
+    lib = _library(th)
+    if lib is not None:
+        catalogue, lemma, builtin = lib
+        if name in catalogue.builtins:
+            return builtin(th, name)
+        if name in catalogue.lemmas:
+            return lemma(th, name, catalogue.default_params(th, name))
     raise E.UnknownLemma(f"no built-in proof {name!r} for theory {th.name!r}")
-
-
-def _default_lemma_params(th: Theory, name: str) -> dict[str, Any]:
-    if th.flavor == "states":
-        i = th.locations[0]
-        j = th.locations[1] if len(th.locations) > 1 else i
-        if name == "final-uniqueness":
-            return {"f": Comp(ToUnit(Value(i)), Lookup(i))}
-        return {"i": i, "j": j}
-    i = th.constructors[0]
-    j = th.constructors[1] if len(th.constructors) > 1 else i
-    if name == "initial-uniqueness":
-        return {"f": FromEmpty(Param(i))}
-    return {"i": i, "j": j}
 
 
 def _law_rows(results) -> list[dict]:
@@ -1307,15 +1263,15 @@ def _run_verify(env: _Env, cmd: VerifyCmd) -> Outcome:
 def _run_lemma(env: _Env, cmd: LemmaCmd) -> Outcome:
     th = env.theory(cmd.theory, cmd.pos)
     target = f"lemma {cmd.lemma} in {cmd.theory}"
-    params = _lemma_params(cmd)
+    params = {key: v for (key, _), v in zip(_LEMMAS[cmd.lemma].params,
+                                             cmd.args)}
+    lib = _library(th)
+    if lib is None:
+        raise E.ExecError("lemmas need a states or exceptions theory",
+                          cmd.pos.line, cmd.pos.col)
+    _, lemma, _ = lib
     try:
-        if th.flavor == "states":
-            d = _states_lemma(th, cmd.lemma, params)
-        elif th.flavor == "exceptions":
-            d = _exc_lemma(th, cmd.lemma, params)
-        else:
-            raise E.ExecError("lemmas need a states or exceptions theory",
-                              cmd.pos.line, cmd.pos.col)
+        d = lemma(th, cmd.lemma, params)
     except E.ScriptError:
         raise
     except E.DecorError as exc:

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import errors as E
+from .catalogue import Catalogue, Entry
 from .kernel import Derivation, derive_initial_uniqueness, node
 from .states import build_states_theory, mirror_interaction3
 from .states import derive_lemma as _states_lemma
 from .terms import (
-    CaseSum, Catch, CatchAll, Coerce, FromEmpty, Id, Inj1, Inj2,
+    CaseSum, Catch, CatchAll, Coerce, Comp, FromEmpty, Id, Inj1, Inj2,
     PropCase, SemiCoprod, Term, Throw, comp, normalize_assoc,
 )
 from .theory import Axiom, Equation, Theory, eq_strong, eq_weak, typecheck
@@ -128,7 +129,6 @@ def handle_term(theory: Theory, body: Term,
         if _cod_of(theory, g) != y:
             raise E.CodomainMismatch(
                 f"clause for {i!r} lands in {_cod_of(theory, g)}, body in {y}")
-    acc: Optional[Term] = None
     if catch_all is not None:
         catch_all = normalize_assoc(catch_all)
         typecheck(theory, catch_all)
@@ -138,16 +138,26 @@ def handle_term(theory: Theory, body: Term,
             raise E.TypingError("the catch-all recovery takes no payload (1 -> Y)")
         if _cod_of(theory, catch_all) != y:
             raise E.CodomainMismatch("the catch-all recovery lands off target")
-        acc = comp(catch_all, CatchAll())
-    for i, g in reversed(cl):
-        if acc is None:
-            acc = comp(g, Catch(i))
-        else:
-            acc = comp(CaseSum(g, acc), Catch(i))
+    acc = normalize_assoc(handler_chain(cl, catch_all))
     handle = comp(CaseSum(Id(y), acc), body)
     term = Coerce(handle)
     typecheck(theory, term)
     return HandlerParts(body, cl, catch_all, acc, handle, term)
+
+
+def handler_chain(clauses: Sequence[tuple[str, Term]],
+                  catch_all: Optional[Term]) -> Term:
+    """The catcher 0 -> Y that clauses i1 => g1, ..., _ => g_all build,
+    unchecked and unnormalized: g_all . catchall (or the last clause's
+    g . c[i]), then each earlier clause wraps it as case(g, rest) . c[i]."""
+    if catch_all is not None:
+        chain, rest = Comp(catch_all, CatchAll()), clauses
+    else:
+        (i, g), rest = clauses[-1], clauses[:-1]
+        chain = Comp(g, Catch(i))
+    for i, g in reversed(rest):
+        chain = Comp(CaseSum(g, chain), Catch(i))
+    return chain
 
 
 def _dom_of(theory: Theory, t: Term) -> TypeExpr:
@@ -214,9 +224,11 @@ def _key_annihilation(theory: Theory, i: str) -> Derivation:
     return dualize_derivation(twin, d, target=theory)
 
 
-def _catch_throw(theory: Theory, i: str, to: TypeExpr) -> Derivation:
+def _catch_throw(theory: Theory, i: str,
+                 to: Optional[TypeExpr] = None) -> Derivation:
     ka = _key_annihilation(theory, i)
-    return node(theory, "eq-repl", [ka], by=FromEmpty(to))
+    return node(theory, "eq-repl", [ka],
+                by=FromEmpty(Param(i) if to is None else to))
 
 
 def _check_clause(theory: Theory, g: Term, at: str, y: TypeExpr) -> Term:
@@ -229,115 +241,91 @@ def _check_clause(theory: Theory, g: Term, at: str, y: TypeExpr) -> Term:
     return g
 
 
-def _bridge_right(theory: Theory, i: str, j: str, g: Term, h: Term
-                  ) -> Derivation:
-    """[g|h] . (id + c[j]) . in1  ==  case(g, h . c[j]) : P[i] -> Y."""
-    pi, pj = Param(i), Param(j)
-    sc = SemiCoprod(Id(pi), Catch(j), pure_on_left=True)
+def _bridge(theory: Theory, i: str, j: str, g: Term, h: Term,
+            left: bool = False) -> Derivation:
+    """Right:  [g|h] . (id + c[j]) . in1  ==  case(g, h . c[j]) : P[i] -> Y.
+    Left:   [g|h] . (c[i] + id) . in2  ==  case(h, g . c[i]) : P[j] -> Y."""
+    kept, caught = (j, i) if left else (i, j)
+    on_kept, on_caught = (h, g) if left else (g, h)
+    pk = Param(kept)
+    sc = SemiCoprod(Id(pk), Catch(caught), pure_on_left=not left)
     pc = PropCase(g, h)
-    in1 = Inj1(pi, EMPTY)
+    inj, other = ((Inj2(EMPTY, pk), Inj1(EMPTY, pk)) if left
+                  else (Inj1(pk, EMPTY), Inj2(pk, EMPTY)))
+    runs, skips = (("propcase-inr", "propcase-inl") if left
+                   else ("propcase-inl", "propcase-inr"))
     b1 = node(theory, "semicoprod-P1", term=sc)
     b2 = node(theory, "w-repl", [b1], by=pc)
-    b3 = node(theory, "propcase-inl", term=pc)
+    b3 = node(theory, runs, term=pc)
     weak = node(theory, "w-trans", [b2, node(theory, "s-to-w", [b3])])
-    a1 = derive_initial_uniqueness(theory, comp(in1, FromEmpty(pi)))
-    a2 = derive_initial_uniqueness(theory, Inj2(pi, EMPTY))
+    a1 = derive_initial_uniqueness(theory, comp(inj, FromEmpty(pk)))
+    a2 = derive_initial_uniqueness(theory, other)
     a3 = node(theory, "eq-trans", [a1, node(theory, "eq-sym", [a2])])
     a4 = node(theory, "eq-repl", [a3], by=sc)
     a5 = node(theory, "semicoprod-P2", term=sc)
     a6 = node(theory, "eq-trans", [a4, a5])
     a7 = node(theory, "eq-repl", [a6], by=pc)
-    a8 = node(theory, "propcase-inr", term=pc)
-    a9 = node(theory, "eq-subs", [a8], by=Catch(j))
+    a8 = node(theory, skips, term=pc)
+    a9 = node(theory, "eq-subs", [a8], by=Catch(caught))
     strong = node(theory, "eq-trans", [a7, a9])
-    r = comp(pc, sc, in1)
-    kt = CaseSum(g, comp(h, Catch(j)))
-    return node(theory, "sum-case-unique", [weak, strong], h=r, term=kt)
+    kt = CaseSum(on_kept, comp(on_caught, Catch(caught)))
+    return node(theory, "sum-case-unique", [weak, strong],
+                h=comp(pc, sc, inj), term=kt)
 
 
-def _bridge_left(theory: Theory, i: str, j: str, g: Term, h: Term
-                 ) -> Derivation:
-    """[g|h] . (c[i] + id) . in2  ==  case(h, g . c[i]) : P[j] -> Y."""
-    pi, pj = Param(i), Param(j)
-    sc = SemiCoprod(Id(pj), Catch(i), pure_on_left=False)
-    pc = PropCase(g, h)
-    in2 = Inj2(EMPTY, pj)
-    b1 = node(theory, "semicoprod-P1", term=sc)
-    b2 = node(theory, "w-repl", [b1], by=pc)
-    b3 = node(theory, "propcase-inr", term=pc)
-    weak = node(theory, "w-trans", [b2, node(theory, "s-to-w", [b3])])
-    a1 = derive_initial_uniqueness(theory, comp(in2, FromEmpty(pj)))
-    a2 = derive_initial_uniqueness(theory, Inj1(EMPTY, pj))
-    a3 = node(theory, "eq-trans", [a1, node(theory, "eq-sym", [a2])])
-    a4 = node(theory, "eq-repl", [a3], by=sc)
-    a5 = node(theory, "semicoprod-P2", term=sc)
-    a6 = node(theory, "eq-trans", [a4, a5])
-    a7 = node(theory, "eq-repl", [a6], by=pc)
-    a8 = node(theory, "propcase-inl", term=pc)
-    a9 = node(theory, "eq-subs", [a8], by=Catch(i))
-    strong = node(theory, "eq-trans", [a7, a9])
-    l = comp(pc, sc, in2)
-    kt = CaseSum(h, comp(g, Catch(i)))
-    return node(theory, "sum-case-unique", [weak, strong], h=l, term=kt)
-
-
-def _coerce_conclusion(theory: Theory, cases_eq: Derivation, f: Term,
-                       h_case: Term, h1_case: Term) -> Derivation:
-    """From case(id,K) == case(id,K') conclude the coerced handlers equal."""
-    after_f = node(theory, "eq-subs", [cases_eq], by=f)
-    k1 = comp(h_case, f)
-    k2 = comp(h1_case, f)
-    cw = node(theory, "coerce-weak", term=Coerce(k1))
-    chain = node(theory, "w-trans", [cw, node(theory, "s-to-w", [after_f])])
-    return node(theory, "coerce-unique", [chain], p=Coerce(k1), term=Coerce(k2))
-
-
-def _handler_commute(theory: Theory, i: str, j: str, f: Term, g: Term,
-                     h: Term) -> Derivation:
-    if i == j:
-        raise E.BadParams("handler-commute needs two different keys")
+def _handler_parts(theory: Theory, i: str, j: str, f, g, h):
+    """A handler lemma's body f and its clauses g for i and h for j,
+    defaulted, normalized and checked, with y the codomain of f."""
+    f, g, h = _default_clauses(theory, i, Param(j), f, g, h)
     f = normalize_assoc(f)
     typecheck(theory, f)
     if f.level > 1:
         raise E.NotAPropagator("the handled body must be level <= 1")
     y = _cod_of(theory, f)
-    g = _check_clause(theory, g, i, y)
-    h = _check_clause(theory, h, j, y)
+    return f, y, _check_clause(theory, g, i, y), _check_clause(theory, h, j, y)
 
+
+def _coerce_conclusion(theory: Theory, chains_eq: Derivation, f: Term,
+                       y: TypeExpr, k1: Term, k2: Term) -> Derivation:
+    """From K1 == K2 on the empty type (`chains_eq`) conclude the coerced
+    handlers coerce(case(id,K1) . f) and coerce(case(id,K2) . f) equal."""
+    hc1, hc2 = CaseSum(Id(y), k1), CaseSum(Id(y), k2)
+    weak = node(theory, "sum-case-weak", term=hc1)
+    empty = node(theory, "eq-trans",
+                 [node(theory, "sum-case-empty", term=hc1), chains_eq])
+    cases_eq = node(theory, "sum-case-unique", [weak, empty], h=hc1, term=hc2)
+    after_f = node(theory, "eq-subs", [cases_eq], by=f)
+    c1, c2 = Coerce(comp(hc1, f)), Coerce(comp(hc2, f))
+    cw = node(theory, "coerce-weak", term=c1)
+    chain = node(theory, "w-trans", [cw, node(theory, "s-to-w", [after_f])])
+    return node(theory, "coerce-unique", [chain], p=c1, term=c2)
+
+
+def _handler_commute(theory: Theory, i: str, j: str, f=None, g=None,
+                     h=None) -> Derivation:
+    if i == j:
+        raise E.BadParams("handler-commute needs two different keys")
+    f, y, g, h = _handler_parts(theory, i, j, f, g, h)
     twin = _twin(theory)
     d6 = _states_lemma(twin, "commutation-6", {"i": i, "j": j})
     m1 = dualize_derivation(twin, d6, target=theory)
     pc = PropCase(g, h)
     m2 = node(theory, "eq-repl", [m1], by=pc)
-    m3 = node(theory, "eq-subs", [_bridge_left(theory, i, j, g, h)],
+    m3 = node(theory, "eq-subs", [_bridge(theory, i, j, g, h, left=True)],
               by=Catch(j))
-    m4 = node(theory, "eq-subs", [_bridge_right(theory, i, j, g, h)],
-              by=Catch(i))
+    m4 = node(theory, "eq-subs", [_bridge(theory, i, j, g, h)], by=Catch(i))
     m5 = node(theory, "eq-trans",
               [node(theory, "eq-trans",
                     [node(theory, "eq-sym", [m4]), node(theory, "eq-sym", [m2])]),
                m3])
     k = comp(CaseSum(g, comp(h, Catch(j))), Catch(i))
     k_swapped = comp(CaseSum(h, comp(g, Catch(i))), Catch(j))
-    hc = CaseSum(Id(y), k)
-    hc_swapped = CaseSum(Id(y), k_swapped)
-    m6 = node(theory, "sum-case-weak", term=hc)
-    m7 = node(theory, "sum-case-empty", term=hc)
-    m8 = node(theory, "eq-trans", [m7, m5])
-    m9 = node(theory, "sum-case-unique", [m6, m8], h=hc, term=hc_swapped)
-    return _coerce_conclusion(theory, m9, f, hc, hc_swapped)
+    return _coerce_conclusion(theory, m5, f, y, k, k_swapped)
 
 
-def _handler_idempotent(theory: Theory, i: str, f: Term, g: Term,
-                        h: Term) -> Derivation:
-    f = normalize_assoc(f)
-    typecheck(theory, f)
-    if f.level > 1:
-        raise E.NotAPropagator("the handled body must be level <= 1")
-    y = _cod_of(theory, f)
-    g = _check_clause(theory, g, i, y)
-    h = _check_clause(theory, h, i, y)
-
+def _handler_idempotent(theory: Theory, i: str, f=None, g=None,
+                        h=None) -> Derivation:
+    f, y, g, h = _handler_parts(theory, i, i, f, g, h)
     twin = _twin(theory)
     dm = mirror_interaction3(twin, i)
     m1 = dualize_derivation(twin, dm, target=theory)
@@ -346,83 +334,50 @@ def _handler_idempotent(theory: Theory, i: str, f: Term, g: Term,
     n3 = node(theory, "propcase-inl", term=pc)
     n4 = node(theory, "eq-subs", [n3], by=Catch(i))
     n5 = node(theory, "eq-trans", [n2, n4])
-    br = _bridge_right(theory, i, i, g, h)
-    n7 = node(theory, "eq-subs", [br], by=Catch(i))
+    n7 = node(theory, "eq-subs", [_bridge(theory, i, i, g, h)], by=Catch(i))
     n9 = node(theory, "eq-trans", [node(theory, "eq-sym", [n7]), n5])
     k = comp(CaseSum(g, comp(h, Catch(i))), Catch(i))
-    k_single = comp(g, Catch(i))
-    hc = CaseSum(Id(y), k)
-    hc_single = CaseSum(Id(y), k_single)
-    n10 = node(theory, "sum-case-weak", term=hc)
-    n11 = node(theory, "sum-case-empty", term=hc)
-    n12 = node(theory, "eq-trans", [n11, n9])
-    n13 = node(theory, "sum-case-unique", [n10, n12], h=hc, term=hc_single)
-    return _coerce_conclusion(theory, n13, f, hc, hc_single)
+    return _coerce_conclusion(theory, n9, f, y, k, comp(g, Catch(i)))
 
 
-LEMMAS = ("key-annihilation", "initial-uniqueness", "catch-throw",
-          "handler-commute", "handler-idempotent")
-
-
-def derive_lemma(theory: Theory, lemma_id: str, params=None) -> Derivation:
-    """Build the named lemma's derivation for the given theory.
-
-    key-annihilation(i):  t[i] . c[i] == id[0], by dualizing the states proof
-    initial-uniqueness(f): f == empty[Y] for a propagator f: 0 -> Y
-    catch-throw(i [, to]): re-raising a caught key changes nothing
-    handler-commute(i, j [, f, g, h]): clause order is irrelevant across keys
-    handler-idempotent(i [, f, g, h]): a repeated key's second clause is dead
-
-    The dualized lemmas expect the standard axiom names (B1_i, B2_i_j).
-    """
-    p = dict(params or {})
-    if theory.flavor != "exceptions":
-        raise E.BadParams("exceptions lemmas need an exceptions theory")
-
-    def want(key):
-        if key not in p:
-            raise E.BadParams(f"lemma {lemma_id!r} needs parameter {key!r}")
-        return p[key]
-
-    if lemma_id == "key-annihilation":
-        return _key_annihilation(theory, _name(theory, want("i")))
-    if lemma_id == "initial-uniqueness":
-        return derive_initial_uniqueness(theory, want("f"))
-    if lemma_id == "catch-throw":
-        i = _name(theory, want("i"))
-        return _catch_throw(theory, i, p.get("to", Param(i)))
-    if lemma_id == "handler-commute":
-        i, j = _name(theory, want("i")), _name(theory, want("j"))
-        f, g, h = _default_clauses(theory, i, Param(j),
-                                   p.get("f"), p.get("g"), p.get("h"))
-        return _handler_commute(theory, i, j, f, g, h)
-    if lemma_id == "handler-idempotent":
-        i = _name(theory, want("i"))
-        f, g, h = _default_clauses(theory, i, Param(i),
-                                   p.get("f"), p.get("g"), p.get("h"))
-        return _handler_idempotent(theory, i, f, g, h)
-    raise E.UnknownLemma(f"no exceptions lemma {lemma_id!r} "
-                         f"(expected one of {', '.join(LEMMAS)})")
-
-
-def _name(theory: Theory, i) -> str:
-    if i not in theory.constructors:
-        raise E.UnknownIndex(f"unknown exception name {i!r}")
-    return i
-
-
-# ----------------------------------------------------- built-in proofs
-
-def builtin_proof(theory: Theory, name: str) -> Derivation:
-    """Replayable handler lemma pieces at default keys."""
-    names = theory.constructors
-    if name in {"bridge-r", "bridge-l"}:
-        if len(names) < 2:
-            raise E.BadParams(f"{name} needs two exception names")
-        i, j = names[0], names[1]
+def _bridge_proof(left: bool):
+    """A bridge as a built-in proof: g raises i into y = P[j], h is id[y]."""
+    def build(theory: Theory, i: str, j: str) -> Derivation:
         y = Param(j)
-        g = raise_term(theory, i, y)
-        h = Id(y)
-        fn = _bridge_right if name == "bridge-r" else _bridge_left
-        return fn(theory, i, j, g, h)
-    raise E.UnknownLemma(f"no built-in proof {name!r}")
+        return _bridge(theory, i, j, raise_term(theory, i, y), Id(y), left)
+    return build
+
+
+# ------------------------------------------------------------ catalogue
+
+_IJ = (("i", "name"), ("j", "name"))
+_FGH = ("f", "g", "h")  # a handler lemma's body and clauses, library only
+
+# the dualized lemmas expect the standard axiom names (B1_i, B2_i_j)
+LEMMAS = {
+    # t[i] . c[i] == id[0], by dualizing the states proof
+    "key-annihilation": Entry(_key_annihilation),
+    # f == empty[Y] for a propagator f: 0 -> Y
+    "initial-uniqueness": Entry(
+        derive_initial_uniqueness, (("f", "term"),),
+        example=lambda i: FromEmpty(Param(i))),
+    # re-raising a caught key changes nothing
+    "catch-throw": Entry(_catch_throw, (("i", "name"), ("to", "type")),
+                         optional=1),
+    # clause order is irrelevant across keys
+    "handler-commute": Entry(_handler_commute, _IJ, extra=_FGH),
+    # a repeated key's second clause is dead
+    "handler-idempotent": Entry(_handler_idempotent, extra=_FGH),
+}
+
+# handler lemma pieces, at the theory's first names
+_TWO = "{name} needs two exception names"
+BUILTINS = {
+    "bridge-r": Entry(_bridge_proof(False), _IJ, too_few=_TWO),
+    "bridge-l": Entry(_bridge_proof(True), _IJ, too_few=_TWO),
+}
+
+CATALOGUE = Catalogue("exceptions", "an exceptions theory",
+                      "exception name", LEMMAS, BUILTINS)
+derive_lemma = CATALOGUE.derive_lemma
+builtin_proof = CATALOGUE.builtin_proof

@@ -355,7 +355,11 @@ class _Tables:
         return self._built[t]
 
     def _gen(self, g: Gen) -> list[int]:
-        """g's table as positions in its codomain's carrier."""
+        """g's table as positions in its codomain's carrier; a codomain
+        over the model's bound is refused before its carrier is built."""
+        if self.model.carrier_size(g.cod) > self.model.bound:
+            raise E.SearchSpaceTooLarge(
+                f"codomain of {g.name!r} exceeds bound {self.model.bound}")
         at = self.model.positions(g.cod)
         try:
             return [at[v] for v in self.model.gen_table(g)]
@@ -676,15 +680,9 @@ def sweep_equation(model: _Model, eq: Equation, name: str = "") -> LawResult:
 # ---------------------------------------------------------------- suites
 
 def verify_law_suite(model: _Model, suite: str) -> SuiteReport:
-    if suite == "states-seven":
-        return _suite_states_seven(model)
-    if suite == "exceptions-laws":
-        return _suite_exceptions_laws(model)
-    if suite == "nesting-matrix":
-        return _suite_nesting(model)
-    if suite == "duality-semantic":
-        return _suite_duality(model)
-    raise E.SuiteUnknown(f"no suite named {suite!r}")
+    if suite not in SUITES:
+        raise E.SuiteUnknown(f"no suite named {suite!r}")
+    return SUITES[suite](model)
 
 
 def _suite_states_seven(model: FiniteStateModel) -> SuiteReport:
@@ -828,3 +826,12 @@ def _suite_duality(model: _Model) -> SuiteReport:
             check_equation(model, annihilation_equation(th, i)),
             check_equation(dual_m, key_annihilation_equation(dual_th, i))))
     return SuiteReport("duality-semantic", tuple(results))
+
+
+# the law suites, by the name `verify SUITE` gives
+SUITES = {
+    "states-seven": _suite_states_seven,
+    "exceptions-laws": _suite_exceptions_laws,
+    "nesting-matrix": _suite_nesting,
+    "duality-semantic": _suite_duality,
+}

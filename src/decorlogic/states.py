@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors as E
+from .catalogue import Catalogue, Entry
 from .kernel import (
     Derivation, axiom_node, derive_final_uniqueness, node,
 )
 from .terms import (
-    Id, Lookup, Proj1, Proj2, SemiProd, Term, ToUnit, Update,
+    Comp, Id, Lookup, Proj1, Proj2, SemiProd, Term, ToUnit, Update,
     comp, normalize_assoc,
 )
 from .theory import Axiom, Equation, Theory, WEAK, eq_strong, eq_weak, typecheck
@@ -370,64 +371,46 @@ def _interaction3(th: Theory, i: str, mirrored: bool = False) -> Derivation:
     return _conclude_by_cone(th, lhs, rhs, fam, branches_l, branches_r)
 
 
-LEMMAS = ("annihilation", "final-uniqueness", "commutation-6", "interaction-3")
-
-
-def derive_lemma(theory: Theory, lemma_id: str, params=None) -> Derivation:
-    """Build the named lemma's derivation for the given theory.
-
-    annihilation(i):    u[i] . l[i] == id[1]
-    final-uniqueness(f): f == unit[X] for an accessor f: X -> 1
-    commutation-6(i,j): independent writes commute
-    interaction-3(i):   double write keeps the second value
-    """
-    p = dict(params or {})
-    if theory.flavor != "states":
-        raise E.BadParams("states lemmas need a states theory")
-
-    def want(key):
-        if key not in p:
-            raise E.BadParams(f"lemma {lemma_id!r} needs parameter {key!r}")
-        return p[key]
-
-    if lemma_id == "annihilation":
-        return _annihilation(theory, _loc(theory, want("i")))
-    if lemma_id == "final-uniqueness":
-        return derive_final_uniqueness(theory, want("f"))
-    if lemma_id == "commutation-6":
-        return _commutation6(theory, _loc(theory, want("i")), _loc(theory, want("j")))
-    if lemma_id == "interaction-3":
-        return _interaction3(theory, _loc(theory, want("i")))
-    raise E.UnknownLemma(f"no states lemma {lemma_id!r} "
-                         f"(expected one of {', '.join(LEMMAS)})")
-
-
-def _loc(theory: Theory, i) -> str:
-    if i not in theory.locations:
-        raise E.UnknownIndex(f"unknown location {i!r}")
-    return i
-
-
 def mirror_interaction3(theory: Theory, i: str) -> Derivation:
     """The mirrored form of interaction-3 (used via duality by handlers)."""
-    return _interaction3(theory, _loc(theory, i), mirrored=True)
+    if i not in theory.locations:
+        raise E.UnknownIndex(f"unknown location {i!r}")
+    return _interaction3(theory, i, mirrored=True)
 
 
-# ----------------------------------------------------- built-in proofs
+# ------------------------------------------------------------ catalogue
 
-def builtin_proof(theory: Theory, name: str) -> Derivation:
-    """Replayable appendix trees: pr1..pr8 at default locations."""
-    locs = theory.locations
-    three = {"pr1", "pr2", "pr3", "pr4"}
-    if name in three:
-        if len(locs) < 3:
-            raise E.BadParams(f"{name} observes a third location; "
-                              f"theory has only {len(locs)}")
-        i, j, k = locs[0], locs[1], locs[2]
-        return {"pr1": pr1, "pr2": pr2, "pr3": pr3, "pr4": pr4}[name](theory, i, j, k)
-    if name in {"pr5", "pr6", "pr7", "pr8"}:
-        if len(locs) < 2:
-            raise E.BadParams(f"{name} needs two locations")
-        i, j = locs[0], locs[1]
-        return {"pr5": pr5, "pr6": pr6, "pr7": pr7, "pr8": pr8}[name](theory, i, j)
-    raise E.UnknownLemma(f"no built-in proof {name!r}")
+_IJ = (("i", "name"), ("j", "name"))
+
+LEMMAS = {
+    # u[i] . l[i] == id[1]
+    "annihilation": Entry(_annihilation),
+    # f == unit[X] for an accessor f: X -> 1
+    "final-uniqueness": Entry(
+        derive_final_uniqueness, (("f", "term"),),
+        example=lambda i: Comp(ToUnit(Value(i)), Lookup(i))),
+    # independent writes commute
+    "commutation-6": Entry(_commutation6, _IJ),
+    # a double write keeps the second value
+    "interaction-3": Entry(_interaction3),
+}
+
+# the appendix proof trees, at the theory's first locations
+_IJK = _IJ + (("k", "name"),)
+_THIRD = "{name} observes a third location; theory has only {n}"
+_TWO = "{name} needs two locations"
+BUILTINS = {
+    "pr1": Entry(pr1, _IJK, too_few=_THIRD),
+    "pr2": Entry(pr2, _IJK, too_few=_THIRD),
+    "pr3": Entry(pr3, _IJK, too_few=_THIRD),
+    "pr4": Entry(pr4, _IJK, too_few=_THIRD),
+    "pr5": Entry(pr5, _IJ, too_few=_TWO),
+    "pr6": Entry(pr6, _IJ, too_few=_TWO),
+    "pr7": Entry(pr7, _IJ, too_few=_TWO),
+    "pr8": Entry(pr8, _IJ, too_few=_TWO),
+}
+
+CATALOGUE = Catalogue("states", "a states theory", "location",
+                      LEMMAS, BUILTINS)
+derive_lemma = CATALOGUE.derive_lemma
+builtin_proof = CATALOGUE.builtin_proof

@@ -155,17 +155,30 @@ def test_bank_account_reports_match_the_golden_bytes(mode, capfdbinary):
 # ------------------------------------------------------- memory bounds
 
 
-def test_a_deep_semi_pure_goal_is_decided_within_a_memory_cap(tmp_path):
-    """Refuting on the model would need the 3^16-element domain carrier:
-    the point bound stops it before it is built, and the search proves
-    the goal. Run in a child process capped at 1.5 GB of address space."""
+def _deep_lsemi():
     term = "l[x]"
     for _ in range(16):
         term = f"lsemi(step, {term})"
-    path = _write(tmp_path, "theory S = states(x: 3)\n"
-                  "pure gen step : V[x] -> V[x] in S = [1, 2, 0]\n"
-                  f"term q in S = {term}\n"
-                  "prove in S : q ~~ q\n")
+    return ("pure gen step : V[x] -> V[x] in S = [1, 2, 0]\n"
+            f"term q in S = {term}\n"
+            "prove in S : q ~~ q\n")
+
+
+def _wide_gen():
+    cod = " * ".join(["V[x]"] * 16)
+    return (f"pure gen big : V[x] -> {cod} in S = [0, 1, 2]\n"
+            "prove in S : big . l[x] ~~ big . l[x]\n")
+
+
+@pytest.mark.parametrize("goal", [_deep_lsemi(), _wide_gen()],
+                         ids=["lsemi-depth-16", "gen-codomain-16"])
+def test_a_deep_semi_pure_goal_is_decided_within_a_memory_cap(tmp_path, goal):
+    """Refuting on the model would need a 3^16-element carrier: the domain
+    of the nested lsemi, or the codomain of the generator's table. The
+    point bound and the table bound stop it before it is built, and the
+    search proves the goal. Run in a child process capped at 1.5 GB of
+    address space."""
+    path = _write(tmp_path, "theory S = states(x: 3)\n" + goal)
     child = ("import resource, sys\n"
              "cap = 1536 * 2**20\n"
              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +14,13 @@ from decorlogic.dsl import (ExecConfig, build_proof,
                             derivation_json, derivation_to_proof,
                             emit_report, execute, parse_script, print_script,
                             report_json, _lex, _tree_text)
+from decorlogic.exceptions import CATALOGUE as EXC_CATALOGUE
 from decorlogic.exceptions import derive_lemma as exc_lemma
 from decorlogic.kernel import ProveResult, axiom_node, check_derivation, node
+from decorlogic.states import CATALOGUE as STATE_CATALOGUE
 from decorlogic.states import builtin_proof as st_proof, derive_lemma as st_lemma
-from decorlogic.terms import Comp, Lookup, Update, normalize_assoc, term_size
+from decorlogic.terms import (Comp, Lookup, Update, normalize_assoc,
+                              term_size, term_to_text)
 from decorlogic.theory import typecheck
 from decorlogic.types import Prod, UNIT, Value
 
@@ -274,13 +278,41 @@ def test_script_problems_raise_instead_of_reporting():
     assert "missing" in report.outcomes[0].detail["error"]
 
 
+def _catalogue_scripts():
+    """(entry signature, script) for every lemma and built-in proof: each
+    lemma with all its parameters, with only the required ones, and at its
+    defaults through `check proof`; each built-in through `check proof`."""
+    sides = ((STATE_CATALOGUE, "x", "y", "z", "V"),
+             (EXC_CATALOGUE, "i", "j", "k", "P"))
+    for cat, *ix, carrier in sides:
+        head = (f"theory T = {cat.flavor}"
+                f"({', '.join(f'{i}: 2' for i in ix)})\n")
+        for name, entry in {**cat.lemmas, **cat.builtins}.items():
+            sig = f"{name}({', '.join(key for key, _ in entry.params)})"
+            yield sig, head + f"check proof {name} in T\n"
+            if name in cat.builtins:
+                continue
+            args = [ix[k] if kind == "name"
+                    else f"{carrier}[{ix[k]}]" if kind == "type"
+                    else term_to_text(entry.example(ix[0]))
+                    for k, (_, kind) in enumerate(entry.params)]
+            for n in {len(args), entry.required}:
+                yield sig, head + f"lemma {name}({', '.join(args[:n])}) in T\n"
+
+
 def test_builtin_proofs_are_reachable_by_name():
-    src = ("theory S3 = states(x: 2, y: 2, z: 2)\n"
-           "check proof pr1 in S3\n"
-           "check proof annihilation in S3\n")
-    report = execute(parse_script(src))
-    assert report.ok
-    assert all(o.detail["valid"] for o in report.outcomes)
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    for sig, src in _catalogue_scripts():
+        assert sig in readme
+        assert print_script(parse_script(src)) == src
+        report = execute(parse_script(src))
+        assert report.ok, (src, report.outcomes[0].detail)
+        assert report.outcomes[0].detail["valid"]
+    # the lemma scripts above wrote an argument of every kind
+    assert {kind for cat in (STATE_CATALOGUE, EXC_CATALOGUE)
+            for e in cat.lemmas.values()
+            for _, kind in e.params} == {"name", "term", "type"}
 
 
 def test_hypotheses_surface_in_check_details():

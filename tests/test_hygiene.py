@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and none raises the interpreter's recursion limit.
+none raises the interpreter's recursion limit, and every name the traced
+benchmark rebinds still exists.
 
 `__init__.py` is left out of the import scan, since re-exporting is what
 it imports for.
@@ -8,11 +9,16 @@ it imports for.
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "decorlogic"
+from decorlogic import cli, dsl, kernel, terms
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "decorlogic"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -88,3 +94,17 @@ def test_the_scan_sees_a_recursion_limit_change():
                          ids=lambda p: p.name)
 def test_no_recursion_limit_changes(path):
     assert recursion_limit_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_traced_benchmark_finds_every_name_it_rebinds():
+    """`perfbench/run.py --trace` wraps names of cli and dsl by attribute;
+    building its Tracer looks each one up, so a refactor that drops one
+    fails here rather than in a traced run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    lib = SimpleNamespace(kernel=kernel, cli=cli, dsl=dsl, terms=terms)
+    tracer = tracing.Tracer(lib)
+    assert tracer._patches
+    assert all(callable(orig) for _, _, orig, _ in tracer._patches)

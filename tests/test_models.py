@@ -286,6 +286,24 @@ def test_the_point_bound_is_checked_before_any_carrier_is_built(states2):
     assert all(len(c) <= m.bound for c in m._carriers.values())
 
 
+def test_a_generator_codomain_over_the_bound_is_never_built(states2):
+    # 3 points, but the table would index a 3^8-element codomain: the
+    # interpreter decides instead, and agrees with an unbounded model
+    cod, outs = Value("x"), [0, 1, 2]
+    for _ in range(7):
+        cod, outs = Prod(Value("x"), cod), [(a, o) for a, o in enumerate(outs)]
+    wide = Gen("wide", Value("x"), cod, 0)
+    th = states2.with_gen(wide)
+    table = Valuation(tables={"wide": tuple(outs)})
+    eq = eq_weak(comp(wide, Lookup("x")), comp(wide, Lookup("x")))
+    m = FiniteStateModel(th, {"x": 3, "y": 1}, table, bound=1000)
+    r = check_equation(m, eq)
+    assert r.holds and r.points == 3
+    assert all(len(c) <= m.bound for c in m._carriers.values())
+    assert r == check_equation(FiniteStateModel(th, {"x": 3, "y": 1}, table),
+                               eq)
+
+
 def test_carrier_size_follows_the_carrier(states2, exc2):
     m = FiniteStateModel(states2, {"x": 3, "y": 2},
                          Valuation(base={"N": 4, "Z": 0}))
