@@ -10,7 +10,12 @@ from typing import Any, Callable, Mapping, Optional
 
 from . import errors as E
 from .kernel import Derivation
+from .terms import TERM_CLASSES
 from .theory import Theory
+from .types import TYPE_CLASSES
+
+# what the value of a term or type parameter must be
+_CLASSES = {"term": TERM_CLASSES, "type": TYPE_CLASSES}
 
 
 @dataclass(frozen=True)
@@ -19,11 +24,11 @@ class Entry:
 
     `params` are its parameters in order, (key, kind) pairs with the kinds
     "name", "term" and "type" of `kernel.RuleSpec.keys`; the last
-    `optional` may be left out, and `extra` are keywords only a library
-    caller passes. `check proof NAME` takes name parameters from the
-    theory's indices in order (the last one again where it has too few)
-    and a term parameter from `example(first index)`. A built-in takes
-    every parameter from the indices; `too_few` says it has too few.
+    `optional` may be left out, and `extra` are optional term keywords
+    only a library caller passes. `check proof NAME` takes name parameters
+    from the theory's indices in order (the last one again where it has
+    too few) and a term parameter from `example(first index)`. A built-in
+    takes every parameter from the indices; `too_few` says it has too few.
     """
 
     build: Callable[..., Derivation]
@@ -64,16 +69,22 @@ class Catalogue:
                                  f"(expected one of {', '.join(self.lemmas)})")
         entry = self.lemmas[lemma_id]
         values = {}
-        for k, (key, kind) in enumerate(entry.params):
+        extra = tuple((key, "term") for key in entry.extra)
+        for k, (key, kind) in enumerate(entry.params + extra):
             if key not in p:
                 if k < entry.required:
                     raise E.BadParams(
                         f"lemma {lemma_id!r} needs parameter {key!r}")
                 continue
-            if kind == "name" and p[key] not in self.indices(theory):
-                raise E.UnknownIndex(f"unknown {self.index_word} {p[key]!r}")
-            values[key] = p[key]
-        values.update((key, p[key]) for key in entry.extra if key in p)
+            v = p[key]
+            if kind == "name" and v not in self.indices(theory):
+                raise E.UnknownIndex(f"unknown {self.index_word} {v!r}")
+            if kind in _CLASSES and not isinstance(v, _CLASSES[kind]):
+                if v is None and k >= entry.required:
+                    continue  # an optional parameter left out
+                raise E.BadInstantiation(
+                    f"{lemma_id}: {key!r} must be a {kind}")
+            values[key] = v
         return entry.build(theory, **values)
 
     def default_params(self, theory: Theory, lemma_id: str) -> dict[str, Any]:

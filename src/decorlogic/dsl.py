@@ -36,10 +36,8 @@ from .states import CATALOGUE as STATE_CATALOGUE
 from .states import build_states_theory
 from .states import builtin_proof as _states_builtin
 from .states import derive_lemma as _states_lemma
-from .terms import (CaseSum, Catch, CatchAll, Coerce, Comp, ConstCotuple,
-                    FromEmpty, Gen, Id, Inj1, Inj2, LocTuple, Lookup,
-                    PropCase, Proj1, Proj2, SemiCoprod, SemiProd, Term,
-                    Throw, ToUnit, Update, term_to_text)
+from .terms import (BRACKETS, SYNTAX, CaseSum, Coerce, Comp, FromEmpty, Gen,
+                    Id, Spelling, Term, Throw, term_to_text)
 from .theory import (Equation, STRONG, Theory, WEAK, typecheck,
                      typecheck_equation)
 from .translators import (dualize_theory, erase_theory,
@@ -51,13 +49,11 @@ REPORT_SCHEMA = "decor-report/1"
 _LEVEL_KEYWORDS = {"pure": 0, "accessor": 1, "modifier": 2,
                    "propagator": 1, "catcher": 2}
 
-# names the term grammar claims for itself; declarations cannot reuse them
-_RESERVED = frozenset({
-    "l", "u", "t", "c", "id", "unit", "empty", "p1", "p2", "in1", "in2",
-    "lsemi", "rsemi", "lsum", "rsum", "tuple", "cotuple", "case", "cases",
-    "coerce", "catchall", "raise", "try", "catch", "handle", "throw",
-    "theory", "gen", "term", "equation", "proof", "model", "check",
-    "verify", "eval", "lemma", "prove", "erase", "expand", "dualize",
+# names the grammar claims for itself; declarations cannot reuse them
+_RESERVED = frozenset(SYNTAX) | frozenset({
+    "raise", "try", "catch", "handle", "throw", "theory", "gen", "term",
+    "equation", "proof", "model", "check", "verify", "eval", "lemma",
+    "prove", "erase", "expand", "dualize",
     "in", "for", "with", "on", "state", "budget", "from", "axiom", "hyp",
     "holds", "wf", "level", "states", "exceptions", "dual", "V", "P",
 }) | frozenset(_LEVEL_KEYWORDS)
@@ -236,10 +232,6 @@ Decl = Union[TheoryDecl, GenDecl, TermDecl, EquationDecl, ModelDecl,
              ProofDecl, CheckProofCmd, VerifyCmd, LemmaCmd, EvalCmd,
              ProveCmd, TranslateCmd]
 
-_COMMAND_TYPES = (CheckProofCmd, VerifyCmd, LemmaCmd, EvalCmd, ProveCmd,
-                  TranslateCmd)
-
-
 @dataclass(frozen=True)
 class Script:
     decls: tuple[Decl, ...]
@@ -275,6 +267,11 @@ _LEMMAS = {**STATE_CATALOGUE.lemmas, **EXC_CATALOGUE.lemmas}
 # argument positions, the right operands of * and +); past it a script is
 # refused with a ParseError instead of exhausting the Python stack
 MAX_NESTING = 100
+
+# how long a chain of premises a proof block may hold; past it a script is
+# refused with a ParseError instead of exhausting the Python stack when the
+# derivation is replayed, reported or printed (recursively, step by step)
+MAX_PROOF_DEPTH = 100
 
 
 class _Parser:
@@ -398,29 +395,6 @@ class _Parser:
         finally:
             self.depth -= 1
 
-    def _bracket_type(self) -> TypeExpr:
-        self.expect("sym", "[")
-        ty = self.type_expr()
-        self.expect("sym", "]")
-        return ty
-
-    def _bracket_type2(self) -> tuple[TypeExpr, TypeExpr]:
-        self.expect("sym", "[")
-        a = self.type_expr()
-        self.expect("sym", ",")
-        b = self.type_expr()
-        self.expect("sym", "]")
-        return a, b
-
-    def _paren_terms(self, theory: str, n: int) -> list[Term]:
-        self.expect("sym", "(")
-        out = [self.term_expr(theory)]
-        while len(out) < n:
-            self.expect("sym", ",")
-            out.append(self.term_expr(theory))
-        self.expect("sym", ")")
-        return out
-
     def _family(self, theory: str) -> tuple[tuple[str, Term], ...]:
         self.expect("sym", "(")
         comps = []
@@ -432,6 +406,24 @@ class _Parser:
                 break
         self.expect("sym", ")")
         return tuple(comps)
+
+    def _keyword_args(self, theory: str, s: Spelling) -> Sequence:
+        """A keyword's arguments in written order, read by its shape, from
+        the bracket at hand to the closing one."""
+        if s.shape == "family":
+            return (self._family(theory),)
+        read = self.type_expr  # type, types
+        if s.shape == "index":
+            read = lambda: self.expect("ident").text
+        elif s.shape == "terms":
+            read = lambda: self.term_expr(theory)
+        self.next()
+        out = [read()]
+        while len(out) < len(s.fields):
+            self.expect("sym", ",")
+            out.append(read())
+        self.expect("sym", BRACKETS[s.shape][1])
+        return out
 
     def _handler_clauses(self, theory: str
                          ) -> tuple[list[tuple[str, Term]], Optional[Term]]:
@@ -452,75 +444,16 @@ class _Parser:
         name = tok.text
         self.next()
         nxt = self.peek()
-        if nxt.kind == "sym" and nxt.text == "[":
-            if name == "l":
+        spelling = SYNTAX.get(name)
+        if nxt.kind == "sym":
+            if spelling and BRACKETS[spelling.shape][:1] == nxt.text:
+                return spelling.build(*self._keyword_args(theory, spelling))
+            if nxt.text == "[":
+                raise self.fail(f"{name!r} does not take [..] arguments")
+            if nxt.text == "(" and name == "raise":
+                return self._raise()
+            if nxt.text == "(" and name == "handle":
                 self.next()
-                idx = self.expect("ident").text
-                self.expect("sym", "]")
-                return Lookup(idx)
-            if name == "u":
-                self.next()
-                idx = self.expect("ident").text
-                self.expect("sym", "]")
-                return Update(idx)
-            if name == "t":
-                self.next()
-                idx = self.expect("ident").text
-                self.expect("sym", "]")
-                return Throw(idx)
-            if name == "c":
-                self.next()
-                idx = self.expect("ident").text
-                self.expect("sym", "]")
-                return Catch(idx)
-            if name == "id":
-                return Id(self._bracket_type())
-            if name == "unit":
-                return ToUnit(self._bracket_type())
-            if name == "empty":
-                return FromEmpty(self._bracket_type())
-            if name == "p1":
-                return Proj1(*self._bracket_type2())
-            if name == "p2":
-                return Proj2(*self._bracket_type2())
-            if name == "in1":
-                return Inj1(*self._bracket_type2())
-            if name == "in2":
-                return Inj2(*self._bracket_type2())
-            raise self.fail(f"{name!r} does not take [..] arguments")
-        if nxt.kind == "sym" and nxt.text == "(":
-            if name in ("lsemi", "rsemi", "lsum", "rsum"):
-                a, b = self._paren_terms(theory, 2)
-                if name == "lsemi":
-                    return SemiProd(a, b, pure_on_left=True)
-                if name == "rsemi":
-                    return SemiProd(b, a, pure_on_left=False)
-                if name == "lsum":
-                    return SemiCoprod(a, b, pure_on_left=True)
-                return SemiCoprod(b, a, pure_on_left=False)
-            if name == "tuple":
-                return LocTuple(self._family(theory))
-            if name == "cotuple":
-                return ConstCotuple(self._family(theory))
-            if name == "case":
-                g, k = self._paren_terms(theory, 2)
-                return CaseSum(g, k)
-            if name == "cases":
-                g, h = self._paren_terms(theory, 2)
-                return PropCase(g, h)
-            if name == "coerce":
-                (inner,) = self._paren_terms(theory, 1)
-                return Coerce(inner)
-            if name == "raise":
-                self.next()
-                idx = self.expect("ident").text
-                to: TypeExpr = Param(idx)
-                if self.eat("sym", ","):
-                    to = self.type_expr()
-                self.expect("sym", ")")
-                return Comp(FromEmpty(to), Throw(idx))
-            if name == "handle":
-                self.expect("sym", "(")
                 body = self.term_expr(theory)
                 self.expect("sym", ",")
                 clauses, catch_all = self._handler_clauses_tail(theory)
@@ -531,13 +464,24 @@ class _Parser:
             self.expect("ident", "catch")
             clauses, catch_all = self._handler_clauses(theory)
             return self._build_handler(body, clauses, catch_all)
-        if name == "catchall":
-            return CatchAll()
+        if spelling is not None and spelling.shape == "none":
+            return spelling.build()
         if (theory, name) in self.terms:
             return self.terms[(theory, name)]
         if (theory, name) in self.gens:
             return self.gens[(theory, name)]
         raise self.fail(f"unknown term or generator {name!r}")
+
+    def _raise(self) -> Term:
+        """`raise(i)` or `raise(i, Y)`: throw i, then empty[Y] (Y is P[i]
+        when left out)."""
+        self.next()
+        idx = self.expect("ident").text
+        to: TypeExpr = Param(idx)
+        if self.eat("sym", ","):
+            to = self.type_expr()
+        self.expect("sym", ")")
+        return Comp(FromEmpty(to), Throw(idx))
 
     def _handler_clauses_tail(self, theory: str
                               ) -> tuple[list[tuple[str, Term]], Optional[Term]]:
@@ -676,16 +620,21 @@ class _Parser:
             th = self.theory_ref()
             self.expect("sym", "{")
             steps = []
-            seen = set()
+            depth: dict[str, int] = {}  # label -> 1 + its deepest premise's
             while not self.at("sym", "}"):
+                start = self.peek()
                 step = self.proof_step(th)
-                if step.label in seen:
+                if step.label in depth:
                     raise self.fail(f"duplicate step label {step.label!r}")
-                seen.add(step.label)
                 for p in step.premises:
-                    if p not in seen:
+                    if p not in depth:
                         raise self.fail(f"step {step.label!r} uses undefined "
                                         f"label {p!r}")
+                depth[step.label] = 1 + max(
+                    [depth[p] for p in step.premises], default=0)
+                if depth[step.label] > MAX_PROOF_DEPTH:
+                    raise E.ParseError(f"proof deeper than {MAX_PROOF_DEPTH} "
+                                       f"steps", start.line, start.col)
                 steps.append(step)
             self.expect("sym", "}")
             if not steps:
@@ -882,10 +831,6 @@ def parse_script(text: str) -> Script:
 
 # ---------------------------------------------------------------- printer
 
-def _type_text(ty: TypeExpr) -> str:
-    return str(ty)
-
-
 def _rule_kind(rule: Any, key: str) -> str:
     spec = RULES.get(rule)
     return spec.key_kind(key) if spec else "term"
@@ -896,9 +841,9 @@ def _inst_text(kind: str, value: Any) -> str:
     if kind == "family":
         inner = ", ".join(f"{i}: {term_to_text(t)}" for i, t in value)
         return f"({inner})"
-    if kind == "type":
-        return _type_text(value)
-    return str(value) if kind in ("name", "int") else term_to_text(value)
+    if kind in ("name", "int", "type"):
+        return str(value)
+    return term_to_text(value)
 
 
 def _eq_text(eq: Equation) -> str:
@@ -938,8 +883,7 @@ def _decl_text(d: Decl) -> str:
         suffix = " with catchall" if d.catch_all else ""
         return f"theory {d.name} = {d.kind}{_sized_text(d.indices)}{suffix}"
     if isinstance(d, GenDecl):
-        out = (f"{d.level_kw} gen {d.name} : {_type_text(d.dom)} -> "
-               f"{_type_text(d.cod)} in {d.theory}")
+        out = f"{d.level_kw} gen {d.name} : {d.dom} -> {d.cod} in {d.theory}"
         if d.table is not None:
             out += " = [" + ", ".join(str(v) for v in d.table) + "]"
         return out
@@ -1217,22 +1161,19 @@ def _theory_json(th: Theory, sizes: Mapping[str, int]) -> dict:
     return out
 
 
-def _run_check(env: _Env, cmd: CheckProofCmd) -> Outcome:
+# Each runner returns (ok, detail). A DecorError it raises is the
+# command's failure, recorded in the report; a ScriptError is the script's.
+
+def _run_check(env: _Env, cmd: CheckProofCmd) -> tuple[bool, dict]:
     th = env.theory(cmd.theory, cmd.pos)
-    target = f"check proof {cmd.proof} in {cmd.theory}"
-    try:
-        if cmd.proof in env.proofs:
-            decl = env.proofs[cmd.proof]
-            if decl.theory != cmd.theory:
-                raise E.ExecError(f"proof {cmd.proof!r} is in theory "
-                                  f"{decl.theory!r}", cmd.pos.line, cmd.pos.col)
-            d = build_proof(th, decl)
-        else:
-            d = _builtin_derivation(th, cmd.proof)
-    except E.ScriptError:
-        raise
-    except E.DecorError as exc:
-        return Outcome("check", target, False, {"error": str(exc)}, 0.0)
+    if cmd.proof in env.proofs:
+        decl = env.proofs[cmd.proof]
+        if decl.theory != cmd.theory:
+            raise E.ExecError(f"proof {cmd.proof!r} is in theory "
+                              f"{decl.theory!r}", cmd.pos.line, cmd.pos.col)
+        d = build_proof(th, decl)
+    else:
+        d = _builtin_derivation(th, cmd.proof)
     res = check_derivation(th, d)
     detail: dict[str, Any] = {"valid": res.valid, "nodes": res.nodes,
                               "conclusion": str(d.conclusion)}
@@ -1241,28 +1182,20 @@ def _run_check(env: _Env, cmd: CheckProofCmd) -> Outcome:
     if res.hypotheses:
         detail["hypotheses"] = list(res.hypotheses)
     detail["tree"] = derivation_json(d)
-    return Outcome("check", target, res.valid, detail, 0.0)
+    return res.valid, detail
 
 
-def _run_verify(env: _Env, cmd: VerifyCmd) -> Outcome:
-    target = f"verify {cmd.suite} in {cmd.theory}"
-    try:
-        model = env.model_for(cmd.theory, cmd.model, cmd.pos)
-        rep = verify_law_suite(model, cmd.suite)
-    except E.ScriptError:
-        raise
-    except E.DecorError as exc:
-        return Outcome("verify", target, False, {"error": str(exc)}, 0.0)
-    detail = {"suite": cmd.suite, "model": model.describe(),
-              "laws": _law_rows(rep.results),
-              "holds": sum(r.holds for r in rep.results),
-              "total": len(rep.results)}
-    return Outcome("verify", target, rep.ok, detail, 0.0)
+def _run_verify(env: _Env, cmd: VerifyCmd) -> tuple[bool, dict]:
+    model = env.model_for(cmd.theory, cmd.model, cmd.pos)
+    rep = verify_law_suite(model, cmd.suite)
+    return rep.ok, {"suite": cmd.suite, "model": model.describe(),
+                    "laws": _law_rows(rep.results),
+                    "holds": sum(r.holds for r in rep.results),
+                    "total": len(rep.results)}
 
 
-def _run_lemma(env: _Env, cmd: LemmaCmd) -> Outcome:
+def _run_lemma(env: _Env, cmd: LemmaCmd) -> tuple[bool, dict]:
     th = env.theory(cmd.theory, cmd.pos)
-    target = f"lemma {cmd.lemma} in {cmd.theory}"
     params = {key: v for (key, _), v in zip(_LEMMAS[cmd.lemma].params,
                                              cmd.args)}
     lib = _library(th)
@@ -1270,18 +1203,13 @@ def _run_lemma(env: _Env, cmd: LemmaCmd) -> Outcome:
         raise E.ExecError("lemmas need a states or exceptions theory",
                           cmd.pos.line, cmd.pos.col)
     _, lemma, _ = lib
-    try:
-        d = lemma(th, cmd.lemma, params)
-    except E.ScriptError:
-        raise
-    except E.DecorError as exc:
-        return Outcome("lemma", target, False, {"error": str(exc)}, 0.0)
+    d = lemma(th, cmd.lemma, params)
     res = check_derivation(th, d)
     detail = {"valid": res.valid, "nodes": res.nodes,
               "conclusion": str(d.conclusion)}
     if res.error:
         detail["error"] = res.error
-    return Outcome("lemma", target, res.valid, detail, 0.0)
+    return res.valid, detail
 
 
 def _decode_input(model, dom_ty: TypeExpr, n: int, pos: SrcPos) -> Any:
@@ -1293,60 +1221,46 @@ def _decode_input(model, dom_ty: TypeExpr, n: int, pos: SrcPos) -> Any:
     return car[n]
 
 
-def _run_eval(env: _Env, cmd: EvalCmd) -> Outcome:
+def _run_eval(env: _Env, cmd: EvalCmd) -> tuple[bool, dict]:
     th = env.theory(cmd.theory, cmd.pos)
-    target = f"eval in {cmd.theory}"
-    try:
-        model = env.model_for(cmd.theory, None, cmd.pos)
-        dom_ty, _ = typecheck(th, cmd.term)
-        if th.flavor == "states":
-            if cmd.input_kind != "val":
-                raise E.ExecError("states terms take ordinary inputs, "
-                                  "not throw(..)", cmd.pos.line, cmd.pos.col)
-            state = cmd.state
-            if state is None:
-                state = tuple(0 for _ in th.locations)
-            if len(state) != len(th.locations):
-                raise E.ExecError(f"state needs {len(th.locations)} entries",
-                                  cmd.pos.line, cmd.pos.col)
-            value = _decode_input(model, dom_ty, cmd.value, cmd.pos)
-            out_val, out_state = eval_states(model, cmd.term, value, state)
-            detail = {"term": term_to_text(cmd.term),
+    model = env.model_for(cmd.theory, None, cmd.pos)
+    dom_ty, _ = typecheck(th, cmd.term)
+    if th.flavor == "states":
+        if cmd.input_kind != "val":
+            raise E.ExecError("states terms take ordinary inputs, "
+                              "not throw(..)", cmd.pos.line, cmd.pos.col)
+        state = cmd.state
+        if state is None:
+            state = tuple(0 for _ in th.locations)
+        if len(state) != len(th.locations):
+            raise E.ExecError(f"state needs {len(th.locations)} entries",
+                              cmd.pos.line, cmd.pos.col)
+        value = _decode_input(model, dom_ty, cmd.value, cmd.pos)
+        out_val, out_state = eval_states(model, cmd.term, value, state)
+        return True, {"term": term_to_text(cmd.term),
                       "input": _jsonable(value), "state": list(state),
                       "result": _jsonable(out_val),
                       "result_state": list(out_state)}
-        else:
-            if cmd.state is not None:
-                raise E.ExecError("exceptions terms have no state",
-                                  cmd.pos.line, cmd.pos.col)
-            if cmd.input_kind == "val":
-                inp = ("val", _decode_input(model, dom_ty, cmd.value, cmd.pos))
-            else:
-                inp = ("exc", tuple(cmd.value))
-            res = eval_exceptions(model, cmd.term, inp)
-            detail = {"term": term_to_text(cmd.term),
-                      "input": _jsonable(inp), "result": _jsonable(res)}
-    except E.ScriptError:
-        raise
-    except E.DecorError as exc:
-        return Outcome("eval", target, False, {"error": str(exc)}, 0.0)
-    return Outcome("eval", target, True, detail, 0.0)
+    if cmd.state is not None:
+        raise E.ExecError("exceptions terms have no state",
+                          cmd.pos.line, cmd.pos.col)
+    if cmd.input_kind == "val":
+        inp = ("val", _decode_input(model, dom_ty, cmd.value, cmd.pos))
+    else:
+        inp = ("exc", tuple(cmd.value))
+    res = eval_exceptions(model, cmd.term, inp)
+    return True, {"term": term_to_text(cmd.term),
+                  "input": _jsonable(inp), "result": _jsonable(res)}
 
 
-def _run_prove(env: _Env, cmd: ProveCmd) -> Outcome:
+def _run_prove(env: _Env, cmd: ProveCmd) -> tuple[bool, dict]:
     th = env.theory(cmd.theory, cmd.pos)
-    target = f"prove in {cmd.theory}: {_eq_text(cmd.eq)}"
     budget = cmd.budget or env.config.budget or 4
     try:
         model = env.model_for(cmd.theory, None, cmd.pos)
     except E.DecorError:
         model = None  # the search runs without refuting first
-    try:
-        res = saturate_prove(th, cmd.eq, budget=budget, model=model)
-    except E.ScriptError:
-        raise
-    except E.DecorError as exc:
-        return Outcome("prove", target, False, {"error": str(exc)}, 0.0)
+    res = saturate_prove(th, cmd.eq, budget=budget, model=model)
     detail = {"status": res.status, "rounds": res.rounds,
               "facts": res.facts, "reason": res.reason, "budget": budget}
     if res.witness is not None:
@@ -1358,46 +1272,72 @@ def _run_prove(env: _Env, cmd: ProveCmd) -> Outcome:
         detail["tree"] = derivation_json(res.derivation)
         if not replay.valid:
             ok, detail["error"] = False, replay.error
-    return Outcome("prove", target, ok, detail, 0.0)
+    return ok, detail
 
 
-def _run_translate(env: _Env, cmd: TranslateCmd) -> Outcome:
+def _run_translate(env: _Env, cmd: TranslateCmd) -> tuple[bool, dict]:
     th = env.theory(cmd.theory, cmd.pos)
     sizes = env.sizes.get(cmd.theory, {})
-    target = f"{cmd.op} {cmd.theory}"
-    try:
-        if cmd.op == "erase":
-            out = erase_theory(th)
-            kind = ("plain-states" if out.locations else "plain-exceptions")
-            idx = out.locations or out.constructors
-            decl = (f"theory {out.name} = {kind}"
-                    f"{_sized_text([(i, sizes.get(i)) for i in idx])}")
-            detail = {"dsl": decl, "theory": _theory_json(out, sizes)}
-        elif cmd.op == "dualize":
-            out = dualize_theory(th)
-            kind = "states" if out.flavor == "states" else "exceptions"
-            idx = out.locations or out.constructors
-            decl = (f"theory {out.name} = {kind}"
-                    f"{_sized_text([(i, sizes.get(i)) for i in idx])}")
-            detail = {"dsl": decl, "theory": _theory_json(out, sizes)}
-        else:
-            rows = []
-            for ax in th.axioms:
-                if th.flavor == "states":
-                    l, r = expand_states_equation(th, ax.eq)
-                elif th.flavor == "exceptions":
-                    l, r = expand_exceptions_equation(th, ax.eq)
-                else:
-                    raise E.ExecError("expand needs a states or exceptions "
-                                      "theory", cmd.pos.line, cmd.pos.col)
-                rows.append({"axiom": ax.name, "lhs": str(l), "rhs": str(r),
-                             "collapses": l == r})
-            detail = {"axioms": rows}
-    except E.ScriptError:
-        raise
-    except E.DecorError as exc:
-        return Outcome(cmd.op, target, False, {"error": str(exc)}, 0.0)
-    return Outcome(cmd.op, target, True, detail, 0.0)
+    if cmd.op == "expand":
+        rows = []
+        for ax in th.axioms:
+            if th.flavor == "states":
+                l, r = expand_states_equation(th, ax.eq)
+            elif th.flavor == "exceptions":
+                l, r = expand_exceptions_equation(th, ax.eq)
+            else:
+                raise E.ExecError("expand needs a states or exceptions "
+                                  "theory", cmd.pos.line, cmd.pos.col)
+            rows.append({"axiom": ax.name, "lhs": str(l), "rhs": str(r),
+                         "collapses": l == r})
+        return True, {"axioms": rows}
+    if cmd.op == "erase":
+        out = erase_theory(th)
+        kind = "plain-states" if out.locations else "plain-exceptions"
+    else:
+        out = dualize_theory(th)
+        kind = out.flavor
+    idx = out.locations or out.constructors
+    decl = (f"theory {out.name} = {kind}"
+            f"{_sized_text([(i, sizes.get(i)) for i in idx])}")
+    return True, {"dsl": decl, "theory": _theory_json(out, sizes)}
+
+
+# each command's runner, and its target as the report names it; a
+# target's first word is the command's kind
+_COMMANDS = {
+    CheckProofCmd: (_run_check,
+                    lambda c: f"check proof {c.proof} in {c.theory}"),
+    VerifyCmd: (_run_verify, lambda c: f"verify {c.suite} in {c.theory}"),
+    LemmaCmd: (_run_lemma, lambda c: f"lemma {c.lemma} in {c.theory}"),
+    EvalCmd: (_run_eval, lambda c: f"eval in {c.theory}"),
+    ProveCmd: (_run_prove,
+               lambda c: f"prove in {c.theory}: {_eq_text(c.eq)}"),
+    TranslateCmd: (_run_translate, lambda c: f"{c.op} {c.theory}"),
+}
+
+
+def _declare(env: _Env, d: Decl) -> None:
+    if isinstance(d, TheoryDecl):
+        _declare_theory(env, d)
+    elif isinstance(d, GenDecl):
+        th = env.theory(d.theory, d.pos)
+        g = Gen(d.name, d.dom, d.cod, d.level)
+        env.theories[d.theory] = th.with_gen(g)
+        typecheck(env.theories[d.theory], g)
+        if d.table is not None:
+            env.tables[d.theory][d.name] = d.table
+    elif isinstance(d, TermDecl):
+        typecheck(env.theory(d.theory, d.pos), d.term)
+    elif isinstance(d, EquationDecl):
+        typecheck_equation(env.theory(d.theory, d.pos), d.eq)
+        env.equations[d.name] = (d.theory, d.eq)
+    elif isinstance(d, ModelDecl):
+        env.theory(d.theory, d.pos)
+        env.models[d.name] = (d.theory, dict(d.sizes))
+    else:
+        env.theory(d.theory, d.pos)
+        env.proofs[d.name] = d
 
 
 def execute(script: Script, config: Optional[ExecConfig] = None) -> Report:
@@ -1412,68 +1352,32 @@ def execute(script: Script, config: Optional[ExecConfig] = None) -> Report:
     outcomes: list[Outcome] = []
 
     for d in script.decls:
-        if isinstance(d, TheoryDecl):
+        command = _COMMANDS.get(type(d))
+        if command is None:
             try:
-                _declare_theory(env, d)
+                _declare(env, d)
             except E.ScriptError:
                 raise
             except E.DecorError as exc:
                 raise E.ExecError(str(exc), d.pos.line, d.pos.col)
             continue
-        if isinstance(d, GenDecl):
-            th = env.theory(d.theory, d.pos)
-            g = Gen(d.name, d.dom, d.cod, d.level)
-            try:
-                env.theories[d.theory] = th.with_gen(g)
-                typecheck(env.theories[d.theory], g)
-            except E.DecorError as exc:
-                raise E.ExecError(str(exc), d.pos.line, d.pos.col)
-            if d.table is not None:
-                env.tables[d.theory][d.name] = d.table
-            continue
-        if isinstance(d, TermDecl):
-            try:
-                typecheck(env.theory(d.theory, d.pos), d.term)
-            except E.DecorError as exc:
-                raise E.ExecError(str(exc), d.pos.line, d.pos.col)
-            continue
-        if isinstance(d, EquationDecl):
-            try:
-                typecheck_equation(env.theory(d.theory, d.pos), d.eq)
-            except E.DecorError as exc:
-                raise E.ExecError(str(exc), d.pos.line, d.pos.col)
-            env.equations[d.name] = (d.theory, d.eq)
-            continue
-        if isinstance(d, ModelDecl):
-            env.theory(d.theory, d.pos)
-            env.models[d.name] = (d.theory, dict(d.sizes))
-            continue
-        if isinstance(d, ProofDecl):
-            env.theory(d.theory, d.pos)
-            env.proofs[d.name] = d
-            continue
-        # commands
         if runs is not None and not isinstance(d, runs):
             continue
         if isinstance(d, TranslateCmd) and config.mode and d.op != config.mode:
             continue
         t0 = time.perf_counter()
-        if isinstance(d, CheckProofCmd):
-            out = _run_check(env, d)
-        elif isinstance(d, VerifyCmd):
-            out = _run_verify(env, d)
-        elif isinstance(d, LemmaCmd):
-            out = _run_lemma(env, d)
-        elif isinstance(d, EvalCmd):
-            out = _run_eval(env, d)
-        elif isinstance(d, ProveCmd):
-            out = _run_prove(env, d)
-        else:
-            out = _run_translate(env, d)
+        run, target_of = command
+        target = target_of(d)
+        try:
+            ok, detail = run(env, d)
+        except E.ScriptError:
+            raise
+        except E.DecorError as exc:
+            ok, detail = False, {"error": str(exc)}
         elapsed = (time.perf_counter() - t0) * 1000.0
-        outcomes.append(Outcome(out.kind, out.target, out.ok, out.detail,
+        outcomes.append(Outcome(target.split(" ", 1)[0], target, ok, detail,
                                 elapsed))
-        if config.fail_fast and not out.ok:
+        if config.fail_fast and not ok:
             break
     return Report(tuple(outcomes))
 

@@ -19,13 +19,17 @@ Composition is written `Comp(after, before)`: `Comp(g, f)` is g∘f, "f then g".
 identities; it does nothing else (no unit/product laws), so two terms are
 "the same up to associativity and identities" iff their normal forms are ==.
 Spines are walked with loops, so composites of any length are fine.
+
+How each keyword is written is declared once, in `SYNTAX`: the script
+parser reads its arguments by the row's shape, and each class's `__str__`
+is built from its row, so `str(t)` is the text that parses back to t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from typing import Iterator, Optional, Tuple, Union, get_args
+from typing import Any, Iterator, Optional, Tuple, Union, get_args
 
 from .types import EMPTY, UNIT, Coprod, Param, Prod, TypeExpr, Value
 
@@ -93,9 +97,6 @@ class Id(Node):
     def _facts(self):
         return self.at, self.at, 0
 
-    def __str__(self) -> str:
-        return f"id[{self.at}]"
-
 
 @term_class()
 class Comp(Node):
@@ -141,9 +142,6 @@ class ToUnit(Node):
     def _facts(self):
         return self.frm, UNIT, 0
 
-    def __str__(self) -> str:
-        return f"unit[{self.frm}]"
-
 
 @term_class()
 class FromEmpty(Node):
@@ -154,9 +152,6 @@ class FromEmpty(Node):
     def _facts(self):
         return EMPTY, self.to, 0
 
-    def __str__(self) -> str:
-        return f"empty[{self.to}]"
-
 
 @term_class()
 class Proj1(Node):
@@ -165,9 +160,6 @@ class Proj1(Node):
 
     def _facts(self):
         return Prod(self.left, self.right), self.left, 0
-
-    def __str__(self) -> str:
-        return f"p1[{self.left},{self.right}]"
 
 
 @term_class()
@@ -178,9 +170,6 @@ class Proj2(Node):
     def _facts(self):
         return Prod(self.left, self.right), self.right, 0
 
-    def __str__(self) -> str:
-        return f"p2[{self.left},{self.right}]"
-
 
 @term_class()
 class Inj1(Node):
@@ -190,9 +179,6 @@ class Inj1(Node):
     def _facts(self):
         return self.left, Coprod(self.left, self.right), 0
 
-    def __str__(self) -> str:
-        return f"in1[{self.left},{self.right}]"
-
 
 @term_class()
 class Inj2(Node):
@@ -201,9 +187,6 @@ class Inj2(Node):
 
     def _facts(self):
         return self.right, Coprod(self.left, self.right), 0
-
-    def __str__(self) -> str:
-        return f"in2[{self.left},{self.right}]"
 
 
 @term_class()
@@ -215,9 +198,6 @@ class Lookup(Node):
     def _facts(self):
         return UNIT, Value(self.index), 1
 
-    def __str__(self) -> str:
-        return f"l[{self.index}]"
-
 
 @term_class()
 class Update(Node):
@@ -227,9 +207,6 @@ class Update(Node):
 
     def _facts(self):
         return Value(self.index), UNIT, 2
-
-    def __str__(self) -> str:
-        return f"u[{self.index}]"
 
 
 @term_class()
@@ -241,9 +218,6 @@ class Throw(Node):
     def _facts(self):
         return Param(self.index), EMPTY, 1
 
-    def __str__(self) -> str:
-        return f"t[{self.index}]"
-
 
 @term_class()
 class Catch(Node):
@@ -254,9 +228,6 @@ class Catch(Node):
     def _facts(self):
         return EMPTY, Param(self.index), 2
 
-    def __str__(self) -> str:
-        return f"c[{self.index}]"
-
 
 @term_class()
 class CatchAll(Node):
@@ -264,9 +235,6 @@ class CatchAll(Node):
 
     def _facts(self):
         return EMPTY, UNIT, 2
-
-    def __str__(self) -> str:
-        return "catchall"
 
 
 @term_class()
@@ -305,11 +273,6 @@ class SemiProd(Node):
         a, b = _in_order(self)
         return Prod(a.dom, b.dom), Prod(a.cod, b.cod), max(a.level, b.level)
 
-    def __str__(self) -> str:
-        if self.pure_on_left:
-            return f"lsemi({self.pure}, {self.eff})"
-        return f"rsemi({self.eff}, {self.pure})"
-
 
 @term_class()
 class SemiCoprod(Node):
@@ -322,11 +285,6 @@ class SemiCoprod(Node):
     def _facts(self):
         a, b = _in_order(self)
         return Coprod(a.dom, b.dom), Coprod(a.cod, b.cod), max(a.level, b.level)
-
-    def __str__(self) -> str:
-        if self.pure_on_left:
-            return f"lsum({self.pure}, {self.eff})"
-        return f"rsum({self.eff}, {self.pure})"
 
 
 def _in_order(t: Union[SemiProd, SemiCoprod]) -> tuple[Term, Term]:
@@ -362,10 +320,6 @@ class LocTuple(_Family):
         fs = self.components
         return (fs[0][1].dom if fs else None), UNIT, 2
 
-    def __str__(self) -> str:
-        inner = ", ".join(f"{i}: {t}" for i, t in self.components)
-        return f"tuple({inner})"
-
 
 @term_class()
 class ConstCotuple(_Family):
@@ -382,10 +336,6 @@ class ConstCotuple(_Family):
         fs = self.components
         return EMPTY, (fs[0][1].cod if fs else None), 2
 
-    def __str__(self) -> str:
-        inner = ", ".join(f"{i}: {t}" for i, t in self.components)
-        return f"cotuple({inner})"
-
 
 @term_class()
 class CaseSum(Node):
@@ -401,9 +351,6 @@ class CaseSum(Node):
         g, k = self.on_value, self.on_empty
         return g.dom, g.cod, max(g.level, k.level)
 
-    def __str__(self) -> str:
-        return f"case({self.on_value}, {self.on_empty})"
-
 
 @term_class()
 class PropCase(Node):
@@ -415,9 +362,6 @@ class PropCase(Node):
     def _facts(self):
         g, h = self.on_left, self.on_right
         return Coprod(g.dom, h.dom), g.cod, max(g.level, h.level)
-
-    def __str__(self) -> str:
-        return f"cases({self.on_left}, {self.on_right})"
 
 
 @term_class()
@@ -434,9 +378,6 @@ class Coerce(Node):
         k = self.inner
         return k.dom, k.cod, min(k.level, 1)
 
-    def __str__(self) -> str:
-        return f"coerce({self.inner})"
-
 
 Term = Union[
     Id, Comp, ToUnit, FromEmpty, Proj1, Proj2, Inj1, Inj2,
@@ -445,6 +386,116 @@ Term = Union[
     CaseSum, PropCase, Coerce,
 ]
 TERM_CLASSES = get_args(Term)
+
+
+# ---------------------------------------------------------------- syntax
+
+class Spelling:
+    """How one keyword is written, and the node it stands for.
+
+    `shape` is how its arguments are written: "index" `k[i]`, "type"
+    `k[T]`, "types" `k[A,B]`, "terms" `k(f, g)`, "family" `k(i: f, ...)`,
+    or "none" `k`. `fields` are the class's fields in the order they are
+    written, and `fixed` the (field, value) pair the keyword implies, if
+    any: the class's last field, which tells apart two keywords of one
+    class. `build` makes the node from the written arguments, positionally.
+    """
+
+    __slots__ = ("cls", "shape", "fields", "fixed", "build")
+
+    def __init__(self, cls: type, shape: str, written: tuple[str, ...] = (),
+                 fixed: Optional[tuple[str, Any]] = None):
+        self.cls, self.shape = cls, shape
+        self.fields, self.fixed = written, fixed
+        order = [written.index(f.name) for f in fields(cls)
+                 if f.name in written]
+        if fixed is None and order == sorted(order):
+            self.build = cls
+        else:
+            value = fixed[1]
+            self.build = lambda *args: cls(*[args[k] for k in order], value)
+
+
+_LEFT, _RIGHT = ("pure_on_left", True), ("pure_on_left", False)
+
+# the brackets around each shape's arguments
+BRACKETS = {"index": "[]", "type": "[]", "types": "[]", "terms": "()",
+            "family": "()", "none": ""}
+
+# every keyword of the term grammar; the script parser reads it by keyword,
+# and each class below writes itself from its rows
+SYNTAX = {
+    "id": Spelling(Id, "type", ("at",)),
+    "unit": Spelling(ToUnit, "type", ("frm",)),
+    "empty": Spelling(FromEmpty, "type", ("to",)),
+    "p1": Spelling(Proj1, "types", ("left", "right")),
+    "p2": Spelling(Proj2, "types", ("left", "right")),
+    "in1": Spelling(Inj1, "types", ("left", "right")),
+    "in2": Spelling(Inj2, "types", ("left", "right")),
+    "l": Spelling(Lookup, "index", ("index",)),
+    "u": Spelling(Update, "index", ("index",)),
+    "t": Spelling(Throw, "index", ("index",)),
+    "c": Spelling(Catch, "index", ("index",)),
+    "catchall": Spelling(CatchAll, "none"),
+    "lsemi": Spelling(SemiProd, "terms", ("pure", "eff"), _LEFT),
+    "rsemi": Spelling(SemiProd, "terms", ("eff", "pure"), _RIGHT),
+    "lsum": Spelling(SemiCoprod, "terms", ("pure", "eff"), _LEFT),
+    "rsum": Spelling(SemiCoprod, "terms", ("eff", "pure"), _RIGHT),
+    "tuple": Spelling(LocTuple, "family", ("components",)),
+    "cotuple": Spelling(ConstCotuple, "family", ("components",)),
+    "case": Spelling(CaseSum, "terms", ("on_value", "on_empty")),
+    "cases": Spelling(PropCase, "terms", ("on_left", "on_right")),
+    "coerce": Spelling(Coerce, "terms", ("inner",)),
+}
+
+
+def _writer(keyword: str, shape: str, names: tuple[str, ...]):
+    """A `__str__` writing `keyword` in `shape`, with the fields `names`.
+
+    Apart from a family's, it is compiled from an f-string, as dataclasses
+    compile their methods, so that it reads each field directly: the
+    prover writes every term it pools, and a call per field shows there.
+    """
+    if shape == "none":
+        return lambda self: keyword
+    opens, ends = BRACKETS[shape]
+    if shape == "family":
+        get = attrgetter(*names)
+        return lambda self: (
+            keyword + opens + ", ".join([f"{i}: {t}" for i, t in get(self)])
+            + ends)
+    sep = ", " if shape == "terms" else ","
+    text = keyword + opens + sep.join(f"{{self.{n}}}" for n in names) + ends
+    return eval(f"lambda self: f{text!r}")
+
+
+def spelled(keyword: str):
+    """Write a class the way `keyword` is written, from its own fields in
+    order; for term-like classes outside `Term` that share a keyword."""
+    def deco(cls):
+        names = tuple(f.name for f in fields(cls))
+        cls.__str__ = _writer(keyword, SYNTAX[keyword].shape, names)
+        return cls
+    return deco
+
+
+def _install_writers() -> None:
+    """Give each class in SYNTAX its `__str__`; where two keywords share a
+    class, the value of their fixed field picks the writer."""
+    by_class: dict[type, tuple[Optional[str], dict]] = {}
+    for kw, s in SYNTAX.items():
+        name, value = s.fixed or (None, None)
+        _, writers = by_class.setdefault(s.cls, (name, {}))
+        writers[value] = _writer(kw, s.shape, s.fields)
+    for cls, (name, writers) in by_class.items():
+        if name is None:
+            (cls.__str__,) = writers.values()
+        else:
+            cls.__str__ = eval(f"lambda self: w[self.{name}](self)",
+                               {"w": writers})
+
+
+_install_writers()
 
 
 def term_to_text(t: Term) -> str:

@@ -28,7 +28,7 @@ from .terms import (
     CaseSum, Catch, CatchAll, Coerce, Comp, ConstCotuple, FromEmpty, Gen, Id,
     Inj1, Inj2, LocTuple, Lookup, Node, PropCase, Proj1, Proj2, SemiCoprod,
     SemiProd, TERM_CLASSES, Term, ToUnit, Throw, Update, normalize_assoc,
-    term_class,
+    spelled, term_class,
 )
 from .theory import Axiom, Equation, STRONG, Theory
 from .types import (
@@ -217,20 +217,20 @@ def dualize_derivation(theory: Theory, d: Derivation,
 #
 # Explicit terms: a tiny total language over the base category. No
 # decorations, no effects; evaluation is plain structural recursion. Like
-# decorated terms, each node stores its profile (`terms.Node`), at level 0.
+# decorated terms, each node stores its profile (`terms.Node`), at level 0;
+# those that share a keyword with a decorated term are written through its
+# `terms.SYNTAX` row.
 
 _eterm = term_class("ETerm")
 
 
+@spelled("id")
 @_eterm
 class EId(Node):
     ty: TypeExpr
 
     def _facts(self):
         return self.ty, self.ty, 0
-
-    def __str__(self) -> str:
-        return f"id[{self.ty}]"
 
 
 @_eterm
@@ -259,6 +259,7 @@ class EPair(Node):
         return f"<{self.fst}, {self.snd}>"
 
 
+@spelled("p1")
 @_eterm
 class EProj1(Node):
     left: TypeExpr
@@ -267,10 +268,8 @@ class EProj1(Node):
     def _facts(self):
         return Prod(self.left, self.right), self.left, 0
 
-    def __str__(self) -> str:
-        return f"p1[{self.left},{self.right}]"
 
-
+@spelled("p2")
 @_eterm
 class EProj2(Node):
     left: TypeExpr
@@ -278,9 +277,6 @@ class EProj2(Node):
 
     def _facts(self):
         return Prod(self.left, self.right), self.right, 0
-
-    def __str__(self) -> str:
-        return f"p2[{self.left},{self.right}]"
 
 
 @_eterm
@@ -295,6 +291,7 @@ class ECase(Node):
         return f"[{self.on_left} | {self.on_right}]"
 
 
+@spelled("in1")
 @_eterm
 class EInj1(Node):
     left: TypeExpr
@@ -303,10 +300,8 @@ class EInj1(Node):
     def _facts(self):
         return self.left, Coprod(self.left, self.right), 0
 
-    def __str__(self) -> str:
-        return f"in1[{self.left},{self.right}]"
 
-
+@spelled("in2")
 @_eterm
 class EInj2(Node):
     left: TypeExpr
@@ -315,10 +310,8 @@ class EInj2(Node):
     def _facts(self):
         return self.right, Coprod(self.left, self.right), 0
 
-    def __str__(self) -> str:
-        return f"in2[{self.left},{self.right}]"
 
-
+@spelled("unit")
 @_eterm
 class ETerminal(Node):
     frm: TypeExpr
@@ -326,19 +319,14 @@ class ETerminal(Node):
     def _facts(self):
         return self.frm, UNIT, 0
 
-    def __str__(self) -> str:
-        return f"unit[{self.frm}]"
 
-
+@spelled("empty")
 @_eterm
 class EInitial(Node):
     to: TypeExpr
 
     def _facts(self):
         return EMPTY, self.to, 0
-
-    def __str__(self) -> str:
-        return f"empty[{self.to}]"
 
 
 @_eterm

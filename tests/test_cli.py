@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from decorlogic import cli
-from decorlogic.dsl import MAX_NESTING
+from decorlogic.dsl import MAX_NESTING, MAX_PROOF_DEPTH
 
 ROOT = Path(__file__).resolve().parent.parent
 BANK = ROOT / "docs" / "bank_account.dec"
@@ -140,6 +140,47 @@ def test_deep_nesting_exits_two_without_a_traceback(tmp_path, shape,
         assert cli.main([mode, path]) == 2
     err = capfdbinary.readouterr().err.decode()
     assert err.count("nesting deeper than") == len(MODES)
+
+
+# ----------------------------------------------------------- proof depth
+
+
+def _chain(steps):
+    """A proof block whose steps form one chain of premises, `steps` long,
+    over the terms of `_nested` at the nesting bound; and the line of its
+    last step."""
+    head = _HEAD + "".join(_nested(MAX_NESTING).values())
+    lines = ["proof deep in Ex {", "  s0: eq-refl(f=q3);"]
+    lines += [f"  s{k}: eq-sym from s{k - 1};" for k in range(1, steps)]
+    text = head + "\n".join(lines) + "\n}\ncheck proof deep in Ex\n"
+    return text, head.count("\n") + len(lines)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_proof_at_the_depth_bound_runs_in_every_mode(tmp_path, mode,
+                                                       capfdbinary):
+    path = _write(tmp_path, _chain(MAX_PROOF_DEPTH)[0])
+    for fmt in ("text", "json"):
+        assert cli.main([mode, path, "--format", fmt]) == 0
+        out = capfdbinary.readouterr().out
+    if mode == "check":
+        (cmd,) = json.loads(out)["commands"]
+        assert cmd["detail"]["nodes"] == MAX_PROOF_DEPTH
+
+
+@pytest.mark.parametrize("steps", [MAX_PROOF_DEPTH + 1, 1500])
+def test_a_proof_past_the_depth_bound_is_a_parse_error(tmp_path, steps,
+                                                       capfdbinary):
+    # 1500 steps overflowed the Python stack before proofs were bounded
+    text, last = _chain(steps)
+    path = _write(tmp_path, text)
+    line = last - (steps - MAX_PROOF_DEPTH - 1)  # the step past the bound
+    for mode in MODES:
+        for fmt in ("text", "json"):
+            assert cli.main([mode, path, "--format", fmt]) == 2
+            err = capfdbinary.readouterr().err.decode()
+            assert err == (f"error: line {line}:3: proof deeper than "
+                           f"{MAX_PROOF_DEPTH} steps\n")
 
 
 # --------------------------------------------------------- golden bytes

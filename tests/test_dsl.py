@@ -10,10 +10,11 @@ import pytest
 
 from decorlogic import dsl, errors as E
 from decorlogic.cli import main
-from decorlogic.dsl import (ExecConfig, build_proof,
-                            derivation_json, derivation_to_proof,
-                            emit_report, execute, parse_script, print_script,
-                            report_json, _lex, _tree_text)
+from decorlogic.dsl import (EquationDecl, ExecConfig, Script, SrcPos,
+                            TermDecl, build_proof, derivation_json,
+                            derivation_to_proof, emit_report, execute,
+                            parse_script, print_script, report_json, _lex,
+                            _tree_text)
 from decorlogic.exceptions import CATALOGUE as EXC_CATALOGUE
 from decorlogic.exceptions import derive_lemma as exc_lemma
 from decorlogic.kernel import ProveResult, axiom_node, check_derivation, node
@@ -21,7 +22,7 @@ from decorlogic.states import CATALOGUE as STATE_CATALOGUE
 from decorlogic.states import builtin_proof as st_proof, derive_lemma as st_lemma
 from decorlogic.terms import (Comp, Lookup, Update, normalize_assoc,
                               term_size, term_to_text)
-from decorlogic.theory import typecheck
+from decorlogic.theory import STRONG, Equation, typecheck
 from decorlogic.types import Prod, UNIT, Value
 
 
@@ -137,6 +138,24 @@ def test_parse_errors_carry_positions():
         parse_script("theory S = states(x: )\n")
     assert (err.value.line, err.value.col) == (1, 22)
     assert "line 1:22" in str(err.value)
+
+
+# the message and position of each malformed form after `term q in S = `
+@pytest.mark.parametrize("form, message, col", [
+    ("l(x)", "unknown term or generator 'l'", 16),
+    ("l[]", "expected 'ident', found ']'", 17),
+    ("p1[V[x]]", "expected ',', found ']'", 22),
+    ("foo[x]", "'foo' does not take [..] arguments", 18),
+    ("lsemi(l[x])", "expected ',', found ')'", 25),
+    ("tuple(l[x])", "expected ':', found '['", 22),
+    ("catchall[x]", "'catchall' does not take [..] arguments", 23),
+    ("coerce()", "expected a term, found ')'", 22),
+])
+def test_malformed_keyword_forms_keep_their_messages(form, message, col):
+    with pytest.raises(E.ParseError) as err:
+        parse_script(f"theory S = states(x: 2)\nterm q in S = {form}\n")
+    assert str(err.value) == f"line 2:{col}: {message}"
+    assert (err.value.line, err.value.col) == (2, col)
 
 
 def test_reserved_names_are_refused():
@@ -276,6 +295,41 @@ def test_script_problems_raise_instead_of_reporting():
                                   "check proof missing in S\n"))
     assert not report.ok
     assert "missing" in report.outcomes[0].detail["error"]
+
+
+def test_declaration_errors_carry_one_position():
+    # a Script built in code can name a theory the parser would refuse
+    for decl in (TermDecl("q", "Nope", Lookup("x"), SrcPos(3, 1)),
+                 EquationDecl("e", "Nope", Equation(Lookup("x"), Lookup("x"),
+                                                    STRONG), SrcPos(3, 1))):
+        with pytest.raises(E.ExecError) as err:
+            execute(Script((decl,)))
+        assert str(err.value) == "line 3:1: unknown theory 'Nope'"
+
+
+@pytest.mark.parametrize("derive, lemma, params, message", [
+    (st_lemma, "final-uniqueness", {"f": "x"},
+     "final-uniqueness: 'f' must be a term"),
+    (exc_lemma, "initial-uniqueness", {"f": None},
+     "initial-uniqueness: 'f' must be a term"),
+    (exc_lemma, "catch-throw", {"i": "i", "to": "P"},
+     "catch-throw: 'to' must be a type"),
+    (exc_lemma, "handler-commute", {"i": "i", "j": "j", "g": "x"},
+     "handler-commute: 'g' must be a term"),
+], ids=["term", "required-none", "type", "handler-clause"])
+def test_library_lemma_parameters_of_the_wrong_kind_are_refused(
+        states2, exc2, derive, lemma, params, message):
+    theory = states2 if derive is st_lemma else exc2
+    with pytest.raises(E.BadInstantiation) as err:
+        derive(theory, lemma, params)
+    assert str(err.value) == message
+
+
+def test_library_lemmas_read_none_as_an_optional_parameter_left_out(exc2):
+    for params in ({"i": "i", "to": None}, {"i": "i", "f": None}):
+        lemma = "catch-throw" if "to" in params else "handler-idempotent"
+        assert (exc_lemma(exc2, lemma, params).conclusion
+                == exc_lemma(exc2, lemma, {"i": "i"}).conclusion)
 
 
 def _catalogue_scripts():
