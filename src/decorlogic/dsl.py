@@ -273,6 +273,12 @@ MAX_NESTING = 100
 # derivation is replayed, reported or printed (recursively, step by step)
 MAX_PROOF_DEPTH = 100
 
+# how many nodes a proof block's tree may hold, each step counting 1 plus
+# its premises' trees; a step that cites one premise twice doubles it, and
+# the replay and the report revisit shared subtrees, so past it a script is
+# refused with a ParseError instead of growing as 2^steps
+MAX_PROOF_NODES = 256
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -621,6 +627,7 @@ class _Parser:
             self.expect("sym", "{")
             steps = []
             depth: dict[str, int] = {}  # label -> 1 + its deepest premise's
+            size: dict[str, int] = {}  # label -> 1 + its premises' sizes
             while not self.at("sym", "}"):
                 start = self.peek()
                 step = self.proof_step(th)
@@ -635,6 +642,10 @@ class _Parser:
                 if depth[step.label] > MAX_PROOF_DEPTH:
                     raise E.ParseError(f"proof deeper than {MAX_PROOF_DEPTH} "
                                        f"steps", start.line, start.col)
+                size[step.label] = 1 + sum(size[p] for p in step.premises)
+                if size[step.label] > MAX_PROOF_NODES:
+                    raise E.ParseError(f"proof larger than {MAX_PROOF_NODES} "
+                                       f"nodes", start.line, start.col)
                 steps.append(step)
             self.expect("sym", "}")
             if not steps:
@@ -1279,15 +1290,14 @@ def _run_translate(env: _Env, cmd: TranslateCmd) -> tuple[bool, dict]:
     th = env.theory(cmd.theory, cmd.pos)
     sizes = env.sizes.get(cmd.theory, {})
     if cmd.op == "expand":
+        expand = {"states": expand_states_equation,
+                  "exceptions": expand_exceptions_equation}.get(th.flavor)
+        if expand is None:
+            raise E.ExecError("expand needs a states or exceptions theory",
+                              cmd.pos.line, cmd.pos.col)
         rows = []
         for ax in th.axioms:
-            if th.flavor == "states":
-                l, r = expand_states_equation(th, ax.eq)
-            elif th.flavor == "exceptions":
-                l, r = expand_exceptions_equation(th, ax.eq)
-            else:
-                raise E.ExecError("expand needs a states or exceptions "
-                                  "theory", cmd.pos.line, cmd.pos.col)
+            l, r = expand(th, ax.eq)
             rows.append({"axiom": ax.name, "lhs": str(l), "rhs": str(r),
                          "collapses": l == r})
         return True, {"axioms": rows}

@@ -25,7 +25,7 @@ from .states import build_states_theory, mirror_interaction3
 from .states import derive_lemma as _states_lemma
 from .terms import (
     CaseSum, Catch, CatchAll, Coerce, Comp, FromEmpty, Id, Inj1, Inj2,
-    PropCase, SemiCoprod, Term, Throw, comp, normalize_assoc,
+    PropCase, SemiCoprod, Term, Throw, ToUnit, comp, normalize_assoc,
 )
 from .theory import Axiom, Equation, Theory, eq_strong, eq_weak, typecheck
 from .translators import dualize_derivation
@@ -54,7 +54,6 @@ def with_catch_all(theory: Theory) -> Theory:
     """Extend with the untagged catcher and its axioms CA_i."""
     if theory.flavor != "exceptions":
         raise E.BadParams("catch-all lives on the exceptions side")
-    from .terms import ToUnit
     axioms = list(theory.axioms)
     for i in theory.constructors:
         axioms.append(Axiom(

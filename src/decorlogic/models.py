@@ -52,7 +52,7 @@ from .terms import (
     Inj1, Inj2, LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod, SemiProd,
     Term, ToUnit, Throw, Update, factors, subterms,
 )
-from .theory import Equation, STRONG, Theory, typecheck_equation
+from .theory import Equation, STRONG, Theory, eq_strong, typecheck_equation
 from .types import Coprod, Empty, Named, Param, Prod, TypeExpr, Unit, Value
 
 DEFAULT_BOUND = 10_000_000
@@ -702,7 +702,6 @@ def _suite_exceptions_laws(model: FiniteExceptionModel) -> SuiteReport:
     from .exceptions import (catch_equation, handler_commute_equation,
                              handler_idempotent_equation, key_annihilation_equation,
                              raise_term)
-    from .theory import eq_strong
 
     if not isinstance(model, FiniteExceptionModel):
         raise E.ModelError("exceptions-laws runs on an exceptions model")

@@ -9,7 +9,10 @@ Three translations live here:
                   products <-> sums, composition reversed).
 * expansion    -- compile a decorated term to an explicit one over the
                   base category: states thread a state product, exception
-                  terms a sum of parameter types.
+                  terms a sum of parameter types. The exceptions expansion
+                  is the states expansion read on the other side (`_Side`);
+                  only the handler constructs the states side lacks are
+                  expanded on their own.
 
 Erasure and duality act on derivations by rebuilding them node by node, so
 a translated tree is re-validated while it is being produced.
@@ -17,6 +20,7 @@ a translated tree is re-validated while it is being produced.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from . import errors as E
@@ -27,8 +31,8 @@ from .kernel import (
 from .terms import (
     CaseSum, Catch, CatchAll, Coerce, Comp, ConstCotuple, FromEmpty, Gen, Id,
     Inj1, Inj2, LocTuple, Lookup, Node, PropCase, Proj1, Proj2, SemiCoprod,
-    SemiProd, TERM_CLASSES, Term, ToUnit, Throw, Update, normalize_assoc,
-    spelled, term_class,
+    SemiProd, TERM_CLASSES, Term, ToUnit, Throw, Update, comp, factors,
+    normalize_assoc, spelled, term_class,
 )
 from .theory import Axiom, Equation, STRONG, Theory
 from .types import (
@@ -438,15 +442,82 @@ def esimplify(t: ETerm) -> ETerm:
     return t
 
 
-# -------------------------------------------------- states expansion
+# -------------------------------------------------- expansion, both sides
+#
+# A states term f: X -> Y becomes ef: X*S -> Y*S over the whole store S,
+# one column per location, with 1*S = S on both ends. An exceptions term
+# f: X -> Y becomes ef: X+E -> Y+E over the sum E of the payload types,
+# with 0+E = E, ordinary input riding the left column. The second is the
+# first read in the opposite category, so each construct the two sides
+# share is expanded once, against a side.
+
+
+@dataclass(frozen=True)
+class _Side:
+    """One side of the expansion, read as `kernel._Side` reads a rule.
+
+    The exceptions side is the states side read in the opposite category:
+    sources and targets swap, composition reverses, and each explicit
+    construct is traded for its dual. The fields are named after the
+    states-side construct they stand for.
+    """
+
+    flavor: str
+    op: bool                 # read in the opposite category
+    unit: type               # Unit / Empty
+    slot: type               # Value / Param: the type of a store column
+    prod: type               # Prod / Coprod
+    pair: type               # EPair / ECase
+    proj1: type              # EProj1 / EInj1
+    proj2: type              # EProj2 / EInj2
+    terminal: type           # ETerminal / EInitial
+    lookup: type             # Lookup / Throw
+    update: type             # Update / Catch
+    loc_tuple: type          # LocTuple / ConstCotuple
+    semi: type               # SemiProd / SemiCoprod
+
+    def indices(self, theory: Theory) -> tuple:
+        return theory.constructors if self.op else theory.locations
+
+    def src(self, t) -> TypeExpr:
+        return t.cod if self.op else t.dom
+
+    def tgt(self, t) -> TypeExpr:
+        return t.dom if self.op else t.cod
+
+    def order(self, parts: list) -> list:
+        """Factors listed after-most first as the side reads them, listed
+        after-most first in the category itself, and back."""
+        return parts[::-1] if self.op else parts
+
+    def comp(self, *parts: ETerm) -> ETerm:
+        """ecomp(*parts) as the side reads it: the last part runs first."""
+        return ecomp(*self.order(parts))
+
+
+_STATES = _Side("states", False, Unit, Value, Prod, EPair, EProj1, EProj2,
+                ETerminal, Lookup, Update, LocTuple, SemiProd)
+_EXCEPTIONS = _Side("exceptions", True, Empty, Param, Coprod, ECase, EInj1,
+                    EInj2, EInitial, Throw, Catch, ConstCotuple, SemiCoprod)
+
+
+def _store(side: _Side, theory: Theory) -> TypeExpr:
+    """One column per index, right-nested, in declaration order."""
+    tys = [side.slot(i) for i in side.indices(theory)]
+    out = tys[-1]
+    for ty in reversed(tys[:-1]):
+        out = side.prod(ty, out)
+    return out
+
 
 def state_type(theory: Theory) -> TypeExpr:
     """The whole store as one right-nested product, in location order."""
-    tys = [Value(i) for i in theory.locations]
-    out = tys[-1]
-    for ty in reversed(tys[:-1]):
-        out = Prod(ty, out)
-    return out
+    return _store(_STATES, theory)
+
+
+def exception_type(theory: Theory) -> TypeExpr:
+    """All raised payloads as one right-nested sum, in declaration order."""
+    return _store(_EXCEPTIONS, theory)
 
 
 def pack_state(theory: Theory, state: tuple) -> Any:
@@ -457,41 +528,14 @@ def pack_state(theory: Theory, state: tuple) -> Any:
     return out
 
 
-def _loc_proj(theory: Theory, i: str) -> ETerm:
-    """Project location i out of the nested state product."""
-    locs = theory.locations
-    s: TypeExpr = state_type(theory)
-    steps: list[ETerm] = []
-    for j in locs[:-1]:
-        assert isinstance(s, Prod)
-        if j == i:
-            steps.append(EProj1(s.left, s.right))
-            return ecomp(*reversed(steps)) if len(steps) > 1 else steps[0]
-        steps.append(EProj2(s.left, s.right))
-        s = s.right
-    # i is the last location: the remaining s is V[i] itself
-    if not steps:
-        return EId(s)
-    return ecomp(*reversed(steps)) if len(steps) > 1 else steps[0]
-
-
-def _state_write(theory: Theory, i: str) -> ETerm:
-    """V[i] * S -> S: replace slot i, keep the rest."""
-    vi = Value(i)
-    s = state_type(theory)
-    new_val = EProj1(vi, s)
-    old = EProj2(vi, s)
-
-    def build(rest: tuple, ty: TypeExpr) -> ETerm:
-        if len(rest) == 1:
-            j = rest[0]
-            return new_val if j == i else ecomp(_loc_proj(theory, j), old)
-        assert isinstance(ty, Prod)
-        head = rest[0]
-        fst = new_val if head == i else ecomp(_loc_proj(theory, head), old)
-        return EPair(fst, build(rest[1:], ty.right))
-
-    return build(theory.locations, s)
+def pack_exception(theory: Theory, name: str, payload: Any) -> Any:
+    """Where a raised (name, payload) sits inside the nested sum value."""
+    names = theory.constructors
+    k = names.index(name)
+    out = payload if k == len(names) - 1 else ("l", payload)
+    for _ in range(k):
+        out = ("r", out)
+    return out
 
 
 # the pure constructs and their explicit images, their fields in step
@@ -499,45 +543,149 @@ _EXPLICIT = {Id: EId, ToUnit: ETerminal, FromEmpty: EInitial, Proj1: EProj1,
              Proj2: EProj2, Inj1: EInj1, Inj2: EInj2}
 
 
-def _pure_base(theory: Theory, t: Term) -> ETerm:
-    """The explicit image of a level-0 term, no state column."""
+def _pure_base(t: Term) -> ETerm:
+    """The explicit image of a level-0 term, no store column."""
     if type(t) in _EXPLICIT:
         return _EXPLICIT[type(t)](*_field_values(t))
     if isinstance(t, Comp):
-        return ecomp(_pure_base(theory, t.after), _pure_base(theory, t.before))
+        return ecomp(_pure_base(t.after), _pure_base(t.before))
     if isinstance(t, Gen) and t.dec == 0:
         return EGen(t.name, t.dom, t.cod)
-    if isinstance(t, SemiProd) and t.level == 0:
-        f = _pure_base(theory, t.pure if t.pure_on_left else t.eff)
-        g = _pure_base(theory, t.eff if t.pure_on_left else t.pure)
-        return eprodmap(f, g)
-    if isinstance(t, SemiCoprod) and t.level == 0:
-        f = _pure_base(theory, t.pure if t.pure_on_left else t.eff)
-        g = _pure_base(theory, t.eff if t.pure_on_left else t.pure)
-        return esummap(f, g)
+    if isinstance(t, (SemiProd, SemiCoprod)) and t.level == 0:
+        left, right = (t.pure, t.eff) if t.pure_on_left else (t.eff, t.pure)
+        pairmap = eprodmap if isinstance(t, SemiProd) else esummap
+        return pairmap(_pure_base(left), _pure_base(right))
     if isinstance(t, PropCase) and t.level == 0:
-        return ECase(_pure_base(theory, t.on_left),
-                     _pure_base(theory, t.on_right))
+        return ECase(_pure_base(t.on_left), _pure_base(t.on_right))
     if isinstance(t, CaseSum) and t.level == 0:
-        return ECase(_pure_base(theory, t.on_value),
-                     _pure_base(theory, t.on_empty))
+        return ECase(_pure_base(t.on_value), _pure_base(t.on_empty))
     if isinstance(t, Coerce) and t.level == 0:
-        return _pure_base(theory, t.inner)
+        return _pure_base(t.inner)
     raise E.TypingError(f"{t} is not a pure term with an explicit image")
 
 
-def _st_pure(theory: Theory, t: Term) -> ETerm:
-    """Expand a pure map: act on the value column, pass the state through."""
-    a, b = t.dom, t.cod
-    s = state_type(theory)
-    base = _pure_base(theory, t)
-    if isinstance(a, Unit):
-        if isinstance(b, Unit):
-            return EId(s)
-        return EPair(ecomp(base, ETerminal(s)), EId(s))
-    if isinstance(b, Unit):
-        return EProj2(a, s)
-    return EPair(ecomp(base, EProj1(a, s)), EProj2(a, s))
+def _inhabited(ty: TypeExpr) -> bool:
+    """Whether an exceptions-side type has a value; 0 + 0 has none."""
+    if isinstance(ty, Coprod):
+        return _inhabited(ty.left) or _inhabited(ty.right)
+    return not isinstance(ty, Empty)
+
+
+def _expand(side: _Side, theory: Theory, t: Term, own=None) -> ETerm:
+    """The explicit image of t on `side`; own(go, t) expands a construct
+    the side has alone, or returns None."""
+    s = _store(side, theory)
+    idx = side.indices(theory)
+
+    def column(i: str) -> ETerm:
+        """Column i out of the store."""
+        ty, steps = s, []
+        for j in idx[:-1]:
+            if j == i:
+                return side.comp(side.proj1(ty.left, ty.right), *steps)
+            steps.insert(0, side.proj2(ty.left, ty.right))
+            ty = ty.right
+        # i is the last column: what is left of the store is its type
+        return side.comp(*steps) if steps else EId(ty)
+
+    def store_of(arm) -> ETerm:
+        """Into the store, column i from arm(i)."""
+        out = arm(idx[-1])
+        for i in reversed(idx[:-1]):
+            out = side.pair(arm(i), out)
+        return out
+
+    def pure(t: Term) -> ETerm:
+        """Act on the value column, pass the store through."""
+        x, y = side.src(t), side.tgt(t)
+        if isinstance(y, side.unit):
+            return EId(s) if isinstance(x, side.unit) else side.proj2(x, s)
+        base = _pure_base(t)
+        if not isinstance(x, side.unit):
+            return side.pair(side.comp(base, side.proj1(x, s)),
+                             side.proj2(x, s))
+        if side.op and _inhabited(t.dom):
+            # no pure map reaches 0 from a non-empty type
+            raise E.TypingError(
+                f"{t} claims to be a pure map into the empty type")
+        return side.pair(side.comp(base, side.terminal(s)), EId(s))
+
+    def semi(t: Term) -> ETerm:
+        """The effectful factor runs on its own column and the store, the
+        pure one on its column alone."""
+        eff, x = t.eff, side.src(t)
+        ae, be, ap = side.src(eff), side.tgt(eff), side.src(t.pure)
+        in_ty = side.prod(x, s)
+        pin = side.proj1(x, s)
+        if t.pure_on_left:
+            eff_col, pure_col = side.proj2(ap, ae), side.proj1(ap, ae)
+        else:
+            eff_col, pure_col = side.proj1(ae, ap), side.proj2(ae, ap)
+        if isinstance(ae, side.unit):
+            eff_in = side.proj2(x, s)
+        else:
+            eff_in = side.pair(side.comp(eff_col, pin), side.proj2(x, s))
+        eff_out = side.comp(go(eff), eff_in)
+        if isinstance(be, side.unit):
+            val_e, store_out = side.terminal(in_ty), eff_out
+        else:
+            val_e = side.comp(side.proj1(be, s), eff_out)
+            store_out = side.comp(side.proj2(be, s), eff_out)
+        if isinstance(ap, side.unit):
+            val_p = side.comp(_pure_base(t.pure), side.terminal(in_ty))
+        else:
+            val_p = side.comp(_pure_base(t.pure), pure_col, pin)
+        vals = (val_p, val_e) if t.pure_on_left else (val_e, val_p)
+        return side.pair(side.pair(*vals), store_out)
+
+    def go(t: Term) -> ETerm:
+        if t.level == 0:
+            return pure(t)
+        if isinstance(t, Comp):
+            # the factors as the side reads them, after-most first; the run
+            # of pure ones that runs first is expanded as one pure map
+            fs = side.order(list(factors(t))[::-1])
+            k = len(fs)
+            while fs[k - 1].level == 0:
+                k -= 1
+            parts = [go(f) for f in fs[:k]]
+            if k < len(fs):
+                parts.append(pure(comp(*side.order(fs[k:]))))
+            return side.comp(*parts)
+        if isinstance(t, side.lookup):
+            return side.pair(column(t.index), EId(s))
+        if isinstance(t, side.update):
+            i = t.index
+            new, old = side.proj1(side.slot(i), s), side.proj2(side.slot(i), s)
+            return store_of(
+                lambda j: new if j == i else side.comp(column(j), old))
+        if isinstance(t, side.loc_tuple):
+            # every component observes the same incoming pair; its value
+            # column becomes the new content of its column
+            comps = dict(t.components)
+            return store_of(lambda i: side.comp(
+                side.proj1(side.slot(i), s), go(comps[i])))
+        if isinstance(t, side.semi):
+            return semi(t)
+        out = own(go, t) if own else None
+        if out is None:
+            raise E.TypingError(f"no {side.flavor} expansion for {t}")
+        return out
+
+    return esimplify(go(normalize_assoc(t)))
+
+
+def _expand_equation(side: _Side, expand, theory: Theory, eq: Equation
+                     ) -> tuple[ETerm, ETerm]:
+    lhs, rhs = expand(theory, eq.lhs), expand(theory, eq.rhs)
+    if eq.kind == STRONG:
+        return lhs, rhs
+    y = side.tgt(eq.lhs)
+    if isinstance(y, side.unit):
+        # nothing to observe but the unit value; both sides collapse
+        return side.terminal(side.src(lhs)), side.terminal(side.src(rhs))
+    col = side.proj1(y, _store(side, theory))
+    return esimplify(side.comp(col, lhs)), esimplify(side.comp(col, rhs))
 
 
 def expand_states(theory: Theory, t: Term) -> ETerm:
@@ -548,153 +696,12 @@ def expand_states(theory: Theory, t: Term) -> ETerm:
     """
     if theory.flavor != "states":
         raise E.BadParams("expand_states needs a states theory")
-    t = normalize_assoc(t)
-    s = state_type(theory)
-
-    def go(t: Term) -> ETerm:
-        if t.level == 0:
-            return _st_pure(theory, t)
-        if isinstance(t, Comp):
-            return ecomp(go(t.after), go(t.before))
-        if isinstance(t, Lookup):
-            return EPair(_loc_proj(theory, t.index), EId(s))
-        if isinstance(t, Update):
-            return _state_write(theory, t.index)
-        if isinstance(t, LocTuple):
-            # every component observes the same incoming pair; its value
-            # column becomes the new content of its slot
-            wmap = {i: ecomp(EProj1(Value(i), s), go(f))
-                    for i, f in t.components}
-
-            def build(rest, ty):
-                if len(rest) == 1:
-                    return wmap[rest[0]]
-                assert isinstance(ty, Prod)
-                return EPair(wmap[rest[0]], build(rest[1:], ty.right))
-
-            return build(theory.locations, s)
-        if isinstance(t, SemiProd):
-            eff, pure = t.eff, t.pure
-            ae, be = eff.dom, eff.cod
-            ap, bp = pure.dom, pure.cod
-            in_ty = Prod(t.dom, s)
-            pin = EProj1(t.dom, s)
-            # the effectful component, fed its own column plus the state
-            if t.pure_on_left:
-                eff_col: ETerm = EProj2(ap, ae)
-                pure_col: ETerm = EProj1(ap, ae)
-            else:
-                eff_col = EProj1(ae, ap)
-                pure_col = EProj2(ae, ap)
-            if isinstance(ae, Unit):
-                eff_in: ETerm = EProj2(t.dom, s)
-            else:
-                eff_in = EPair(ecomp(eff_col, pin), EProj2(t.dom, s))
-            eff_out = ecomp(go(eff), eff_in)
-            if isinstance(be, Unit):
-                val_e: ETerm = ETerminal(in_ty)
-                state_out = eff_out
-            else:
-                val_e = ecomp(EProj1(be, s), eff_out)
-                state_out = ecomp(EProj2(be, s), eff_out)
-            if isinstance(ap, Unit):
-                val_p: ETerm = ecomp(_pure_base(theory, pure), ETerminal(in_ty))
-            else:
-                val_p = ecomp(_pure_base(theory, pure), pure_col, pin)
-            pair = (EPair(val_p, val_e) if t.pure_on_left
-                    else EPair(val_e, val_p))
-            return EPair(pair, state_out)
-        raise E.TypingError(f"no states expansion for {t}")
-
-    return esimplify(go(t))
+    return _expand(_STATES, theory, t)
 
 
 def expand_states_equation(theory: Theory, eq: Equation) -> tuple[ETerm, ETerm]:
     """Expand both sides; a weak equation keeps only the value column."""
-    lhs, rhs = expand_states(theory, eq.lhs), expand_states(theory, eq.rhs)
-    if eq.kind != STRONG:
-        y = eq.lhs.cod
-        s = state_type(theory)
-        if isinstance(y, Unit):
-            # nothing to observe but the unit value; both sides collapse
-            lhs = ETerminal(lhs.dom)
-            rhs = ETerminal(rhs.dom)
-        else:
-            lhs = esimplify(ecomp(EProj1(y, s), lhs))
-            rhs = esimplify(ecomp(EProj1(y, s), rhs))
-    return lhs, rhs
-
-
-# ----------------------------------------------- exceptions expansion
-
-def exception_type(theory: Theory) -> TypeExpr:
-    """All raised payloads as one right-nested sum, in declaration order."""
-    tys = [Param(i) for i in theory.constructors]
-    out = tys[-1]
-    for ty in reversed(tys[:-1]):
-        out = Coprod(ty, out)
-    return out
-
-
-def pack_exception(theory: Theory, name: str, payload: Any) -> Any:
-    """Where a raised (name, payload) sits inside the nested sum value."""
-    names = theory.constructors
-    idx = names.index(name)
-    if idx == len(names) - 1:
-        out: Any = payload
-        for _ in range(len(names) - 1):
-            out = ("r", out)
-        return out
-    out = ("l", payload)
-    for _ in range(idx):
-        out = ("r", out)
-    return out
-
-
-def _exc_inj(theory: Theory, i: str) -> ETerm:
-    """Embed payload type P[i] into the nested exception sum."""
-    names = theory.constructors
-    e: TypeExpr = exception_type(theory)
-    prefix: list[ETerm] = []
-    for j in names[:-1]:
-        assert isinstance(e, Coprod)
-        if j == i:
-            prefix.append(EInj1(e.left, e.right))
-            return ecomp(*prefix) if len(prefix) > 1 else prefix[0]
-        prefix.append(EInj2(e.left, e.right))
-        e = e.right
-    if not prefix:
-        return EId(e)
-    return ecomp(*prefix) if len(prefix) > 1 else prefix[0]
-
-
-def _exc_case(theory: Theory, arms) -> ETerm:
-    """Case over the nested exception sum; arms maps each name to a map
-    out of P[name] into one common codomain."""
-    names = theory.constructors
-
-    def build(rest, ty):
-        if len(rest) == 1:
-            return arms(rest[0])
-        assert isinstance(ty, Coprod)
-        return ECase(arms(rest[0]), build(rest[1:], ty.right))
-
-    return build(names, exception_type(theory))
-
-
-def _exc_pure(theory: Theory, t: Term) -> ETerm:
-    a, b = t.dom, t.cod
-    e = exception_type(theory)
-    if isinstance(a, Empty):
-        # only the empty map lands here; it re-raises whatever it is given
-        if isinstance(b, Empty):
-            return EId(e)
-        return EInj2(b, e)
-    base = _pure_base(theory, t)
-    if isinstance(b, Empty):
-        # no pure map reaches 0 from a non-empty type; keep the embedding
-        raise E.TypingError(f"{t} claims to be a pure map into the empty type")
-    return esummap(base, EId(e))
+    return _expand_equation(_STATES, expand_states, theory, eq)
 
 
 def expand_exceptions(theory: Theory, t: Term) -> ETerm:
@@ -702,10 +709,11 @@ def expand_exceptions(theory: Theory, t: Term) -> ETerm:
 
     A term f: X -> Y becomes ef: X+E -> Y+E over the sum E of all payload
     types, with 0+E = E on both ends. Ordinary input rides the left column.
+    The constructs the states side shares are its expansion read on the
+    other side; only those it lacks are expanded here.
     """
     if theory.flavor != "exceptions":
         raise E.BadParams("expand_exceptions needs an exceptions theory")
-    t = normalize_assoc(t)
     e = exception_type(theory)
 
     def val_in(a: TypeExpr) -> ETerm:
@@ -715,101 +723,31 @@ def expand_exceptions(theory: Theory, t: Term) -> ETerm:
     def exc_in(a: TypeExpr) -> ETerm:
         return EId(e) if isinstance(a, Empty) else EInj2(a, e)
 
-    def go(t: Term) -> ETerm:
-        if t.level == 0:
-            return _exc_pure(theory, t)
-        if isinstance(t, Comp):
-            return ecomp(go(t.after), go(t.before))
-        if isinstance(t, Throw):
-            i = t.index
-            return ECase(_exc_inj(theory, i), EId(e))
-        if isinstance(t, Catch):
-            i = t.index
-            pi = Param(i)
-
-            def arm(j):
-                if j == i:
-                    return EInj1(pi, e)
-                return ecomp(EInj2(pi, e), _exc_inj(theory, j))
-
-            return _exc_case(theory, arm)
+    def own(go, t: Term) -> Optional[ETerm]:
         if isinstance(t, CatchAll):
             return ecomp(EInj1(UNIT, e), ETerminal(e))
-        if isinstance(t, ConstCotuple):
-            y = t.cod
-            comps = dict(t.components)
-
-            def arm(j):
-                return ecomp(go(comps[j]), val_in(Param(j)))
-
-            return _exc_case(theory, arm)
         if isinstance(t, CaseSum):
-            g, k = t.on_value, t.on_empty
-            x = t.dom
-            kk = go(k)
-            if isinstance(x, Empty):
-                return kk
-            return ECase(ecomp(go(g), EInj1(x, e)), kk)
+            on_empty = go(t.on_empty)
+            if isinstance(t.dom, Empty):
+                return on_empty
+            return ECase(ecomp(go(t.on_value), EInj1(t.dom, e)), on_empty)
         if isinstance(t, PropCase):
-            a, b = t.on_left.dom, t.on_right.dom
-            inner = ECase(ecomp(go(t.on_left), val_in(a)),
-                          ecomp(go(t.on_right), val_in(b)))
+            inner = ECase(ecomp(go(t.on_left), val_in(t.on_left.dom)),
+                          ecomp(go(t.on_right), val_in(t.on_right.dom)))
             return ECase(inner, exc_in(t.cod))
         if isinstance(t, Coerce):
-            x = t.dom
-            if isinstance(x, Empty):
+            if isinstance(t.dom, Empty):
                 return exc_in(t.cod)
-            return ECase(ecomp(go(t.inner), EInj1(x, e)), exc_in(t.cod))
-        if isinstance(t, SemiCoprod):
-            eff, pure = t.eff, t.pure
-            ae, be = eff.dom, eff.cod
-            ap, bp = pure.dom, pure.cod
-            out_val = t.cod
-            eff_out = go(eff)
+            return ECase(ecomp(go(t.inner), EInj1(t.dom, e)), exc_in(t.cod))
+        return None
 
-            def embed_eff() -> ETerm:
-                """sum_ty(B_e) -> cod+E, putting B_e back on its side."""
-                side = (EInj2(bp, be) if t.pure_on_left else EInj1(be, bp))
-                if isinstance(be, Empty):
-                    return exc_in(out_val)
-                return ECase(ecomp(EInj1(out_val, e), side), exc_in(out_val))
-
-            def feed_eff(ein: ETerm) -> ETerm:
-                return ecomp(embed_eff(), eff_out, ein)
-
-            pure_side = ecomp(
-                EInj1(out_val, e),
-                (EInj1(bp, be) if t.pure_on_left else EInj2(be, bp)),
-                _pure_base(theory, pure))
-            if isinstance(ae, Empty):
-                eff_val: ETerm = EInitial(Coprod(out_val, e))
-                eff_exc = feed_eff(EId(e))
-            else:
-                eff_val = feed_eff(EInj1(ae, e))
-                eff_exc = feed_eff(EInj2(ae, e))
-            val_arm = (ECase(pure_side, eff_val) if t.pure_on_left
-                       else ECase(eff_val, pure_side))
-            return ECase(val_arm, eff_exc)
-        raise E.TypingError(f"no exceptions expansion for {t}")
-
-    return esimplify(go(t))
+    return _expand(_EXCEPTIONS, theory, t, own)
 
 
 def expand_exceptions_equation(theory: Theory, eq: Equation
                                ) -> tuple[ETerm, ETerm]:
     """Expand both sides; a weak equation keeps only the ordinary column."""
-    lhs = expand_exceptions(theory, eq.lhs)
-    rhs = expand_exceptions(theory, eq.rhs)
-    if eq.kind != STRONG:
-        x = eq.lhs.dom
-        e = exception_type(theory)
-        if isinstance(x, Empty):
-            lhs = EInitial(lhs.cod)
-            rhs = EInitial(rhs.cod)
-        else:
-            lhs = esimplify(ecomp(lhs, EInj1(x, e)))
-            rhs = esimplify(ecomp(rhs, EInj1(x, e)))
-    return lhs, rhs
+    return _expand_equation(_EXCEPTIONS, expand_exceptions, theory, eq)
 
 
 # ------------------------------------------------- explicit evaluation

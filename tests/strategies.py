@@ -297,6 +297,12 @@ def structured_atoms(draw, theory: Theory, extra=()):
 
 
 @st.composite
+def structured_terms(draw, theory: Theory, max_factors: int = 5):
+    """A composition walk over `structured_atoms(theory)`."""
+    return draw(composed_terms(draw(structured_atoms(theory)), max_factors))
+
+
+@st.composite
 def equations(draw, theory: Theory, atoms):
     """A strong or weak equation over `atoms`: a composition walk on the
     left; on the right a walk from the same domain, led to the left's

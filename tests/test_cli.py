@@ -1,6 +1,6 @@
 """The `decor` command run in-process: parser reuse, nesting bounds, and
-the golden report bytes of the bank-account example; and in a child
-process under a memory cap."""
+the golden report bytes of the worked examples; and in a child process
+under a memory cap."""
 
 from __future__ import annotations
 
@@ -8,15 +8,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from decorlogic import cli
-from decorlogic.dsl import MAX_NESTING, MAX_PROOF_DEPTH
+from decorlogic.dsl import MAX_NESTING, MAX_PROOF_DEPTH, MAX_PROOF_NODES
 
 ROOT = Path(__file__).resolve().parent.parent
-BANK = ROOT / "docs" / "bank_account.dec"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODES = ("check", "verify", "eval", "erase", "expand", "dualize")
 
@@ -183,14 +183,73 @@ def test_a_proof_past_the_depth_bound_is_a_parse_error(tmp_path, steps,
                            f"{MAX_PROOF_DEPTH} steps\n")
 
 
+# ------------------------------------------------------------ proof size
+
+
+def _doubling(steps, tail=0):
+    """A proof block whose step k cites step k-1 twice, so that its tree
+    has 2^(k+1) - 1 nodes, then `tail` steps of one more node each; and
+    the line of its first step."""
+    lines = ["theory S = states(x: 2)", "proof p in S {",
+             "  s0: eq-refl(f=l[x]);"]
+    lines += [f"  s{k}: eq-trans from s{k - 1}, s{k - 1};"
+              for k in range(1, steps)]
+    lines += [f"  s{k}: eq-sym from s{k - 1};"
+              for k in range(steps, steps + tail)]
+    return "\n".join(lines) + "\n}\ncheck proof p in S\n", 3
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_proof_at_the_size_bound_runs_in_every_mode(tmp_path, mode,
+                                                      capfdbinary):
+    # 8 doubling steps make 255 nodes
+    path = _write(tmp_path, _doubling(8, tail=MAX_PROOF_NODES - 255)[0])
+    for fmt in ("text", "json"):
+        assert cli.main([mode, path, "--format", fmt]) == 0
+        out = capfdbinary.readouterr().out
+    if mode == "check":
+        (cmd,) = json.loads(out)["commands"]
+        assert cmd["detail"]["nodes"] == MAX_PROOF_NODES
+
+
+@pytest.mark.parametrize("steps,tail", [(8, MAX_PROOF_NODES - 254), (16, 0)])
+def test_a_proof_past_the_size_bound_is_a_parse_error(tmp_path, steps, tail,
+                                                      capfdbinary):
+    # 16 doubling steps took 6.1 s of CPU and a 38 MB report before proof
+    # blocks were bounded in size; the first step past the bound is the
+    # 9th doubling step (511 nodes), or the tail step at 257 nodes
+    text, first = _doubling(steps, tail)
+    path = _write(tmp_path, text)
+    line = first + (8 if tail == 0 else 8 + tail - 1)
+    for mode in MODES:
+        for fmt in ("text", "json"):
+            start = time.process_time()
+            assert cli.main([mode, path, "--format", fmt]) == 2
+            assert time.process_time() - start < 1.0
+            err = capfdbinary.readouterr().err.decode()
+            assert err == (f"error: line {line}:3: proof larger than "
+                           f"{MAX_PROOF_NODES} nodes\n")
+
+
 # --------------------------------------------------------- golden bytes
+
+
+def _matches_the_golden_bytes(example, mode, capfdbinary):
+    script = ROOT / "docs" / f"{example}.dec"
+    assert cli.main([mode, str(script), "--format", "json"]) == 0
+    golden = GOLDEN / f"{example}.{mode}.json"
+    assert capfdbinary.readouterr().out == golden.read_bytes()
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_bank_account_reports_match_the_golden_bytes(mode, capfdbinary):
-    assert cli.main([mode, str(BANK), "--format", "json"]) == 0
-    golden = GOLDEN / f"bank_account.{mode}.json"
-    assert capfdbinary.readouterr().out == golden.read_bytes()
+    _matches_the_golden_bytes("bank_account", mode, capfdbinary)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_retry_reports_match_the_golden_bytes(mode, capfdbinary):
+    """The exceptions-side twin of the bank account."""
+    _matches_the_golden_bytes("retry", mode, capfdbinary)
 
 
 # ------------------------------------------------------- memory bounds

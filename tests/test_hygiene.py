@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-none raises the interpreter's recursion limit, and every name the traced
-benchmark rebinds still exists.
+none imports inside a function from a module it already imports at top
+level, none raises the interpreter's recursion limit, and every name the
+traced benchmark rebinds still exists.
 
 `__init__.py` is left out of the import scan, since re-exporting is what
 it imports for.
@@ -65,6 +66,39 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _imported_modules(n: ast.AST) -> set[str]:
+    """The modules an import statement reads, relative ones with their dots."""
+    if isinstance(n, ast.Import):
+        return {a.name for a in n.names}
+    if isinstance(n, ast.ImportFrom):
+        return {"." * n.level + (n.module or "")}
+    return set()
+
+
+def redundant_local_imports(source: str) -> list[int]:
+    """Lines of `source` that import, inside a function, from a module the
+    file already imports at top level. A local import that breaks an
+    import cycle reads a module the top level does not."""
+    tree = ast.parse(source)
+    top = set().union(*map(_imported_modules, tree.body))
+    return sorted({n.lineno for f in ast.walk(tree)
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for n in ast.walk(f) if _imported_modules(n) & top})
+
+
+def test_the_scan_sees_a_redundant_local_import():
+    source = ("import os\nfrom .a import b\n"
+              "def f():\n    from .a import c\n    import os.path\n"
+              "    from .z import y\n    from . import a\n"
+              "    def g():\n        import os\n")
+    assert redundant_local_imports(source) == [4, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_redundant_local_imports(path):
+    assert redundant_local_imports(path.read_text(encoding="utf-8")) == []
 
 
 def recursion_limit_uses(source: str) -> list[int]:

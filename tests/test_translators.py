@@ -16,14 +16,15 @@ from decorlogic.models import (FiniteExceptionModel, FiniteStateModel,
                                eval_exceptions, eval_states)
 from decorlogic.states import (build_states_theory, builtin_proof as st_proof,
                                derive_lemma as st_lemma)
-from decorlogic.terms import (Catch, CatchAll, Comp, FromEmpty, Id, Lookup,
-                              SemiProd, SemiCoprod, Throw, ToUnit, Update,
-                              cod, dom)
+from decorlogic.terms import (Catch, CatchAll, Comp, FromEmpty, Gen, Id,
+                              Lookup, PropCase, SemiProd, SemiCoprod, Throw,
+                              ToUnit, Update, cod, dom)
 from decorlogic.theory import Equation, STRONG
-from decorlogic.translators import (ECase, EGen, EId, EInitial, EInj1,
+from decorlogic.translators import (ECase, EComp, EGen, EId, EInitial, EInj1,
                                     EInj2, EPair, EProj1, EProj2, ETerminal,
                                     dual_axiom_name, dualize_derivation,
-                                    dualize_judgment, dualize_term,
+                                    dualize_equation, dualize_judgment,
+                                    dualize_term,
                                     dualize_theory,
                                     dualize_type, ecomp, erase_derivation,
                                     erase_equation, erase_theory, esimplify,
@@ -32,8 +33,8 @@ from decorlogic.translators import (ECase, EGen, EId, EInitial, EInj1,
                                     expand_exceptions_equation, expand_states,
                                     expand_states_equation, pack_exception,
                                     pack_state, state_type)
-from decorlogic.types import (EMPTY, UNIT, Coprod, Empty, Param, Prod, Unit,
-                              Value)
+from decorlogic.types import (EMPTY, TYPE_CLASSES, UNIT, Coprod, Empty, Param,
+                              Prod, Unit, Value)
 
 # ---------------------------------------------------------------- erasure
 
@@ -260,6 +261,22 @@ def test_expansion_guards_the_flavor(states2, exc2):
         expand_exceptions(states2, Id(EMPTY))
 
 
+def test_expansion_refuses_what_it_cannot_read(states2, exc2):
+    into_empty = Gen("z", Param("i"), EMPTY, 0)
+    with pytest.raises(E.TypingError, match="pure map into the empty type"):
+        expand_exceptions(exc2.with_gen(into_empty), into_empty)
+    with pytest.raises(E.TypingError, match="no states expansion for t"):
+        expand_states(states2, Throw("i"))
+    with pytest.raises(E.TypingError, match="no exceptions expansion for u"):
+        expand_exceptions(exc2, Update("i"))
+
+
+def test_a_pure_map_into_0_out_of_an_empty_sum_expands(exc2, exc_model22):
+    """0 + 0 has no value, so a pure map from it into 0 is no claim."""
+    _exceptions_agree_everywhere(exc2, exc_model22,
+                                 PropCase(Id(EMPTY), Id(EMPTY)))
+
+
 def test_weak_axiom_expansions_collapse(states2, states3, exc2):
     """Dropping the hidden column makes every axiom literally true."""
     for th in (states2, states3):
@@ -314,9 +331,10 @@ def test_expand_states_agrees_on_the_axiom_terms(states2, model22):
         _states_agree_everywhere(states2, model22, a.eq.rhs)
 
 
-@given(strat.states_terms(strat.STATES2, max_factors=4))
-@settings(max_examples=60, deadline=None)
+@given(strat.structured_terms(strat.STATES2, max_factors=4))
+@settings(max_examples=100, deadline=None)
 def test_expand_states_agrees_pointwise(t):
+    """Semi-pure pairs, projections and tuples among the atoms."""
     model = FiniteStateModel(strat.STATES2, {"x": 2, "y": 2})
     _states_agree_everywhere(strat.STATES2, model, t)
 
@@ -369,9 +387,11 @@ def test_expand_exceptions_agrees_on_the_axiom_terms(exc2, exc_model22):
         _exceptions_agree_everywhere(exc2, exc_model22, a.eq.rhs)
 
 
-@given(strat.exceptions_terms(strat.EXC2, max_factors=4))
-@settings(max_examples=60, deadline=None)
+@given(strat.structured_terms(strat.EXC2, max_factors=4))
+@settings(max_examples=100, deadline=None)
 def test_expand_exceptions_agrees_pointwise(t):
+    """Semi-pure pairs, injections, case splits, cotuples and try/catch
+    handlers among the atoms."""
     model = FiniteExceptionModel(strat.EXC2, {"i": 2, "j": 2})
     _exceptions_agree_everywhere(strat.EXC2, model, t)
 
@@ -403,6 +423,54 @@ def test_catch_all_expansion_recovers_everything(exc2):
         for p in model.carrier(Param(name)):
             packed = pack_exception(extended, name, p)
             assert eval_explicit(et, packed) == ("l", ())
+
+
+# each explicit construct and its counterpart in the opposite category
+_DUAL_EXPLICIT = {EId: EId, EPair: ECase, EProj1: EInj1, EProj2: EInj2,
+                  ETerminal: EInitial}
+_DUAL_EXPLICIT.update({b: a for a, b in _DUAL_EXPLICIT.items()})
+
+
+def _dual_explicit(t):
+    """t read in the opposite category: composition reversed, each
+    construct traded for its counterpart, its types dualized."""
+    if isinstance(t, EComp):
+        return ecomp(_dual_explicit(t.before), _dual_explicit(t.after))
+    if isinstance(t, EGen):
+        return EGen(t.name, dualize_type(t.cod), dualize_type(t.dom))
+    return _DUAL_EXPLICIT[type(t)](*[
+        dualize_type(v) if isinstance(v, TYPE_CLASSES) else _dual_explicit(v)
+        for v in (getattr(t, f) for f in t.__match_args__)])
+
+
+def _expansions_commute_with_duality(theory, t=None, eq=None):
+    dual = dualize_theory(theory)
+    if t is not None:
+        assert (expand_exceptions(dual, dualize_term(t))
+                == _dual_explicit(expand_states(theory, t))), t
+    if eq is not None:
+        want = tuple(map(_dual_explicit, expand_states_equation(theory, eq)))
+        assert (expand_exceptions_equation(dual, dualize_equation(eq))
+                == want), eq
+
+
+@pytest.mark.parametrize("names", [["x"], ["x", "y"], ["x", "y", "z"]])
+def test_axiom_expansions_commute_with_duality(names):
+    theory = build_states_theory("S", names)
+    for a in theory.axioms:
+        _expansions_commute_with_duality(theory, a.eq.lhs, a.eq)
+        _expansions_commute_with_duality(theory, a.eq.rhs)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_expansion_commutes_with_duality(data):
+    """expand_exceptions of the dual is the dual of expand_states, on
+    terms and on both kinds of equation."""
+    atoms = data.draw(strat.structured_atoms(strat.STATES2))
+    _expansions_commute_with_duality(
+        strat.STATES2, data.draw(strat.composed_terms(atoms)),
+        data.draw(strat.equations(strat.STATES2, atoms)))
 
 
 # ------------------------------------------------- explicit term utilities
