@@ -1060,6 +1060,13 @@ class _Env:
         self.equations: dict[str, tuple[str, Equation]] = {}
         self.proofs: dict[str, ProofDecl] = {}
         self.models: dict[str, tuple[str, dict[str, int]]] = {}
+        # built models, by (theory, model name); a theory's are dropped when
+        # a declaration for it changes its generators, sizes or models
+        self.built: dict[tuple[str, Optional[str]], Any] = {}
+
+    def forget_models(self, theory_name: str) -> None:
+        for key in [k for k in self.built if k[0] == theory_name]:
+            del self.built[key]
 
     def theory(self, name: str, pos: SrcPos) -> Theory:
         if name not in self.theories:
@@ -1078,19 +1085,25 @@ class _Env:
                 raise E.ExecError(
                     f"model {model_name!r} is for theory {mth!r}",
                     pos.line, pos.col)
-            sizes = dict(sizes)
         else:
-            sizes = dict(self.sizes.get(theory_name, {}))
+            sizes = self.sizes.get(theory_name, {})
+        key = (theory_name, model_name)
+        if key in self.built:
+            return self.built[key]
+        sizes = dict(sizes)
         for k, v in self.config.model_overrides.items():
             if k in sizes:
                 sizes[k] = v
         val = Valuation(tables=dict(self.tables.get(theory_name, {})))
         if th.flavor == "states":
-            return FiniteStateModel(th, sizes, val)
-        if th.flavor == "exceptions":
-            return FiniteExceptionModel(th, sizes, val)
-        raise E.ExecError(f"theory {theory_name!r} has no model flavor",
-                          pos.line, pos.col)
+            model = FiniteStateModel(th, sizes, val)
+        elif th.flavor == "exceptions":
+            model = FiniteExceptionModel(th, sizes, val)
+        else:
+            raise E.ExecError(f"theory {theory_name!r} has no model flavor",
+                              pos.line, pos.col)
+        self.built[key] = model
+        return model
 
 
 def _declare_theory(env: _Env, d: TheoryDecl) -> None:
@@ -1328,6 +1341,8 @@ _COMMANDS = {
 
 
 def _declare(env: _Env, d: Decl) -> None:
+    if isinstance(d, (TheoryDecl, GenDecl, ModelDecl)):
+        env.forget_models(d.name if isinstance(d, TheoryDecl) else d.theory)
     if isinstance(d, TheoryDecl):
         _declare_theory(env, d)
     elif isinstance(d, GenDecl):

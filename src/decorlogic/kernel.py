@@ -45,7 +45,7 @@ from . import errors as E
 from .terms import (
     CaseSum, Catch, Coerce, Comp, ConstCotuple, FromEmpty, Id, Inj1, Inj2,
     LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod, SemiProd, TERM_CLASSES,
-    Term, ToUnit, Throw, Update, normalize_assoc, subterms,
+    Term, ToUnit, Throw, Update, compose_normal, normalize_assoc,
 )
 from .theory import (
     Equation, STRONG, Theory, WEAK, check_type, norm_eq, typecheck,
@@ -240,6 +240,11 @@ class _Side:
     def then(self, g: Term, f: Term) -> Term:
         """f, then g: g.f on the states side, f.g on the exceptions side."""
         return normalize_assoc(Comp(f, g) if self.op else Comp(g, f))
+
+    def then_normal(self, g: Term, f: Term) -> Term:
+        """`then` for two normal terms, as the search composes them; the
+        rules keep `then`, which normalizes whatever it is given."""
+        return compose_normal(f, g) if self.op else compose_normal(g, f)
 
 
 _STATES = _Side(False, Unit, ToUnit, Lookup, LocTuple, (Proj1, Proj2))
@@ -790,6 +795,9 @@ def saturate_prove(theory: Theory, goal: Equation, budget: int = 4,
     has at most `max_term_size` nodes, composing each tree edge of the class
     relates all the composites. A goal found in a class is explained as a
     chain of the tree edges' justifications, which are built only then.
+    Every term the search holds is in normal form, so composites are built
+    with `compose_normal`. The pool is closed under subterms, so pooling a
+    term walks only down to the subterms already pooled.
 
     `facts` counts proof-forest edges, one per union of two classes; the
     search stops as soon as it holds `fact_cap + 1` of them. Deterministic:
@@ -1003,13 +1011,17 @@ class _Search:
 
     def extend_pool(self, terms: Sequence[Term] = ()) -> list[Term]:
         """Pool terms and the subterms of every newly registered term; return
-        the terms new to the pool, in the order first seen."""
-        new = []
+        the terms new to the pool, in the order first seen. The pool is
+        closed under subterms, so the walk stops at a pooled term."""
+        new, pool = [], self.pool
         for t in itertools.chain(terms, (self.terms[n] for n in self.fresh)):
-            for s in subterms(t):
-                if s not in self.pool:
-                    self.pool[s] = str(s)
+            todo = [t]
+            while todo:
+                s = todo.pop()
+                if s not in pool:
+                    pool[s] = str(s)
                     new.append(s)
+                    todo += reversed(s.kids())
         self.fresh.clear()
         return new
 
@@ -1059,8 +1071,8 @@ class _Search:
     def compose_round(self) -> bool:
         """Compose the classes of the round's start with the pool; True as
         soon as the goal is reached."""
-        side, th = self.side, self.theory
-        pool = self.pool
+        side, th, terms = self.side, self.theory, self.terms
+        pool, then = self.pool, side.then_normal
         by_src: dict[TypeExpr, list[Term]] = {}
         by_tgt: dict[TypeExpr, list[Term]] = {}
         for c in sorted(pool, key=lambda t: (t.size, pool[t])):
@@ -1074,9 +1086,9 @@ class _Search:
         ways = ((False, self.rule("eq-subs"), self.rule("w-subs"), False),
                 (True, self.rule("eq-repl"), self.rule("w-repl-pure"), True))
         for kind, members, edges in snapshot:
-            t0 = self.terms[members[0]]
-            extra = min(0 if isinstance(self.terms[m], Id)
-                        else self.terms[m].size + 1 for m in members)
+            t0 = terms[members[0]]
+            extra = min(0 if isinstance(terms[m], Id)
+                        else terms[m].size + 1 for m in members)
             for last, strong_rid, weak_rid, pure in ways:
                 rid = strong_rid if kind == STRONG else weak_rid
                 need_pure = pure and kind == WEAK
@@ -1086,8 +1098,8 @@ class _Search:
                         break
                     if need_pure and c.level > 0:
                         continue
-                    comp = {m: self.node_id(side.then(c, self.terms[m]) if last
-                                            else side.then(self.terms[m], c))
+                    comp = {m: self.node_id(then(c, terms[m]) if last
+                                            else then(terms[m], c))
                             for m in members}
                     for e in edges:
                         self.union(kind, comp[e.u], comp[e.v],

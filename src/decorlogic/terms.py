@@ -14,11 +14,20 @@ Each class states its profile and level once, in `_facts`, so building a
 node is O(1) and never walks a term. Whether a term is *legal* in a given
 theory is `theory.typecheck`'s job.
 
+`term_class` gives each class one `__init__`, compiled from source, that
+sets the fields and the four facts through the slots' own setters; its
+signature is the dataclass one, so positional and keyword calls and
+`dataclasses.replace` work as usual. A node's hash is the dataclass hash of
+its fields, worked out on first use and kept in a slot, so hashing a term
+whose children were hashed already costs one tuple.
+
 Composition is written `Comp(after, before)`: `Comp(g, f)` is g∘f, "f then g".
 `normalize_assoc` flattens composite spines to right-nested form and drops
 identities; it does nothing else (no unit/product laws), so two terms are
 "the same up to associativity and identities" iff their normal forms are ==.
-Spines are walked with loops, so composites of any length are fine.
+`compose_normal` composes two terms already in that form without walking
+them again. Spines are walked with loops, so composites of any length are
+fine.
 
 How each keyword is written is declared once, in `SYNTAX`: the script
 parser reads its arguments by the row's shape, and each class's `__str__`
@@ -27,7 +36,7 @@ is built from its row, so `str(t)` is the text that parses back to t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from operator import attrgetter
 from typing import Any, Iterator, Optional, Tuple, Union, get_args
 
@@ -36,20 +45,11 @@ from .types import EMPTY, UNIT, Coprod, Param, Prod, TypeExpr, Value
 
 class Node:
     """Base of the term classes, here and in `translators`: the stored
-    facts, and the children, read from the fields `term_class` marks."""
+    facts, the cached hash, and the children, read from the fields
+    `term_class` marks."""
 
-    __slots__ = ("dom", "cod", "level", "size")
+    __slots__ = ("dom", "cod", "level", "size", "_hash")
     _kids: tuple[str, ...] = ()  # the term-valued fields, in field order
-
-    def __post_init__(self) -> None:
-        dom, cod, level = self._facts()
-        size = 1
-        for k in self.kids():
-            size += k.size
-        _set_dom(self, dom)
-        _set_cod(self, cod)
-        _set_level(self, level)
-        _set_size(self, size)
 
     def _facts(self) -> tuple[Optional[TypeExpr], TypeExpr, int]:
         """(dom, cod, level), from the fields and the children's facts."""
@@ -64,20 +64,25 @@ class Node:
         """This node with its children replaced, in `kids()` order."""
         return replace(self, **dict(zip(self._kids, kids)))
 
+    def __reduce__(self):
+        # copies and pickles are built again by `__init__`, so they get the
+        # stored facts, which are not fields
+        return type(self), tuple([getattr(self, f.name) for f in fields(self)])
+
 
 # the slots' own setters, since a frozen dataclass refuses attribute assignment
-_set_dom, _set_cod, _set_level, _set_size = (
-    getattr(Node, name).__set__ for name in Node.__slots__)
+_SETTERS = {name: getattr(Node, name).__set__ for name in Node.__slots__}
 
 
 def term_class(kid_type: str = "Term"):
     """Make a frozen, slotted dataclass whose fields annotated `kid_type`
-    are its children."""
+    are its children, with a compiled `__init__` and a cached hash."""
     def deco(cls):
-        cls = dataclass(frozen=True, slots=True)(cls)
+        cls = dataclass(frozen=True, slots=True, init=False)(cls)
         names = tuple(f.name for f in fields(cls) if f.type == kid_type)
         if names:
             cls._kids, cls.kids = names, _reader(names)
+        cls.__init__, cls.__hash__ = _init_and_hash(cls, names)
         return cls
     return deco
 
@@ -88,6 +93,52 @@ def _reader(names: tuple[str, ...]):
     if len(names) == 1:
         return lambda self: (get(self),)
     return lambda self: get(self)
+
+
+def _init_and_hash(cls, kids: tuple[str, ...]):
+    """`__init__` and `__hash__` for a term class, compiled from source as
+    dataclasses compiles its methods: building and hashing nodes is most of
+    what the prover does.
+
+    `__init__` takes the fields in order, with their defaults, and sets
+    them and the stored facts through the slots' own setters: `dom`, `cod`
+    and `level` from the class's `_facts`, `size` from the children's. The
+    hash is the one `dataclass` gives, of the tuple of the fields, worked
+    out on first use and kept in the `_hash` slot."""
+    env = {f"_set_{n}": v for n, v in _SETTERS.items()}
+    params, body = [], []
+    fs = fields(cls)
+    for f in fs:
+        env[f"_field_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"_field_{f.name}(self, {f.name})")
+    if kids:
+        size = " + ".join(["1"] + [f"{k}.size" for k in kids])
+    elif cls.kids is Node.kids:
+        size = "1"
+    else:
+        size = "1 + sum([k.size for k in self.kids()])"
+    body += ["_d, _c, _l = self._facts()",
+             "_set_dom(self, _d)", "_set_cod(self, _c)",
+             "_set_level(self, _l)", f"_set_size(self, {size})",
+             "_set__hash(self, None)"]
+    values = "".join(f"self.{f.name}, " for f in fs)
+    src = (f"def __init__(self, {', '.join(params)}):\n"
+           + "".join(f"    {line}\n" for line in body)
+           + "def __hash__(self):\n"
+           "    h = self._hash\n"
+           "    if h is None:\n"
+           f"        h = hash(({values}))\n"
+           "        _set__hash(self, h)\n"
+           "    return h\n")
+    exec(src, env)
+    for name in ("__init__", "__hash__"):
+        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    return env["__init__"], env["__hash__"]
 
 
 @term_class()
@@ -567,6 +618,24 @@ def normalize_assoc(t: Term) -> Term:
             f = _kids_normalized(f)
             out = f if out is None else Comp(f, out)
     return Id(t.dom) if out is None else out
+
+
+def compose_normal(after: Term, before: Term) -> Term:
+    """normalize_assoc(Comp(after, before)) for two normal terms, without
+    checking either: `after`'s spine is hung onto `before`, and a side that
+    is an identity is dropped."""
+    if isinstance(after, Id):
+        return before
+    if isinstance(before, Id):
+        return after
+    spine = []
+    while isinstance(after, Comp):
+        spine.append(after.after)
+        after = after.before
+    out = Comp(after, before)
+    for f in reversed(spine):
+        out = Comp(f, out)
+    return out
 
 
 def factors(t: Term) -> Iterator[Term]:

@@ -21,7 +21,7 @@ a translated tree is re-validated while it is being produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from . import errors as E
 from .kernel import (
@@ -350,19 +350,20 @@ ETerm = Union[EId, EComp, EPair, EProj1, EProj2, ECase, EInj1, EInj2,
               ETerminal, EInitial, EGen]
 
 
+def _efactors(t: ETerm) -> Iterator[ETerm]:
+    """The factors of t's composite spine, after-most first."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, EComp):
+            todo += (t.before, t.after)
+        else:
+            yield t
+
+
 def ecomp(*parts: ETerm) -> ETerm:
     """Compose right-to-left, dropping identities."""
-    flat: list[ETerm] = []
-
-    def push(t: ETerm) -> None:
-        if isinstance(t, EComp):
-            push(t.after)
-            push(t.before)
-        elif not isinstance(t, EId):
-            flat.append(t)
-
-    for p in parts:
-        push(p)
+    flat = [f for p in parts for f in _efactors(p) if not isinstance(f, EId)]
     if not flat:
         return EId(parts[-1].dom)
     out = flat[-1]
@@ -399,20 +400,17 @@ def _contract(a: ETerm, b: ETerm) -> ETerm | None:
 
 
 def esimplify(t: ETerm) -> ETerm:
-    """Cheap rewriting: projection/pairing, case/injection, eta, identities."""
+    """Cheap rewriting: projection/pairing, case/injection, eta, identities.
+
+    Rewrites until a pass contracts nothing and leaves no identity on a
+    spine; such a pass at most re-nests composites, so a further one would
+    give back the same term."""
+    changed = True
 
     def once(t: ETerm) -> ETerm:
+        nonlocal changed
         if isinstance(t, EComp):
-            parts: list[ETerm] = []
-
-            def flat(u: ETerm) -> None:
-                if isinstance(u, EComp):
-                    flat(u.after)
-                    flat(u.before)
-                else:
-                    parts.append(once(u))
-
-            flat(t)
+            parts = [once(u) for u in _efactors(t)]
             i = 0
             while i + 1 < len(parts):
                 red = _contract(parts[i], parts[i + 1])
@@ -421,24 +419,29 @@ def esimplify(t: ETerm) -> ETerm:
                 else:
                     parts[i:i + 2] = [red]
                     i = max(i - 1, 0)
+                    changed = True
+            if any(isinstance(u, EId) for u in parts):
+                changed = True
             return ecomp(*parts)
         if isinstance(t, EPair):
             f, s = once(t.fst), once(t.snd)
             if (isinstance(f, EProj1) and isinstance(s, EProj2)
                     and (f.left, f.right) == (s.left, s.right)):
+                changed = True
                 return EId(Prod(f.left, f.right))
             return EPair(f, s)
         if isinstance(t, ECase):
             l, r = once(t.on_left), once(t.on_right)
             if (isinstance(l, EInj1) and isinstance(r, EInj2)
                     and (l.left, l.right) == (r.left, r.right)):
+                changed = True
                 return EId(Coprod(l.left, l.right))
             return ECase(l, r)
         return t
 
-    prev = None
-    while prev != t:
-        prev, t = t, once(t)
+    while changed:
+        changed = False
+        t = once(t)
     return t
 
 
@@ -758,7 +761,9 @@ def eval_explicit(t: ETerm, x: Any, tables=None) -> Any:
     if isinstance(t, EId):
         return x
     if isinstance(t, EComp):
-        return eval_explicit(t.after, eval_explicit(t.before, x, tables), tables)
+        for f in reversed(list(_efactors(t))):
+            x = eval_explicit(f, x, tables)
+        return x
     if isinstance(t, EPair):
         return (eval_explicit(t.fst, x, tables), eval_explicit(t.snd, x, tables))
     if isinstance(t, EProj1):

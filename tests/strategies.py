@@ -303,6 +303,17 @@ def structured_terms(draw, theory: Theory, max_factors: int = 5):
 
 
 @st.composite
+def composable_normal_pairs(draw, theory: Theory):
+    """(g, f), both normal, g's domain f's codomain: composition walks over
+    the side's structured atoms, and either one may be an identity."""
+    atoms = draw(structured_atoms(theory))
+    f = draw(composed_terms(atoms))
+    g = draw(composed_terms(
+        atoms, first=[Id(cod(f))] + [a for a in atoms if dom(a) == cod(f)]))
+    return comp(g), comp(f)
+
+
+@st.composite
 def equations(draw, theory: Theory, atoms):
     """A strong or weak equation over `atoms`: a composition walk on the
     left; on the right a walk from the same domain, led to the left's

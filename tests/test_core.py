@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
+from inspect import signature
+from typing import get_args
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import strategies as strat
 from decorlogic import errors as E
-from decorlogic.terms import (CaseSum, Catch, Coerce, Comp, ConstCotuple,
-                              FromEmpty, Gen, Id, Inj1, Inj2, LocTuple,
-                              Lookup, PropCase, Proj1, SemiProd, Throw,
-                              ToUnit, Update, cod, comp, dom,
-                              normalize_assoc, subterms, term_size,
-                              term_to_text)
+from decorlogic.terms import (TERM_CLASSES, CaseSum, Catch, Coerce, Comp,
+                              ConstCotuple, FromEmpty, Gen, Id, Inj1, Inj2,
+                              LocTuple, Lookup, Node, PropCase, Proj1,
+                              SemiProd, Throw, ToUnit, Update, cod, comp,
+                              compose_normal, dom, normalize_assoc, subterms,
+                              term_size, term_to_text)
 from decorlogic.theory import (STRONG, WEAK, eq_strong, eq_weak,
                                infer_decoration, norm_eq, typecheck,
                                typecheck_equation)
-from decorlogic.translators import dualize_term, dualize_theory, dualize_type
+from decorlogic.translators import (EComp, EId, EProj1, ETerm, ETerminal,
+                                    dualize_term, dualize_theory,
+                                    dualize_type)
 from decorlogic.types import (Coprod, EMPTY, Named, Param, Prod, UNIT, Value)
 
 
@@ -88,6 +96,79 @@ def test_normalize_assoc_keeps_the_facts(t):
     norm = normalize_assoc(t)
     assert (norm.dom, norm.cod, norm.level) == (t.dom, t.cod, t.level)
     assert normalize_assoc(norm) is norm
+
+
+@given(st.one_of(strat.composable_normal_pairs(strat.STATES2),
+                 strat.composable_normal_pairs(strat.EXC2)))
+def test_compose_normal_is_the_normal_form_of_the_composite(pair):
+    g, f = pair
+    assert compose_normal(g, f) == normalize_assoc(Comp(g, f))
+
+
+_TYPES = st.sampled_from([UNIT, EMPTY, Value("x"), Param("i"),
+                          Prod(Value("x"), UNIT)])
+_ETERMS = st.sampled_from([EId(UNIT), ETerminal(Value("x")),
+                           EComp(EProj1(UNIT, UNIT), EId(Prod(UNIT, UNIT)))])
+
+
+def _field_values(cls, terms):
+    """A strategy for the field values of a term class, in field order."""
+    by_type = {"Term": terms, "ETerm": _ETERMS, "TypeExpr": _TYPES,
+               "str": st.sampled_from(["x", "i"]),
+               "int": st.integers(0, 2), "bool": st.booleans(),
+               "Tuple[Tuple[str, Term], ...]": st.lists(
+                   st.tuples(st.sampled_from(["x", "y"]), terms),
+                   max_size=2).map(tuple)}
+    return st.tuples(*[by_type[f.type] for f in fields(cls)])
+
+
+def _built_as_dataclass(cls, values):
+    """cls's node as dataclass's own frozen `__init__` and the stored
+    facts' first `__post_init__` built it, field by field."""
+    ref = object.__new__(cls)
+    for f, v in zip(fields(cls), values):
+        object.__setattr__(ref, f.name, v)
+    dom, cod, level = ref._facts()
+    for name, v in (("dom", dom), ("cod", cod), ("level", level),
+                    ("size", 1 + sum(k.size for k in ref.kids()))):
+        getattr(Node, name).__set__(ref, v)
+    return ref
+
+
+_CLASSES = TERM_CLASSES + get_args(ETerm)
+
+
+@given(st.sampled_from(_CLASSES).flatmap(lambda cls: st.tuples(
+    st.just(cls), _field_values(cls, strat.states_terms(strat.STATES2)))))
+def test_the_generated_initializer_builds_what_dataclass_built(drawn):
+    cls, values = drawn
+    names = [f.name for f in fields(cls)]
+    ref = _built_as_dataclass(cls, values)
+    built = cls(*values)
+    for t in (built, cls(**dict(zip(names, values))), replace(ref),
+              replace(built), copy.copy(built), copy.deepcopy(built),
+              pickle.loads(pickle.dumps(built))):
+        assert [getattr(t, n) for n in names] == list(values)
+        assert (t.dom, t.cod, t.level, t.size) == (ref.dom, ref.cod,
+                                                   ref.level, ref.size)
+        assert t == ref and repr(t) == repr(ref)
+        # dataclass's own hash, of the tuple of fields, before and after
+        # it is cached
+        assert hash(t) == hash(tuple(values)) == hash(t)
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, name, None)
+
+
+def test_the_generated_initializer_keeps_defaults_and_signatures():
+    g = Gen("g", UNIT, Value("x"))
+    assert (g.dec, g.level) == (0, 0)
+    assert replace(g, dec=2).level == 2
+    for cls in _CLASSES:
+        assert list(signature(cls).parameters) == [f.name
+                                                   for f in fields(cls)]
+    with pytest.raises(TypeError):
+        Comp(Lookup("x"))
 
 
 def test_typecheck_accepts_composable(states2):

@@ -191,6 +191,18 @@ def test_handler_sugar_desugars_and_runs():
 # -------------------------------------------------------------- execution
 
 
+def test_a_table_declared_between_two_evals_is_seen_by_the_second():
+    # the first eval builds the theory's model; the declaration after it
+    # must not leave the second eval on that model
+    src = ("theory S = states(x: 3)\n"
+           "eval in S : l[x] on 0 state (1)\n"
+           "pure gen step : V[x] -> V[x] in S = [1, 2, 0]\n"
+           "eval in S : step . l[x] on 0 state (1)\n")
+    report = execute(parse_script(src))
+    assert report.ok
+    assert [o.detail["result"] for o in report.outcomes] == [1, 2]
+
+
 def test_execute_runs_commands_in_order():
     report = execute(parse_script(SRC))
     assert report.ok

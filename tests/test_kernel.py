@@ -15,14 +15,16 @@ from decorlogic.kernel import (Holds, RULES, WellFormed, apply_rule,
                                axiom_node, check_derivation,
                                derive_final_uniqueness,
                                derive_initial_uniqueness, gen_node,
-                               hyp_node, list_rules, node, saturate_prove)
+                               hyp_node, list_rules, node, saturate_prove,
+                               _Search)
 from decorlogic.models import FiniteStateModel, check_equation
 from decorlogic.states import build_states_theory
 from decorlogic.terms import (CaseSum, Catch, Coerce, Comp, FromEmpty, Gen,
                               Id, Lookup, PropCase, SemiCoprod, SemiProd,
-                              ToUnit, Throw, Update, comp)
+                              ToUnit, Throw, Update, comp, subterms)
 from decorlogic.theory import (Axiom, STRONG, WEAK, eq_strong, eq_weak,
                                norm_eq)
+from decorlogic.translators import dualize_equation, dualize_theory
 from decorlogic.types import Param, UNIT, Value
 
 STRONG_A1 = eq_strong(comp(Lookup("x"), Update("x")), Id(Value("x")))
@@ -364,3 +366,70 @@ def test_the_rule_table_declares_counts_and_kinds():
     assert RULES["semicoprod-P1"].key_kind("term") == "term"
     assert RULES["loc-tuple"].key_kind("at") == "name"
     assert RULES["eq-sym"].key_kind("undeclared") == "term"
+
+
+# The search itself, pinned: status, rounds, facts and proof nodes of the
+# read-back goals l[j] . u[i] . l[i] ~~ l[j] on 2 and 3 locations and their
+# duals, the bank goal and strong A1 under a small cap. A change that only
+# makes the search cheaper leaves every row as it is.
+_T3 = build_states_theory("T", ["x", "m", "z"])
+_ADD = Gen("add3", Value("a"), Value("a"), 0)
+_ACCT = build_states_theory("Acct", ["a"]).with_gen(_ADD)
+_READ_BACKS = {
+    # (theory, j, i): (facts, facts of the dual); a cross read-back takes
+    # 2 rounds and a 14-node proof (11 on the dual), a same one 1 and 2
+    ("S", "x", "x"): (30, 25), ("S", "x", "y"): (566, 504),
+    ("S", "y", "x"): (572, 510), ("S", "y", "y"): (35, 30),
+    ("T", "x", "x"): (42, 37), ("T", "x", "m"): (1528, 1432),
+    ("T", "x", "z"): (1528, 1432), ("T", "m", "x"): (1520, 1424),
+    ("T", "m", "m"): (49, 44), ("T", "m", "z"): (1520, 1424),
+    ("T", "z", "x"): (1536, 1440), ("T", "z", "m"): (1536, 1440),
+    ("T", "z", "z"): (56, 51),
+}
+
+
+def _pinned(th, goal, cap=20000):
+    res = saturate_prove(th, goal, budget=4, fact_cap=cap)
+    nodes = None
+    if res.derivation is not None:
+        replay = check_derivation(th, res.derivation)
+        assert replay.valid and res.derivation.conclusion == Holds(goal)
+        nodes = replay.nodes
+    return res.status, res.rounds, res.facts, nodes
+
+
+@pytest.mark.parametrize("key", sorted(_READ_BACKS))
+def test_the_read_back_searches_are_pinned(key, states2):
+    name, j, i = key
+    th = states2 if name == "S" else _T3
+    goal = eq_weak(comp(Lookup(j), Update(i), Lookup(i)), Lookup(j))
+    facts, dual_facts = _READ_BACKS[key]
+    rounds, nodes, dual_nodes = (1, 2, 2) if i == j else (2, 14, 11)
+    assert _pinned(th, goal) == ("proven", rounds, facts, nodes)
+    assert (_pinned(dualize_theory(th), dualize_equation(goal))
+            == ("proven", rounds, dual_facts, dual_nodes))
+
+
+def test_the_bank_and_capped_searches_are_pinned(states2):
+    goal = eq_weak(comp(Lookup("a"), Update("a"), _ADD, Lookup("a")),
+                   comp(_ADD, Lookup("a")))
+    assert _pinned(_ACCT, goal) == ("proven", 1, 24, 2)
+    assert _pinned(states2, STRONG_A1, cap=500) == ("unknown", 2, 501, None)
+    assert _pinned(states2, STRONG_A1, cap=2000) == ("unknown", 3, 2001, None)
+
+
+def test_the_pool_walk_stops_at_pooled_terms_but_meets_new_ones_in_order(
+        states2):
+    search = _Search(states2, eq_weak(Lookup("x"), Lookup("x")), 7, 100)
+    read_back = comp(Lookup("y"), Update("x"), Lookup("x"))
+    batches = [[comp(Update("x"), Lookup("x"))],
+               [read_back, SemiProd(Lookup("y"), read_back, True),
+                comp(Update("y"), read_back)]]
+    for batch in batches:
+        # the walk of every subterm, parents first, keeping first meetings
+        want = {}
+        for t in batch + [search.terms[n] for n in search.fresh]:
+            for sub in subterms(t):
+                if sub not in search.pool:
+                    want.setdefault(sub, None)
+        assert search.extend_pool(batch) == list(want)

@@ -18,7 +18,7 @@ from decorlogic.states import (build_states_theory, builtin_proof as st_proof,
                                derive_lemma as st_lemma)
 from decorlogic.terms import (Catch, CatchAll, Comp, FromEmpty, Gen, Id,
                               Lookup, PropCase, SemiProd, SemiCoprod, Throw,
-                              ToUnit, Update, cod, dom)
+                              ToUnit, Update, cod, comp, dom)
 from decorlogic.theory import Equation, STRONG
 from decorlogic.translators import (ECase, EComp, EGen, EId, EInitial, EInj1,
                                     EInj2, EPair, EProj1, EProj2, ETerminal,
@@ -337,6 +337,13 @@ def test_expand_states_agrees_pointwise(t):
     """Semi-pure pairs, projections and tuples among the atoms."""
     model = FiniteStateModel(strat.STATES2, {"x": 2, "y": 2})
     _states_agree_everywhere(strat.STATES2, model, t)
+
+
+def test_expand_states_of_a_long_composite(states2, model22):
+    # 1600 factors: simplifying, composing and evaluating the expansion
+    # walk its spine with loops, so no walk runs out of stack
+    t = comp(*[Update("x"), Lookup("x")] * 800)
+    _states_agree_everywhere(states2, model22, t)
 
 
 def _encode_exc_input(theory, ty, inp):
