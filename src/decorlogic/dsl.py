@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
@@ -61,45 +62,81 @@ _RESERVED = frozenset(SYNTAX) | frozenset({
 # ------------------------------------------------------------------ lexer
 
 class Token:
-    __slots__ = ("kind", "text", "line", "col")
+    """A token's kind and text; one object stands for every occurrence of
+    its text in a script, so where a token sits is `_where`'s to find."""
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
+    __slots__ = ("kind", "text")
+
+    def __init__(self, kind: str, text: str):
         self.kind = kind  # 'ident' | 'int' | 'sym' | 'eof'
         self.text = text
-        self.line = line
-        self.col = col
 
 
-# one pattern, alternatives in match order: rule names like 0-comp and
+# each token kind's pattern, in match order: rule names like 0-comp and
 # 1-to-2 start with a digit, so they are tried before plain integers
-_TOKEN_RE = re.compile(r"""
-    (?P<skip>[ \t]+|\#.*)
-  | (?P<sym2>==|~~|=>|->)
-  | (?P<numident>[0-9]+-[A-Za-z][A-Za-z0-9_-]*)
-  | (?P<int>[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
-  | (?P<sym>[=:;,.(){}\[\]*+|])
-  | (?P<stray>.)
-""", re.VERBOSE | re.DOTALL)
-_TOKEN_KIND = {"sym2": "sym", "numident": "ident", "int": "int",
-               "ident": "ident", "sym": "sym"}
+_TOKEN_KINDS = tuple((kind, re.compile(pattern)) for kind, pattern in (
+    ("sym", r"==|~~|=>|->"),
+    ("ident", r"[0-9]+-[A-Za-z][A-Za-z0-9_-]*"),
+    ("int", r"[0-9]+"),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"),
+    ("sym", r"[=:;,.(){}\[\]*+|]"),
+))
+# one pattern over a line: blanks and a `#` comment match with an empty
+# group, so `findall` gives the texts of the tokens and of stray characters,
+# and `''` for each skip; the same text always lexes as the same kind, the
+# first whose pattern matches all of it, or is stray when none does
+_TOKEN_RE = re.compile(r"[ \t]+|\#.*|("
+                       + "|".join(p.pattern for _, p in _TOKEN_KINDS)
+                       + "|.)", re.DOTALL)
 
 
-def _lex(text: str) -> list[Token]:
-    toks: list[Token] = []
-    append = toks.append
+def _kind(text: str) -> Optional[str]:
+    """A token text's kind, or None for a stray character."""
+    for kind, pattern in _TOKEN_KINDS:
+        if pattern.fullmatch(text):
+            return kind
+    return None
+
+
+def _lex(text: str) -> tuple[list[Token], list[int], list[str]]:
+    """The tokens of `text`, ending in an `eof` token, with the line number
+    of each, and the lines (as `str.splitlines` cuts them) they came from."""
     lines = text.splitlines()
+    texts: list[str] = []
+    line_of: list[int] = []
+    findall = _TOKEN_RE.findall
     for ln, line in enumerate(lines, start=1):
-        for m in _TOKEN_RE.finditer(line):
-            group = m.lastgroup
-            if group == "skip":
-                continue
-            if group == "stray":
-                raise E.LexError(f"stray character {m.group()!r}", ln,
-                                 m.start() + 1)
-            append(Token(_TOKEN_KIND[group], m.group(), ln, m.start() + 1))
-    append(Token("eof", "", len(lines) + 1, 1))
-    return toks
+        found = list(filter(None, findall(line)))
+        if found:
+            texts += found
+            line_of += [ln] * len(found)
+    table: dict[str, Token] = {}
+    # dict order is first occurrence, so the first stray met is the first
+    # one in the text
+    for t in dict.fromkeys(texts):
+        kind = _kind(t)
+        if kind is None:
+            raise E.LexError(f"stray character {t!r}",
+                             *_where(lines, line_of, texts.index(t)))
+        table[t] = Token(kind, t)
+    toks = list(map(table.__getitem__, texts))
+    toks.append(Token("eof", ""))
+    line_of.append(len(lines) + 1)
+    return toks, line_of, lines
+
+
+def _where(lines: Sequence[str], line_of: Sequence[int],
+           i: int) -> tuple[int, int]:
+    """(line, column) of token i, found by lexing its line again."""
+    ln = line_of[i]
+    if ln > len(lines):
+        return ln, 1  # the eof token
+    k = i - bisect_left(line_of, ln)  # how many tokens precede it on its line
+    for m in _TOKEN_RE.finditer(lines[ln - 1]):
+        if m.group(1):
+            if not k:
+                return ln, m.start() + 1
+            k -= 1
 
 
 # ------------------------------------------------------------------- AST
@@ -282,7 +319,7 @@ MAX_PROOF_NODES = 256
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _lex(text)
+        self.toks, self.line_of, self.lines = _lex(text)
         self.i = 0
         self.depth = 0  # open term_expr/type_expr calls
         self.theories: dict[str, str] = {}  # name -> kind
@@ -310,8 +347,8 @@ class _Parser:
         tok = self.toks[self.i]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
-            raise E.ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                               tok.line, tok.col)
+            raise self.fail(
+                f"expected {want!r}, found {tok.text or 'end of input'!r}")
         return self.next()
 
     def eat(self, kind: str, text: Optional[str] = None) -> bool:
@@ -321,13 +358,16 @@ class _Parser:
             return True
         return False
 
-    def pos(self) -> SrcPos:
-        tok = self.peek()
-        return SrcPos(tok.line, tok.col)
+    def where(self, i: int) -> tuple[int, int]:
+        """(line, column) of token i."""
+        return _where(self.lines, self.line_of, i)
 
-    def fail(self, msg: str) -> E.ParseError:
-        tok = self.peek()
-        return E.ParseError(msg, tok.line, tok.col)
+    def pos(self) -> SrcPos:
+        return SrcPos(*self.where(self.i))
+
+    def fail(self, msg: str, at: Optional[int] = None) -> E.ParseError:
+        """An error at token `at`, by default the next one."""
+        return E.ParseError(msg, *self.where(self.i if at is None else at))
 
     def enter(self) -> None:
         self.depth += 1
@@ -337,19 +377,20 @@ class _Parser:
     # ---- names
 
     def fresh_name(self, what: str) -> str:
+        at = self.i
         tok = self.expect("ident")
         if tok.text in _RESERVED:
-            raise E.ParseError(f"{tok.text!r} is reserved", tok.line, tok.col)
+            raise self.fail(f"{tok.text!r} is reserved", at)
         if tok.text in self.names:
-            raise E.ParseError(f"{tok.text!r} is already declared",
-                               tok.line, tok.col)
+            raise self.fail(f"{tok.text!r} is already declared", at)
         self.names.add(tok.text)
         return tok.text
 
     def theory_ref(self) -> str:
+        at = self.i
         tok = self.expect("ident")
         if tok.text not in self.theories:
-            raise E.ParseError(f"unknown theory {tok.text!r}", tok.line, tok.col)
+            raise self.fail(f"unknown theory {tok.text!r}", at)
         return tok.text
 
     # ---- types
@@ -534,6 +575,7 @@ class _Parser:
     def proof_step(self, theory: str) -> ProofStep:
         label = self.expect("ident").text
         self.expect("sym", ":")
+        at = self.i
         head = self.expect("ident")
         kind, name = "rule", head.text
         inst: tuple[tuple[str, Any], ...] = ()
@@ -562,7 +604,7 @@ class _Parser:
                 claim = (t, int(self.expect("int").text))
         else:
             if name not in RULES:
-                raise E.ParseError(f"unknown rule {name!r}", head.line, head.col)
+                raise self.fail(f"unknown rule {name!r}", at)
             if self.eat("sym", "("):
                 pairs = []
                 if not self.at("sym", ")"):
@@ -588,7 +630,7 @@ class _Parser:
 
     def decl(self) -> Decl:
         tok = self.peek()
-        pos = SrcPos(tok.line, tok.col)
+        pos = self.pos()
         if self.eat("ident", "theory"):
             return self.theory_decl(pos)
         if tok.kind == "ident" and tok.text in _LEVEL_KEYWORDS:
@@ -629,7 +671,7 @@ class _Parser:
             depth: dict[str, int] = {}  # label -> 1 + its deepest premise's
             size: dict[str, int] = {}  # label -> 1 + its premises' sizes
             while not self.at("sym", "}"):
-                start = self.peek()
+                start = self.i
                 step = self.proof_step(th)
                 if step.label in depth:
                     raise self.fail(f"duplicate step label {step.label!r}")
@@ -640,12 +682,12 @@ class _Parser:
                 depth[step.label] = 1 + max(
                     [depth[p] for p in step.premises], default=0)
                 if depth[step.label] > MAX_PROOF_DEPTH:
-                    raise E.ParseError(f"proof deeper than {MAX_PROOF_DEPTH} "
-                                       f"steps", start.line, start.col)
+                    raise self.fail(f"proof deeper than {MAX_PROOF_DEPTH} "
+                                    f"steps", start)
                 size[step.label] = 1 + sum(size[p] for p in step.premises)
                 if size[step.label] > MAX_PROOF_NODES:
-                    raise E.ParseError(f"proof larger than {MAX_PROOF_NODES} "
-                                       f"nodes", start.line, start.col)
+                    raise self.fail(f"proof larger than {MAX_PROOF_NODES} "
+                                    f"nodes", start)
                 steps.append(step)
             self.expect("sym", "}")
             if not steps:
@@ -716,8 +758,8 @@ class _Parser:
     def theory_decl(self, pos: SrcPos) -> TheoryDecl:
         name = self.fresh_name("theory")
         self.expect("sym", "=")
-        kind_tok = self.expect("ident")
-        kind = kind_tok.text
+        at = self.i
+        kind = self.expect("ident").text
         if kind == "dual":
             self.expect("sym", "(")
             src = self.theory_ref()
@@ -725,8 +767,7 @@ class _Parser:
             self.theories[name] = "dual"
             return TheoryDecl(name, "dual", (), src, pos=pos)
         if kind not in _THEORY_KINDS:
-            raise E.ParseError(f"unknown theory kind {kind!r}",
-                               kind_tok.line, kind_tok.col)
+            raise self.fail(f"unknown theory kind {kind!r}", at)
         indices = self.sized_indices()
         catch_all = False
         if self.at("ident", "with"):
@@ -761,12 +802,11 @@ class _Parser:
         return decl
 
     def lemma_cmd(self, pos: SrcPos) -> LemmaCmd:
-        name_tok = self.expect("ident")
-        lemma = name_tok.text
+        at = self.i
+        lemma = self.expect("ident").text
         if lemma not in _LEMMAS:
-            raise E.ParseError(f"unknown lemma {lemma!r}; one of "
-                               f"{', '.join(sorted(_LEMMAS))}",
-                               name_tok.line, name_tok.col)
+            raise self.fail(f"unknown lemma {lemma!r}; one of "
+                            f"{', '.join(sorted(_LEMMAS))}", at)
         params = _LEMMAS[lemma].params
         args: list[Any] = []
         # the theory is parsed after the args, so term args resolve against
@@ -1063,10 +1103,23 @@ class _Env:
         # built models, by (theory, model name); a theory's are dropped when
         # a declaration for it changes its generators, sizes or models
         self.built: dict[tuple[str, Optional[str]], Any] = {}
+        # typecheck's profiles, by the identities of the theory and the
+        # term, which each entry keeps alive; a `gen` declaration replaces
+        # its theory, so terms are checked again after one
+        self.checked: dict[tuple[int, int], tuple[Theory, Term, Any]] = {}
 
     def forget_models(self, theory_name: str) -> None:
         for key in [k for k in self.built if k[0] == theory_name]:
             del self.built[key]
+
+    def typecheck(self, th: Theory, t: Term) -> tuple[TypeExpr, TypeExpr]:
+        """`typecheck(th, t)`, worked out once per theory and term object:
+        an `eval` of a declared term gets the declaration's object."""
+        key = (id(th), id(t))
+        hit = self.checked.get(key)
+        if hit is None:
+            hit = self.checked[key] = (th, t, typecheck(th, t))
+        return hit[2]
 
     def theory(self, name: str, pos: SrcPos) -> Theory:
         if name not in self.theories:
@@ -1248,7 +1301,7 @@ def _decode_input(model, dom_ty: TypeExpr, n: int, pos: SrcPos) -> Any:
 def _run_eval(env: _Env, cmd: EvalCmd) -> tuple[bool, dict]:
     th = env.theory(cmd.theory, cmd.pos)
     model = env.model_for(cmd.theory, None, cmd.pos)
-    dom_ty, _ = typecheck(th, cmd.term)
+    dom_ty, _ = env.typecheck(th, cmd.term)
     if th.flavor == "states":
         if cmd.input_kind != "val":
             raise E.ExecError("states terms take ordinary inputs, "
@@ -1353,7 +1406,7 @@ def _declare(env: _Env, d: Decl) -> None:
         if d.table is not None:
             env.tables[d.theory][d.name] = d.table
     elif isinstance(d, TermDecl):
-        typecheck(env.theory(d.theory, d.pos), d.term)
+        env.typecheck(env.theory(d.theory, d.pos), d.term)
     elif isinstance(d, EquationDecl):
         typecheck_equation(env.theory(d.theory, d.pos), d.eq)
         env.equations[d.name] = (d.theory, d.eq)

@@ -36,7 +36,8 @@ is built from its row, so `str(t)` is the text that parses back to t.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import (MISSING, FrozenInstanceError, dataclass, fields,
+                         replace)
 from operator import attrgetter
 from typing import Any, Iterator, Optional, Tuple, Union, get_args
 
@@ -83,8 +84,20 @@ def term_class(kid_type: str = "Term"):
         if names:
             cls._kids, cls.kids = names, _reader(names)
         cls.__init__, cls.__hash__ = _init_and_hash(cls, names)
+        cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
         return cls
     return deco
+
+
+# the frozen `__setattr__` and `__delattr__` that `dataclass` writes refuse
+# a field but, once `slots=True` has rebuilt the class, fail with a
+# TypeError on any other name, such as a stored fact
+def _refuse_set(self, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _reader(names: tuple[str, ...]):

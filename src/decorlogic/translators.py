@@ -246,9 +246,19 @@ class EComp(Node):
         return self.before.dom, self.after.cod, 0
 
     def __str__(self) -> str:
-        def wrap(t):
-            return f"({t})" if isinstance(t, EComp) else str(t)
-        return f"{wrap(self.after)} . {wrap(self.before)}"
+        # `after . before`, a composite factor in parentheses; written from
+        # a stack of pieces to go, not recursively, as spines can be long
+        out: list[str] = []
+        todo: list = [self.before, " . ", self.after]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif isinstance(t, EComp):
+                todo += (")", t.before, " . ", t.after, "(")
+            else:
+                out.append(str(t))
+        return "".join(out)
 
 
 @_eterm

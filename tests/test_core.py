@@ -9,7 +9,7 @@ from inspect import signature
 from typing import get_args
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as strat
@@ -158,6 +158,21 @@ def test_the_generated_initializer_builds_what_dataclass_built(drawn):
         for name in names:
             with pytest.raises(FrozenInstanceError):
                 setattr(t, name, None)
+
+
+@pytest.mark.parametrize("cls", _CLASSES, ids=lambda cls: cls.__name__)
+@settings(max_examples=1)
+@given(st.data())
+def test_stored_facts_and_fields_refuse_assignment(cls, data):
+    t = cls(*data.draw(_field_values(cls, strat.states_terms(strat.STATES2))))
+    hash(t)
+    before = [getattr(t, n) for n in Node.__slots__]
+    for name in (*Node.__slots__, *[f.name for f in fields(cls)][:1]):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(t, name)
+    assert [getattr(t, n) for n in Node.__slots__] == before
 
 
 def test_the_generated_initializer_keeps_defaults_and_signatures():

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from decorlogic import dsl, errors as E
 from decorlogic.cli import main
@@ -58,8 +61,12 @@ dualize Ex
 # ----------------------------------------------------------------- lexing
 
 
+def _tokens(text):
+    return _lex(text)[0]
+
+
 def test_lexer_keeps_dashed_rule_names_whole():
-    toks = _lex("s1: 0-comp from s2  # trailing comment\n")
+    toks = _tokens("s1: 0-comp from s2  # trailing comment\n")
     texts = [t.text for t in toks if t.kind != "eof"]
     assert texts == ["s1", ":", "0-comp", "from", "s2"]
     kinds = [t.kind for t in toks if t.kind != "eof"]
@@ -67,7 +74,7 @@ def test_lexer_keeps_dashed_rule_names_whole():
 
 
 def test_lexer_splits_two_char_symbols():
-    toks = _lex("a == b ~~ c => d -> e = f")
+    toks = _tokens("a == b ~~ c => d -> e = f")
     syms = [t.text for t in toks if t.kind == "sym"]
     assert syms == ["==", "~~", "=>", "->", "="]
 
@@ -79,7 +86,8 @@ def test_lexer_rejects_stray_characters():
 
 
 def _positions(text):
-    return [(t.text, t.line, t.col) for t in _lex(text)]
+    p = dsl._Parser(text)
+    return [(t.text, *p.where(i)) for i, t in enumerate(p.toks)]
 
 
 def test_lexer_positions_count_tabs_as_one_column():
@@ -105,7 +113,7 @@ def test_lexer_eof_token_sits_after_the_last_line():
     assert _positions("a\nb") == _positions("a\nb\n") == [
         ("a", 1, 1), ("b", 2, 1), ("", 3, 1)]
     assert _positions("a\n\n\n")[-1] == ("", 4, 1)
-    assert _lex("a\n")[-1].kind == "eof"
+    assert _tokens("a\n")[-1].kind == "eof"
 
 
 def test_lexer_reports_a_stray_character_on_a_later_line():
@@ -117,11 +125,71 @@ def test_lexer_reports_a_stray_character_on_a_later_line():
 
 
 def test_lexer_keeps_digit_led_rule_names_apart_from_ints():
-    toks = _lex("1-to-2 0-comp 1 0 12 1->0 3-x")
+    toks = _tokens("1-to-2 0-comp 1 0 12 1->0 3-x")
     assert [(t.kind, t.text) for t in toks[:-1]] == [
         ("ident", "1-to-2"), ("ident", "0-comp"), ("int", "1"), ("int", "0"),
         ("int", "12"), ("int", "1"), ("sym", "->"), ("int", "0"),
         ("ident", "3-x")]
+
+
+# the lexer as it was written token by token, the reference for the one
+# that lexes a line with one findall
+_REFERENCE_RE = re.compile(r"""
+    (?P<skip>[ \t]+|\#.*)
+  | (?P<sym2>==|~~|=>|->)
+  | (?P<numident>[0-9]+-[A-Za-z][A-Za-z0-9_-]*)
+  | (?P<int>[0-9]+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
+  | (?P<sym>[=:;,.(){}\[\]*+|])
+  | (?P<stray>.)
+""", re.VERBOSE | re.DOTALL)
+_REFERENCE_KIND = {"sym2": "sym", "numident": "ident", "int": "int",
+                   "ident": "ident", "sym": "sym"}
+
+
+def _reference_lex(text):
+    """[(kind, text, line, col)], ending in eof, or a LexError."""
+    out = []
+    lines = text.splitlines()
+    for ln, line in enumerate(lines, start=1):
+        for m in _REFERENCE_RE.finditer(line):
+            group = m.lastgroup
+            if group == "stray":
+                raise E.LexError(f"stray character {m.group()!r}", ln,
+                                 m.start() + 1)
+            if group != "skip":
+                out.append((_REFERENCE_KIND[group], m.group(), ln,
+                            m.start() + 1))
+    return out + [("eof", "", len(lines) + 1, 1)]
+
+
+# the token alphabet, blanks, comments, every line break splitlines knows,
+# and stray characters
+_PIECES = st.sampled_from([
+    "a", "x1", "_", "foo_bar", "foo-bar", "a-", "0-comp", "1-to-2", "3-x",
+    "0", "12", "V", "==", "~~", "=>", "->", *"=:;,.(){}[]*+|", "-", "~",
+    " ", "\t", "  ", "# c ? @", "#",
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029",
+    "?", "@", "$", "!", "\u00e9", "\u00b2", "\x00",
+])
+
+
+@given(st.lists(_PIECES, max_size=40).map("".join))
+@example("a ? b\n@ c ?")
+@example("ok\r\n  x @ y # ?\x85 $ ! @")
+def test_lexer_matches_the_per_token_reference(text):
+    try:
+        want = _reference_lex(text)
+    except E.LexError as exc:
+        with pytest.raises(E.LexError) as err:
+            _lex(text)
+        assert str(err.value) == str(exc)
+        assert (err.value.line, err.value.col) == (exc.line, exc.col)
+        return
+    p = dsl._Parser(text)
+    assert [(t.kind, t.text, *p.where(i))
+            for i, t in enumerate(p.toks)] == want
 
 
 # ---------------------------------------------------------------- parsing
@@ -307,6 +375,45 @@ def test_script_problems_raise_instead_of_reporting():
                                   "check proof missing in S\n"))
     assert not report.ok
     assert "missing" in report.outcomes[0].detail["error"]
+
+
+# a `gen` declaration replaces its theory, so the term is checked again
+@pytest.mark.parametrize("between, checks", [
+    ("", 1), ("pure gen g : V[x] -> V[x] in S = [1, 0]\n", 2)])
+def test_a_declared_term_is_typechecked_once_per_theory(monkeypatch, between,
+                                                        checks):
+    calls = []
+    real = dsl.typecheck
+
+    def counting(th, t):
+        calls.append(t)
+        return real(th, t)
+
+    monkeypatch.setattr(dsl, "typecheck", counting)
+    script = parse_script("theory S = states(x: 2)\n"
+                          "term w in S = l[x] . u[x]\n" + between
+                          + "eval in S : w on 0\n")
+    assert execute(script, ExecConfig(mode="eval")).ok
+    w = script.decls[1].term
+    assert sum(t is w for t in calls) == checks
+
+
+def test_ill_typed_eval_terms_keep_their_errors(tmp_path, capfd):
+    path = tmp_path / "bad.dec"
+    path.write_text("theory S = states(x: 2)\n"
+                    "term w in S = l[x] . l[x]\n"
+                    "eval in S : w on 0\n", encoding="utf-8")
+    assert main(["eval", str(path)]) == 2
+    assert capfd.readouterr().err == (
+        "error: line 2:1: cannot compose: l[x] ends at V[x], "
+        "l[x] starts at 1\n")
+    # inline, the eval is a failed command, and the next one is checked
+    # again
+    report = execute(parse_script("theory S = states(x: 2)\n"
+                                  "eval in S : l[x] . l[x] on 0\n"
+                                  "eval in S : l[x] . l[x] on 0\n"))
+    assert [o.detail for o in report.outcomes] == 2 * [
+        {"error": "cannot compose: l[x] ends at V[x], l[x] starts at 1"}]
 
 
 def test_declaration_errors_carry_one_position():

@@ -340,10 +340,37 @@ def test_expand_states_agrees_pointwise(t):
 
 
 def test_expand_states_of_a_long_composite(states2, model22):
-    # 1600 factors: simplifying, composing and evaluating the expansion
-    # walk its spine with loops, so no walk runs out of stack
+    # 1600 factors: simplifying, composing, evaluating and printing the
+    # expansion walk its spine with loops, so no walk runs out of stack
     t = comp(*[Update("x"), Lookup("x")] * 800)
     _states_agree_everywhere(states2, model22, t)
+    assert str(expand_states(states2, t)).count(" . ") >= 1600
+
+
+def _reference_text(t):
+    """The explicit-term printer as it was written, recursively."""
+    if isinstance(t, EComp):
+        def wrap(u):
+            text = _reference_text(u)
+            return f"({text})" if isinstance(u, EComp) else text
+        return f"{wrap(t.after)} . {wrap(t.before)}"
+    if isinstance(t, EPair):
+        return f"<{_reference_text(t.fst)}, {_reference_text(t.snd)}>"
+    if isinstance(t, ECase):
+        return f"[{_reference_text(t.on_left)} | {_reference_text(t.on_right)}]"
+    return str(t)
+
+
+_EXPLICIT_LEAVES = st.sampled_from([
+    EId(UNIT), ETerminal(Value("x")), EProj1(UNIT, Value("x")),
+    EInj2(UNIT, Param("i")), EInitial(UNIT), EGen("g", UNIT, UNIT)])
+
+
+@given(st.recursive(_EXPLICIT_LEAVES, lambda inner: st.one_of(
+    st.builds(EComp, inner, inner), st.builds(EPair, inner, inner),
+    st.builds(ECase, inner, inner)), max_leaves=12))
+def test_explicit_terms_print_as_the_recursive_printer_did(t):
+    assert str(t) == _reference_text(t)
 
 
 def _encode_exc_input(theory, ty, inp):
