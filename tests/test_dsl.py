@@ -226,6 +226,180 @@ def test_malformed_keyword_forms_keep_their_messages(form, message, col):
     assert (err.value.line, err.value.col) == (2, col)
 
 
+# a malformed variant of every declaration and command form, on line 3
+# after two theories, with the message and position each one gets
+_HEAD = ("theory S = states(x: 2, y: 2)\n"
+         "theory E = exceptions(i: 2, j: 2)\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('thoery T = states(x: 2)',
+     "line 3:1: expected a declaration or command, found 'thoery'"),
+    ('3',
+     "line 3:1: expected a declaration or command, found '3'"),
+    ('theory T states(x: 2)',
+     "line 3:10: expected '=', found 'states'"),
+    ('theory T = stats(x: 2)',
+     "line 3:12: unknown theory kind 'stats'"),
+    ('theory T = dual(Q)',
+     "line 3:17: unknown theory 'Q'"),
+    ('theory T = states(x: 2) with catchall',
+     'line 4:1: only exceptions theories take catchall'),
+    ('theory T = exceptions(i: 2) with all',
+     "line 3:34: expected 'catchall', found 'all'"),
+    ('theory T = dual(S) with catchall',
+     "line 3:20: expected a declaration or command, found 'with'"),
+    ('theory T = states(x 2)',
+     "line 3:21: expected ':', found '2'"),
+    ('theory S = states(x: 2)',
+     "line 3:8: 'S' is already declared"),
+    ('theory in = states(x: 2)',
+     "line 3:8: 'in' is reserved"),
+    ('theory T = states x: 2',
+     "line 3:19: expected '(', found 'x'"),
+    ('pure g : V[x] -> V[x] in S',
+     "line 3:6: expected 'gen', found 'g'"),
+    ('pure gen g V[x] -> V[x] in S',
+     "line 3:12: expected ':', found 'V'"),
+    ('pure gen g : V[x] V[x] in S',
+     "line 3:19: expected '->', found 'V'"),
+    ('pure gen g : V[x] -> V[x] on S',
+     "line 3:27: expected 'in', found 'on'"),
+    ('pure gen g : V[x] -> V[x] in Q',
+     "line 3:30: unknown theory 'Q'"),
+    ('pure gen g : V[x] -> V[x] in S = (1, 0)',
+     "line 3:34: expected '[', found '('"),
+    ('pure gen g : V[x] -> V[x] in S = [1, x]',
+     "line 3:38: expected 'int', found 'x'"),
+    ('pure gen g : -> V[x] in S',
+     "line 3:14: expected a type, found '->'"),
+    ('term q S = l[x]',
+     "line 3:8: expected 'in', found 'S'"),
+    ('term q in S l[x]',
+     "line 3:13: expected '=', found 'l'"),
+    ('term q in Q = l[x]',
+     "line 3:11: unknown theory 'Q'"),
+    ('equation e in S l[x] == l[x]',
+     "line 3:17: expected ':', found 'l'"),
+    ('equation e in S : l[x] = l[x]',
+     'line 3:26: expected == or ~~'),
+    ('equation e in S : l[x]',
+     "line 4:1: expected 'sym', found 'end of input'"),
+    ('model m in S (x: 2)',
+     "line 3:9: expected 'for', found 'in'"),
+    ('model m for S x: 2',
+     "line 3:15: expected '(', found 'x'"),
+    ('model m for S (x: two)',
+     "line 3:19: expected 'int', found 'two'"),
+    ('proof p in S { }',
+     'line 4:1: empty proof block'),
+    ('proof p in S s1: axiom(A1_x); }',
+     "line 3:14: expected '{', found 's1'"),
+    ('proof p in S {\n  s1: axiom(A1_x);\n  s1: w-sym from s1;\n}',
+     "line 6:1: duplicate step label 's1'"),
+    ('proof p in S {\n  s1: w-sym from s0;\n}',
+     "line 5:1: step 's1' uses undefined label 's0'"),
+    ('proof p in S { s1: no-such-rule; }',
+     "line 3:20: unknown rule 'no-such-rule'"),
+    ('proof p in S { s1: axiom A1_x; }',
+     "line 3:26: expected '(', found 'A1_x'"),
+    ('proof p in S { s1: hyp(h) holds l[x] = l[x]; }',
+     'line 3:40: expected == or ~~'),
+    ('proof p in S { s1: hyp(h) wf l[x] lvl 1; }',
+     "line 3:35: expected 'level', found 'lvl'"),
+    ('proof p in S { s1: hyp(h) l[x]; }',
+     "line 3:27: expected 'wf', found 'l'"),
+    ('proof p in S { s1: axiom(A1_x) }',
+     "line 3:32: expected ';', found '}'"),
+    ('proof p in S { s1: w-refl(f l[x]); }',
+     "line 3:29: expected '=', found 'l'"),
+    ('proof p in S { s1: axiom(A1_x);',
+     "line 4:1: expected 'ident', found 'end of input'"),
+    ('check p in S',
+     "line 3:7: expected 'proof', found 'p'"),
+    ('check proof p on S',
+     "line 3:15: expected 'in', found 'on'"),
+    ('check proof p in Q',
+     "line 3:18: unknown theory 'Q'"),
+    ('verify laws in S',
+     "line 3:13: unknown suite 'laws'; one of states-seven, "
+     'exceptions-laws, nesting-matrix, duality-semantic'),
+    ('verify states-seven S',
+     "line 3:21: expected 'in', found 'S'"),
+    ('verify states-seven in S with',
+     "line 4:1: expected 'ident', found 'end of input'"),
+    ('lemma nope in S',
+     "line 3:7: unknown lemma 'nope'; one of annihilation, catch-throw, "
+     'commutation-6, final-uniqueness, handler-commute, '
+     'handler-idempotent, initial-uniqueness, interaction-3, '
+     'key-annihilation'),
+    ('lemma annihilation(x, y) in S',
+     'line 3:23: annihilation takes at most 1 arguments'),
+    ('lemma commutation-6(x) in S',
+     'line 3:24: commutation-6 needs 2 argument(s)'),
+    ('lemma annihilation(x in S',
+     'line 4:1: unterminated lemma arguments'),
+    ('lemma annihilation(x) S',
+     "line 3:23: expected 'in', found 'S'"),
+    ('lemma annihilation(x) in Q',
+     "line 3:26: unknown theory 'Q'"),
+    ('eval in S l[x] on 0',
+     "line 3:11: expected ':', found 'l'"),
+    ('eval in S : l[x] 0',
+     "line 3:18: expected 'on', found '0'"),
+    ('eval in S : l[x] on x',
+     'line 3:21: expected an input: INT, (i: INT), or throw(i: INT)'),
+    ('eval in E : t[i] on throw(i 0)',
+     "line 3:29: expected ':', found '0'"),
+    ('eval in S : l[x] on 0 state 1',
+     "line 3:29: expected '(', found '1'"),
+    ('eval in S : l[x] on (x: y)',
+     "line 3:25: expected 'int', found 'y'"),
+    ('eval S : l[x] on 0',
+     "line 3:6: expected 'in', found 'S'"),
+    ('prove in S : l[x] ~~ l[x] budget x',
+     "line 3:34: expected 'int', found 'x'"),
+    ('prove in S l[x] ~~ l[x]',
+     "line 3:12: expected ':', found 'l'"),
+    ('prove in S : l[x] -> l[x]',
+     'line 3:22: expected == or ~~'),
+    ('erase Q',
+     "line 3:7: unknown theory 'Q'"),
+    ('dualize',
+     "line 4:1: expected 'ident', found 'end of input'"),
+    ('expand 3',
+     "line 3:8: expected 'ident', found '3'"),
+])
+def test_malformed_forms_keep_their_messages(line, message):
+    with pytest.raises(E.ParseError) as err:
+        parse_script(_HEAD + line + "\n")
+    assert str(err.value) == message
+    where = re.match(r"line (\d+):(\d+): ", message)
+    assert (err.value.line, err.value.col) == tuple(map(int, where.groups()))
+
+
+# the parent's reserved words: every keyword of the grammar, and no more
+_RESERVED_WORDS = {
+    "P", "V", "accessor", "axiom", "budget", "c", "case", "cases", "catch",
+    "catchall", "catcher", "check", "coerce", "cotuple", "dual", "dualize",
+    "empty", "equation", "erase", "eval", "exceptions", "expand", "for",
+    "from", "gen", "handle", "holds", "hyp", "id", "in", "in1", "in2", "l",
+    "lemma", "level", "lsemi", "lsum", "model", "modifier", "on", "p1", "p2",
+    "proof", "propagator", "prove", "pure", "raise", "rsemi", "rsum",
+    "state", "states", "t", "term", "theory", "throw", "try", "tuple", "u",
+    "unit", "verify", "wf", "with"}
+
+
+def test_the_reserved_words_are_the_grammar_keywords():
+    assert dsl._RESERVED == _RESERVED_WORDS
+    assert len(_RESERVED_WORDS) == 62
+    # a theory kind other than states and exceptions is not a keyword
+    script = parse_script("theory plain-states = plain-states(x: 2)\n"
+                          "term plain-exceptions in plain-states = l[x]\n")
+    assert [d.name for d in script.decls] == ["plain-states",
+                                              "plain-exceptions"]
+
+
 def test_reserved_names_are_refused():
     # 't' is the throw constructor, not a declarable name
     with pytest.raises(E.ParseError) as err:
