@@ -50,15 +50,6 @@ REPORT_SCHEMA = "decor-report/1"
 _LEVEL_KEYWORDS = {"pure": 0, "accessor": 1, "modifier": 2,
                    "propagator": 1, "catcher": 2}
 
-# names the grammar claims for itself; declarations cannot reuse them
-_RESERVED = frozenset(SYNTAX) | frozenset({
-    "raise", "try", "catch", "handle", "throw", "theory", "gen", "term",
-    "equation", "proof", "model", "check", "verify", "eval", "lemma",
-    "prove", "erase", "expand", "dualize",
-    "in", "for", "with", "on", "state", "budget", "from", "axiom", "hyp",
-    "holds", "wf", "level", "states", "exceptions", "dual", "V", "P",
-}) | frozenset(_LEVEL_KEYWORDS)
-
 # ------------------------------------------------------------------ lexer
 
 class Token:
@@ -323,7 +314,8 @@ class _Parser:
         self.i = 0
         self.depth = 0  # open term_expr/type_expr calls
         self.theories: dict[str, str] = {}  # name -> kind
-        self.gens: dict[tuple[str, str], Gen] = {}
+        self.theory: Optional[str] = None  # the last one a form referred to
+        # declared terms and generators, by (theory, name)
         self.terms: dict[tuple[str, str], Term] = {}
         self.names: set[str] = set()  # all declared names, for collisions
 
@@ -374,9 +366,9 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
-    # ---- names
+    # ---- names and numbers
 
-    def fresh_name(self, what: str) -> str:
+    def fresh_name(self) -> str:
         at = self.i
         tok = self.expect("ident")
         if tok.text in _RESERVED:
@@ -391,7 +383,40 @@ class _Parser:
         tok = self.expect("ident")
         if tok.text not in self.theories:
             raise self.fail(f"unknown theory {tok.text!r}", at)
+        self.theory = tok.text
         return tok.text
+
+    def suite(self) -> str:
+        suite = self.expect("ident").text
+        if suite not in SUITES:
+            raise self.fail(f"unknown suite {suite!r}; "
+                            f"one of {', '.join(SUITES)}")
+        return suite
+
+    def integer(self) -> int:
+        return int(self.expect("int").text)
+
+    def ints(self, brackets: str) -> tuple[int, ...]:
+        """One or more integers between `brackets`, comma-separated."""
+        self.expect("sym", brackets[0])
+        vals = [int(self.expect("int").text)]
+        while self.eat("sym", ","):
+            vals.append(int(self.expect("int").text))
+        self.expect("sym", brackets[1])
+        return tuple(vals)
+
+    def pairs(self, read) -> tuple[tuple[str, Any], ...]:
+        """`(i: v, ...)`, each v read by `read`."""
+        self.expect("sym", "(")
+        out = []
+        while True:
+            idx = self.expect("ident").text
+            self.expect("sym", ":")
+            out.append((idx, read()))
+            if not self.eat("sym", ","):
+                break
+        self.expect("sym", ")")
+        return tuple(out)
 
     # ---- types
 
@@ -442,23 +467,22 @@ class _Parser:
         finally:
             self.depth -= 1
 
-    def _family(self, theory: str) -> tuple[tuple[str, Term], ...]:
-        self.expect("sym", "(")
-        comps = []
-        while True:
-            idx = self.expect("ident").text
-            self.expect("sym", ":")
-            comps.append((idx, self.term_expr(theory)))
-            if not self.eat("sym", ","):
-                break
-        self.expect("sym", ")")
-        return tuple(comps)
+    def family(self, theory: str) -> tuple[tuple[str, Term], ...]:
+        return self.pairs(lambda: self.term_expr(theory))
+
+    def equation(self, theory: str) -> Equation:
+        lhs = self.term_expr(theory)
+        op = self.expect("sym").text
+        if op not in ("==", "~~"):
+            raise self.fail("expected == or ~~")
+        return Equation(lhs, self.term_expr(theory),
+                        STRONG if op == "==" else WEAK)
 
     def _keyword_args(self, theory: str, s: Spelling) -> Sequence:
         """A keyword's arguments in written order, read by its shape, from
         the bracket at hand to the closing one."""
         if s.shape == "family":
-            return (self._family(theory),)
+            return (self.family(theory),)
         read = self.type_expr  # type, types
         if s.shape == "index":
             read = lambda: self.expect("ident").text
@@ -513,11 +537,10 @@ class _Parser:
             return self._build_handler(body, clauses, catch_all)
         if spelling is not None and spelling.shape == "none":
             return spelling.build()
-        if (theory, name) in self.terms:
-            return self.terms[(theory, name)]
-        if (theory, name) in self.gens:
-            return self.gens[(theory, name)]
-        raise self.fail(f"unknown term or generator {name!r}")
+        t = self.terms.get((theory, name))
+        if t is None:
+            raise self.fail(f"unknown term or generator {name!r}")
+        return t
 
     def _raise(self) -> Term:
         """`raise(i)` or `raise(i, Y)`: throw i, then empty[Y] (Y is P[i]
@@ -560,18 +583,6 @@ class _Parser:
 
     # ---- proof steps
 
-    def _inst_value(self, theory: str, kind: str) -> Any:
-        """A rule instantiation or lemma argument of the given kind."""
-        if kind == "type":
-            return self.type_expr()
-        if kind == "name":
-            return self.expect("ident").text
-        if kind == "int":
-            return int(self.expect("int").text)
-        if kind == "family":
-            return self._family(theory)
-        return self.term_expr(theory)
-
     def proof_step(self, theory: str) -> ProofStep:
         label = self.expect("ident").text
         self.expect("sym", ":")
@@ -580,29 +591,20 @@ class _Parser:
         kind, name = "rule", head.text
         inst: tuple[tuple[str, Any], ...] = ()
         claim: Union[Equation, tuple[Term, int], None] = None
-        if head.text in ("axiom", "gen"):
+        if head.text in ("axiom", "gen", "hyp"):
             kind = head.text
             self.expect("sym", "(")
             name = self.expect("ident").text
             self.expect("sym", ")")
-        elif head.text == "hyp":
-            kind = "hyp"
-            self.expect("sym", "(")
-            name = self.expect("ident").text
-            self.expect("sym", ")")
+        if kind == "hyp":
             if self.eat("ident", "holds"):
-                lhs = self.term_expr(theory)
-                op = self.expect("sym").text
-                if op not in ("==", "~~"):
-                    raise self.fail("expected == or ~~")
-                rhs = self.term_expr(theory)
-                claim = Equation(lhs, rhs, STRONG if op == "==" else WEAK)
+                claim = self.equation(theory)
             else:
                 self.expect("ident", "wf")
                 t = self.term_expr(theory)
                 self.expect("ident", "level")
-                claim = (t, int(self.expect("int").text))
-        else:
+                claim = (t, self.integer())
+        elif kind == "rule":
             if name not in RULES:
                 raise self.fail(f"unknown rule {name!r}", at)
             if self.eat("sym", "("):
@@ -611,8 +613,8 @@ class _Parser:
                     while True:
                         key = self.expect("ident").text
                         self.expect("sym", "=")
-                        pairs.append((key, self._inst_value(
-                            theory, RULES[name].key_kind(key))))
+                        read = _KINDS[RULES[name].key_kind(key)][0]
+                        pairs.append((key, read(self)))
                         if not self.eat("sym", ","):
                             break
                 self.expect("sym", ")")
@@ -626,182 +628,60 @@ class _Parser:
         self.expect("sym", ";")
         return ProofStep(label, kind, name, inst, premises, claim)
 
-    # ---- declarations
+    def proof_steps(self, theory: str) -> tuple[ProofStep, ...]:
+        self.expect("sym", "{")
+        steps = []
+        depth: dict[str, int] = {}  # label -> 1 + its deepest premise's
+        size: dict[str, int] = {}  # label -> 1 + its premises' sizes
+        while not self.at("sym", "}"):
+            start = self.i
+            step = self.proof_step(theory)
+            if step.label in depth:
+                raise self.fail(f"duplicate step label {step.label!r}")
+            for p in step.premises:
+                if p not in depth:
+                    raise self.fail(f"step {step.label!r} uses undefined "
+                                    f"label {p!r}")
+            depth[step.label] = 1 + max(
+                [depth[p] for p in step.premises], default=0)
+            if depth[step.label] > MAX_PROOF_DEPTH:
+                raise self.fail(f"proof deeper than {MAX_PROOF_DEPTH} "
+                                f"steps", start)
+            size[step.label] = 1 + sum(size[p] for p in step.premises)
+            if size[step.label] > MAX_PROOF_NODES:
+                raise self.fail(f"proof larger than {MAX_PROOF_NODES} "
+                                f"nodes", start)
+            steps.append(step)
+        self.expect("sym", "}")
+        if not steps:
+            raise self.fail("empty proof block")
+        return tuple(steps)
 
-    def decl(self) -> Decl:
-        tok = self.peek()
-        pos = self.pos()
-        if self.eat("ident", "theory"):
-            return self.theory_decl(pos)
-        if tok.kind == "ident" and tok.text in _LEVEL_KEYWORDS:
-            return self.gen_decl(pos)
-        if self.eat("ident", "term"):
-            name = self.fresh_name("term")
-            self.expect("ident", "in")
-            th = self.theory_ref()
-            self.expect("sym", "=")
-            t = self.term_expr(th)
-            self.terms[(th, name)] = t
-            return TermDecl(name, th, t, pos)
-        if self.eat("ident", "equation"):
-            name = self.fresh_name("equation")
-            self.expect("ident", "in")
-            th = self.theory_ref()
-            self.expect("sym", ":")
-            lhs = self.term_expr(th)
-            op = self.expect("sym").text
-            if op not in ("==", "~~"):
-                raise self.fail("expected == or ~~")
-            rhs = self.term_expr(th)
-            return EquationDecl(name, th,
-                                Equation(lhs, rhs,
-                                         STRONG if op == "==" else WEAK), pos)
-        if self.eat("ident", "model"):
-            name = self.fresh_name("model")
-            self.expect("ident", "for")
-            th = self.theory_ref()
-            sizes = self.sized_indices()
-            return ModelDecl(name, th, sizes, pos)
-        if self.eat("ident", "proof"):
-            name = self.fresh_name("proof")
-            self.expect("ident", "in")
-            th = self.theory_ref()
-            self.expect("sym", "{")
-            steps = []
-            depth: dict[str, int] = {}  # label -> 1 + its deepest premise's
-            size: dict[str, int] = {}  # label -> 1 + its premises' sizes
-            while not self.at("sym", "}"):
-                start = self.i
-                step = self.proof_step(th)
-                if step.label in depth:
-                    raise self.fail(f"duplicate step label {step.label!r}")
-                for p in step.premises:
-                    if p not in depth:
-                        raise self.fail(f"step {step.label!r} uses undefined "
-                                        f"label {p!r}")
-                depth[step.label] = 1 + max(
-                    [depth[p] for p in step.premises], default=0)
-                if depth[step.label] > MAX_PROOF_DEPTH:
-                    raise self.fail(f"proof deeper than {MAX_PROOF_DEPTH} "
-                                    f"steps", start)
-                size[step.label] = 1 + sum(size[p] for p in step.premises)
-                if size[step.label] > MAX_PROOF_NODES:
-                    raise self.fail(f"proof larger than {MAX_PROOF_NODES} "
-                                    f"nodes", start)
-                steps.append(step)
-            self.expect("sym", "}")
-            if not steps:
-                raise self.fail("empty proof block")
-            return ProofDecl(name, th, tuple(steps), pos)
-        if self.eat("ident", "check"):
-            self.expect("ident", "proof")
-            pname = self.expect("ident").text
-            self.expect("ident", "in")
-            return CheckProofCmd(pname, self.theory_ref(), pos)
-        if self.eat("ident", "verify"):
-            suite = self.expect("ident").text
-            if suite not in SUITES:
-                raise self.fail(f"unknown suite {suite!r}; "
-                                f"one of {', '.join(SUITES)}")
-            self.expect("ident", "in")
-            th = self.theory_ref()
-            model = None
-            if self.eat("ident", "with"):
-                model = self.expect("ident").text
-            return VerifyCmd(suite, th, model, pos)
-        if self.eat("ident", "lemma"):
-            return self.lemma_cmd(pos)
-        if self.eat("ident", "eval"):
-            self.expect("ident", "in")
-            th = self.theory_ref()
-            self.expect("sym", ":")
-            t = self.term_expr(th)
-            self.expect("ident", "on")
-            kind, value = self.eval_input()
-            state = None
-            if self.eat("ident", "state"):
-                state = self.int_tuple()
-            return EvalCmd(th, t, kind, value, state, pos)
-        if self.eat("ident", "prove"):
-            self.expect("ident", "in")
-            th = self.theory_ref()
-            self.expect("sym", ":")
-            lhs = self.term_expr(th)
-            op = self.expect("sym").text
-            if op not in ("==", "~~"):
-                raise self.fail("expected == or ~~")
-            rhs = self.term_expr(th)
-            budget = None
-            if self.eat("ident", "budget"):
-                budget = int(self.expect("int").text)
-            return ProveCmd(th, Equation(lhs, rhs,
-                                         STRONG if op == "==" else WEAK),
-                            budget, pos)
-        for op in ("erase", "expand", "dualize"):
-            if self.eat("ident", op):
-                return TranslateCmd(op, self.theory_ref(), pos)
-        raise self.fail(f"expected a declaration or command, "
-                        f"found {tok.text or 'end of input'!r}")
+    # ---- the other field kinds with a grammar of their own
 
-    def sized_indices(self) -> tuple[tuple[str, int], ...]:
-        self.expect("sym", "(")
-        out = []
-        while True:
-            idx = self.expect("ident").text
-            self.expect("sym", ":")
-            out.append((idx, int(self.expect("int").text)))
-            if not self.eat("sym", ","):
-                break
-        self.expect("sym", ")")
-        return tuple(out)
-
-    def theory_decl(self, pos: SrcPos) -> TheoryDecl:
-        name = self.fresh_name("theory")
-        self.expect("sym", "=")
+    def theory_body(self) -> tuple[str, tuple, Optional[str], bool]:
+        """`dual(T)`, or a theory kind with its sized indices, then `with
+        catchall` on an exceptions theory: (kind, indices, source,
+        catch_all)."""
         at = self.i
         kind = self.expect("ident").text
         if kind == "dual":
             self.expect("sym", "(")
             src = self.theory_ref()
             self.expect("sym", ")")
-            self.theories[name] = "dual"
-            return TheoryDecl(name, "dual", (), src, pos=pos)
+            return kind, (), src, False
         if kind not in _THEORY_KINDS:
             raise self.fail(f"unknown theory kind {kind!r}", at)
-        indices = self.sized_indices()
-        catch_all = False
-        if self.at("ident", "with"):
-            self.next()
+        indices = self.pairs(self.integer)
+        catch_all = self.eat("ident", "with")
+        if catch_all:
             self.expect("ident", "catchall")
             if kind != "exceptions":
                 raise self.fail("only exceptions theories take catchall")
-            catch_all = True
-        self.theories[name] = kind
-        return TheoryDecl(name, kind, indices, None, catch_all, pos)
+        return kind, indices, None, catch_all
 
-    def gen_decl(self, pos: SrcPos) -> GenDecl:
-        kw = self.expect("ident").text
-        self.expect("ident", "gen")
-        name = self.fresh_name("gen")
-        self.expect("sym", ":")
-        dom_ty = self.type_expr()
-        self.expect("sym", "->")
-        cod_ty = self.type_expr()
-        self.expect("ident", "in")
-        th = self.theory_ref()
-        table = None
-        if self.eat("sym", "="):
-            self.expect("sym", "[")
-            vals = [int(self.expect("int").text)]
-            while self.eat("sym", ","):
-                vals.append(int(self.expect("int").text))
-            self.expect("sym", "]")
-            table = tuple(vals)
-        decl = GenDecl(name, th, kw, dom_ty, cod_ty, table, pos)
-        self.gens[(th, name)] = Gen(name, dom_ty, cod_ty, decl.level)
-        return decl
-
-    def lemma_cmd(self, pos: SrcPos) -> LemmaCmd:
+    def lemma_call(self) -> tuple[str, tuple[Any, ...], str]:
+        """`NAME(args) in T`: (lemma, args, theory)."""
         at = self.i
         lemma = self.expect("ident").text
         if lemma not in _LEMMAS:
@@ -831,7 +711,7 @@ class _Parser:
                 if len(args) >= len(params):
                     raise self.fail(
                         f"{lemma} takes at most {len(params)} arguments")
-                args.append(self._inst_value(th, params[len(args)][1]))
+                args.append(_KINDS[params[len(args)][1]][0](self))
                 if not self.eat("sym", ","):
                     break
             self.expect("sym", ")")
@@ -839,34 +719,65 @@ class _Parser:
         if len(args) < need:
             raise self.fail(f"{lemma} needs {need} argument(s)")
         self.i = end
-        return LemmaCmd(lemma, tuple(args), th, pos)
+        return lemma, tuple(args), th
 
     def eval_input(self) -> tuple[str, Union[int, tuple[str, int]]]:
         if self.at("int"):
-            return "val", int(self.next().text)
+            return "val", self.integer()
         if self.eat("ident", "throw"):
             self.expect("sym", "(")
             idx = self.expect("ident").text
             self.expect("sym", ":")
-            arg = int(self.expect("int").text)
+            arg = self.integer()
             self.expect("sym", ")")
             return "exc", (idx, arg)
         if self.eat("sym", "("):
             # a type-annotated ordinary input: (i: 3) is the value 3
             self.expect("ident")
             self.expect("sym", ":")
-            v = int(self.expect("int").text)
+            v = self.integer()
             self.expect("sym", ")")
             return "val", v
         raise self.fail("expected an input: INT, (i: INT), or throw(i: INT)")
 
-    def int_tuple(self) -> tuple[int, ...]:
-        self.expect("sym", "(")
-        vals = [int(self.expect("int").text)]
-        while self.eat("sym", ","):
-            vals.append(int(self.expect("int").text))
-        self.expect("sym", ")")
-        return tuple(vals)
+    # ---- declarations and commands
+
+    def decl(self) -> Decl:
+        """One declaration or command, read by the form its first word
+        picks."""
+        tok = self.peek()
+        form = _FORMS.get(tok.text)
+        if form is None:
+            raise self.fail(f"expected a declaration or command, "
+                            f"found {tok.text or 'end of input'!r}")
+        vals: dict[str, Any] = {"pos": self.pos()}
+        self.theory = None
+        toks = self.toks
+        for optional, kind, text, f in form.steps:
+            if text is not None:
+                tok = toks[self.i]
+                if tok.text == text and tok.kind == kind:
+                    self.i += 1
+                elif optional:
+                    continue
+                else:
+                    self.expect(kind, text)  # fails, naming what it found
+            if f is not None and f.name is not None:
+                vals[f.name] = f.read(self)
+            elif f is not None:
+                vals.update(zip(f.names, f.read(self)))
+        d = form.cls(**vals)
+        self.declare(d)
+        return d
+
+    def declare(self, d: Decl) -> None:
+        """Note what `d` declares, for the references after it."""
+        if type(d) is TheoryDecl:
+            self.theories[d.name] = d.kind
+        elif type(d) is GenDecl:
+            self.terms[d.theory, d.name] = Gen(d.name, d.dom, d.cod, d.level)
+        elif type(d) is TermDecl:
+            self.terms[d.theory, d.name] = d.term
 
     def script(self) -> Script:
         decls = []
@@ -887,14 +798,17 @@ def _rule_kind(rule: Any, key: str) -> str:
     return spec.key_kind(key) if spec else "term"
 
 
-def _inst_text(kind: str, value: Any) -> str:
-    """A rule instantiation or lemma argument of the given kind, as text."""
-    if kind == "family":
-        inner = ", ".join(f"{i}: {term_to_text(t)}" for i, t in value)
-        return f"({inner})"
-    if kind in ("name", "int", "type"):
-        return str(value)
-    return term_to_text(value)
+def _written(kind: str, value: Any) -> str:
+    """A field, rule instantiation or lemma argument of `kind`, as text."""
+    return _KINDS[kind][1](value)
+
+
+def _pairs_text(pairs) -> str:
+    return "(" + ", ".join(f"{i}: {v}" for i, v in pairs) + ")"
+
+
+def _ints_text(brackets: str, vals: Sequence[int]) -> str:
+    return brackets[0] + ", ".join(map(str, vals)) + brackets[1]
 
 
 def _eq_text(eq: Equation) -> str:
@@ -903,82 +817,175 @@ def _eq_text(eq: Equation) -> str:
 
 
 def _step_text(step: ProofStep) -> str:
-    if step.kind == "axiom":
-        head = f"axiom({step.name})"
-    elif step.kind == "gen":
-        head = f"gen({step.name})"
-    elif step.kind == "hyp":
-        if isinstance(step.claim, Equation):
-            head = f"hyp({step.name}) holds {_eq_text(step.claim)}"
-        else:
-            t, lvl = step.claim
-            head = f"hyp({step.name}) wf {term_to_text(t)} level {lvl}"
-    else:
-        args = ", ".join(f"{k}={_inst_text(_rule_kind(step.name, k), v)}"
+    if step.kind == "rule":
+        args = ", ".join(f"{k}={_written(_rule_kind(step.name, k), v)}"
                          for k, v in step.inst)
         head = f"{step.name}({args})" if step.inst else step.name
+    else:
+        head = f"{step.kind}({step.name})"
+    if isinstance(step.claim, Equation):
+        head += f" holds {_eq_text(step.claim)}"
+    elif step.claim is not None:
+        t, lvl = step.claim
+        head += f" wf {term_to_text(t)} level {lvl}"
     out = f"  {step.label}: {head}"
     if step.premises:
         out += " from " + ", ".join(step.premises)
     return out + ";"
 
 
-def _sized_text(indices: Sequence[tuple[str, int]]) -> str:
-    return "(" + ", ".join(f"{i}: {n}" for i, n in indices) + ")"
+def _steps_text(steps: Sequence[ProofStep]) -> str:
+    return "\n".join(["{", *map(_step_text, steps), "}"])
+
+
+def _theory_body_text(kind: str, indices: Sequence[tuple[str, int]],
+                      source: Optional[str], catch_all: bool) -> str:
+    if kind == "dual":
+        return f"dual({source})"
+    return kind + _pairs_text(indices) + (" with catchall" if catch_all
+                                          else "")
+
+
+def _lemma_text(lemma: str, args: Sequence[Any], theory: str) -> str:
+    parts = [_written(kind, v)
+             for (_, kind), v in zip(_LEMMAS[lemma].params, args)]
+    call = f"{lemma}({', '.join(parts)})" if parts else lemma
+    return f"{call} in {theory}"
+
+
+def _input_text(kind: str, value: Union[int, tuple[str, int]]) -> str:
+    return f"throw({value[0]}: {value[1]})" if kind == "exc" else str(value)
+
+
+# ---------------------------------------------------------------- grammar
+
+# each kind of field, rule instantiation and lemma argument: its reader,
+# called with the parser, and its writer, called with the values it read;
+# a term is read in the theory the form named last
+_KINDS = {
+    "word": (lambda p: p.next().text, str),
+    "fresh": (_Parser.fresh_name, str),
+    "name": (lambda p: p.expect("ident").text, str),
+    "theory": (_Parser.theory_ref, str),
+    "suite": (_Parser.suite, str),
+    "type": (_Parser.type_expr, str),
+    "int": (_Parser.integer, str),
+    # term_to_text is looked up per call, as tracing rebinds it
+    "term": (lambda p: p.term_expr(p.theory), lambda t: term_to_text(t)),
+    "family": (lambda p: p.family(p.theory), lambda v: _pairs_text(
+        (i, term_to_text(t)) for i, t in v)),
+    "equation": (lambda p: p.equation(p.theory), _eq_text),
+    "sizes": (lambda p: p.pairs(p.integer), _pairs_text),
+    "int tuple": (lambda p: p.ints("()"), lambda v: _ints_text("()", v)),
+    "int list": (lambda p: p.ints("[]"), lambda v: _ints_text("[]", v)),
+    "input": (_Parser.eval_input, _input_text),
+    "steps": (lambda p: p.proof_steps(p.theory), _steps_text),
+    "lemma call": (_Parser.lemma_call, _lemma_text),
+    "theory body": (_Parser.theory_body, _theory_body_text),
+}
+
+
+class Field:
+    """A field of a form: the attributes `names` of the node it builds
+    (by default the one named like its kind), read and written as `kind`.
+    A field after a `word` is an optional trailing clause, `word FIELD`,
+    written when the field's value is not None."""
+
+    __slots__ = ("kind", "names", "name", "word", "read", "write")
+
+    def __init__(self, kind: str, *names: str, word: Optional[str] = None):
+        self.kind, self.names, self.word = kind, names or (kind,), word
+        # the attribute, when the reader fills one
+        self.name = self.names[0] if len(self.names) == 1 else None
+        self.read, self.write = _KINDS[kind]
+
+
+class Form:
+    """How one declaration or command is written, and the node it builds.
+
+    `pieces` are its literal tokens and `Field`s in written order. A form
+    is picked by its first word: the literal it opens with, or else each
+    of `words`, which its opening field keeps. `mode` is the CLI mode that
+    runs the command, None for a declaration. `steps` are the pieces as
+    the parser and the printer walk them: (optional, token kind, literal,
+    field), with no literal for a field and no field for a literal.
+    """
+
+    __slots__ = ("cls", "mode", "words", "lead", "steps")
+
+    def __init__(self, cls: type, mode: Optional[str], *pieces,
+                 words: tuple[str, ...] = ()):
+        self.cls, self.mode = cls, mode
+        first = pieces[0]
+        self.lead = first.names[0] if isinstance(first, Field) else None
+        self.words = words or (first,)
+        self.steps = [(False, _kind(p), p, None) if isinstance(p, str) else
+                      (p.word is not None, p.word and _kind(p.word), p.word, p)
+                      for p in pieces]
+
+
+# every declaration and command form, one row each
+_GRAMMAR = (
+    Form(TheoryDecl, None, "theory", Field("fresh", "name"), "=",
+         Field("theory body", "kind", "indices", "source", "catch_all")),
+    Form(GenDecl, None, Field("word", "level_kw"), "gen",
+         Field("fresh", "name"), ":", Field("type", "dom"), "->",
+         Field("type", "cod"), "in", Field("theory"),
+         Field("int list", "table", word="="), words=tuple(_LEVEL_KEYWORDS)),
+    Form(TermDecl, None, "term", Field("fresh", "name"), "in",
+         Field("theory"), "=", Field("term")),
+    Form(EquationDecl, None, "equation", Field("fresh", "name"), "in",
+         Field("theory"), ":", Field("equation", "eq")),
+    Form(ModelDecl, None, "model", Field("fresh", "name"), "for",
+         Field("theory"), Field("sizes")),
+    Form(ProofDecl, None, "proof", Field("fresh", "name"), "in",
+         Field("theory"), Field("steps")),
+    Form(CheckProofCmd, "check", "check", "proof", Field("name", "proof"),
+         "in", Field("theory")),
+    Form(VerifyCmd, "verify", "verify", Field("suite"), "in",
+         Field("theory"), Field("name", "model", word="with")),
+    Form(LemmaCmd, "verify", "lemma",
+         Field("lemma call", "lemma", "args", "theory")),
+    Form(EvalCmd, "eval", "eval", "in", Field("theory"), ":", Field("term"),
+         "on", Field("input", "input_kind", "value"),
+         Field("int tuple", "state", word="state")),
+    Form(ProveCmd, "check", "prove", "in", Field("theory"), ":",
+         Field("equation", "eq"), Field("int", "budget", word="budget")),
+    *(Form(TranslateCmd, op, Field("word", "op"), Field("theory"),
+           words=(op,)) for op in ("erase", "expand", "dualize")),
+)
+
+# each form by the words that pick it, and by the class it builds
+_FORMS = {w: form for form in _GRAMMAR for w in form.words}
+_FORM_OF = {form.cls: form for form in _GRAMMAR}
+
+# names the grammar claims for itself; declarations cannot reuse them: the
+# words of the forms, of the terms, and of the field kinds and term sugar
+_RESERVED = frozenset(_FORMS) | frozenset(
+    text for form in _GRAMMAR for _, kind, text, _ in form.steps
+    if kind == "ident") | frozenset(SYNTAX) | frozenset({
+        "raise", "try", "catch", "handle", "throw", "from", "axiom", "hyp",
+        "holds", "wf", "level", "states", "exceptions", "dual", "V", "P"})
+
+
+def _form_of(d: Decl) -> Form:
+    """The form `d` is written in; where one class has several, the value
+    of the field a form opens with picks it."""
+    form = _FORM_OF[type(d)]
+    return _FORMS[getattr(d, form.lead)] if form.lead else form
 
 
 def _decl_text(d: Decl) -> str:
-    if isinstance(d, TheoryDecl):
-        if d.kind == "dual":
-            return f"theory {d.name} = dual({d.source})"
-        suffix = " with catchall" if d.catch_all else ""
-        return f"theory {d.name} = {d.kind}{_sized_text(d.indices)}{suffix}"
-    if isinstance(d, GenDecl):
-        out = f"{d.level_kw} gen {d.name} : {d.dom} -> {d.cod} in {d.theory}"
-        if d.table is not None:
-            out += " = [" + ", ".join(str(v) for v in d.table) + "]"
-        return out
-    if isinstance(d, TermDecl):
-        return f"term {d.name} in {d.theory} = {term_to_text(d.term)}"
-    if isinstance(d, EquationDecl):
-        return f"equation {d.name} in {d.theory} : {_eq_text(d.eq)}"
-    if isinstance(d, ModelDecl):
-        return f"model {d.name} for {d.theory} {_sized_text(d.sizes)}"
-    if isinstance(d, ProofDecl):
-        lines = [f"proof {d.name} in {d.theory} {{"]
-        lines += [_step_text(s) for s in d.steps]
-        lines.append("}")
-        return "\n".join(lines)
-    if isinstance(d, CheckProofCmd):
-        return f"check proof {d.proof} in {d.theory}"
-    if isinstance(d, VerifyCmd):
-        out = f"verify {d.suite} in {d.theory}"
-        if d.model:
-            out += f" with {d.model}"
-        return out
-    if isinstance(d, LemmaCmd):
-        parts = [_inst_text(kind, v)
-                 for (_, kind), v in zip(_LEMMAS[d.lemma].params, d.args)]
-        args = f"({', '.join(parts)})" if parts else ""
-        return f"lemma {d.lemma}{args} in {d.theory}"
-    if isinstance(d, EvalCmd):
-        if d.input_kind == "exc":
-            name, arg = d.value
-            inp = f"throw({name}: {arg})"
-        else:
-            inp = str(d.value)
-        out = f"eval in {d.theory} : {term_to_text(d.term)} on {inp}"
-        if d.state is not None:
-            out += " state (" + ", ".join(str(v) for v in d.state) + ")"
-        return out
-    if isinstance(d, ProveCmd):
-        out = f"prove in {d.theory} : {_eq_text(d.eq)}"
-        if d.budget is not None:
-            out += f" budget {d.budget}"
-        return out
-    if isinstance(d, TranslateCmd):
-        return f"{d.op} {d.theory}"
-    raise TypeError(f"not a declaration: {d!r}")
+    out = []
+    for optional, _, text, f in _form_of(d).steps:
+        vals = [getattr(d, n) for n in f.names] if f else ()
+        if optional and vals[0] is None:
+            continue
+        if text is not None:
+            out.append(text)
+        if f is not None:
+            out.append(f.write(*vals))
+    return " ".join(out)
 
 
 def print_script(script: Script) -> str:
@@ -1047,7 +1054,7 @@ def derivation_json(d: Derivation) -> dict:
         rule = d.rule
     return {
         "rule": rule,
-        "inst": {k: _inst_text(_rule_kind(d.rule, k), v) for k, v in d.inst},
+        "inst": {k: _written(_rule_kind(d.rule, k), v) for k, v in d.inst},
         "conclusion": str(d.conclusion),
         "premises": [derivation_json(p) for p in d.premises],
     }
@@ -1079,16 +1086,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return all(o.ok for o in self.outcomes)
-
-
-_MODE_RUNS = {
-    "check": (CheckProofCmd, ProveCmd),
-    "verify": (VerifyCmd, LemmaCmd),
-    "eval": (EvalCmd,),
-    "erase": (TranslateCmd,),
-    "expand": (TranslateCmd,),
-    "dualize": (TranslateCmd,),
-}
 
 
 class _Env:
@@ -1374,9 +1371,8 @@ def _run_translate(env: _Env, cmd: TranslateCmd) -> tuple[bool, dict]:
         out = dualize_theory(th)
         kind = out.flavor
     idx = out.locations or out.constructors
-    decl = (f"theory {out.name} = {kind}"
-            f"{_sized_text([(i, sizes.get(i)) for i in idx])}")
-    return True, {"dsl": decl, "theory": _theory_json(out, sizes)}
+    decl = TheoryDecl(out.name, kind, tuple((i, sizes.get(i)) for i in idx))
+    return True, {"dsl": _decl_text(decl), "theory": _theory_json(out, sizes)}
 
 
 # each command's runner, and its target as the report names it; a
@@ -1426,7 +1422,6 @@ def execute(script: Script, config: Optional[ExecConfig] = None) -> Report:
     """
     config = config or ExecConfig()
     env = _Env(config)
-    runs = _MODE_RUNS.get(config.mode) if config.mode else None
     outcomes: list[Outcome] = []
 
     for d in script.decls:
@@ -1439,9 +1434,7 @@ def execute(script: Script, config: Optional[ExecConfig] = None) -> Report:
             except E.DecorError as exc:
                 raise E.ExecError(str(exc), d.pos.line, d.pos.col)
             continue
-        if runs is not None and not isinstance(d, runs):
-            continue
-        if isinstance(d, TranslateCmd) and config.mode and d.op != config.mode:
+        if config.mode and _form_of(d).mode != config.mode:
             continue
         t0 = time.perf_counter()
         run, target_of = command
@@ -1467,7 +1460,7 @@ def report_json(report: Report) -> dict:
         "schema": REPORT_SCHEMA,
         "ok": report.ok,
         "commands": [{"kind": o.kind, "target": o.target, "ok": o.ok,
-                      "detail": _jsonable(o.detail)}
+                      "detail": o.detail}
                      for o in report.outcomes],
     }
 

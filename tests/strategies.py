@@ -11,15 +11,18 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from decorlogic.exceptions import build_exceptions_theory, handle_term
+from decorlogic import dsl
+from decorlogic.exceptions import (build_exceptions_theory, handle_term,
+                                   with_catch_all)
 from decorlogic.kernel import RULES, Holds, WellFormed, axiom_node, node
+from decorlogic.models import SUITES
 from decorlogic.states import build_states_theory
 from decorlogic.terms import (Catch, CatchAll, Comp, ConstCotuple, FromEmpty,
                               Id, Inj1, Inj2, LocTuple, Lookup, Proj1, Proj2,
-                              PropCase, SemiCoprod, SemiProd, Throw, ToUnit,
-                              Update, cod, comp, dom)
+                              Gen, PropCase, SemiCoprod, SemiProd, Throw,
+                              ToUnit, Update, cod, comp, dom, term_to_text)
 from decorlogic.theory import Equation, STRONG, Theory, WEAK, infer_decoration
-from decorlogic.types import EMPTY, Coprod, Param, Prod, UNIT, Value
+from decorlogic.types import EMPTY, Coprod, Named, Param, Prod, UNIT, Value
 
 STATES2 = build_states_theory("S", ["x", "y"])
 EXC2 = build_exceptions_theory("E", ["i", "j"])
@@ -330,3 +333,141 @@ def equations(draw, theory: Theory, atoms):
         atoms, first=[a for a in atoms if dom(a) == dom(lhs)]))
     rhs = Comp(_bridge(draw, theory, cod(rhs), cod(lhs)), rhs)
     return Equation(comp(lhs), comp(rhs), draw(st.sampled_from([STRONG, WEAK])))
+
+
+# ---------------------------------------------------------------- scripts
+
+_G = Gen("g", Value("x"), Value("y"), 1)
+_H = Gen("h", Param("i"), Param("j"), 0)
+
+# what a drawn form may refer to: two theories with a generator each, as
+# a script declares them before it
+SCRIPT_HEAD = ("theory S = states(x: 2, y: 2)\n"
+               "accessor gen g : V[x] -> V[y] in S\n"
+               "theory E = exceptions(i: 2, j: 2) with catchall\n"
+               "pure gen h : P[i] -> P[j] in E\n")
+_HEAD_THEORIES = {"S": (STATES2.with_gen(_G), _G),
+                  "E": (with_catch_all(EXC2).with_gen(_H), _H)}
+
+# identifiers the grammar does not claim and the head does not declare
+identifiers = st.from_regex(
+    r"[A-Za-z_][A-Za-z0-9_]{0,5}(-[A-Za-z0-9_]{1,3})?", fullmatch=True
+).filter(lambda s: s not in dsl._RESERVED and s not in {"S", "E", "g", "h"})
+
+_ints = st.integers(min_value=0, max_value=20)
+_indices = st.lists(identifiers, min_size=1, max_size=3, unique=True)
+
+
+def types(theory: Theory):
+    """Types over `theory`'s indices, products and sums fully bracketed."""
+    leaves = st.sampled_from(
+        [UNIT, EMPTY, Named("A")] + [Value(i) for i in theory.locations]
+        + [Param(i) for i in theory.constructors])
+    return st.recursive(leaves, lambda kids: st.builds(Prod, kids, kids)
+                        | st.builds(Coprod, kids, kids), max_leaves=4)
+
+
+def _sep(items, opens="(", ends=")") -> str:
+    return opens + ", ".join(items) + ends
+
+
+@st.composite
+def field_texts(draw, kind: str, th: str):
+    """The text of a field, rule instantiation or lemma argument of `kind`
+    in a form over theory `th`, as the printer writes it."""
+    theory, gen = _HEAD_THEORIES[th]
+    if kind in ("term", "family", "equation"):
+        atoms = draw(structured_atoms(theory, extra=[gen]))
+    term = lambda: term_to_text(draw(composed_terms(atoms, max_factors=3)))
+    if kind in ("fresh", "name"):
+        return draw(identifiers)
+    if kind == "theory":
+        return th
+    if kind == "suite":
+        return draw(st.sampled_from(sorted(SUITES)))
+    if kind == "type":
+        return str(draw(types(theory)))
+    if kind == "int":
+        return str(draw(_ints))
+    if kind == "term":
+        return term()
+    if kind == "family":
+        return _sep([f"{i}: {term()}" for i in draw(_indices)])
+    if kind == "equation":
+        eq = draw(equations(theory, atoms))
+        op = "==" if eq.kind == STRONG else "~~"
+        return f"{term_to_text(eq.lhs)} {op} {term_to_text(eq.rhs)}"
+    if kind == "sizes":
+        return _sep([f"{i}: {draw(_ints)}" for i in draw(_indices)])
+    if kind in ("int tuple", "int list"):
+        opens, ends = "()" if kind == "int tuple" else "[]"
+        vals = draw(st.lists(_ints, min_size=1, max_size=3))
+        return _sep(map(str, vals), opens, ends)
+    if kind == "input":
+        if draw(st.booleans()):
+            return str(draw(_ints))
+        return f"throw({draw(identifiers)}: {draw(_ints)})"
+    if kind == "steps":
+        return draw(_steps_texts(th))
+    if kind == "lemma call":
+        lemma = draw(st.sampled_from(sorted(dsl._LEMMAS)))
+        entry = dsl._LEMMAS[lemma]
+        n = draw(st.integers(entry.required, len(entry.params)))
+        args = [draw(field_texts(k, th)) for _, k in entry.params[:n]]
+        return (f"{lemma}({', '.join(args)})" if args else lemma) + f" in {th}"
+    if kind == "theory body":
+        if draw(st.booleans()):
+            return f"dual({draw(st.sampled_from(sorted(_HEAD_THEORIES)))})"
+        flavor = draw(st.sampled_from(dsl._THEORY_KINDS))
+        catch_all = flavor == "exceptions" and draw(st.booleans())
+        return (flavor + draw(field_texts("sizes", th))
+                + (" with catchall" if catch_all else ""))
+    raise AssertionError(f"no text for field kind {kind!r}")
+
+
+@st.composite
+def _steps_texts(draw, th: str):
+    """A proof block of one to four steps, each citing earlier ones."""
+    lines = []
+    for n in range(1, draw(st.integers(1, 4)) + 1):
+        head = draw(st.sampled_from(["axiom", "gen", "hyp", "rule"]))
+        if head == "rule":
+            rule = draw(st.sampled_from(sorted(RULES)))
+            keys = draw(st.lists(st.sampled_from(sorted(RULES[rule].keys)),
+                                 unique=True, max_size=3)
+                        if RULES[rule].keys else st.just([]))
+            inst = [f"{k}={draw(field_texts(RULES[rule].key_kind(k), th))}"
+                    for k in keys]
+            text = f"{rule}({', '.join(inst)})" if inst else rule
+        else:
+            text = f"{head}({draw(identifiers)})"
+        if head == "hyp" and draw(st.booleans()):
+            text += f" holds {draw(field_texts('equation', th))}"
+        elif head == "hyp":
+            text += (f" wf {draw(field_texts('term', th))} "
+                     f"level {draw(_ints)}")
+        cited = draw(st.lists(st.integers(1, max(n - 1, 1)),
+                              max_size=2 if n > 1 else 0))
+        if cited:
+            text += " from " + ", ".join(f"s{k}" for k in cited)
+        lines.append(f"  s{n}: {text};")
+    return "\n".join(["{", *lines, "}"])
+
+
+@st.composite
+def form_texts(draw, form, clauses=None):
+    """One declaration or command written in `form`, a row of the script
+    grammar: its words from the row, each field drawn by its kind, and a
+    trailing clause written when `clauses` says so (drawn when None)."""
+    th = draw(st.sampled_from(sorted(_HEAD_THEORIES)))
+    parts = []
+    for optional, _, text, f in form.steps:
+        if optional and not (draw(st.booleans()) if clauses is None
+                             else clauses):
+            continue
+        if text is not None:
+            parts.append(text)
+        if f is not None:
+            parts.append(draw(st.sampled_from(form.words)) if f.kind == "word"
+                         else draw(field_texts(f.kind, th)))
+    return " ".join(parts)

@@ -8,9 +8,10 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import strategies as strat
 from decorlogic import dsl, errors as E
 from decorlogic.cli import main
 from decorlogic.dsl import (EquationDecl, ExecConfig, Script, SrcPos,
@@ -20,7 +21,8 @@ from decorlogic.dsl import (EquationDecl, ExecConfig, Script, SrcPos,
                             _tree_text)
 from decorlogic.exceptions import CATALOGUE as EXC_CATALOGUE
 from decorlogic.exceptions import derive_lemma as exc_lemma
-from decorlogic.kernel import ProveResult, axiom_node, check_derivation, node
+from decorlogic.kernel import (RULES, ProveResult, axiom_node,
+                               check_derivation, node)
 from decorlogic.states import CATALOGUE as STATE_CATALOGUE
 from decorlogic.states import builtin_proof as st_proof, derive_lemma as st_lemma
 from decorlogic.terms import (Comp, Lookup, Update, normalize_assoc,
@@ -199,6 +201,38 @@ def test_parse_print_round_trip():
     script = parse_script(SRC)
     again = parse_script(print_script(script))
     assert again == script
+
+
+# ------------------------------------------------------- the grammar table
+
+
+def test_every_kind_of_the_table_is_used():
+    """The kinds the forms, the rule instantiations and the lemma
+    arguments are read as are the table's, so the generator below, which
+    draws a text for each, draws every one."""
+    used = {f.kind for form in dsl._GRAMMAR for *_, f in form.steps if f}
+    used |= {spec.key_kind(k) for spec in RULES.values() for k in spec.keys}
+    used |= {kind for entry in dsl._LEMMAS.values()
+             for _, kind in entry.params}
+    assert used == set(dsl._KINDS)
+    # and no word picks two forms
+    assert len(dsl._FORMS) == sum(len(f.words) for f in dsl._GRAMMAR)
+
+
+@pytest.mark.parametrize("clauses", [True, False], ids=["clauses", "bare"])
+@pytest.mark.parametrize("form", dsl._GRAMMAR, ids=lambda f: f.words[0])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_form_prints_back_as_written(form, clauses, data):
+    text = strat.SCRIPT_HEAD + data.draw(strat.form_texts(form, clauses))
+    assert print_script(parse_script(text + "\n")) == text + "\n"
+
+
+@pytest.mark.parametrize("name", ["bank_account", "retry"])
+def test_the_docs_scripts_parse_back_from_print(name):
+    docs = Path(__file__).resolve().parent.parent / "docs"
+    script = parse_script((docs / f"{name}.dec").read_text(encoding="utf-8"))
+    assert parse_script(print_script(script)) == script
 
 
 def test_parse_errors_carry_positions():

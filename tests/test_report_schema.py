@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -114,3 +115,32 @@ def test_a_command_that_fails_before_it_runs_reports_only_the_error():
         assert not o.ok
         assert list(o.detail) == ["error"], o.target
         assert isinstance(o.detail["error"], str) and o.detail["error"]
+
+
+PROVES = """\
+theory S = states(x: 2, y: 2)
+prove in S : l[y] . (u[x] . l[x]) ~~ l[y]
+prove in S : l[x] . u[x] == id[V[x]]
+prove in S : l[y] . (u[x] . l[x]) ~~ l[y] budget 1
+"""
+
+
+def _listed(v):
+    """`v` with its tuples as lists, as JSON writes them back."""
+    if isinstance(v, dict):
+        return {k: _listed(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_listed(x) for x in v]
+    return v
+
+
+def test_every_detail_is_json_as_the_runner_returns_it():
+    """Reports write each detail as it stands, so a runner returns only
+    JSON values: no term or type object, and no key but a string."""
+    outcomes = [o for src in (RUNS, FAILURES, PROVES)
+                for o in execute(parse_script(src)).outcomes]
+    assert {o.kind for o in outcomes} == {
+        "check", "lemma", "verify", "eval", "prove", "erase", "dualize",
+        "expand"}
+    for o in outcomes:
+        assert json.loads(json.dumps(o.detail)) == _listed(o.detail), o.target
