@@ -20,10 +20,12 @@ from decorlogic.dsl import (EquationDecl, ExecConfig, Script, SrcPos,
                             parse_script, print_script, report_json, _lex,
                             _tree_text)
 from decorlogic.exceptions import CATALOGUE as EXC_CATALOGUE
+from decorlogic.exceptions import build_exceptions_theory
 from decorlogic.exceptions import derive_lemma as exc_lemma
 from decorlogic.kernel import (RULES, ProveResult, axiom_node,
                                check_derivation, node)
 from decorlogic.states import CATALOGUE as STATE_CATALOGUE
+from decorlogic.states import build_states_theory
 from decorlogic.states import builtin_proof as st_proof, derive_lemma as st_lemma
 from decorlogic.terms import (Comp, Lookup, Update, normalize_assoc,
                               term_size, term_to_text)
@@ -762,6 +764,42 @@ def test_derivation_to_proof_round_trips(states2, exc2):
         rebuilt = build_proof(theory, script.decls[1])
         assert rebuilt.conclusion == d.conclusion
         assert check_derivation(theory, rebuilt).valid
+
+
+_PROOFS = Path(__file__).resolve().parent / "golden" / "catalogue_proofs.json"
+
+
+def _catalogue_proofs() -> dict[str, str]:
+    """The proof block of every lemma (at its `check proof` parameters) and
+    every built-in of both catalogues, over two and three indices; a
+    built-in the theory has too few indices for gives its error."""
+    out = {}
+    for cat, build, names in (
+            (STATE_CATALOGUE, build_states_theory, "xyz"),
+            (EXC_CATALOGUE, build_exceptions_theory, "ijk")):
+        for n in (2, 3):
+            th = build(f"T{n}", names[:n])
+            for lid in cat.lemmas:
+                d = cat.derive_lemma(th, lid, cat.default_params(th, lid))
+                out[f"{th.flavor}/{n}/{lid}"] = derivation_to_proof(
+                    "p", th.name, d)
+            for name in cat.builtins:
+                try:
+                    text = derivation_to_proof(
+                        "p", th.name, cat.builtin_proof(th, name))
+                except E.DecorError as exc:
+                    text = f"{type(exc).__name__}: {exc}"
+                out[f"{th.flavor}/{n}/{name}"] = text
+    return out
+
+
+def test_catalogue_proofs_match_the_golden_text():
+    """Every packaged proof is built node for node as before."""
+    golden = json.loads(_PROOFS.read_text(encoding="utf-8"))
+    got = _catalogue_proofs()
+    assert sorted(got) == sorted(golden)
+    for key, text in got.items():
+        assert text == golden[key], key
 
 
 def test_derivation_json_shape(states2):
