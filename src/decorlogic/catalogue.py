@@ -10,7 +10,7 @@ from typing import Any, Callable, Mapping, Optional
 
 from . import errors as E
 from .kernel import Derivation
-from .terms import TERM_CLASSES
+from .terms import Side, TERM_CLASSES
 from .theory import Theory
 from .types import TYPE_CLASSES
 
@@ -47,25 +47,21 @@ class Entry:
 class Catalogue:
     """One side's lemmas and built-in proofs, by name."""
 
-    flavor: str  # the theory flavor a lemma needs
+    side: Side  # the side whose theories a lemma needs
     a_theory: str  # "a <flavor> theory", for messages
     index_word: str  # what an index is called on this side
     lemmas: Mapping[str, Entry]
     builtins: Mapping[str, Entry]
 
-    def indices(self, theory: Theory) -> tuple[str, ...]:
-        if self.flavor == "states":
-            return theory.locations
-        return theory.constructors
-
     def derive_lemma(self, theory: Theory, lemma_id: str,
                      params=None) -> Derivation:
         """Build a lemma from `params`, key -> value; other keys are ignored."""
         p = dict(params or {})
-        if theory.flavor != self.flavor:
-            raise E.BadParams(f"{self.flavor} lemmas need {self.a_theory}")
+        flavor = self.side.flavor
+        if theory.flavor != flavor:
+            raise E.BadParams(f"{flavor} lemmas need {self.a_theory}")
         if lemma_id not in self.lemmas:
-            raise E.UnknownLemma(f"no {self.flavor} lemma {lemma_id!r} "
+            raise E.UnknownLemma(f"no {flavor} lemma {lemma_id!r} "
                                  f"(expected one of {', '.join(self.lemmas)})")
         entry = self.lemmas[lemma_id]
         values = {}
@@ -77,7 +73,7 @@ class Catalogue:
                         f"lemma {lemma_id!r} needs parameter {key!r}")
                 continue
             v = p[key]
-            if kind == "name" and v not in self.indices(theory):
+            if kind == "name" and v not in self.side.indices(theory):
                 raise E.UnknownIndex(f"unknown {self.index_word} {v!r}")
             if kind in _CLASSES and not isinstance(v, _CLASSES[kind]):
                 if v is None and k >= entry.required:
@@ -89,7 +85,7 @@ class Catalogue:
 
     def default_params(self, theory: Theory, lemma_id: str) -> dict[str, Any]:
         """The parameters `check proof NAME` builds a lemma with."""
-        entry, ix = self.lemmas[lemma_id], self.indices(theory)
+        entry, ix = self.lemmas[lemma_id], self.side.indices(theory)
         return {key: entry.example(ix[0]) if kind == "term"
                 else ix[min(k, len(ix) - 1)]
                 for k, (key, kind) in enumerate(entry.params[:entry.required])}
@@ -98,7 +94,7 @@ class Catalogue:
         """Build a built-in proof at the theory's first indices."""
         if name not in self.builtins:
             raise E.UnknownLemma(f"no built-in proof {name!r}")
-        entry, ix = self.builtins[name], self.indices(theory)
+        entry, ix = self.builtins[name], self.side.indices(theory)
         if len(ix) < len(entry.params):
             raise E.BadParams(entry.too_few.format(name=name, n=len(ix)))
         return entry.build(theory, **{key: i for (key, _), i

@@ -958,6 +958,8 @@ _GRAMMAR = (
 # each form by the words that pick it, and by the class it builds
 _FORMS = {w: form for form in _GRAMMAR for w in form.words}
 _FORM_OF = {form.cls: form for form in _GRAMMAR}
+# the modes a command runs in, one of which `ExecConfig.mode` picks
+_MODES = frozenset(form.mode for form in _GRAMMAR) - {None}
 
 # names the grammar claims for itself; declarations cannot reuse them: the
 # words of the forms, of the terms, and of the field kinds and term sugar
@@ -1421,6 +1423,8 @@ def execute(script: Script, config: Optional[ExecConfig] = None) -> Report:
     command failures are recorded in the report instead.
     """
     config = config or ExecConfig()
+    if config.mode is not None and config.mode not in _MODES:
+        raise ValueError(f"unknown mode {config.mode!r}")
     env = _Env(config)
     outcomes: list[Outcome] = []
 
@@ -1434,7 +1438,7 @@ def execute(script: Script, config: Optional[ExecConfig] = None) -> Report:
             except E.DecorError as exc:
                 raise E.ExecError(str(exc), d.pos.line, d.pos.col)
             continue
-        if config.mode and _form_of(d).mode != config.mode:
+        if config.mode is not None and _form_of(d).mode != config.mode:
             continue
         t0 = time.perf_counter()
         run, target_of = command

@@ -24,8 +24,8 @@ from .kernel import Derivation, derive_initial_uniqueness, node
 from .states import build_states_theory, mirror_interaction3
 from .states import derive_lemma as _states_lemma
 from .terms import (
-    CaseSum, Catch, CatchAll, Coerce, Comp, FromEmpty, Id, Inj1, Inj2,
-    PropCase, SemiCoprod, Term, Throw, ToUnit, comp, normalize_assoc,
+    EXCEPTIONS, CaseSum, Catch, CatchAll, Coerce, Comp, FromEmpty, Id, Inj1,
+    Inj2, PropCase, SemiCoprod, Term, Throw, ToUnit, comp, normalize_assoc,
 )
 from .theory import Axiom, Equation, Theory, eq_strong, eq_weak, typecheck
 from .translators import dualize_derivation
@@ -376,7 +376,7 @@ BUILTINS = {
     "bridge-l": Entry(_bridge_proof(True), _IJ, too_few=_TWO),
 }
 
-CATALOGUE = Catalogue("exceptions", "an exceptions theory",
+CATALOGUE = Catalogue(EXCEPTIONS, "an exceptions theory",
                       "exception name", LEMMAS, BUILTINS)
 derive_lemma = CATALOGUE.derive_lemma
 builtin_proof = CATALOGUE.builtin_proof

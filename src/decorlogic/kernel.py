@@ -24,7 +24,7 @@ body, which holds only the rule's logic. The script front end reads the
 same declarations to parse and print instantiations.
 
 States and exceptions are dual: each states-side rule and its exceptions-side
-partner are one implementation, read on either side (`_Side`), and
+partner are one implementation, read on either side (`terms.Side`), and
 `RuleSpec.dual` names the partner that `dualize_derivation` switches to.
 
 The prover, `saturate_prove`, is not trusted. It refutes a goal on a finite
@@ -43,15 +43,14 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from . import errors as E
 from .terms import (
-    CaseSum, Catch, Coerce, Comp, ConstCotuple, FromEmpty, Id, Inj1, Inj2,
-    LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod, SemiProd, TERM_CLASSES,
-    Term, ToUnit, Throw, Update, compose_normal, normalize_assoc,
+    EXCEPTIONS, STATES, CaseSum, Coerce, Comp, FromEmpty, Id, Inj1, Inj2,
+    PropCase, Side, TERM_CLASSES, Term, normalize_assoc,
 )
 from .theory import (
     Equation, STRONG, Theory, WEAK, check_type, norm_eq, typecheck,
     typecheck_equation,
 )
-from .types import EMPTY, TYPE_CLASSES, TypeExpr, UNIT, Unit, Empty
+from .types import TYPE_CLASSES, TypeExpr
 
 
 # ------------------------------------------------------------- judgments
@@ -213,44 +212,6 @@ def _rule(rid: str, flavors: frozenset, doc: str, premises: Optional[int],
     return deco
 
 
-@dataclass(frozen=True)
-class _Side:
-    """One side of the duality between states and exceptions.
-
-    The exceptions side is the states side read in the opposite category:
-    sources and targets swap, composition reverses, and each construct is
-    traded for its dual. The fields are named after the states-side
-    construct they stand for, so a rule written once against a side reads
-    as the states-side rule and, on the other side, as its dual.
-    """
-
-    op: bool                 # read in the opposite category
-    unit: type               # Unit / Empty
-    to_unit: type            # ToUnit / FromEmpty
-    lookup: type             # Lookup / Throw
-    loc_tuple: type          # LocTuple / ConstCotuple
-    projs: tuple             # (Proj1, Proj2) / (Inj1, Inj2)
-
-    def src(self, t: Term) -> TypeExpr:
-        return t.cod if self.op else t.dom
-
-    def tgt(self, t: Term) -> TypeExpr:
-        return t.dom if self.op else t.cod
-
-    def then(self, g: Term, f: Term) -> Term:
-        """f, then g: g.f on the states side, f.g on the exceptions side."""
-        return normalize_assoc(Comp(f, g) if self.op else Comp(g, f))
-
-    def then_normal(self, g: Term, f: Term) -> Term:
-        """`then` for two normal terms, as the search composes them; the
-        rules keep `then`, which normalizes whatever it is given."""
-        return compose_normal(f, g) if self.op else compose_normal(g, f)
-
-
-_STATES = _Side(False, Unit, ToUnit, Lookup, LocTuple, (Proj1, Proj2))
-_EXCEPTIONS = _Side(True, Empty, FromEmpty, Throw, ConstCotuple, (Inj1, Inj2))
-
-
 def _rule_pair(st_rid: str, st_doc: str, ex_rid: str, ex_doc: str,
                premises: Optional[int],
                keys: Optional[Mapping[str, Any]] = None,
@@ -264,8 +225,8 @@ def _rule_pair(st_rid: str, st_doc: str, ex_rid: str, ex_doc: str,
     """
     def deco(fn):
         for side, rid, doc, fl, dual in (
-                (_STATES, st_rid, st_doc, flavors[0], ex_rid),
-                (_EXCEPTIONS, ex_rid, ex_doc, flavors[1], st_rid)):
+                (STATES, st_rid, st_doc, flavors[0], ex_rid),
+                (EXCEPTIONS, ex_rid, ex_doc, flavors[1], st_rid)):
             sided = {k: kind[side.op] if isinstance(kind, tuple) else kind
                      for k, kind in (keys or {}).items()}
             RULES[rid] = RuleSpec(rid, fl, partial(fn, side, rid, **params),
@@ -504,10 +465,10 @@ def _r_loc_tuple_unique(side, rid, theory, ps, family, g):
 
 @_rule_pair("semiprod-P1", "=> weak projection law, pure factor",
             "semicoprod-P1", "=> weak injection law, pure factor", 0,
-            dict(term=(SemiProd, SemiCoprod)), pure=True)
+            dict(term=(STATES.semi, EXCEPTIONS.semi)), pure=True)
 @_rule_pair("semiprod-P2", "=> strong projection law, effectful factor",
             "semicoprod-P2", "=> strong injection law, effectful factor", 0,
-            dict(term=(SemiProd, SemiCoprod)), pure=False)
+            dict(term=(STATES.semi, EXCEPTIONS.semi)), pure=False)
 def _r_semi_projection(side, rid, theory, ps, term, *, pure):
     """Projecting a semi-pure pairing onto one factor: weakly the pure one,
     strongly the effectful one."""
@@ -732,7 +693,7 @@ def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
 
 # ------------------------------------------------- packaged derivations
 
-def _unit_uniqueness(theory: Theory, side: _Side, f: Term,
+def _unit_uniqueness(theory: Theory, side: Side, f: Term,
                      level_error: type) -> Derivation:
     """f == unit[X] for any f: X -> 1 of level <= 1, read on `side`."""
     def rule(rid: str) -> str:
@@ -749,12 +710,12 @@ def _unit_uniqueness(theory: Theory, side: _Side, f: Term,
 
 def derive_final_uniqueness(theory: Theory, f: Term) -> Derivation:
     """f == unit[X] for any accessor f: X -> 1 (three nodes)."""
-    return _unit_uniqueness(theory, _STATES, f, E.NotAnAccessor)
+    return _unit_uniqueness(theory, STATES, f, E.NotAnAccessor)
 
 
 def derive_initial_uniqueness(theory: Theory, f: Term) -> Derivation:
     """f == empty[Y] for any propagator f: 0 -> Y (the exceptions-side twin)."""
-    return _unit_uniqueness(theory, _EXCEPTIONS, f, E.NotAPropagator)
+    return _unit_uniqueness(theory, EXCEPTIONS, f, E.NotAPropagator)
 
 
 # ------------------------------------------------------------ saturation
@@ -931,7 +892,7 @@ class _Search:
                  fact_cap: int):
         self.theory, self.goal = theory, goal
         self.max_size, self.cap = max_term_size, fact_cap
-        self.side = _EXCEPTIONS if theory.flavor == "exceptions" else _STATES
+        self.side = EXCEPTIONS if theory.flavor == "exceptions" else STATES
         self.terms: list[Term] = []
         self.ids: dict[Term, int] = {}
         self.classes = {STRONG: _Classes("eq-refl", "eq-sym", "eq-trans")}
@@ -1047,14 +1008,12 @@ class _Search:
                 self.union(eq.kind, self.node_id(eq.lhs), self.node_id(eq.rhs),
                            partial(axiom_node, th, ax.name))
         prims: list[Term] = []
-        if th.flavor in ("states", "plain"):
-            prims += [Lookup(i) for i in th.locations]
-            prims += [Update(i) for i in th.locations]
-            prims.append(Id(UNIT))
-        if th.flavor in ("exceptions", "plain"):
-            prims += [Throw(i) for i in th.constructors]
-            prims += [Catch(i) for i in th.constructors]
-            prims.append(Id(EMPTY))
+        for side in (STATES, EXCEPTIONS):
+            if th.flavor in (side.flavor, "plain"):
+                ix = side.indices(th)
+                prims += [side.lookup(i) for i in ix]
+                prims += [side.update(i) for i in ix]
+                prims.append(Id(side.unit()))
         self.settle(prims)
         if self.found():
             return self.proven("closure of the axioms")

@@ -24,7 +24,7 @@ from .kernel import (
     Derivation, axiom_node, derive_final_uniqueness, node,
 )
 from .terms import (
-    Comp, Id, Lookup, Proj1, Proj2, SemiProd, Term, ToUnit, Update,
+    STATES, Comp, Id, Lookup, Proj1, Proj2, SemiProd, Term, ToUnit, Update,
     comp, normalize_assoc,
 )
 from .theory import Axiom, Equation, Theory, WEAK, eq_strong, eq_weak, typecheck
@@ -145,6 +145,13 @@ def seven_equation_goals(theory: Theory) -> list[SevenGoal]:
 
 
 # ---------------------------------------------------- derivation pieces
+#
+# The double writes of commutation-6 and interaction-3 run a semi-pure
+# pair that writes one factor of V[i]*V[j] and keeps the other: `first`
+# says whether the written factor is the first (u[i], `_sp_left`) or the
+# second (u[j], `_sp_right`). Each piece below is written once and takes
+# that factor as a parameter; the appendix trees pr1..pr8 are its readings
+# with the first factor written, or with the second.
 
 def _fin_pair(th: Theory, a: Term, b: Term) -> Derivation:
     """a == b for two accessors into 1, via both being unit[...]."""
@@ -162,112 +169,114 @@ def _repl_weak(th: Theory, strong: Derivation, by: Term) -> Derivation:
     return node(th, "s-to-w", [node(th, "eq-repl", [strong], by=by)])
 
 
-def _unit_discard(th: Theory, i: str, proj: Term, other: Term) -> Derivation:
-    """unit[V[i]] . proj == other, both accessors into 1."""
-    return _fin_pair(th, comp(ToUnit(Value(i)), proj), other)
+def _unit_discard(th: Theory, proj: Term, other: Term) -> Derivation:
+    """unit[..] . proj == other, both accessors into 1."""
+    return _fin_pair(th, comp(ToUnit(proj.cod), proj), other)
+
+
+def _write(i: str, j: str, first: bool) -> tuple[SemiProd, Term, Term]:
+    """The pair writing the first or the second factor of V[i]*V[j], with
+    the projections of its output onto the kept factor and the written one."""
+    sp = _sp_left(i, j) if first else _sp_right(i, j)
+    a, b = sp.cod.left, sp.cod.right
+    if first:
+        return sp, Proj2(a, b), Proj1(a, b)
+    return sp, Proj1(a, b), Proj2(a, b)
+
+
+def _column(i: str, j: str, first: bool) -> Term:
+    """The first or the second factor out of V[i]*V[j]."""
+    return (Proj1 if first else Proj2)(Value(i), Value(j))
+
+
+def _kept_read(th: Theory, i: str, j: str, k: str, first: bool) -> Derivation:
+    """l[k] . u[p] . kept . sp  ~~  l[k] . unit[V[p]] . kept . sp, for the
+    kept index p != k."""
+    sp, kept, _ = _write(i, j, first)
+    return _wsubs_ax(th, f"A2_{j if first else i}_{k}", comp(kept, sp))
+
+
+def _shift(th: Theory, i: str, j: str, k: str, first: bool) -> Derivation:
+    """l[k] . unit[V[p]] . kept . sp  ~~  l[k] . u[w] . column w: past the
+    discarded kept factor, only the write of w is left."""
+    sp, kept, written = _write(i, j, first)
+    d1 = _unit_discard(th, kept, written)
+    d2 = node(th, "eq-subs", [d1], by=sp)
+    d3 = node(th, "semiprod-P2", term=sp)
+    return _repl_weak(th, node(th, "eq-trans", [d2, d3]), Lookup(k))
+
+
+def _other_cell(th: Theory, w: str, k: str, p: Term) -> Derivation:
+    """l[k] . u[w] . p  ~~  l[k] . unit[..] for k != w: writing w leaves
+    location k as it was."""
+    s = _wsubs_ax(th, f"A2_{w}_{k}", p)
+    fin = _unit_discard(th, p, ToUnit(p.dom))
+    return node(th, "w-trans", [s, _repl_weak(th, fin, Lookup(k))])
+
+
+def _third(th: Theory, i: str, j: str, k: str, first: bool) -> Derivation:
+    """Observing k, neither written index, after the double write."""
+    step = node(th, "w-trans", [_kept_read(th, i, j, k, first),
+                                _shift(th, i, j, k, first)])
+    tail = _other_cell(th, i if first else j, k, _column(i, j, first))
+    return node(th, "w-trans", [step, tail])
+
+
+def _written_cell(th: Theory, i: str, j: str, first: bool) -> Derivation:
+    """l[w] of the double write whose first write is w: column w."""
+    w = i if first else j
+    step = node(th, "w-trans", [_kept_read(th, i, j, w, first),
+                                _shift(th, i, j, w, first)])
+    a1 = _wsubs_ax(th, f"A1_{w}", _column(i, j, first))
+    return node(th, "w-trans", [step, a1])
+
+
+def _kept_cell(th: Theory, i: str, j: str, first: bool) -> Derivation:
+    """l[p] of the double write whose second write is p: the value the
+    pair kept."""
+    sp, kept, _ = _write(i, j, first)
+    a1 = _wsubs_ax(th, f"A1_{j if first else i}", comp(kept, sp))
+    return node(th, "w-trans", [a1, node(th, "semiprod-P1", term=sp)])
 
 
 # --------------------------------------------------- appendix proof trees
 
 def pr1(th: Theory, i: str, j: str, k: str) -> Derivation:
     """Observing k != i,j after the first write of the commuted pair."""
-    f = comp(Proj2(UNIT, Value(j)), _sp_left(i, j))
-    return _wsubs_ax(th, f"A2_{j}_{k}", f)
-
-
-def _shift_to_first_write(th: Theory, i: str, j: str, k: str) -> Derivation:
-    """l[k] . unit[V[j]] . p2 . (u[i] rsemi id)  ~~  l[k] . u[i] . p1."""
-    vi, vj = Value(i), Value(j)
-    sp = _sp_left(i, j)
-    d1 = _unit_discard(th, j, Proj2(UNIT, vj), Proj1(UNIT, vj))
-    d2 = node(th, "eq-subs", [d1], by=sp)
-    d3 = node(th, "semiprod-P2", term=sp)
-    d4 = node(th, "eq-trans", [d2, d3])
-    return _repl_weak(th, d4, Lookup(k))
+    return _kept_read(th, i, j, k, True)
 
 
 def pr2(th: Theory, i: str, j: str, k: str) -> Derivation:
-    return _shift_to_first_write(th, i, j, k)
+    """l[k] . unit[V[j]] . p2 . (u[i] rsemi id)  ~~  l[k] . u[i] . p1."""
+    return _shift(th, i, j, k, True)
 
 
 def pr3(th: Theory, i: str, j: str, k: str) -> Derivation:
     """l[k] . u[i] . p1 ~~ l[k] . unit[V[i]*V[j]]."""
-    vi, vj = Value(i), Value(j)
-    s = _wsubs_ax(th, f"A2_{i}_{k}", Proj1(vi, vj))
-    fin = _unit_discard(th, i, Proj1(vi, vj), ToUnit(Prod(vi, vj)))
-    return node(th, "w-trans", [s, _repl_weak(th, fin, Lookup(k))])
+    return _other_cell(th, i, k, _column(i, j, True))
 
 
 def pr4(th: Theory, i: str, j: str, k: str) -> Derivation:
-    return node(th, "w-trans",
-                [node(th, "w-trans", [pr1(th, i, j, k), pr2(th, i, j, k)]),
-                 pr3(th, i, j, k)])
+    return _third(th, i, j, k, True)
 
 
 def pr5(th: Theory, i: str, j: str) -> Derivation:
     """Observing i itself after the first write."""
-    f = comp(Proj2(UNIT, Value(j)), _sp_left(i, j))
-    return _wsubs_ax(th, f"A2_{j}_{i}", f)
+    return _kept_read(th, i, j, i, True)
 
 
 def pr6(th: Theory, i: str, j: str) -> Derivation:
-    return _shift_to_first_write(th, i, j, i)
+    return _shift(th, i, j, i, True)
 
 
 def pr7(th: Theory, i: str, j: str) -> Derivation:
     """l[i] of the left double write is the first component."""
-    step = node(th, "w-trans", [pr5(th, i, j), pr6(th, i, j)])
-    a1 = _wsubs_ax(th, f"A1_{i}", Proj1(Value(i), Value(j)))
-    return node(th, "w-trans", [step, a1])
+    return _written_cell(th, i, j, True)
 
 
 def pr8(th: Theory, i: str, j: str) -> Derivation:
     """l[i] of the right double write is the first component."""
-    sp = _sp_right(i, j)
-    a1 = _wsubs_ax(th, f"A1_{i}", comp(Proj1(Value(i), UNIT), sp))
-    p1 = node(th, "semiprod-P1", term=sp)
-    return node(th, "w-trans", [a1, p1])
-
-
-def _pr8_mirror(th: Theory, i: str, j: str) -> Derivation:
-    """l[j] of the left double write is the second component."""
-    sp = _sp_left(i, j)
-    a1 = _wsubs_ax(th, f"A1_{j}", comp(Proj2(UNIT, Value(j)), sp))
-    p1 = node(th, "semiprod-P1", term=sp)
-    return node(th, "w-trans", [a1, p1])
-
-
-def _shift_to_second_write(th: Theory, i: str, j: str, k: str) -> Derivation:
-    """l[k] . unit[V[i]] . p1 . (id lsemi u[j])  ~~  l[k] . u[j] . p2."""
-    vi, vj = Value(i), Value(j)
-    sp = _sp_right(i, j)
-    d1 = _unit_discard(th, i, Proj1(vi, UNIT), Proj2(vi, UNIT))
-    d2 = node(th, "eq-subs", [d1], by=sp)
-    d3 = node(th, "semiprod-P2", term=sp)
-    d4 = node(th, "eq-trans", [d2, d3])
-    return _repl_weak(th, d4, Lookup(k))
-
-
-def _pr7_mirror(th: Theory, i: str, j: str) -> Derivation:
-    """l[j] of the right double write is the second component."""
-    vi, vj = Value(i), Value(j)
-    sp = _sp_right(i, j)
-    s = _wsubs_ax(th, f"A2_{i}_{j}", comp(Proj1(vi, UNIT), sp))
-    step = node(th, "w-trans", [s, _shift_to_second_write(th, i, j, j)])
-    a1 = _wsubs_ax(th, f"A1_{j}", Proj2(vi, vj))
-    return node(th, "w-trans", [step, a1])
-
-
-def _pr4_mirror(th: Theory, i: str, j: str, k: str) -> Derivation:
-    """Observing k != i,j after the right double write."""
-    vi, vj = Value(i), Value(j)
-    sp = _sp_right(i, j)
-    s = _wsubs_ax(th, f"A2_{i}_{k}", comp(Proj1(vi, UNIT), sp))
-    step = node(th, "w-trans", [s, _shift_to_second_write(th, i, j, k)])
-    s2 = _wsubs_ax(th, f"A2_{j}_{k}", Proj2(vi, vj))
-    fin = _unit_discard(th, j, Proj2(vi, vj), ToUnit(Prod(vi, vj)))
-    tail = node(th, "w-trans", [s2, _repl_weak(th, fin, Lookup(k))])
-    return node(th, "w-trans", [step, tail])
+    return _kept_cell(th, i, j, False)
 
 
 # ------------------------------------------------------------- lemmas
@@ -299,12 +308,13 @@ def _annihilation(th: Theory, i: str) -> Derivation:
 
 
 def _commutation6(th: Theory, i: str, j: str) -> Derivation:
+    """Each side is one double write, the left one writing i first; each
+    location is observed as `_cell` observes it."""
     if i == j:
         raise E.BadParams("commutation-6 needs two distinct locations")
     vi, vj = Value(i), Value(j)
-    sp_l, sp_r = _sp_left(i, j), _sp_right(i, j)
-    lhs = comp(Update(j), Proj2(UNIT, vj), sp_l)
-    rhs = comp(Update(i), Proj1(vi, UNIT), sp_r)
+    lhs = comp(Update(j), Proj2(UNIT, vj), _sp_left(i, j))
+    rhs = comp(Update(i), Proj1(vi, UNIT), _sp_right(i, j))
 
     def fam_at(k: str) -> Term:
         if k == i:
@@ -313,60 +323,43 @@ def _commutation6(th: Theory, i: str, j: str) -> Derivation:
             return Proj2(vi, vj)
         return comp(Lookup(k), ToUnit(Prod(vi, vj)))
 
-    branches_l, branches_r = [], []
-    for k in th.locations:
-        if k == i:
-            branches_l.append(pr7(th, i, j))
-            branches_r.append(pr8(th, i, j))
-        elif k == j:
-            branches_l.append(_pr8_mirror(th, i, j))
-            branches_r.append(_pr7_mirror(th, i, j))
-        else:
-            branches_l.append(pr4(th, i, j, k))
-            branches_r.append(_pr4_mirror(th, i, j, k))
+    branches_l = [_cell(th, i, j, k, True) for k in th.locations]
+    branches_r = [_cell(th, i, j, k, False) for k in th.locations]
     fam = _tuple_family(th, fam_at)
     return _conclude_by_cone(th, lhs, rhs, fam, branches_l, branches_r)
 
 
+def _cell(th: Theory, i: str, j: str, k: str, first: bool) -> Derivation:
+    """l[k] of the double write of V[i]*V[j] whose first write is the
+    first factor or the second."""
+    if k == (i if first else j):
+        return _written_cell(th, i, j, first)
+    if k == (j if first else i):
+        return _kept_cell(th, i, j, first)
+    return _third(th, i, j, k, first)
+
+
 def _interaction3(th: Theory, i: str, mirrored: bool = False) -> Derivation:
+    """A double write of i, its first write on the first factor, or on the
+    second when `mirrored`."""
+    first = not mirrored
     vi = Value(i)
-    sp = SemiProd(Id(vi), Update(i), pure_on_left=mirrored)
-    if mirrored:
-        proj_s, proj_keep, proj_drop = (
-            Proj1(vi, UNIT), Proj1(vi, vi), Proj2(vi, vi))
-        other_s = Proj2(vi, UNIT)
-    else:
-        proj_s, proj_keep, proj_drop = (
-            Proj2(UNIT, vi), Proj2(vi, vi), Proj1(vi, vi))
-        other_s = Proj1(UNIT, vi)
-    lhs = comp(Update(i), proj_s, sp)
-    rhs = comp(Update(i), proj_keep)
+    sp, kept, _ = _write(i, i, first)
+    keep = _column(i, i, not first)
+    lhs = comp(Update(i), kept, sp)
+    rhs = comp(Update(i), keep)
 
     def fam_at(k: str) -> Term:
-        return proj_keep if k == i else comp(Lookup(k), ToUnit(Prod(vi, vi)))
+        return keep if k == i else comp(Lookup(k), ToUnit(Prod(vi, vi)))
 
     branches_l, branches_r = [], []
     for k in th.locations:
         if k == i:
-            a1 = _wsubs_ax(th, f"A1_{i}", comp(proj_s, sp))
-            p1 = node(th, "semiprod-P1", term=sp)
-            branches_l.append(node(th, "w-trans", [a1, p1]))
-            branches_r.append(_wsubs_ax(th, f"A1_{i}", proj_keep))
+            branches_l.append(_kept_cell(th, i, i, first))
+            branches_r.append(_wsubs_ax(th, f"A1_{i}", keep))
         else:
-            s = _wsubs_ax(th, f"A2_{i}_{k}", comp(proj_s, sp))
-            d1 = _unit_discard(th, i, proj_s, other_s)
-            d2 = node(th, "eq-subs", [d1], by=sp)
-            d3 = node(th, "semiprod-P2", term=sp)
-            d4 = node(th, "eq-trans", [d2, d3])
-            step = node(th, "w-trans", [s, _repl_weak(th, d4, Lookup(k))])
-            s2 = _wsubs_ax(th, f"A2_{i}_{k}", proj_drop)
-            fin = _unit_discard(th, i, proj_drop, ToUnit(Prod(vi, vi)))
-            tail = node(th, "w-trans", [s2, _repl_weak(th, fin, Lookup(k))])
-            branches_l.append(node(th, "w-trans", [step, tail]))
-            s3 = _wsubs_ax(th, f"A2_{i}_{k}", proj_keep)
-            fin2 = _unit_discard(th, i, proj_keep, ToUnit(Prod(vi, vi)))
-            branches_r.append(node(th, "w-trans",
-                                   [s3, _repl_weak(th, fin2, Lookup(k))]))
+            branches_l.append(_third(th, i, i, k, first))
+            branches_r.append(_other_cell(th, i, k, keep))
     fam = _tuple_family(th, fam_at)
     return _conclude_by_cone(th, lhs, rhs, fam, branches_l, branches_r)
 
@@ -410,7 +403,7 @@ BUILTINS = {
     "pr8": Entry(pr8, _IJ, too_few=_TWO),
 }
 
-CATALOGUE = Catalogue("states", "a states theory", "location",
+CATALOGUE = Catalogue(STATES, "a states theory", "location",
                       LEMMAS, BUILTINS)
 derive_lemma = CATALOGUE.derive_lemma
 builtin_proof = CATALOGUE.builtin_proof

@@ -32,6 +32,16 @@ fine.
 How each keyword is written is declared once, in `SYNTAX`: the script
 parser reads its arguments by the row's shape, and each class's `__str__`
 is built from its row, so `str(t)` is the text that parses back to t.
+
+The duality between states and exceptions is declared once too, as two
+rows of one table, `STATES` and `EXCEPTIONS` (`Side`): each field holds a
+construct of one side, and the same field of the other row its dual. The
+kernel's paired rules, the prover, the catalogues and the translators all
+read these rows.
+
+The pure fragment (`Id`, `Comp`, projections, injections, `unit[X]`,
+`empty[Y]` and level-0 generators) is also the base category the
+translators expand into.
 """
 
 from __future__ import annotations
@@ -41,7 +51,8 @@ from dataclasses import (MISSING, FrozenInstanceError, dataclass, fields,
 from operator import attrgetter
 from typing import Any, Iterator, Optional, Tuple, Union, get_args
 
-from .types import EMPTY, UNIT, Coprod, Param, Prod, TypeExpr, Value
+from .types import (EMPTY, UNIT, Coprod, Empty, Param, Prod, TypeExpr,
+                    Unit, Value)
 
 
 class Node:
@@ -75,18 +86,16 @@ class Node:
 _SETTERS = {name: getattr(Node, name).__set__ for name in Node.__slots__}
 
 
-def term_class(kid_type: str = "Term"):
-    """Make a frozen, slotted dataclass whose fields annotated `kid_type`
+def term_class(cls):
+    """Make `cls` a frozen, slotted dataclass whose fields annotated `Term`
     are its children, with a compiled `__init__` and a cached hash."""
-    def deco(cls):
-        cls = dataclass(frozen=True, slots=True, init=False)(cls)
-        names = tuple(f.name for f in fields(cls) if f.type == kid_type)
-        if names:
-            cls._kids, cls.kids = names, _reader(names)
-        cls.__init__, cls.__hash__ = _init_and_hash(cls, names)
-        cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
-        return cls
-    return deco
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = tuple(f.name for f in fields(cls) if f.type == "Term")
+    if names:
+        cls._kids, cls.kids = names, _reader(names)
+    cls.__init__, cls.__hash__ = _init_and_hash(cls, names)
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
+    return cls
 
 
 # the frozen `__setattr__` and `__delattr__` that `dataclass` writes refuse
@@ -154,7 +163,7 @@ def _init_and_hash(cls, kids: tuple[str, ...]):
     return env["__init__"], env["__hash__"]
 
 
-@term_class()
+@term_class
 class Id(Node):
     at: TypeExpr
 
@@ -162,7 +171,7 @@ class Id(Node):
         return self.at, self.at, 0
 
 
-@term_class()
+@term_class
 class Comp(Node):
     """Composition g∘f, stored as Comp(after=g, before=f)."""
 
@@ -197,7 +206,7 @@ def _push_operand(todo: list, t: Term) -> None:
         todo.append(t)
 
 
-@term_class()
+@term_class
 class ToUnit(Node):
     """The unique pure map into 1, written unit[X]."""
 
@@ -207,7 +216,7 @@ class ToUnit(Node):
         return self.frm, UNIT, 0
 
 
-@term_class()
+@term_class
 class FromEmpty(Node):
     """The unique pure map out of 0, written empty[Y]."""
 
@@ -217,7 +226,7 @@ class FromEmpty(Node):
         return EMPTY, self.to, 0
 
 
-@term_class()
+@term_class
 class Proj1(Node):
     left: TypeExpr
     right: TypeExpr
@@ -226,7 +235,7 @@ class Proj1(Node):
         return Prod(self.left, self.right), self.left, 0
 
 
-@term_class()
+@term_class
 class Proj2(Node):
     left: TypeExpr
     right: TypeExpr
@@ -235,7 +244,7 @@ class Proj2(Node):
         return Prod(self.left, self.right), self.right, 0
 
 
-@term_class()
+@term_class
 class Inj1(Node):
     left: TypeExpr
     right: TypeExpr
@@ -244,7 +253,7 @@ class Inj1(Node):
         return self.left, Coprod(self.left, self.right), 0
 
 
-@term_class()
+@term_class
 class Inj2(Node):
     left: TypeExpr
     right: TypeExpr
@@ -253,7 +262,7 @@ class Inj2(Node):
         return self.right, Coprod(self.left, self.right), 0
 
 
-@term_class()
+@term_class
 class Lookup(Node):
     """l[i]: 1 -> V[i]. Reads location i; level 1."""
 
@@ -263,7 +272,7 @@ class Lookup(Node):
         return UNIT, Value(self.index), 1
 
 
-@term_class()
+@term_class
 class Update(Node):
     """u[i]: V[i] -> 1. Writes location i; level 2."""
 
@@ -273,7 +282,7 @@ class Update(Node):
         return Value(self.index), UNIT, 2
 
 
-@term_class()
+@term_class
 class Throw(Node):
     """t[i]: P[i] -> 0. Wraps its argument as exception i; level 1."""
 
@@ -283,7 +292,7 @@ class Throw(Node):
         return Param(self.index), EMPTY, 1
 
 
-@term_class()
+@term_class
 class Catch(Node):
     """c[i]: 0 -> P[i]. Unwraps exception i, re-raises others; level 2."""
 
@@ -293,7 +302,7 @@ class Catch(Node):
         return EMPTY, Param(self.index), 2
 
 
-@term_class()
+@term_class
 class CatchAll(Node):
     """catchall: 0 -> 1. Recovers from every exception; level 2."""
 
@@ -301,7 +310,7 @@ class CatchAll(Node):
         return EMPTY, UNIT, 2
 
 
-@term_class()
+@term_class
 class Gen(Node):
     """A user generator with its declared profile and level inlined."""
 
@@ -317,7 +326,7 @@ class Gen(Node):
         return self.name
 
 
-@term_class()
+@term_class
 class SemiProd(Node):
     """Semi-pure pairing of a pure map with an arbitrary one.
 
@@ -338,7 +347,7 @@ class SemiProd(Node):
         return Prod(a.dom, b.dom), Prod(a.cod, b.cod), max(a.level, b.level)
 
 
-@term_class()
+@term_class
 class SemiCoprod(Node):
     """Semi-pure case-map of a pure map with an arbitrary one (dual pairing)."""
 
@@ -369,7 +378,7 @@ class _Family(Node):
         return type(self)(tuple(zip([i for i, _ in self.components], kids)))
 
 
-@term_class()
+@term_class
 class LocTuple(_Family):
     """Mediating arrow of the observation cone: X -> 1.
 
@@ -385,7 +394,7 @@ class LocTuple(_Family):
         return (fs[0][1].dom if fs else None), UNIT, 2
 
 
-@term_class()
+@term_class
 class ConstCotuple(_Family):
     """Mediating arrow of the exception cocone: 0 -> Y.
 
@@ -401,7 +410,7 @@ class ConstCotuple(_Family):
         return EMPTY, (fs[0][1].cod if fs else None), 2
 
 
-@term_class()
+@term_class
 class CaseSum(Node):
     """case(g, k): X -> Y. Runs g on ordinary values, k on exceptional input.
 
@@ -416,7 +425,7 @@ class CaseSum(Node):
         return g.dom, g.cod, max(g.level, k.level)
 
 
-@term_class()
+@term_class
 class PropCase(Node):
     """cases(g, h): X+Y -> Z, coproduct case of two propagators."""
 
@@ -428,7 +437,7 @@ class PropCase(Node):
         return Coprod(g.dom, h.dom), g.cod, max(g.level, h.level)
 
 
-@term_class()
+@term_class
 class Coerce(Node):
     """coerce(k): the catcher k seen as a mere propagator (level 1).
 
@@ -450,6 +459,63 @@ Term = Union[
     CaseSum, PropCase, Coerce,
 ]
 TERM_CLASSES = get_args(Term)
+
+
+# ---------------------------------------------------------------- duality
+
+@dataclass(frozen=True)
+class Side:
+    """One side of the duality between states and exceptions.
+
+    The exceptions side is the states side read in the opposite category:
+    sources and targets swap, composition reverses, and each construct is
+    traded for its dual, the one at the same field of the other row. The
+    fields are named after the states-side construct they stand for, so
+    code written once against a side reads as the states-side code and, on
+    the other side, as its dual.
+    """
+
+    flavor: str
+    op: bool                 # read in the opposite category
+    unit: type               # Unit / Empty
+    slot: type               # Value / Param: the type an index carries
+    prod: type               # Prod / Coprod
+    to_unit: type            # ToUnit / FromEmpty
+    projs: tuple             # (Proj1, Proj2) / (Inj1, Inj2)
+    lookup: type             # Lookup / Throw
+    update: type             # Update / Catch
+    loc_tuple: type          # LocTuple / ConstCotuple
+    semi: type               # SemiProd / SemiCoprod
+
+    def indices(self, theory) -> tuple[str, ...]:
+        """The theory's locations, or its exception names."""
+        return theory.constructors if self.op else theory.locations
+
+    def src(self, t: Term) -> TypeExpr:
+        return t.cod if self.op else t.dom
+
+    def tgt(self, t: Term) -> TypeExpr:
+        return t.dom if self.op else t.cod
+
+    def order(self, parts: list) -> list:
+        """Factors listed after-most first as the side reads them, listed
+        after-most first in the category itself, and back."""
+        return parts[::-1] if self.op else parts
+
+    def then(self, g: Term, f: Term) -> Term:
+        """f, then g: g.f on the states side, f.g on the exceptions side."""
+        return normalize_assoc(Comp(f, g) if self.op else Comp(g, f))
+
+    def then_normal(self, g: Term, f: Term) -> Term:
+        """`then` for two normal terms, as the prover composes them; the
+        kernel's rules keep `then`, which normalizes whatever it is given."""
+        return compose_normal(f, g) if self.op else compose_normal(g, f)
+
+
+STATES = Side("states", False, Unit, Value, Prod, ToUnit, (Proj1, Proj2),
+              Lookup, Update, LocTuple, SemiProd)
+EXCEPTIONS = Side("exceptions", True, Empty, Param, Coprod, FromEmpty,
+                  (Inj1, Inj2), Throw, Catch, ConstCotuple, SemiCoprod)
 
 
 # ---------------------------------------------------------------- syntax
@@ -531,16 +597,6 @@ def _writer(keyword: str, shape: str, names: tuple[str, ...]):
     sep = ", " if shape == "terms" else ","
     text = keyword + opens + sep.join(f"{{self.{n}}}" for n in names) + ends
     return eval(f"lambda self: f{text!r}")
-
-
-def spelled(keyword: str):
-    """Write a class the way `keyword` is written, from its own fields in
-    order; for term-like classes outside `Term` that share a keyword."""
-    def deco(cls):
-        names = tuple(f.name for f in fields(cls))
-        cls.__str__ = _writer(keyword, SYNTAX[keyword].shape, names)
-        return cls
-    return deco
 
 
 def _install_writers() -> None:

@@ -6,11 +6,15 @@ Three translations live here:
                   every weak equation read as strong, same rule ids.
 * duality      -- the involutive swap between the states side and the
                   exceptions side (lookup <-> throw, update <-> catch,
-                  products <-> sums, composition reversed).
+                  products <-> sums, composition reversed), each construct
+                  traded for the one at its field of the other row of
+                  `terms.Side`.
 * expansion    -- compile a decorated term to an explicit one over the
                   base category: states thread a state product, exception
-                  terms a sum of parameter types. The exceptions expansion
-                  is the states expansion read on the other side (`_Side`);
+                  terms a sum of parameter types. An explicit term is a
+                  term of the pure fragment, with the pairing `EPair` and
+                  copairing `ECase`. The exceptions expansion is the
+                  states expansion read on the other side (`terms.Side`);
                   only the handler constructs the states side lacks are
                   expanded on their own.
 
@@ -20,8 +24,7 @@ a translated tree is re-validated while it is being produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional
 
 from . import errors as E
 from .kernel import (
@@ -29,16 +32,51 @@ from .kernel import (
     hyp_node, node,
 )
 from .terms import (
-    CaseSum, Catch, CatchAll, Coerce, Comp, ConstCotuple, FromEmpty, Gen, Id,
-    Inj1, Inj2, LocTuple, Lookup, Node, PropCase, Proj1, Proj2, SemiCoprod,
-    SemiProd, TERM_CLASSES, Term, ToUnit, Throw, Update, comp, factors,
-    normalize_assoc, spelled, term_class,
+    EXCEPTIONS, STATES, CaseSum, CatchAll, Coerce, Comp, FromEmpty, Gen, Id,
+    Inj1, Inj2, Node, PropCase, Proj1, Proj2, SemiCoprod, SemiProd, Side,
+    TERM_CLASSES, Term, ToUnit, comp, factors, normalize_assoc, term_class,
 )
 from .theory import Axiom, Equation, STRONG, Theory
 from .types import (
-    Coprod, EMPTY, Empty, Named, Param, Prod, TYPE_CLASSES, TypeExpr, UNIT,
-    Unit, Value,
+    Coprod, Empty, Named, Prod, TYPE_CLASSES, TypeExpr, UNIT,
 )
+
+
+# ================================================ rebuilt derivations
+
+def _same(x: Any) -> Any:
+    return x
+
+
+def _rebuild(target: Theory, d: Derivation, *, judgment, axiom=_same,
+             rule=_same, value=_same, mirror: bool = False) -> Derivation:
+    """Rebuild d over `target` node by node, each conclusion recomputed.
+
+    An axiom citation cites axiom(name) and a hypothesis claims
+    judgment(its conclusion). A rule node applies rule(its rule id), which
+    may refuse the node before its premises are rebuilt, to the rebuilt
+    premises, with each instantiation value mapped by `value`. With
+    `mirror`, composition is read reversed: the premises of a rule that
+    composes them swap, and so do the outer terms of `assoc`.
+    """
+    def go(n: Derivation) -> Derivation:
+        if isinstance(n.rule, tuple):
+            tag, name = n.rule[0], n.rule[1]
+            if tag == "axiom":
+                return axiom_node(target, axiom(name))
+            if tag == "gen":
+                return gen_node(target, name)
+            return hyp_node(target, name, judgment(n.conclusion))
+        rid = rule(n.rule)
+        prems = [go(p) for p in n.premises]
+        inst = {k: value(v) for k, v in n.inst}
+        if mirror and n.rule in _REVERSED_PREMISES:
+            prems.reverse()
+        if mirror and n.rule == "assoc":
+            inst["f"], inst["h"] = inst["h"], inst["f"]
+        return node(target, rid, prems, **inst)
+
+    return go(d)
 
 
 # =============================================================== erasure
@@ -64,19 +102,7 @@ def erase_judgment(j: Judgment) -> Judgment:
 
 def erase_derivation(theory: Theory, d: Derivation) -> Derivation:
     """Replay the tree over the erased theory, rule ids unchanged."""
-    target = erase_theory(theory)
-
-    def go(n: Derivation) -> Derivation:
-        if isinstance(n.rule, tuple):
-            tag, name = n.rule[0], n.rule[1]
-            if tag == "axiom":
-                return axiom_node(target, name)
-            if tag == "gen":
-                return gen_node(target, name)
-            return hyp_node(target, name, erase_judgment(n.conclusion))
-        return node(target, n.rule, [go(p) for p in n.premises], **dict(n.inst))
-
-    return go(d)
+    return _rebuild(erase_theory(theory), d, judgment=erase_judgment)
 
 
 # =============================================================== duality
@@ -85,29 +111,30 @@ def erase_derivation(theory: Theory, d: Derivation) -> Derivation:
 _REVERSED_PREMISES = frozenset({"comp", "0-comp", "1-comp"})
 
 
+def _partners(*names: str) -> dict[type, type]:
+    """Each class at the fields `names` of one side's row, mapped to its
+    partner at the same field of the other row, both ways."""
+    out: dict[type, type] = {}
+    for name in names:
+        a, b = getattr(STATES, name), getattr(EXCEPTIONS, name)
+        for x, y in zip(a, b) if isinstance(a, tuple) else [(a, b)]:
+            out[x], out[y] = y, x
+    return out
+
+
+# each type and each construct with its counterpart on the other side,
+# their fields in step
+_DUAL_TYPE = {Named: Named, **_partners("unit", "slot", "prod")}
+_DUAL_CLASS = {Id: Id, **_partners("to_unit", "projs", "lookup", "update",
+                                   "loc_tuple", "semi")}
+
+
 def dualize_type(ty: TypeExpr) -> TypeExpr:
-    if isinstance(ty, Unit):
-        return EMPTY
-    if isinstance(ty, Empty):
-        return UNIT
-    if isinstance(ty, Value):
-        return Param(ty.index)
-    if isinstance(ty, Param):
-        return Value(ty.index)
-    if isinstance(ty, Named):
-        return ty
-    if isinstance(ty, Prod):
-        return Coprod(dualize_type(ty.left), dualize_type(ty.right))
-    if isinstance(ty, Coprod):
-        return Prod(dualize_type(ty.left), dualize_type(ty.right))
-    raise TypeError(f"not a type: {ty!r}")
-
-
-# each construct and its counterpart on the other side, their fields in step
-_DUAL_CLASS = {Id: Id, ToUnit: FromEmpty, Proj1: Inj1, Proj2: Inj2,
-               Lookup: Throw, Update: Catch, SemiProd: SemiCoprod,
-               LocTuple: ConstCotuple}
-_DUAL_CLASS.update({b: a for a, b in _DUAL_CLASS.items()})
+    """ty read on the other side: 1 and 0, V[i] and P[i], products and sums
+    traded; a named type stays."""
+    if type(ty) not in _DUAL_TYPE:
+        raise TypeError(f"not a type: {ty!r}")
+    return _DUAL_TYPE[type(ty)](*map(_dualize_value, _field_values(ty)))
 
 
 def dualize_term(t: Term) -> Term:
@@ -177,6 +204,15 @@ def _dualize_value(v: Any) -> Any:
     return v
 
 
+def _dual_rule(rid: str) -> str:
+    # an unknown rule id passes through, for node() to reject
+    dual = RULES[rid].dual if rid in RULES else rid
+    if dual is None:
+        raise E.OutsideDualityDomain(
+            f"rule {rid!r} has no counterpart on the other side")
+    return dual
+
+
 def dualize_derivation(theory: Theory, d: Derivation,
                        target: Optional[Theory] = None) -> Derivation:
     """Rebuild d on the other side; conclusions are recomputed on the way.
@@ -186,30 +222,10 @@ def dualize_derivation(theory: Theory, d: Derivation,
     """
     if target is None:
         target = dualize_theory(theory)
-
-    def go(n: Derivation) -> Derivation:
-        if isinstance(n.rule, tuple):
-            tag, name = n.rule[0], n.rule[1]
-            if tag == "axiom":
-                return axiom_node(target, dual_axiom_name(name))
-            if tag == "gen":
-                return gen_node(target, name)
-            return hyp_node(target, name, dualize_judgment(n.conclusion))
-        # an unknown rule id passes through, for node() to reject
-        rid = RULES[n.rule].dual if n.rule in RULES else n.rule
-        if rid is None:
-            raise E.OutsideDualityDomain(
-                f"rule {n.rule!r} has no counterpart on the other side")
-        prems = [go(p) for p in n.premises]
-        if n.rule in _REVERSED_PREMISES:
-            prems.reverse()
-        inst = {k: _dualize_value(v) for k, v in n.inst}
-        if n.rule == "assoc":
-            inst["f"], inst["h"] = inst["h"], inst["f"]
-        return node(target, rid, prems, **inst)
-
     try:
-        return go(d)
+        return _rebuild(target, d, judgment=dualize_judgment,
+                        axiom=dual_axiom_name, rule=_dual_rule,
+                        value=_dualize_value, mirror=True)
     except E.FlavorViolation as exc:
         # d holds on its own side, so the dual uses a construct the target
         # side lacks, such as 0, the dual of 1, on the states side
@@ -219,52 +235,17 @@ def dualize_derivation(theory: Theory, d: Derivation,
 
 # ============================================================== expansion
 #
-# Explicit terms: a tiny total language over the base category. No
-# decorations, no effects; evaluation is plain structural recursion. Like
-# decorated terms, each node stores its profile (`terms.Node`), at level 0;
-# those that share a keyword with a decorated term are written through its
-# `terms.SYNTAX` row.
-
-_eterm = term_class("ETerm")
+# Explicit terms: the pure fragment of `terms` (identities, composites,
+# projections, injections, unit[X], empty[Y] and level-0 generators),
+# with the base category's pairing `<f, g>` and copairing `[f | g]`, which
+# no decorated keyword writes. No decorations, no effects; evaluation is
+# plain structural recursion.
 
 
-@spelled("id")
-@_eterm
-class EId(Node):
-    ty: TypeExpr
-
-    def _facts(self):
-        return self.ty, self.ty, 0
-
-
-@_eterm
-class EComp(Node):
-    after: ETerm
-    before: ETerm
-
-    def _facts(self):
-        return self.before.dom, self.after.cod, 0
-
-    def __str__(self) -> str:
-        # `after . before`, a composite factor in parentheses; written from
-        # a stack of pieces to go, not recursively, as spines can be long
-        out: list[str] = []
-        todo: list = [self.before, " . ", self.after]
-        while todo:
-            t = todo.pop()
-            if isinstance(t, str):
-                out.append(t)
-            elif isinstance(t, EComp):
-                todo += (")", t.before, " . ", t.after, "(")
-            else:
-                out.append(str(t))
-        return "".join(out)
-
-
-@_eterm
+@term_class
 class EPair(Node):
-    fst: ETerm
-    snd: ETerm
+    fst: Term
+    snd: Term
 
     def _facts(self):
         return self.fst.dom, Prod(self.fst.cod, self.snd.cod), 0
@@ -273,30 +254,10 @@ class EPair(Node):
         return f"<{self.fst}, {self.snd}>"
 
 
-@spelled("p1")
-@_eterm
-class EProj1(Node):
-    left: TypeExpr
-    right: TypeExpr
-
-    def _facts(self):
-        return Prod(self.left, self.right), self.left, 0
-
-
-@spelled("p2")
-@_eterm
-class EProj2(Node):
-    left: TypeExpr
-    right: TypeExpr
-
-    def _facts(self):
-        return Prod(self.left, self.right), self.right, 0
-
-
-@_eterm
+@term_class
 class ECase(Node):
-    on_left: ETerm
-    on_right: ETerm
+    on_left: Term
+    on_right: Term
 
     def _facts(self):
         return Coprod(self.on_left.dom, self.on_right.dom), self.on_left.cod, 0
@@ -305,111 +266,46 @@ class ECase(Node):
         return f"[{self.on_left} | {self.on_right}]"
 
 
-@spelled("in1")
-@_eterm
-class EInj1(Node):
-    left: TypeExpr
-    right: TypeExpr
-
-    def _facts(self):
-        return self.left, Coprod(self.left, self.right), 0
-
-
-@spelled("in2")
-@_eterm
-class EInj2(Node):
-    left: TypeExpr
-    right: TypeExpr
-
-    def _facts(self):
-        return self.right, Coprod(self.left, self.right), 0
-
-
-@spelled("unit")
-@_eterm
-class ETerminal(Node):
-    frm: TypeExpr
-
-    def _facts(self):
-        return self.frm, UNIT, 0
-
-
-@spelled("empty")
-@_eterm
-class EInitial(Node):
-    to: TypeExpr
-
-    def _facts(self):
-        return EMPTY, self.to, 0
-
-
-@_eterm
-class EGen(Node):
-    name: str
-    dom: TypeExpr
-    cod: TypeExpr
-
-    def _facts(self):
-        return self.dom, self.cod, 0
-
-    def __str__(self) -> str:
-        return self.name
-
-
-ETerm = Union[EId, EComp, EPair, EProj1, EProj2, ECase, EInj1, EInj2,
-              ETerminal, EInitial, EGen]
-
-
-def _efactors(t: ETerm) -> Iterator[ETerm]:
-    """The factors of t's composite spine, after-most first."""
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, EComp):
-            todo += (t.before, t.after)
-        else:
-            yield t
-
-
-def ecomp(*parts: ETerm) -> ETerm:
+def ecomp(*parts: Term) -> Term:
     """Compose right-to-left, dropping identities."""
-    flat = [f for p in parts for f in _efactors(p) if not isinstance(f, EId)]
+    flat = [f for p in reversed(parts) for f in factors(p)
+            if not isinstance(f, Id)]
     if not flat:
-        return EId(parts[-1].dom)
-    out = flat[-1]
-    for t in reversed(flat[:-1]):
-        out = EComp(t, out)
+        return Id(parts[-1].dom)
+    out = flat[0]
+    for t in flat[1:]:
+        out = Comp(t, out)
     return out
 
 
-def eprodmap(f: ETerm, g: ETerm) -> ETerm:
+def eprodmap(f: Term, g: Term) -> Term:
     a, b = f.dom, g.dom
-    return EPair(ecomp(f, EProj1(a, b)), ecomp(g, EProj2(a, b)))
+    return EPair(ecomp(f, Proj1(a, b)), ecomp(g, Proj2(a, b)))
 
 
-def esummap(f: ETerm, g: ETerm) -> ETerm:
+def esummap(f: Term, g: Term) -> Term:
     a, b = f.cod, g.cod
-    return ECase(ecomp(EInj1(a, b), f), ecomp(EInj2(a, b), g))
+    return ECase(ecomp(Inj1(a, b), f), ecomp(Inj2(a, b), g))
 
 
-def _contract(a: ETerm, b: ETerm) -> ETerm | None:
+def _contract(a: Term, b: Term) -> Term | None:
     """The contraction of the adjacent composite a . b, or None."""
-    if isinstance(a, EProj1) and isinstance(b, EPair):
+    if isinstance(a, Proj1) and isinstance(b, EPair):
         return b.fst
-    if isinstance(a, EProj2) and isinstance(b, EPair):
+    if isinstance(a, Proj2) and isinstance(b, EPair):
         return b.snd
-    if isinstance(a, ECase) and isinstance(b, EInj1):
+    if isinstance(a, ECase) and isinstance(b, Inj1):
         return a.on_left
-    if isinstance(a, ECase) and isinstance(b, EInj2):
+    if isinstance(a, ECase) and isinstance(b, Inj2):
         return a.on_right
-    if isinstance(a, ETerminal):
-        return ETerminal(b.dom)
-    if isinstance(b, EInitial):
-        return EInitial(a.cod)
+    if isinstance(a, ToUnit):
+        return ToUnit(b.dom)
+    if isinstance(b, FromEmpty):
+        return FromEmpty(a.cod)
     return None
 
 
-def esimplify(t: ETerm) -> ETerm:
+def esimplify(t: Term) -> Term:
     """Cheap rewriting: projection/pairing, case/injection, eta, identities.
 
     Rewrites until a pass contracts nothing and leaves no identity on a
@@ -417,10 +313,11 @@ def esimplify(t: ETerm) -> ETerm:
     give back the same term."""
     changed = True
 
-    def once(t: ETerm) -> ETerm:
+    def once(t: Term) -> Term:
         nonlocal changed
-        if isinstance(t, EComp):
-            parts = [once(u) for u in _efactors(t)]
+        if isinstance(t, Comp):
+            # the factors, after-most first
+            parts = [once(u) for u in factors(t)][::-1]
             i = 0
             while i + 1 < len(parts):
                 red = _contract(parts[i], parts[i + 1])
@@ -430,22 +327,22 @@ def esimplify(t: ETerm) -> ETerm:
                     parts[i:i + 2] = [red]
                     i = max(i - 1, 0)
                     changed = True
-            if any(isinstance(u, EId) for u in parts):
+            if any(isinstance(u, Id) for u in parts):
                 changed = True
             return ecomp(*parts)
         if isinstance(t, EPair):
             f, s = once(t.fst), once(t.snd)
-            if (isinstance(f, EProj1) and isinstance(s, EProj2)
+            if (isinstance(f, Proj1) and isinstance(s, Proj2)
                     and (f.left, f.right) == (s.left, s.right)):
                 changed = True
-                return EId(Prod(f.left, f.right))
+                return Id(Prod(f.left, f.right))
             return EPair(f, s)
         if isinstance(t, ECase):
             l, r = once(t.on_left), once(t.on_right)
-            if (isinstance(l, EInj1) and isinstance(r, EInj2)
+            if (isinstance(l, Inj1) and isinstance(r, Inj2)
                     and (l.left, l.right) == (r.left, r.right)):
                 changed = True
-                return EId(Coprod(l.left, l.right))
+                return Id(Coprod(l.left, l.right))
             return ECase(l, r)
         return t
 
@@ -461,60 +358,18 @@ def esimplify(t: ETerm) -> ETerm:
 # one column per location, with 1*S = S on both ends. An exceptions term
 # f: X -> Y becomes ef: X+E -> Y+E over the sum E of the payload types,
 # with 0+E = E, ordinary input riding the left column. The second is the
-# first read in the opposite category, so each construct the two sides
-# share is expanded once, against a side.
+# first read in the opposite category (`terms.Side`), so each construct
+# the two sides share is expanded once, against a side: the side's pure
+# constructs are its own, and only the pairing (`EPair` or `ECase`) and
+# the order of composition (`_then`) are chosen here, by `side.op`.
 
 
-@dataclass(frozen=True)
-class _Side:
-    """One side of the expansion, read as `kernel._Side` reads a rule.
-
-    The exceptions side is the states side read in the opposite category:
-    sources and targets swap, composition reverses, and each explicit
-    construct is traded for its dual. The fields are named after the
-    states-side construct they stand for.
-    """
-
-    flavor: str
-    op: bool                 # read in the opposite category
-    unit: type               # Unit / Empty
-    slot: type               # Value / Param: the type of a store column
-    prod: type               # Prod / Coprod
-    pair: type               # EPair / ECase
-    proj1: type              # EProj1 / EInj1
-    proj2: type              # EProj2 / EInj2
-    terminal: type           # ETerminal / EInitial
-    lookup: type             # Lookup / Throw
-    update: type             # Update / Catch
-    loc_tuple: type          # LocTuple / ConstCotuple
-    semi: type               # SemiProd / SemiCoprod
-
-    def indices(self, theory: Theory) -> tuple:
-        return theory.constructors if self.op else theory.locations
-
-    def src(self, t) -> TypeExpr:
-        return t.cod if self.op else t.dom
-
-    def tgt(self, t) -> TypeExpr:
-        return t.dom if self.op else t.cod
-
-    def order(self, parts: list) -> list:
-        """Factors listed after-most first as the side reads them, listed
-        after-most first in the category itself, and back."""
-        return parts[::-1] if self.op else parts
-
-    def comp(self, *parts: ETerm) -> ETerm:
-        """ecomp(*parts) as the side reads it: the last part runs first."""
-        return ecomp(*self.order(parts))
+def _then(side: Side, *parts: Term) -> Term:
+    """ecomp(*parts) as the side reads it: the last part runs first."""
+    return ecomp(*side.order(parts))
 
 
-_STATES = _Side("states", False, Unit, Value, Prod, EPair, EProj1, EProj2,
-                ETerminal, Lookup, Update, LocTuple, SemiProd)
-_EXCEPTIONS = _Side("exceptions", True, Empty, Param, Coprod, ECase, EInj1,
-                    EInj2, EInitial, Throw, Catch, ConstCotuple, SemiCoprod)
-
-
-def _store(side: _Side, theory: Theory) -> TypeExpr:
+def _store(side: Side, theory: Theory) -> TypeExpr:
     """One column per index, right-nested, in declaration order."""
     tys = [side.slot(i) for i in side.indices(theory)]
     out = tys[-1]
@@ -525,12 +380,12 @@ def _store(side: _Side, theory: Theory) -> TypeExpr:
 
 def state_type(theory: Theory) -> TypeExpr:
     """The whole store as one right-nested product, in location order."""
-    return _store(_STATES, theory)
+    return _store(STATES, theory)
 
 
 def exception_type(theory: Theory) -> TypeExpr:
     """All raised payloads as one right-nested sum, in declaration order."""
-    return _store(_EXCEPTIONS, theory)
+    return _store(EXCEPTIONS, theory)
 
 
 def pack_state(theory: Theory, state: tuple) -> Any:
@@ -551,19 +406,14 @@ def pack_exception(theory: Theory, name: str, payload: Any) -> Any:
     return out
 
 
-# the pure constructs and their explicit images, their fields in step
-_EXPLICIT = {Id: EId, ToUnit: ETerminal, FromEmpty: EInitial, Proj1: EProj1,
-             Proj2: EProj2, Inj1: EInj1, Inj2: EInj2}
-
-
-def _pure_base(t: Term) -> ETerm:
-    """The explicit image of a level-0 term, no store column."""
-    if type(t) in _EXPLICIT:
-        return _EXPLICIT[type(t)](*_field_values(t))
+def _pure_base(t: Term) -> Term:
+    """The explicit image of a level-0 term, no store column. A term of
+    the pure fragment is its own image."""
     if isinstance(t, Comp):
         return ecomp(_pure_base(t.after), _pure_base(t.before))
-    if isinstance(t, Gen) and t.dec == 0:
-        return EGen(t.name, t.dom, t.cod)
+    if isinstance(t, (Id, ToUnit, FromEmpty, Proj1, Proj2, Inj1, Inj2)) or (
+            isinstance(t, Gen) and t.dec == 0):
+        return t
     if isinstance(t, (SemiProd, SemiCoprod)) and t.level == 0:
         left, right = (t.pure, t.eff) if t.pure_on_left else (t.eff, t.pure)
         pairmap = eprodmap if isinstance(t, SemiProd) else esummap
@@ -584,74 +434,78 @@ def _inhabited(ty: TypeExpr) -> bool:
     return not isinstance(ty, Empty)
 
 
-def _expand(side: _Side, theory: Theory, t: Term, own=None) -> ETerm:
+def _expand(side: Side, theory: Theory, t: Term, own=None) -> Term:
     """The explicit image of t on `side`; own(go, t) expands a construct
     the side has alone, or returns None."""
     s = _store(side, theory)
     idx = side.indices(theory)
+    pair = ECase if side.op else EPair
+    (proj1, proj2), terminal = side.projs, side.to_unit
 
-    def column(i: str) -> ETerm:
+    def then(*parts: Term) -> Term:
+        return _then(side, *parts)
+
+    def column(i: str) -> Term:
         """Column i out of the store."""
         ty, steps = s, []
         for j in idx[:-1]:
             if j == i:
-                return side.comp(side.proj1(ty.left, ty.right), *steps)
-            steps.insert(0, side.proj2(ty.left, ty.right))
+                return then(proj1(ty.left, ty.right), *steps)
+            steps.insert(0, proj2(ty.left, ty.right))
             ty = ty.right
         # i is the last column: what is left of the store is its type
-        return side.comp(*steps) if steps else EId(ty)
+        return then(*steps) if steps else Id(ty)
 
-    def store_of(arm) -> ETerm:
+    def store_of(arm) -> Term:
         """Into the store, column i from arm(i)."""
         out = arm(idx[-1])
         for i in reversed(idx[:-1]):
-            out = side.pair(arm(i), out)
+            out = pair(arm(i), out)
         return out
 
-    def pure(t: Term) -> ETerm:
+    def pure(t: Term) -> Term:
         """Act on the value column, pass the store through."""
         x, y = side.src(t), side.tgt(t)
         if isinstance(y, side.unit):
-            return EId(s) if isinstance(x, side.unit) else side.proj2(x, s)
+            return Id(s) if isinstance(x, side.unit) else proj2(x, s)
         base = _pure_base(t)
         if not isinstance(x, side.unit):
-            return side.pair(side.comp(base, side.proj1(x, s)),
-                             side.proj2(x, s))
+            return pair(then(base, proj1(x, s)), proj2(x, s))
         if side.op and _inhabited(t.dom):
             # no pure map reaches 0 from a non-empty type
             raise E.TypingError(
                 f"{t} claims to be a pure map into the empty type")
-        return side.pair(side.comp(base, side.terminal(s)), EId(s))
+        return pair(then(base, terminal(s)), Id(s))
 
-    def semi(t: Term) -> ETerm:
+    def semi(t: Term) -> Term:
         """The effectful factor runs on its own column and the store, the
         pure one on its column alone."""
         eff, x = t.eff, side.src(t)
         ae, be, ap = side.src(eff), side.tgt(eff), side.src(t.pure)
         in_ty = side.prod(x, s)
-        pin = side.proj1(x, s)
+        pin = proj1(x, s)
         if t.pure_on_left:
-            eff_col, pure_col = side.proj2(ap, ae), side.proj1(ap, ae)
+            eff_col, pure_col = proj2(ap, ae), proj1(ap, ae)
         else:
-            eff_col, pure_col = side.proj1(ae, ap), side.proj2(ae, ap)
+            eff_col, pure_col = proj1(ae, ap), proj2(ae, ap)
         if isinstance(ae, side.unit):
-            eff_in = side.proj2(x, s)
+            eff_in = proj2(x, s)
         else:
-            eff_in = side.pair(side.comp(eff_col, pin), side.proj2(x, s))
-        eff_out = side.comp(go(eff), eff_in)
+            eff_in = pair(then(eff_col, pin), proj2(x, s))
+        eff_out = then(go(eff), eff_in)
         if isinstance(be, side.unit):
-            val_e, store_out = side.terminal(in_ty), eff_out
+            val_e, store_out = terminal(in_ty), eff_out
         else:
-            val_e = side.comp(side.proj1(be, s), eff_out)
-            store_out = side.comp(side.proj2(be, s), eff_out)
+            val_e = then(proj1(be, s), eff_out)
+            store_out = then(proj2(be, s), eff_out)
         if isinstance(ap, side.unit):
-            val_p = side.comp(_pure_base(t.pure), side.terminal(in_ty))
+            val_p = then(_pure_base(t.pure), terminal(in_ty))
         else:
-            val_p = side.comp(_pure_base(t.pure), pure_col, pin)
+            val_p = then(_pure_base(t.pure), pure_col, pin)
         vals = (val_p, val_e) if t.pure_on_left else (val_e, val_p)
-        return side.pair(side.pair(*vals), store_out)
+        return pair(pair(*vals), store_out)
 
-    def go(t: Term) -> ETerm:
+    def go(t: Term) -> Term:
         if t.level == 0:
             return pure(t)
         if isinstance(t, Comp):
@@ -664,20 +518,19 @@ def _expand(side: _Side, theory: Theory, t: Term, own=None) -> ETerm:
             parts = [go(f) for f in fs[:k]]
             if k < len(fs):
                 parts.append(pure(comp(*side.order(fs[k:]))))
-            return side.comp(*parts)
+            return then(*parts)
         if isinstance(t, side.lookup):
-            return side.pair(column(t.index), EId(s))
+            return pair(column(t.index), Id(s))
         if isinstance(t, side.update):
             i = t.index
-            new, old = side.proj1(side.slot(i), s), side.proj2(side.slot(i), s)
-            return store_of(
-                lambda j: new if j == i else side.comp(column(j), old))
+            new, old = proj1(side.slot(i), s), proj2(side.slot(i), s)
+            return store_of(lambda j: new if j == i else then(column(j), old))
         if isinstance(t, side.loc_tuple):
             # every component observes the same incoming pair; its value
             # column becomes the new content of its column
             comps = dict(t.components)
-            return store_of(lambda i: side.comp(
-                side.proj1(side.slot(i), s), go(comps[i])))
+            return store_of(lambda i: then(proj1(side.slot(i), s),
+                                           go(comps[i])))
         if isinstance(t, side.semi):
             return semi(t)
         out = own(go, t) if own else None
@@ -688,20 +541,21 @@ def _expand(side: _Side, theory: Theory, t: Term, own=None) -> ETerm:
     return esimplify(go(normalize_assoc(t)))
 
 
-def _expand_equation(side: _Side, expand, theory: Theory, eq: Equation
-                     ) -> tuple[ETerm, ETerm]:
+def _expand_equation(side: Side, expand, theory: Theory, eq: Equation
+                     ) -> tuple[Term, Term]:
     lhs, rhs = expand(theory, eq.lhs), expand(theory, eq.rhs)
     if eq.kind == STRONG:
         return lhs, rhs
     y = side.tgt(eq.lhs)
     if isinstance(y, side.unit):
         # nothing to observe but the unit value; both sides collapse
-        return side.terminal(side.src(lhs)), side.terminal(side.src(rhs))
-    col = side.proj1(y, _store(side, theory))
-    return esimplify(side.comp(col, lhs)), esimplify(side.comp(col, rhs))
+        return side.to_unit(side.src(lhs)), side.to_unit(side.src(rhs))
+    col = side.projs[0](y, _store(side, theory))
+    return (esimplify(_then(side, col, lhs)),
+            esimplify(_then(side, col, rhs)))
 
 
-def expand_states(theory: Theory, t: Term) -> ETerm:
+def expand_states(theory: Theory, t: Term) -> Term:
     """Compile a decorated states term to an explicit state-passing map.
 
     A term f: X -> Y becomes ef: X*S -> Y*S over the whole store S,
@@ -709,15 +563,15 @@ def expand_states(theory: Theory, t: Term) -> ETerm:
     """
     if theory.flavor != "states":
         raise E.BadParams("expand_states needs a states theory")
-    return _expand(_STATES, theory, t)
+    return _expand(STATES, theory, t)
 
 
-def expand_states_equation(theory: Theory, eq: Equation) -> tuple[ETerm, ETerm]:
+def expand_states_equation(theory: Theory, eq: Equation) -> tuple[Term, Term]:
     """Expand both sides; a weak equation keeps only the value column."""
-    return _expand_equation(_STATES, expand_states, theory, eq)
+    return _expand_equation(STATES, expand_states, theory, eq)
 
 
-def expand_exceptions(theory: Theory, t: Term) -> ETerm:
+def expand_exceptions(theory: Theory, t: Term) -> Term:
     """Compile a decorated exceptions term to an explicit sum-passing map.
 
     A term f: X -> Y becomes ef: X+E -> Y+E over the sum E of all payload
@@ -729,21 +583,21 @@ def expand_exceptions(theory: Theory, t: Term) -> ETerm:
         raise E.BadParams("expand_exceptions needs an exceptions theory")
     e = exception_type(theory)
 
-    def val_in(a: TypeExpr) -> ETerm:
+    def val_in(a: TypeExpr) -> Term:
         """X -> X+E (or E -> E when X is empty)."""
-        return EId(e) if isinstance(a, Empty) else EInj1(a, e)
+        return Id(e) if isinstance(a, Empty) else Inj1(a, e)
 
-    def exc_in(a: TypeExpr) -> ETerm:
-        return EId(e) if isinstance(a, Empty) else EInj2(a, e)
+    def exc_in(a: TypeExpr) -> Term:
+        return Id(e) if isinstance(a, Empty) else Inj2(a, e)
 
-    def own(go, t: Term) -> Optional[ETerm]:
+    def own(go, t: Term) -> Optional[Term]:
         if isinstance(t, CatchAll):
-            return ecomp(EInj1(UNIT, e), ETerminal(e))
+            return ecomp(Inj1(UNIT, e), ToUnit(e))
         if isinstance(t, CaseSum):
             on_empty = go(t.on_empty)
             if isinstance(t.dom, Empty):
                 return on_empty
-            return ECase(ecomp(go(t.on_value), EInj1(t.dom, e)), on_empty)
+            return ECase(ecomp(go(t.on_value), Inj1(t.dom, e)), on_empty)
         if isinstance(t, PropCase):
             inner = ECase(ecomp(go(t.on_left), val_in(t.on_left.dom)),
                           ecomp(go(t.on_right), val_in(t.on_right.dom)))
@@ -751,47 +605,47 @@ def expand_exceptions(theory: Theory, t: Term) -> ETerm:
         if isinstance(t, Coerce):
             if isinstance(t.dom, Empty):
                 return exc_in(t.cod)
-            return ECase(ecomp(go(t.inner), EInj1(t.dom, e)), exc_in(t.cod))
+            return ECase(ecomp(go(t.inner), Inj1(t.dom, e)), exc_in(t.cod))
         return None
 
-    return _expand(_EXCEPTIONS, theory, t, own)
+    return _expand(EXCEPTIONS, theory, t, own)
 
 
 def expand_exceptions_equation(theory: Theory, eq: Equation
-                               ) -> tuple[ETerm, ETerm]:
+                               ) -> tuple[Term, Term]:
     """Expand both sides; a weak equation keeps only the ordinary column."""
-    return _expand_equation(_EXCEPTIONS, expand_exceptions, theory, eq)
+    return _expand_equation(EXCEPTIONS, expand_exceptions, theory, eq)
 
 
 # ------------------------------------------------- explicit evaluation
 
-def eval_explicit(t: ETerm, x: Any, tables=None) -> Any:
+def eval_explicit(t: Term, x: Any, tables=None) -> Any:
     """Structural evaluation; `tables` interprets generators by name as
     {name: callable}."""
-    if isinstance(t, EId):
+    if isinstance(t, Id):
         return x
-    if isinstance(t, EComp):
-        for f in reversed(list(_efactors(t))):
+    if isinstance(t, Comp):
+        for f in factors(t):
             x = eval_explicit(f, x, tables)
         return x
     if isinstance(t, EPair):
         return (eval_explicit(t.fst, x, tables), eval_explicit(t.snd, x, tables))
-    if isinstance(t, EProj1):
+    if isinstance(t, Proj1):
         return x[0]
-    if isinstance(t, EProj2):
+    if isinstance(t, Proj2):
         return x[1]
     if isinstance(t, ECase):
         tag, v = x
         return eval_explicit(t.on_left if tag == "l" else t.on_right, v, tables)
-    if isinstance(t, EInj1):
+    if isinstance(t, Inj1):
         return ("l", x)
-    if isinstance(t, EInj2):
+    if isinstance(t, Inj2):
         return ("r", x)
-    if isinstance(t, ETerminal):
+    if isinstance(t, ToUnit):
         return ()
-    if isinstance(t, EInitial):
+    if isinstance(t, FromEmpty):
         raise E.ModelError("a value of the empty type turned up")
-    if isinstance(t, EGen):
+    if isinstance(t, Gen) and t.dec == 0:
         if not tables or t.name not in tables:
             raise E.NoInterpretation(f"no interpretation for generator {t.name!r}")
         return tables[t.name](x)

@@ -6,7 +6,6 @@ import copy
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 from inspect import signature
-from typing import get_args
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +22,8 @@ from decorlogic.terms import (TERM_CLASSES, CaseSum, Catch, Coerce, Comp,
 from decorlogic.theory import (STRONG, WEAK, eq_strong, eq_weak,
                                infer_decoration, norm_eq, typecheck,
                                typecheck_equation)
-from decorlogic.translators import (EComp, EId, EProj1, ETerm, ETerminal,
-                                    dualize_term, dualize_theory,
-                                    dualize_type)
+from decorlogic.translators import (ECase, EPair, dualize_term,
+                                    dualize_theory, dualize_type)
 from decorlogic.types import (Coprod, EMPTY, Named, Param, Prod, UNIT, Value)
 
 
@@ -107,13 +105,11 @@ def test_compose_normal_is_the_normal_form_of_the_composite(pair):
 
 _TYPES = st.sampled_from([UNIT, EMPTY, Value("x"), Param("i"),
                           Prod(Value("x"), UNIT)])
-_ETERMS = st.sampled_from([EId(UNIT), ETerminal(Value("x")),
-                           EComp(EProj1(UNIT, UNIT), EId(Prod(UNIT, UNIT)))])
 
 
 def _field_values(cls, terms):
     """A strategy for the field values of a term class, in field order."""
-    by_type = {"Term": terms, "ETerm": _ETERMS, "TypeExpr": _TYPES,
+    by_type = {"Term": terms, "TypeExpr": _TYPES,
                "str": st.sampled_from(["x", "i"]),
                "int": st.integers(0, 2), "bool": st.booleans(),
                "Tuple[Tuple[str, Term], ...]": st.lists(
@@ -135,7 +131,7 @@ def _built_as_dataclass(cls, values):
     return ref
 
 
-_CLASSES = TERM_CLASSES + get_args(ETerm)
+_CLASSES = TERM_CLASSES + (EPair, ECase)
 
 
 @given(st.sampled_from(_CLASSES).flatmap(lambda cls: st.tuples(

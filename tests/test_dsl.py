@@ -513,6 +513,14 @@ def test_mode_filter_selects_matching_commands():
         assert [o.kind for o in report.outcomes] == kinds, mode
 
 
+@pytest.mark.parametrize("mode", ["bogus", "", "lemma"])
+def test_a_mode_no_command_runs_in_is_refused(mode):
+    script = parse_script("theory S = states(x: 2)\n"
+                          "verify states-seven in S\nerase S\n")
+    with pytest.raises(ValueError, match=f"unknown mode {mode!r}"):
+        execute(script, ExecConfig(mode=mode))
+
+
 def test_model_overrides_resize_known_indices():
     script = parse_script("theory S = states(x: 2, y: 2)\n"
                           "verify states-seven in S\n")
@@ -668,7 +676,7 @@ def _catalogue_scripts():
     sides = ((STATE_CATALOGUE, "x", "y", "z", "V"),
              (EXC_CATALOGUE, "i", "j", "k", "P"))
     for cat, *ix, carrier in sides:
-        head = (f"theory T = {cat.flavor}"
+        head = (f"theory T = {cat.side.flavor}"
                 f"({', '.join(f'{i}: 2' for i in ix)})\n")
         for name, entry in {**cat.lemmas, **cat.builtins}.items():
             sig = f"{name}({', '.join(key for key, _ in entry.params)})"

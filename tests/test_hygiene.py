@@ -142,3 +142,23 @@ def test_the_traced_benchmark_finds_every_name_it_rebinds():
     tracer = tracing.Tracer(lib)
     assert tracer._patches
     assert all(callable(orig) for _, _, orig, _ in tracer._patches)
+
+
+def _classes(path: Path) -> list[ast.ClassDef]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+
+
+def _is_term_class(c: ast.ClassDef) -> bool:
+    names = {getattr(n, "id", None) for n in c.bases + c.decorator_list}
+    return bool(names & {"Node", "term_class"})
+
+
+def test_the_duality_and_the_explicit_terms_are_declared_once():
+    """`terms.Side` is the one table of the duality, and `translators`
+    adds to the pure fragment only the pairing and the copairing."""
+    sides = [(p.name, c.name) for p in MODULES for c in _classes(p)
+             if c.name.endswith("Side")]
+    assert sides == [("terms.py", "Side")]
+    assert {c.name for c in _classes(PACKAGE / "translators.py")
+            if _is_term_class(c)} == {"EPair", "ECase"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -16,14 +18,14 @@ from decorlogic.models import (FiniteExceptionModel, FiniteStateModel,
                                eval_exceptions, eval_states)
 from decorlogic.states import (build_states_theory, builtin_proof as st_proof,
                                derive_lemma as st_lemma)
-from decorlogic.terms import (Catch, CatchAll, Comp, FromEmpty, Gen, Id,
-                              Lookup, PropCase, SemiProd, SemiCoprod, Throw,
-                              ToUnit, Update, cod, comp, dom)
+from decorlogic.terms import (EXCEPTIONS, STATES, TERM_CLASSES, CaseSum,
+                              Catch, CatchAll, Coerce, Comp, FromEmpty, Gen,
+                              Id, Inj1, Inj2, Lookup, PropCase, Proj1, Proj2,
+                              SemiProd, SemiCoprod, Side, Throw, ToUnit,
+                              Update, cod, comp, dom)
 from decorlogic.theory import Equation, STRONG
-from decorlogic.translators import (ECase, EComp, EGen, EId, EInitial, EInj1,
-                                    EInj2, EPair, EProj1, EProj2, ETerminal,
-                                    dual_axiom_name, dualize_derivation,
-                                    dualize_equation, dualize_judgment,
+from decorlogic.translators import (ECase, EPair, dual_axiom_name,
+                                    dualize_derivation, dualize_equation, dualize_judgment,
                                     dualize_term,
                                     dualize_theory,
                                     dualize_type, ecomp, erase_derivation,
@@ -106,6 +108,35 @@ def test_dualize_term_swaps_and_reverses():
     assert isinstance(sc, SemiCoprod)
     assert sc.pure_on_left
     assert sc.eff == Catch("x")
+
+
+# a placeholder value for each field type of a term class; dualize_term
+# reads no profile, so any will do
+_PLACEHOLDERS = {"Term": Lookup("x"), "TypeExpr": UNIT, "str": "x", "int": 0,
+                 "bool": True, "Tuple[Tuple[str, Term], ...]": (
+                     ("x", Lookup("x")),)}
+
+
+def test_every_construct_has_its_place_in_the_duality_table():
+    """A term class is a composite or a generator, the identity, a field of
+    one row of `Side` with its partner at that field of the other row, or
+    a handler construct; dualize_term refuses the handler constructs
+    alone, and trades each other construct for its partner."""
+    partner = {}
+    for f in dataclasses.fields(Side):
+        a, b = getattr(STATES, f.name), getattr(EXCEPTIONS, f.name)
+        for x, y in zip(a, b) if isinstance(a, tuple) else [(a, b)]:
+            partner[x], partner[y] = y, x
+    handlers = {CatchAll, CaseSum, PropCase, Coerce}
+    for cls in TERM_CLASSES:
+        t = cls(*[_PLACEHOLDERS[f.type] for f in dataclasses.fields(cls)])
+        if cls in handlers:
+            with pytest.raises(E.OutsideDualityDomain):
+                dualize_term(t)
+        elif cls in (Comp, Gen, Id):
+            assert type(dualize_term(t)) is cls
+        else:
+            assert type(dualize_term(t)) is partner[cls], cls
 
 
 @given(strat.states_terms(strat.STATES2))
@@ -349,10 +380,10 @@ def test_expand_states_of_a_long_composite(states2, model22):
 
 def _reference_text(t):
     """The explicit-term printer as it was written, recursively."""
-    if isinstance(t, EComp):
+    if isinstance(t, Comp):
         def wrap(u):
             text = _reference_text(u)
-            return f"({text})" if isinstance(u, EComp) else text
+            return f"({text})" if isinstance(u, Comp) else text
         return f"{wrap(t.after)} . {wrap(t.before)}"
     if isinstance(t, EPair):
         return f"<{_reference_text(t.fst)}, {_reference_text(t.snd)}>"
@@ -362,12 +393,12 @@ def _reference_text(t):
 
 
 _EXPLICIT_LEAVES = st.sampled_from([
-    EId(UNIT), ETerminal(Value("x")), EProj1(UNIT, Value("x")),
-    EInj2(UNIT, Param("i")), EInitial(UNIT), EGen("g", UNIT, UNIT)])
+    Id(UNIT), ToUnit(Value("x")), Proj1(UNIT, Value("x")),
+    Inj2(UNIT, Param("i")), FromEmpty(UNIT), Gen("g", UNIT, UNIT)])
 
 
 @given(st.recursive(_EXPLICIT_LEAVES, lambda inner: st.one_of(
-    st.builds(EComp, inner, inner), st.builds(EPair, inner, inner),
+    st.builds(Comp, inner, inner), st.builds(EPair, inner, inner),
     st.builds(ECase, inner, inner)), max_leaves=12))
 def test_explicit_terms_print_as_the_recursive_printer_did(t):
     assert str(t) == _reference_text(t)
@@ -460,18 +491,18 @@ def test_catch_all_expansion_recovers_everything(exc2):
 
 
 # each explicit construct and its counterpart in the opposite category
-_DUAL_EXPLICIT = {EId: EId, EPair: ECase, EProj1: EInj1, EProj2: EInj2,
-                  ETerminal: EInitial}
+_DUAL_EXPLICIT = {Id: Id, EPair: ECase, Proj1: Inj1, Proj2: Inj2,
+                  ToUnit: FromEmpty}
 _DUAL_EXPLICIT.update({b: a for a, b in _DUAL_EXPLICIT.items()})
 
 
 def _dual_explicit(t):
     """t read in the opposite category: composition reversed, each
     construct traded for its counterpart, its types dualized."""
-    if isinstance(t, EComp):
+    if isinstance(t, Comp):
         return ecomp(_dual_explicit(t.before), _dual_explicit(t.after))
-    if isinstance(t, EGen):
-        return EGen(t.name, dualize_type(t.cod), dualize_type(t.dom))
+    if isinstance(t, Gen):
+        return Gen(t.name, dualize_type(t.cod), dualize_type(t.dom))
     return _DUAL_EXPLICIT[type(t)](*[
         dualize_type(v) if isinstance(v, TYPE_CLASSES) else _dual_explicit(v)
         for v in (getattr(t, f) for f in t.__match_args__)])
@@ -512,33 +543,33 @@ def test_expansion_commutes_with_duality(data):
 
 def test_esimplify_contracts_the_obvious_pairs():
     vx, vy = Value("x"), Value("y")
-    f = EProj2(vx, vy)
-    pair = EPair(EProj1(vx, vy), f)
-    assert esimplify(ecomp(EProj1(vx, vy), pair)) == EProj1(vx, vy)
-    assert esimplify(ecomp(EProj2(vx, vy), pair)) == f
+    f = Proj2(vx, vy)
+    pair = EPair(Proj1(vx, vy), f)
+    assert esimplify(ecomp(Proj1(vx, vy), pair)) == Proj1(vx, vy)
+    assert esimplify(ecomp(Proj2(vx, vy), pair)) == f
     # eta on pairing and on case analysis
-    assert esimplify(pair) == EId(Prod(vx, vy))
-    case = ECase(EInj1(vx, vy), EInj2(vx, vy))
-    assert esimplify(case) == EId(Coprod(vx, vy))
-    assert esimplify(ecomp(ECase(EGen("g", vx, vy), EId(vy)),
-                           EInj1(vx, vy))) == EGen("g", vx, vy)
+    assert esimplify(pair) == Id(Prod(vx, vy))
+    case = ECase(Inj1(vx, vy), Inj2(vx, vy))
+    assert esimplify(case) == Id(Coprod(vx, vy))
+    assert esimplify(ecomp(ECase(Gen("g", vx, vy), Id(vy)),
+                           Inj1(vx, vy))) == Gen("g", vx, vy)
     # terminal absorbs to the left, initial to the right
-    assert esimplify(ecomp(ETerminal(vy), EGen("g", vx, vy))) == ETerminal(vx)
-    assert esimplify(ecomp(EGen("g", vx, vy), EInitial(vx))) == EInitial(vy)
+    assert esimplify(ecomp(ToUnit(vy), Gen("g", vx, vy))) == ToUnit(vx)
+    assert esimplify(ecomp(Gen("g", vx, vy), FromEmpty(vx))) == FromEmpty(vy)
 
 
 def test_ecomp_drops_identities():
     vx = Value("x")
-    g = EGen("g", vx, vx)
-    assert ecomp(EId(vx), g, EId(vx)) == g
-    assert ecomp(EId(vx), EId(vx)) == EId(vx)
+    g = Gen("g", vx, vx)
+    assert ecomp(Id(vx), g, Id(vx)) == g
+    assert ecomp(Id(vx), Id(vx)) == Id(vx)
 
 
 def test_eval_explicit_edges():
     vx = Value("x")
     with pytest.raises(E.ModelError):
-        eval_explicit(EInitial(vx), 0)
+        eval_explicit(FromEmpty(vx), 0)
     with pytest.raises(E.NoInterpretation):
-        eval_explicit(EGen("g", vx, vx), 0)
-    assert eval_explicit(EGen("g", vx, vx), 3, {"g": lambda v: v + 1}) == 4
-    assert eval_explicit(EPair(EId(vx), ETerminal(vx)), 2) == (2, ())
+        eval_explicit(Gen("g", vx, vx), 0)
+    assert eval_explicit(Gen("g", vx, vx), 3, {"g": lambda v: v + 1}) == 4
+    assert eval_explicit(EPair(Id(vx), ToUnit(vx)), 2) == (2, ())
