@@ -214,21 +214,25 @@ def _other_cell(th: Theory, w: str, k: str, p: Term) -> Derivation:
     return node(th, "w-trans", [s, _repl_weak(th, fin, Lookup(k))])
 
 
+def _to_written(th: Theory, i: str, j: str, k: str, first: bool
+                ) -> Derivation:
+    """l[k] . u[p] . kept . sp  ~~  l[k] . u[w] . column w, for k != p: k
+    sees only the write of w."""
+    return node(th, "w-trans", [_kept_read(th, i, j, k, first),
+                                _shift(th, i, j, k, first)])
+
+
 def _third(th: Theory, i: str, j: str, k: str, first: bool) -> Derivation:
     """Observing k, neither written index, after the double write."""
-    step = node(th, "w-trans", [_kept_read(th, i, j, k, first),
-                                _shift(th, i, j, k, first)])
     tail = _other_cell(th, i if first else j, k, _column(i, j, first))
-    return node(th, "w-trans", [step, tail])
+    return node(th, "w-trans", [_to_written(th, i, j, k, first), tail])
 
 
 def _written_cell(th: Theory, i: str, j: str, first: bool) -> Derivation:
     """l[w] of the double write whose first write is w: column w."""
     w = i if first else j
-    step = node(th, "w-trans", [_kept_read(th, i, j, w, first),
-                                _shift(th, i, j, w, first)])
     a1 = _wsubs_ax(th, f"A1_{w}", _column(i, j, first))
-    return node(th, "w-trans", [step, a1])
+    return node(th, "w-trans", [_to_written(th, i, j, w, first), a1])
 
 
 def _kept_cell(th: Theory, i: str, j: str, first: bool) -> Derivation:
