@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import strategies as strat
 from decorlogic import errors as E
 from decorlogic.dsl import execute, parse_script
+from decorlogic.exceptions import build_exceptions_theory
 from decorlogic.kernel import (Holds, RULES, WellFormed, apply_rule,
                                axiom_node, check_derivation,
                                derive_final_uniqueness,
@@ -19,12 +20,14 @@ from decorlogic.kernel import (Holds, RULES, WellFormed, apply_rule,
                                _Search)
 from decorlogic.models import FiniteStateModel, check_equation
 from decorlogic.states import build_states_theory
-from decorlogic.terms import (CaseSum, Catch, Coerce, Comp, FromEmpty, Gen,
-                              Id, Lookup, PropCase, SemiCoprod, SemiProd,
-                              ToUnit, Throw, Update, comp, subterms)
-from decorlogic.theory import (Axiom, STRONG, WEAK, eq_strong, eq_weak,
-                               norm_eq)
-from decorlogic.translators import dualize_equation, dualize_theory
+from decorlogic.terms import (EXCEPTIONS, STATES, CaseSum, Catch, Coerce,
+                              Comp, FromEmpty, Gen, Id, Lookup, PropCase,
+                              SemiCoprod, SemiProd, ToUnit, Throw, Update,
+                              comp, subterms)
+from decorlogic.theory import (Axiom, Equation, STRONG, WEAK, eq_strong,
+                               eq_weak, norm_eq)
+from decorlogic.translators import (dualize_equation, dualize_theory,
+                                    erase_theory)
 from decorlogic.types import Param, UNIT, Value
 
 STRONG_A1 = eq_strong(comp(Lookup("x"), Update("x")), Id(Value("x")))
@@ -366,6 +369,388 @@ def test_the_rule_table_declares_counts_and_kinds():
     assert RULES["semicoprod-P1"].key_kind("term") == "term"
     assert RULES["loc-tuple"].key_kind("at") == "name"
     assert RULES["eq-sym"].key_kind("undeclared") == "term"
+
+
+# ------------------------------------------------------------ rule table
+# Every rule applied on each flavor it belongs to, with its conclusion
+# pinned as text, and the refusals of the rules that differ only in a
+# strength, a level or an injection pinned word for word. A rule of the
+# plain flavor runs on the erasure of the theory of its side.
+
+_THEORIES = {"states": build_states_theory("S", ["x", "y"]),
+             "exceptions": build_exceptions_theory("E", ["i", "j"])}
+
+
+class _Sample:
+    """Terms of one side at its indices i and j, named after the states
+    side; `a` is u then l (level 2), `c` bang then l (level 1)."""
+
+    def __init__(self, theory, side):
+        i, j = self.ix = side.indices(theory)[:2]
+        self.side, self.T, self.one = side, side.slot(i), side.unit()
+        self.wk = STRONG if theory.flavor == "plain" else WEAK
+        self.l, self.lj = side.lookup(i), side.lookup(j)
+        self.u = side.update(i)
+        self.id, self.bang = Id(self.T), side.to_unit(self.T)
+        self.p1 = side.projs[0](self.T, side.slot(j))
+        self.a = side.then(self.l, self.u)
+        self.c = side.then(self.l, self.bang)
+        self.family = ((i, self.l), (j, self.lj))
+
+    def chain(self, *ts):
+        """ts, each followed by the next, in the category's order."""
+        return ts[::-1] if self.side.op else ts
+
+    def eq(self, lhs, rhs, kind=STRONG):
+        return Holds(Equation(lhs, rhs, kind))
+
+    def weq(self, lhs, rhs):
+        return self.eq(lhs, rhs, self.wk)
+
+
+def _on_flavor(rid, flavor):
+    """The theory rid is applied on in flavor, and its side's samples."""
+    home = "states" if "states" in RULES[rid].flavors else "exceptions"
+    side = home if flavor == "plain" else flavor
+    th = _THEORIES[side]
+    th = erase_theory(th) if flavor == "plain" else th
+    return th, _Sample(th, STATES if side == "states" else EXCEPTIONS)
+
+
+def _cone_premises(s, g):
+    return [s.weq(s.side.then(s.side.lookup(k), g), f) for k, f in s.family]
+
+
+# rule id -> samples -> (premises, instantiation)
+_APPLY = {
+    "comp": lambda s: (s.chain(WellFormed(s.u, 2), WellFormed(s.l, 1)), {}),
+    "0-comp": lambda s: (s.chain(WellFormed(s.p1, 0),
+                                 WellFormed(s.bang, 0)), {}),
+    "1-comp": lambda s: (s.chain(WellFormed(s.bang, 0),
+                                 WellFormed(s.l, 1)), {}),
+    "id": lambda s: ((), dict(at=s.T)),
+    "0-id": lambda s: ((), dict(at=s.T)),
+    "assoc": lambda s: ((), dict(zip("fgh", s.chain(s.bang, s.l, s.u)))),
+    "id-src": lambda s: ((), dict(f=s.l)),
+    "id-tgt": lambda s: ((), dict(f=s.l)),
+    "eq-refl": lambda s: ((), dict(f=s.u)),
+    "w-refl": lambda s: ((), dict(f=s.u)),
+    "eq-sym": lambda s: ([s.eq(s.a, s.id)], {}),
+    "w-sym": lambda s: ([s.weq(s.a, s.id)], {}),
+    "eq-trans": lambda s: ([s.eq(s.a, s.id), s.eq(s.id, s.c)], {}),
+    "w-trans": lambda s: ([s.weq(s.a, s.id), s.weq(s.id, s.c)], {}),
+    "s-to-w": lambda s: ([s.eq(s.a, s.id)], {}),
+    "eq-subs": lambda s: ([s.eq(s.a, s.id)], dict(by=s.a)),
+    "eq-repl": lambda s: ([s.eq(s.a, s.id)], dict(by=s.a)),
+    "w-subs": lambda s: ([s.weq(s.a, s.id)], dict(by=s.l)),
+    "w-repl": lambda s: ([s.weq(s.a, s.id)], dict(by=s.l)),
+    "w-repl-pure": lambda s: ([s.weq(s.a, s.id)], dict(by=s.bang)),
+    "w-subs-pure": lambda s: ([s.weq(s.a, s.id)], dict(by=s.bang)),
+    "0-to-1": lambda s: ([WellFormed(s.bang, 0)], {}),
+    "1-to-2": lambda s: ([WellFormed(s.l, 1)], {}),
+    "w-to-s": lambda s: ([s.weq(s.c, s.id), WellFormed(s.c, 1)], {}),
+    "w-to-s-prop": lambda s: ([s.weq(s.c, s.id), WellFormed(s.c, 1)], {}),
+    "final": lambda s: ((), {}),
+    "initial": lambda s: ((), {}),
+    "unit-arrow": lambda s: ((), dict(at=s.T)),
+    "empty-arrow": lambda s: ((), dict(at=s.T)),
+    "w-final": lambda s: ((), dict(f=s.u)),
+    "w-initial": lambda s: ((), dict(f=s.u)),
+    "loc-tuple": lambda s: ((), dict(family=s.family, at=s.ix[0])),
+    "const-cotuple": lambda s: ((), dict(family=s.family, at=s.ix[0])),
+    "loc-tuple-unique": lambda s: (
+        _cone_premises(s, s.side.then(s.u, s.l)),
+        dict(family=s.family, g=s.side.then(s.u, s.l))),
+    "const-cotuple-unique": lambda s: (
+        _cone_premises(s, s.side.then(s.u, s.l)),
+        dict(family=s.family, g=s.side.then(s.u, s.l))),
+    "semiprod-P1": lambda s: ((), dict(term=s.side.semi(s.id, s.u, True))),
+    "semicoprod-P1": lambda s: ((), dict(term=s.side.semi(s.id, s.u, True))),
+    "semiprod-P2": lambda s: ((), dict(term=s.side.semi(s.id, s.u, False))),
+    "semicoprod-P2": lambda s: ((),
+                                dict(term=s.side.semi(s.id, s.u, False))),
+    "binprod-proj": lambda s: ((), dict(which=2, left=s.T, right=s.one)),
+    "bincoprod-inj": lambda s: ((), dict(which=2, left=s.T, right=s.one)),
+    "sum-case-exists": lambda s: ((), dict(term=CaseSum(s.id, s.u))),
+    "sum-case-weak": lambda s: ((), dict(term=CaseSum(s.id, s.u))),
+    "sum-case-empty": lambda s: ((), dict(term=CaseSum(s.id, s.u))),
+    "sum-case-prop": lambda s: ((), dict(term=CaseSum(s.id, s.bang))),
+    "sum-case-unique": lambda s: (
+        [s.weq(s.a, s.id), s.eq(comp(s.a, s.bang), s.u)],
+        dict(term=CaseSum(s.id, s.u), h=s.a)),
+    "coerce-exists": lambda s: ((), dict(term=Coerce(s.u))),
+    "coerce-weak": lambda s: ((), dict(term=Coerce(s.u))),
+    "coerce-unique": lambda s: ([s.weq(s.bang, s.u)],
+                                dict(term=Coerce(s.u), p=s.bang)),
+    "propcase-inl": lambda s: ((), dict(term=PropCase(s.l, s.lj))),
+    "propcase-inr": lambda s: ((), dict(term=PropCase(s.l, s.lj))),
+}
+
+# rule id -> flavor -> the conclusion's text
+_APPLIED = {
+    "comp": {
+        "states": "l[x] . u[x] : level 2",
+        "exceptions": "c[i] . t[i] : level 2",
+        "plain": "l[x] . u[x] : level 2"},
+    "0-comp": {
+        "states": "unit[V[x]] . p1[V[x],V[y]] : level 0",
+        "exceptions": "in1[P[i],P[j]] . empty[P[i]] : level 0",
+        "plain": "unit[V[x]] . p1[V[x],V[y]] : level 0"},
+    "1-comp": {
+        "states": "l[x] . unit[V[x]] : level 1",
+        "exceptions": "empty[P[i]] . t[i] : level 1",
+        "plain": "l[x] . unit[V[x]] : level 1"},
+    "id": {
+        "states": "id[V[x]] : level 2",
+        "exceptions": "id[P[i]] : level 2",
+        "plain": "id[V[x]] : level 2"},
+    "0-id": {
+        "states": "id[V[x]] : level 0",
+        "exceptions": "id[P[i]] : level 0",
+        "plain": "id[V[x]] : level 0"},
+    "assoc": {
+        "states": "u[x] . (l[x] . unit[V[x]]) == u[x] . (l[x] . unit[V[x]])",
+        "exceptions": ("empty[P[i]] . (t[i] . c[i])"
+                       " == empty[P[i]] . (t[i] . c[i])"),
+        "plain": "u[x] . (l[x] . unit[V[x]]) == u[x] . (l[x] . unit[V[x]])"},
+    "id-src": {
+        "states": "l[x] == l[x]",
+        "exceptions": "t[i] == t[i]",
+        "plain": "l[x] == l[x]"},
+    "id-tgt": {
+        "states": "l[x] == l[x]",
+        "exceptions": "t[i] == t[i]",
+        "plain": "l[x] == l[x]"},
+    "eq-refl": {
+        "states": "u[x] == u[x]",
+        "exceptions": "c[i] == c[i]",
+        "plain": "u[x] == u[x]"},
+    "w-refl": {
+        "states": "u[x] ~~ u[x]",
+        "exceptions": "c[i] ~~ c[i]",
+        "plain": "u[x] == u[x]"},
+    "eq-sym": {
+        "states": "id[V[x]] == l[x] . u[x]",
+        "exceptions": "id[P[i]] == c[i] . t[i]",
+        "plain": "id[V[x]] == l[x] . u[x]"},
+    "w-sym": {
+        "states": "id[V[x]] ~~ l[x] . u[x]",
+        "exceptions": "id[P[i]] ~~ c[i] . t[i]",
+        "plain": "id[V[x]] == l[x] . u[x]"},
+    "eq-trans": {
+        "states": "l[x] . u[x] == l[x] . unit[V[x]]",
+        "exceptions": "c[i] . t[i] == empty[P[i]] . t[i]",
+        "plain": "l[x] . u[x] == l[x] . unit[V[x]]"},
+    "w-trans": {
+        "states": "l[x] . u[x] ~~ l[x] . unit[V[x]]",
+        "exceptions": "c[i] . t[i] ~~ empty[P[i]] . t[i]",
+        "plain": "l[x] . u[x] == l[x] . unit[V[x]]"},
+    "s-to-w": {
+        "states": "l[x] . u[x] ~~ id[V[x]]",
+        "exceptions": "c[i] . t[i] ~~ id[P[i]]",
+        "plain": "l[x] . u[x] == id[V[x]]"},
+    "eq-subs": {
+        "states": "l[x] . (u[x] . (l[x] . u[x])) == l[x] . u[x]",
+        "exceptions": "c[i] . (t[i] . (c[i] . t[i])) == c[i] . t[i]",
+        "plain": "l[x] . (u[x] . (l[x] . u[x])) == l[x] . u[x]"},
+    "eq-repl": {
+        "states": "l[x] . (u[x] . (l[x] . u[x])) == l[x] . u[x]",
+        "exceptions": "c[i] . (t[i] . (c[i] . t[i])) == c[i] . t[i]",
+        "plain": "l[x] . (u[x] . (l[x] . u[x])) == l[x] . u[x]"},
+    "w-subs": {
+        "states": "l[x] . (u[x] . l[x]) ~~ l[x]",
+        "plain": "l[x] . (u[x] . l[x]) == l[x]"},
+    "w-repl": {
+        "exceptions": "t[i] . (c[i] . t[i]) ~~ t[i]",
+        "plain": "t[i] . (c[i] . t[i]) == t[i]"},
+    "w-repl-pure": {
+        "states": "unit[V[x]] . (l[x] . u[x]) ~~ unit[V[x]]",
+        "plain": "unit[V[x]] . (l[x] . u[x]) == unit[V[x]]"},
+    "w-subs-pure": {
+        "exceptions": "c[i] . (t[i] . empty[P[i]]) ~~ empty[P[i]]",
+        "plain": "c[i] . (t[i] . empty[P[i]]) == empty[P[i]]"},
+    "0-to-1": {
+        "states": "unit[V[x]] : level 1",
+        "exceptions": "empty[P[i]] : level 1",
+        "plain": "unit[V[x]] : level 1"},
+    "1-to-2": {
+        "states": "l[x] : level 2",
+        "exceptions": "t[i] : level 2",
+        "plain": "l[x] : level 2"},
+    "w-to-s": {
+        "states": "l[x] . unit[V[x]] == id[V[x]]",
+        "plain": "l[x] . unit[V[x]] == id[V[x]]"},
+    "w-to-s-prop": {
+        "exceptions": "empty[P[i]] . t[i] == id[P[i]]",
+        "plain": "empty[P[i]] . t[i] == id[P[i]]"},
+    "final": {"states": "id[1] : level 0", "plain": "id[1] : level 0"},
+    "initial": {"exceptions": "id[0] : level 0", "plain": "id[0] : level 0"},
+    "unit-arrow": {
+        "states": "unit[V[x]] : level 0",
+        "plain": "unit[V[x]] : level 0"},
+    "empty-arrow": {
+        "exceptions": "empty[P[i]] : level 0",
+        "plain": "empty[P[i]] : level 0"},
+    "w-final": {"states": "u[x] ~~ unit[V[x]]", "plain": "u[x] == unit[V[x]]"},
+    "w-initial": {
+        "exceptions": "c[i] ~~ empty[P[i]]",
+        "plain": "c[i] == empty[P[i]]"},
+    "loc-tuple": {
+        "states": "l[x] . tuple(x: l[x], y: l[y]) ~~ l[x]",
+        "plain": "l[x] . tuple(x: l[x], y: l[y]) == l[x]"},
+    "const-cotuple": {
+        "exceptions": "cotuple(i: t[i], j: t[j]) . t[i] ~~ t[i]",
+        "plain": "cotuple(i: t[i], j: t[j]) . t[i] == t[i]"},
+    "loc-tuple-unique": {
+        "states": "u[x] . l[x] == tuple(x: l[x], y: l[y])",
+        "plain": "u[x] . l[x] == tuple(x: l[x], y: l[y])"},
+    "const-cotuple-unique": {
+        "exceptions": "t[i] . c[i] == cotuple(i: t[i], j: t[j])",
+        "plain": "t[i] . c[i] == cotuple(i: t[i], j: t[j])"},
+    "semiprod-P1": {
+        "states": "p1[V[x],1] . lsemi(id[V[x]], u[x]) ~~ p1[V[x],V[x]]",
+        "plain": "p1[V[x],1] . lsemi(id[V[x]], u[x]) == p1[V[x],V[x]]"},
+    "semicoprod-P1": {
+        "exceptions": "lsum(id[P[i]], c[i]) . in1[P[i],0] ~~ in1[P[i],P[i]]",
+        "plain": "lsum(id[P[i]], c[i]) . in1[P[i],0] == in1[P[i],P[i]]"},
+    "semiprod-P2": {
+        "states": "p1[1,V[x]] . rsemi(u[x], id[V[x]]) == u[x] . p1[V[x],V[x]]",
+        "plain": "p1[1,V[x]] . rsemi(u[x], id[V[x]]) == u[x] . p1[V[x],V[x]]"},
+    "semicoprod-P2": {
+        "exceptions": ("rsum(c[i], id[P[i]]) . in1[0,P[i]]"
+                       " == in1[P[i],P[i]] . c[i]"),
+        "plain": ("rsum(c[i], id[P[i]]) . in1[0,P[i]]"
+                  " == in1[P[i],P[i]] . c[i]")},
+    "binprod-proj": {
+        "states": "p2[V[x],1] : level 0",
+        "plain": "p2[V[x],1] : level 0"},
+    "bincoprod-inj": {
+        "exceptions": "in2[P[i],0] : level 0",
+        "plain": "in2[P[i],0] : level 0"},
+    "sum-case-exists": {
+        "exceptions": "case(id[P[i]], c[i]) : level 2",
+        "plain": "case(id[P[i]], c[i]) : level 2"},
+    "sum-case-weak": {
+        "exceptions": "case(id[P[i]], c[i]) ~~ id[P[i]]",
+        "plain": "case(id[P[i]], c[i]) == id[P[i]]"},
+    "sum-case-empty": {
+        "exceptions": "case(id[P[i]], c[i]) . empty[P[i]] == c[i]",
+        "plain": "case(id[P[i]], c[i]) . empty[P[i]] == c[i]"},
+    "sum-case-prop": {
+        "exceptions": "case(id[P[i]], empty[P[i]]) == id[P[i]]",
+        "plain": "case(id[P[i]], empty[P[i]]) == id[P[i]]"},
+    "sum-case-unique": {
+        "exceptions": "c[i] . t[i] == case(id[P[i]], c[i])",
+        "plain": "c[i] . t[i] == case(id[P[i]], c[i])"},
+    "coerce-exists": {
+        "exceptions": "coerce(c[i]) : level 1",
+        "plain": "coerce(c[i]) : level 1"},
+    "coerce-weak": {
+        "exceptions": "coerce(c[i]) ~~ c[i]",
+        "plain": "coerce(c[i]) == c[i]"},
+    "coerce-unique": {
+        "exceptions": "empty[P[i]] == coerce(c[i])",
+        "plain": "empty[P[i]] == coerce(c[i])"},
+    "propcase-inl": {
+        "exceptions": "cases(t[i], t[j]) . in1[P[i],P[j]] == t[i]",
+        "plain": "cases(t[i], t[j]) . in1[P[i],P[j]] == t[i]"},
+    "propcase-inr": {
+        "exceptions": "cases(t[i], t[j]) . in2[P[i],P[j]] == t[j]",
+        "plain": "cases(t[i], t[j]) . in2[P[i],P[j]] == t[j]"},
+}
+
+
+@pytest.mark.parametrize("rid,flavor", [(r, f) for r in sorted(_APPLIED)
+                                        for f in sorted(_APPLIED[r])])
+def test_every_rule_applies_on_each_of_its_flavors(rid, flavor):
+    th, s = _on_flavor(rid, flavor)
+    premises, inst = _APPLY[rid](s)
+    assert str(apply_rule(th, rid, premises, inst)) == _APPLIED[rid][flavor]
+
+
+def test_the_rule_table_covers_every_rule_on_every_flavor():
+    assert set(_APPLY) == set(_APPLIED) == set(RULES)
+    assert len(RULES) == 51
+    assert all(set(_APPLIED[r]) == RULES[r].flavors for r in RULES)
+
+
+# (rule id, flavor, samples -> premises, the refusal)
+_REFUSED = [
+    # the wrong premise kind
+    ("eq-sym", "states", lambda s: [WellFormed(s.l, 1)],
+     "eq-sym needs an equation premise, got l[x] : level 1"),
+    ("w-sym", "exceptions", lambda s: [WellFormed(s.l, 1)],
+     "w-sym needs an equation premise, got t[i] : level 1"),
+    ("eq-trans", "states", lambda s: [s.eq(s.a, s.id), WellFormed(s.l, 1)],
+     "eq-trans needs an equation premise, got l[x] : level 1"),
+    ("w-trans", "states", lambda s: [WellFormed(s.l, 1), s.weq(s.a, s.id)],
+     "w-trans needs an equation premise, got l[x] : level 1"),
+    ("comp", "states", lambda s: [s.eq(s.a, s.id), WellFormed(s.l, 1)],
+     "comp needs a well-formedness premise, got l[x] . u[x] == id[V[x]]"),
+    ("0-comp", "exceptions", lambda s: [WellFormed(s.l, 0), s.eq(s.a, s.id)],
+     "0-comp needs a well-formedness premise, got c[i] . t[i] == id[P[i]]"),
+    ("1-comp", "plain", lambda s: [s.eq(s.a, s.id), WellFormed(s.l, 1)],
+     "1-comp needs a well-formedness premise, got l[x] . u[x] == id[V[x]]"),
+    ("0-to-1", "states", lambda s: [s.eq(s.a, s.id)],
+     "0-to-1 needs a well-formedness premise, got l[x] . u[x] == id[V[x]]"),
+    ("1-to-2", "exceptions", lambda s: [s.eq(s.a, s.id)],
+     "1-to-2 needs a well-formedness premise, got c[i] . t[i] == id[P[i]]"),
+    # the wrong strength
+    ("eq-sym", "exceptions", lambda s: [s.weq(s.a, s.id)],
+     "eq-sym needs a strong equation, got weak"),
+    ("w-sym", "states", lambda s: [s.eq(s.a, s.id)],
+     "w-sym needs a weak equation, got strong"),
+    ("w-sym", "plain", lambda s: [s.eq(s.a, s.id, WEAK)],
+     "w-sym needs a strong equation, got weak"),
+    ("eq-trans", "states", lambda s: [s.eq(s.a, s.id), s.weq(s.id, s.c)],
+     "eq-trans needs a strong equation, got weak"),
+    ("w-trans", "exceptions", lambda s: [s.eq(s.a, s.id), s.weq(s.id, s.c)],
+     "w-trans needs a weak equation, got strong"),
+    ("w-trans", "states", lambda s: [s.weq(s.a, s.id), s.eq(s.id, s.c)],
+     "w-trans needs a weak equation, got strong"),
+    # the middle terms
+    ("eq-trans", "plain", lambda s: [s.eq(s.a, s.id), s.eq(s.c, s.id)],
+     "eq-trans: middle terms differ"),
+    ("w-trans", "states", lambda s: [s.weq(s.a, s.id), s.weq(s.c, s.id)],
+     "w-trans: middle terms differ"),
+    # the level bound, checked before the premises compose
+    ("0-comp", "states",
+     lambda s: s.chain(WellFormed(s.bang, 0), WellFormed(s.l, 1)),
+     "0-comp composes two level-0 terms"),
+    ("0-comp", "plain", lambda s: [WellFormed(s.l, 1), WellFormed(s.lj, 1)],
+     "0-comp composes two level-0 terms"),
+    ("1-comp", "exceptions",
+     lambda s: s.chain(WellFormed(s.u, 2), WellFormed(s.l, 1)),
+     "1-comp composes two level-<=1 terms"),
+    ("1-comp", "states", lambda s: [WellFormed(s.u, 2), WellFormed(s.u, 2)],
+     "1-comp composes two level-<=1 terms"),
+    # premises that do not compose
+    ("comp", "exceptions", lambda s: [WellFormed(s.l, 1), WellFormed(s.lj, 1)],
+     "comp: premises do not compose"),
+    ("0-comp", "states", lambda s: [WellFormed(s.p1, 0), WellFormed(s.p1, 0)],
+     "0-comp: premises do not compose"),
+    ("1-comp", "plain", lambda s: [WellFormed(s.l, 1), WellFormed(s.lj, 1)],
+     "1-comp: premises do not compose"),
+    # the level a lift starts from
+    ("0-to-1", "exceptions", lambda s: [WellFormed(s.l, 1)],
+     "0-to-1 lifts level 0"),
+    ("0-to-1", "plain", lambda s: [WellFormed(s.bang, 2)],
+     "0-to-1 lifts level 0"),
+    ("1-to-2", "states", lambda s: [WellFormed(s.bang, 0)],
+     "1-to-2 lifts level 1"),
+    ("1-to-2", "plain", lambda s: [WellFormed(s.u, 2)],
+     "1-to-2 lifts level 1"),
+]
+
+
+@pytest.mark.parametrize("rid,flavor,premises,message", _REFUSED,
+                         ids=[f"{r}-{f}" for r, f, *_ in _REFUSED])
+def test_every_refusal_of_a_rule_family_is_pinned(rid, flavor, premises,
+                                                  message):
+    th, s = _on_flavor(rid, flavor)
+    with pytest.raises(E.BadPremises) as exc:
+        apply_rule(th, rid, premises(s), {})
+    assert str(exc.value) == message
 
 
 # The search itself, pinned: status, rounds, facts and proof nodes of the
