@@ -23,6 +23,11 @@ keys the rule does not declare, and hands the checked values to the rule
 body, which holds only the rule's logic. The script front end reads the
 same declarations to parse and print instantiations.
 
+Each body names its rule through the rule id it is given, so rules that
+differ only in a strength (eq-sym, w-sym), a level (0-comp, 1-comp) or an
+injection (propcase-inl, propcase-inr) are one family: one body, registered
+once per id with the value that tells them apart as a keyword.
+
 States and exceptions are dual: each states-side rule and its exceptions-side
 partner are one implementation, read on either side (`terms.Side`), and
 `RuleSpec.dual` names the partner that `dualize_derivation` switches to.
@@ -132,10 +137,6 @@ def _require_level(theory: Theory, t: Term, k: int, rid: str, what: str) -> None
             f"{rid}: {what} must be level <= {k}, {t} has level {t.level}")
 
 
-def _require_pure(theory: Theory, t: Term, rid: str, what: str) -> None:
-    _require_level(theory, t, 0, rid, what)
-
-
 # -------------------------------------------------- instantiation values
 
 # how a required term class reads in a complaint, when not by its name
@@ -201,11 +202,13 @@ _EX = frozenset({"exceptions", "plain"})
 
 
 def _rule(rid: str, flavors: frozenset, doc: str, premises: Optional[int],
-          keys: Optional[Mapping[str, Any]] = None):
+          keys: Optional[Mapping[str, Any]] = None, **params):
     """Register a rule of one reading: a core rule is its own dual, a rule
-    of one side only (the handler rules) has none."""
+    of one side only (the handler rules) has none. The implementation
+    takes the rule id ahead of the usual (theory, premises, instantiation),
+    and `params` as keywords, so the rules of one family share a body."""
     def deco(fn):
-        RULES[rid] = RuleSpec(rid, flavors, fn, doc,
+        RULES[rid] = RuleSpec(rid, flavors, partial(fn, rid, **params), doc,
                               rid if flavors == _CORE else None,
                               premises, dict(keys or {}))
         return fn
@@ -241,30 +244,38 @@ def list_rules(flavor: Optional[str] = None) -> list[str]:
     return sorted(r for r, s in RULES.items() if flavor in s.flavors)
 
 
+def _read_on(side: Side, rid: str) -> str:
+    """The states-side rule rid, read on `side`."""
+    return RULES[rid].dual if side.op else rid
+
+
 # core category rules ---------------------------------------------------
 
-@_rule("comp", _CORE, "WF(f,a), WF(g,b) => WF(g.f, max(a,b))", 2)
-def _r_comp(theory, ps):
-    wf_f, wf_g = _as_wf(ps[0], "comp"), _as_wf(ps[1], "comp")
+@_rule("comp", _CORE, "WF(f,a), WF(g,b) => WF(g.f, max(a,b))", 2, level=None)
+@_rule("0-comp", _CORE, "WF(f,0), WF(g,0) => WF(g.f, 0)", 2, level=0)
+@_rule("1-comp", _CORE, "WF(f,1), WF(g,1) => WF(g.f, 1)", 2, level=1)
+def _r_comp(rid, theory, ps, *, level):
+    """Compose two well-formed terms: at the larger of their levels, or,
+    with a level bound, at the bound, both premises being within it."""
+    wf_f, wf_g = _as_wf(ps[0], rid), _as_wf(ps[1], rid)
+    if level is not None and max(wf_f.level, wf_g.level) > level:
+        raise E.BadPremises(f"{rid} composes two level-"
+                            f"{'<=' if level else ''}{level} terms")
     if wf_f.term.cod != wf_g.term.dom:
-        raise E.BadPremises("comp: premises do not compose")
-    t = normalize_assoc(Comp(wf_g.term, wf_f.term))
-    return WellFormed(t, max(wf_f.level, wf_g.level))
+        raise E.BadPremises(f"{rid}: premises do not compose")
+    return WellFormed(normalize_assoc(Comp(wf_g.term, wf_f.term)),
+                      max(wf_f.level, wf_g.level) if level is None else level)
 
 
-@_rule("id", _CORE, "=> WF(id[T], 2)", 0, dict(at="type"))
-def _r_id(theory, ps, at):
-    return WellFormed(Id(at), 2)
-
-
-@_rule("0-id", _CORE, "=> WF(id[T], 0)", 0, dict(at="type"))
-def _r_zid(theory, ps, at):
-    return WellFormed(Id(at), 0)
+@_rule("id", _CORE, "=> WF(id[T], 2)", 0, dict(at="type"), level=2)
+@_rule("0-id", _CORE, "=> WF(id[T], 0)", 0, dict(at="type"), level=0)
+def _r_id(rid, theory, ps, at, *, level):
+    return WellFormed(Id(at), level)
 
 
 @_rule("assoc", _CORE, "=> h.(g.f) == (h.g).f  (normal forms coincide)", 0,
        dict(f="term", g="term", h="term"))
-def _r_assoc(theory, ps, f, g, h):
+def _r_assoc(rid, theory, ps, f, g, h):
     lhs = normalize_assoc(Comp(h, Comp(g, f)))
     rhs = normalize_assoc(Comp(Comp(h, g), f))
     typecheck(theory, lhs)
@@ -277,24 +288,35 @@ def _r_id_src(side, rid, theory, ps, f):
     return Holds(Equation(side.then(f, Id(side.src(f))), f, STRONG))
 
 
-@_rule("eq-refl", _CORE, "=> f == f", 0, dict(f="term"))
-def _r_eq_refl(theory, ps, f):
-    return Holds(Equation(f, f, STRONG))
+# strong and weak equality: each rule read at one strength ---------------
+
+def _strength(theory: Theory, weak: bool) -> str:
+    return _wkind(theory) if weak else STRONG
 
 
-@_rule("eq-sym", _CORE, "a == b => b == a", 1)
-def _r_eq_sym(theory, ps):
-    eq = _kind(_as_holds(ps[0], "eq-sym"), STRONG, "eq-sym")
-    return Holds(Equation(eq.rhs, eq.lhs, STRONG))
+@_rule("eq-refl", _CORE, "=> f == f", 0, dict(f="term"), weak=False)
+@_rule("w-refl", _CORE, "=> f ~~ f", 0, dict(f="term"), weak=True)
+def _r_refl(rid, theory, ps, f, *, weak):
+    return Holds(Equation(f, f, _strength(theory, weak)))
 
 
-@_rule("eq-trans", _CORE, "a == b, b == c => a == c", 2)
-def _r_eq_trans(theory, ps):
-    e1 = _kind(_as_holds(ps[0], "eq-trans"), STRONG, "eq-trans")
-    e2 = _kind(_as_holds(ps[1], "eq-trans"), STRONG, "eq-trans")
+@_rule("eq-sym", _CORE, "a == b => b == a", 1, weak=False)
+@_rule("w-sym", _CORE, "a ~~ b => b ~~ a", 1, weak=True)
+def _r_sym(rid, theory, ps, *, weak):
+    kind = _strength(theory, weak)
+    eq = _kind(_as_holds(ps[0], rid), kind, rid)
+    return Holds(Equation(eq.rhs, eq.lhs, kind))
+
+
+@_rule("eq-trans", _CORE, "a == b, b == c => a == c", 2, weak=False)
+@_rule("w-trans", _CORE, "a ~~ b, b ~~ c => a ~~ c", 2, weak=True)
+def _r_trans(rid, theory, ps, *, weak):
+    kind = _strength(theory, weak)
+    e1 = _kind(_as_holds(ps[0], rid), kind, rid)
+    e2 = _kind(_as_holds(ps[1], rid), kind, rid)
     if e1.rhs != e2.lhs:
-        raise E.BadPremises("eq-trans: middle terms differ")
-    return Holds(Equation(e1.lhs, e2.rhs, STRONG))
+        raise E.BadPremises(f"{rid}: middle terms differ")
+    return Holds(Equation(e1.lhs, e2.rhs, kind))
 
 
 @_rule_pair("eq-subs", "g1 == g2 => g1.f == g2.f",
@@ -309,9 +331,9 @@ def _r_eq_trans(theory, ps):
 def _r_congruence(side, rid, theory, ps, by, *, weak, after, pure):
     """Compose the context `by` with both sides of the premise: first
     (substitution) or, with `after`, last (replacement)."""
-    eq = _kind(_as_holds(ps[0], rid), _wkind(theory) if weak else STRONG, rid)
+    eq = _kind(_as_holds(ps[0], rid), _strength(theory, weak), rid)
     if pure:
-        _require_pure(theory, by, rid, "the context")
+        _require_level(theory, by, 0, rid, "the context")
 
     def around(t: Term) -> tuple[Term, Term]:
         return (by, t) if after else (t, by)
@@ -323,71 +345,21 @@ def _r_congruence(side, rid, theory, ps, by, *, weak, after, pure):
                           side.then(*around(eq.rhs)), eq.kind))
 
 
+@_rule("s-to-w", _CORE, "a == b => a ~~ b", 1)
+def _r_s_to_w(rid, theory, ps):
+    eq = _kind(_as_holds(ps[0], rid), STRONG, rid)
+    return Holds(Equation(eq.lhs, eq.rhs, _wkind(theory)))
+
+
 # decoration bookkeeping ------------------------------------------------
 
-@_rule("0-to-1", _CORE, "WF(t,0) => WF(t,1)", 1)
-def _r_0_to_1(theory, ps):
-    wf = _as_wf(ps[0], "0-to-1")
-    if wf.level != 0:
-        raise E.BadPremises("0-to-1 lifts level 0")
-    return WellFormed(wf.term, 1)
-
-
-@_rule("1-to-2", _CORE, "WF(t,1) => WF(t,2)", 1)
-def _r_1_to_2(theory, ps):
-    wf = _as_wf(ps[0], "1-to-2")
-    if wf.level != 1:
-        raise E.BadPremises("1-to-2 lifts level 1")
-    return WellFormed(wf.term, 2)
-
-
-@_rule("0-comp", _CORE, "WF(f,0), WF(g,0) => WF(g.f, 0)", 2)
-def _r_0_comp(theory, ps):
-    wf_f, wf_g = _as_wf(ps[0], "0-comp"), _as_wf(ps[1], "0-comp")
-    if wf_f.level != 0 or wf_g.level != 0:
-        raise E.BadPremises("0-comp composes two level-0 terms")
-    if wf_f.term.cod != wf_g.term.dom:
-        raise E.BadPremises("0-comp: premises do not compose")
-    return WellFormed(normalize_assoc(Comp(wf_g.term, wf_f.term)), 0)
-
-
-@_rule("1-comp", _CORE, "WF(f,1), WF(g,1) => WF(g.f, 1)", 2)
-def _r_1_comp(theory, ps):
-    wf_f, wf_g = _as_wf(ps[0], "1-comp"), _as_wf(ps[1], "1-comp")
-    if wf_f.level > 1 or wf_g.level > 1:
-        raise E.BadPremises("1-comp composes two level-<=1 terms")
-    if wf_f.term.cod != wf_g.term.dom:
-        raise E.BadPremises("1-comp: premises do not compose")
-    return WellFormed(normalize_assoc(Comp(wf_g.term, wf_f.term)), 1)
-
-
-# weak-equation core ----------------------------------------------------
-
-@_rule("w-refl", _CORE, "=> f ~~ f", 0, dict(f="term"))
-def _r_w_refl(theory, ps, f):
-    return Holds(Equation(f, f, _wkind(theory)))
-
-
-@_rule("w-sym", _CORE, "a ~~ b => b ~~ a", 1)
-def _r_w_sym(theory, ps):
-    eq = _kind(_as_holds(ps[0], "w-sym"), _wkind(theory), "w-sym")
-    return Holds(Equation(eq.rhs, eq.lhs, eq.kind))
-
-
-@_rule("w-trans", _CORE, "a ~~ b, b ~~ c => a ~~ c", 2)
-def _r_w_trans(theory, ps):
-    wk = _wkind(theory)
-    e1 = _kind(_as_holds(ps[0], "w-trans"), wk, "w-trans")
-    e2 = _kind(_as_holds(ps[1], "w-trans"), wk, "w-trans")
-    if e1.rhs != e2.lhs:
-        raise E.BadPremises("w-trans: middle terms differ")
-    return Holds(Equation(e1.lhs, e2.rhs, wk))
-
-
-@_rule("s-to-w", _CORE, "a == b => a ~~ b", 1)
-def _r_s_to_w(theory, ps):
-    eq = _kind(_as_holds(ps[0], "s-to-w"), STRONG, "s-to-w")
-    return Holds(Equation(eq.lhs, eq.rhs, _wkind(theory)))
+@_rule("0-to-1", _CORE, "WF(t,0) => WF(t,1)", 1, level=0)
+@_rule("1-to-2", _CORE, "WF(t,1) => WF(t,2)", 1, level=1)
+def _r_lift(rid, theory, ps, *, level):
+    wf = _as_wf(ps[0], rid)
+    if wf.level != level:
+        raise E.BadPremises(f"{rid} lifts level {level}")
+    return WellFormed(wf.term, level + 1)
 
 
 # rule pairs: each states-side rule, read on the exceptions side ---------
@@ -478,7 +450,7 @@ def _r_semi_projection(side, rid, theory, ps, term, *, pure):
     lhs = side.then(proj(side.tgt(first), side.tgt(second)), term)
     rhs = side.then(term.pure if pure else term.eff,
                     proj(side.src(first), side.src(second)))
-    return Holds(Equation(lhs, rhs, _wkind(theory) if pure else STRONG))
+    return Holds(Equation(lhs, rhs, _strength(theory, pure)))
 
 
 @_rule_pair("binprod-proj", "=> WF(p1/p2, 0)", "bincoprod-inj",
@@ -493,73 +465,73 @@ def _r_binprod_proj(side, rid, theory, ps, which, left, right):
 
 @_rule("sum-case-exists", _EX, "=> WF(case(g,k), level)", 0,
        dict(term=CaseSum))
-def _r_sum_case_exists(theory, ps, term):
+def _r_sum_case_exists(rid, theory, ps, term):
     return WellFormed(term, term.level)
 
 
 @_rule("sum-case-weak", _EX, "=> case(g,k) ~~ g", 0, dict(term=CaseSum))
-def _r_sum_case_weak(theory, ps, term):
+def _r_sum_case_weak(rid, theory, ps, term):
     return Holds(Equation(term, term.on_value, _wkind(theory)))
 
 
 @_rule("sum-case-empty", _EX, "=> case(g,k).empty[X] == k", 0,
        dict(term=CaseSum))
-def _r_sum_case_empty(theory, ps, term):
+def _r_sum_case_empty(rid, theory, ps, term):
     return Holds(Equation(normalize_assoc(Comp(term, FromEmpty(term.dom))),
                           term.on_empty, STRONG))
 
 
 @_rule("sum-case-prop", _EX, "=> case(g,k) == g when k cannot catch", 0,
        dict(term=CaseSum))
-def _r_sum_case_prop(theory, ps, term):
-    _require_level(theory, term.on_empty, 1, "sum-case-prop", "the exception branch")
+def _r_sum_case_prop(rid, theory, ps, term):
+    _require_level(theory, term.on_empty, 1, rid, "the exception branch")
     return Holds(Equation(term, term.on_value, STRONG))
 
 
 @_rule("sum-case-unique", _EX,
        "h ~~ g and h.empty[X] == k => h == case(g, k)", 2,
        dict(term=CaseSum, h="term"))
-def _r_sum_case_unique(theory, ps, term, h):
+def _r_sum_case_unique(rid, theory, ps, term, h):
     want1 = Equation(h, term.on_value, _wkind(theory))
     want2 = Equation(normalize_assoc(Comp(h, FromEmpty(h.dom))), term.on_empty,
                      STRONG)
-    if _as_holds(ps[0], "sum-case-unique") != want1:
-        raise E.BadPremises(f"sum-case-unique: first premise should be {want1}")
-    if _as_holds(ps[1], "sum-case-unique") != want2:
-        raise E.BadPremises(f"sum-case-unique: second premise should be {want2}")
+    if _as_holds(ps[0], rid) != want1:
+        raise E.BadPremises(f"{rid}: first premise should be {want1}")
+    if _as_holds(ps[1], rid) != want2:
+        raise E.BadPremises(f"{rid}: second premise should be {want2}")
     return Holds(Equation(h, term, STRONG))
 
 
 @_rule("coerce-exists", _EX, "=> WF(coerce(k), 1)", 0, dict(term=Coerce))
-def _r_coerce_exists(theory, ps, term):
+def _r_coerce_exists(rid, theory, ps, term):
     return WellFormed(term, min(term.level, 1))
 
 
 @_rule("coerce-weak", _EX, "=> coerce(k) ~~ k", 0, dict(term=Coerce))
-def _r_coerce_weak(theory, ps, term):
+def _r_coerce_weak(rid, theory, ps, term):
     return Holds(Equation(term, term.inner, _wkind(theory)))
 
 
 @_rule("coerce-unique", _EX, "p ~~ k => p == coerce(k) (p level <= 1)", 1,
        dict(term=Coerce, p="term"))
-def _r_coerce_unique(theory, ps, term, p):
-    _require_level(theory, p, 1, "coerce-unique", "the compared propagator")
+def _r_coerce_unique(rid, theory, ps, term, p):
+    _require_level(theory, p, 1, rid, "the compared propagator")
     want = Equation(p, term.inner, _wkind(theory))
-    if _as_holds(ps[0], "coerce-unique") != want:
-        raise E.BadPremises(f"coerce-unique: premise should be {want}")
+    if _as_holds(ps[0], rid) != want:
+        raise E.BadPremises(f"{rid}: premise should be {want}")
     return Holds(Equation(p, term, STRONG))
 
 
-@_rule("propcase-inl", _EX, "=> cases(g,h).in1 == g", 0, dict(term=PropCase))
-def _r_propcase_inl(theory, ps, term):
-    inj = Inj1(term.on_left.dom, term.on_right.dom)
-    return Holds(Equation(normalize_assoc(Comp(term, inj)), term.on_left, STRONG))
-
-
-@_rule("propcase-inr", _EX, "=> cases(g,h).in2 == h", 0, dict(term=PropCase))
-def _r_propcase_inr(theory, ps, term):
-    inj = Inj2(term.on_left.dom, term.on_right.dom)
-    return Holds(Equation(normalize_assoc(Comp(term, inj)), term.on_right, STRONG))
+@_rule("propcase-inl", _EX, "=> cases(g,h).in1 == g", 0, dict(term=PropCase),
+       inj=Inj1)
+@_rule("propcase-inr", _EX, "=> cases(g,h).in2 == h", 0, dict(term=PropCase),
+       inj=Inj2)
+def _r_propcase(rid, theory, ps, term, *, inj):
+    """The copairing of two propagators, after the injection `inj`, is the
+    branch on that side."""
+    g, h = term.on_left, term.on_right
+    return Holds(Equation(normalize_assoc(Comp(term, inj(g.dom, h.dom))),
+                          g if inj is Inj1 else h, STRONG))
 
 
 # -------------------------------------------------------- rule dispatch
@@ -661,10 +633,9 @@ def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
                 if n.premises:
                     return path, f"citation {tag}({name}) cannot have premises"
                 if tag == "axiom":
-                    want: Judgment = Holds(norm_eq(theory.axiom(name).eq))
+                    want: Judgment = axiom_node(theory, name).conclusion
                 elif tag == "gen":
-                    g = theory.gen(name)
-                    want = WellFormed(g, g.dec)
+                    want = gen_node(theory, name).conclusion
                 elif tag == "hyp":
                     if isinstance(n.conclusion, Holds):
                         typecheck_equation(theory, n.conclusion.eq)
@@ -696,16 +667,13 @@ def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
 def _unit_uniqueness(theory: Theory, side: Side, f: Term,
                      level_error: type) -> Derivation:
     """f == unit[X] for any f: X -> 1 of level <= 1, read on `side`."""
-    def rule(rid: str) -> str:
-        return RULES[rid].dual if side.op else rid
-
     f = normalize_assoc(f)
     typecheck(theory, f)
     if _decorated(theory) and f.level > 1:
         raise level_error(f"{f} is level {f.level}")
-    n1 = node(theory, rule("w-final"), f=f)
-    n2 = node(theory, rule("unit-arrow"), at=side.src(f))
-    return node(theory, rule("w-to-s"), [n1, n2])
+    n1 = node(theory, _read_on(side, "w-final"), f=f)
+    n2 = node(theory, _read_on(side, "unit-arrow"), at=side.src(f))
+    return node(theory, _read_on(side, "w-to-s"), [n1, n2])
 
 
 def derive_final_uniqueness(theory: Theory, f: Term) -> Derivation:
@@ -907,7 +875,7 @@ class _Search:
 
     def rule(self, rid: str) -> str:
         """The states-side rule rid, read on this search's side."""
-        return RULES[rid].dual if self.side.op else rid
+        return _read_on(self.side, rid)
 
     def node_id(self, t: Term) -> int:
         n = self.ids.get(t)
