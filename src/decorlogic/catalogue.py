@@ -48,18 +48,16 @@ class Catalogue:
     """One side's lemmas and built-in proofs, by name."""
 
     side: Side  # the side whose theories a lemma needs
-    a_theory: str  # "a <flavor> theory", for messages
-    index_word: str  # what an index is called on this side
     lemmas: Mapping[str, Entry]
     builtins: Mapping[str, Entry]
 
     def derive_lemma(self, theory: Theory, lemma_id: str,
                      params=None) -> Derivation:
         """Build a lemma from `params`, key -> value; other keys are ignored."""
-        p = dict(params or {})
-        flavor = self.side.flavor
+        p, side = dict(params or {}), self.side
+        flavor = side.flavor
         if theory.flavor != flavor:
-            raise E.BadParams(f"{flavor} lemmas need {self.a_theory}")
+            raise E.BadParams(f"{flavor} lemmas need {side.a_theory}")
         if lemma_id not in self.lemmas:
             raise E.UnknownLemma(f"no {flavor} lemma {lemma_id!r} "
                                  f"(expected one of {', '.join(self.lemmas)})")
@@ -73,8 +71,8 @@ class Catalogue:
                         f"lemma {lemma_id!r} needs parameter {key!r}")
                 continue
             v = p[key]
-            if kind == "name" and v not in self.side.indices(theory):
-                raise E.UnknownIndex(f"unknown {self.index_word} {v!r}")
+            if kind == "name" and v not in side.indices(theory):
+                raise E.UnknownIndex(f"unknown {side.index_word} {v!r}")
             if kind in _CLASSES and not isinstance(v, _CLASSES[kind]):
                 if v is None and k >= entry.required:
                     continue  # an optional parameter left out

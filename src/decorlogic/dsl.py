@@ -1505,8 +1505,7 @@ def _outcome_text(o: Outcome) -> list[str]:
     return lines
 
 
-def emit_report(report: Report, format: str = "text",
-                trees: bool = True) -> bytes:
+def emit_report(report: Report, format: str = "text") -> bytes:
     """Render a report; JSON output is byte-identical for equal inputs."""
     if format == "json":
         text = json.dumps(report_json(report), indent=2, sort_keys=True)
@@ -1516,7 +1515,7 @@ def emit_report(report: Report, format: str = "text",
     lines: list[str] = []
     for o in report.outcomes:
         lines += _outcome_text(o)
-        if trees and "tree" in o.detail:
+        if "tree" in o.detail:
             lines += _tree_text(o.detail["tree"], 3)
     lines.append("all commands succeeded" if report.ok
                  else "some commands failed")

@@ -113,7 +113,7 @@ def handle_term(theory: Theory, body: Term,
     typecheck(theory, body)
     if body.level > 1:
         raise E.NotAPropagator(f"handler body must be level <= 1: {body}")
-    y = _cod_of(theory, body)
+    y = body.cod
     cl = tuple((i, normalize_assoc(g)) for i, g in clauses)
     if not cl and catch_all is None:
         raise E.EmptyHandler("a handler needs at least one clause")
@@ -123,19 +123,19 @@ def handle_term(theory: Theory, body: Term,
         typecheck(theory, g)
         if g.level > 1:
             raise E.NotAPropagator(f"clause for {i!r} must be level <= 1: {g}")
-        if _dom_of(theory, g) != Param(i):
+        if g.dom != Param(i):
             raise E.TypingError(f"clause for {i!r} must start at P[{i}]")
-        if _cod_of(theory, g) != y:
+        if g.cod != y:
             raise E.CodomainMismatch(
-                f"clause for {i!r} lands in {_cod_of(theory, g)}, body in {y}")
+                f"clause for {i!r} lands in {g.cod}, body in {y}")
     if catch_all is not None:
         catch_all = normalize_assoc(catch_all)
         typecheck(theory, catch_all)
         if catch_all.level > 1:
             raise E.NotAPropagator("the catch-all recovery must be level <= 1")
-        if _dom_of(theory, catch_all) != UNIT:
+        if catch_all.dom != UNIT:
             raise E.TypingError("the catch-all recovery takes no payload (1 -> Y)")
-        if _cod_of(theory, catch_all) != y:
+        if catch_all.cod != y:
             raise E.CodomainMismatch("the catch-all recovery lands off target")
     acc = normalize_assoc(handler_chain(cl, catch_all))
     handle = comp(CaseSum(Id(y), acc), body)
@@ -157,14 +157,6 @@ def handler_chain(clauses: Sequence[tuple[str, Term]],
     for i, g in reversed(rest):
         chain = Comp(CaseSum(g, chain), Catch(i))
     return chain
-
-
-def _dom_of(theory: Theory, t: Term) -> TypeExpr:
-    return typecheck(theory, t)[0]
-
-
-def _cod_of(theory: Theory, t: Term) -> TypeExpr:
-    return typecheck(theory, t)[1]
 
 
 # ----------------------------------------------------------- law goals
@@ -235,7 +227,7 @@ def _check_clause(theory: Theory, g: Term, at: str, y: TypeExpr) -> Term:
     typecheck(theory, g)
     if g.level > 1:
         raise E.NotAPropagator(f"clause must be level <= 1: {g}")
-    if _dom_of(theory, g) != Param(at) or _cod_of(theory, g) != y:
+    if g.dom != Param(at) or g.cod != y:
         raise E.TypingError(f"clause must map P[{at}] to {y}: {g}")
     return g
 
@@ -280,7 +272,7 @@ def _handler_parts(theory: Theory, i: str, j: str, f, g, h):
     typecheck(theory, f)
     if f.level > 1:
         raise E.NotAPropagator("the handled body must be level <= 1")
-    y = _cod_of(theory, f)
+    y = f.cod
     return f, y, _check_clause(theory, g, i, y), _check_clause(theory, h, j, y)
 
 
@@ -376,7 +368,6 @@ BUILTINS = {
     "bridge-l": Entry(_bridge_proof(True), _IJ, too_few=_TWO),
 }
 
-CATALOGUE = Catalogue(EXCEPTIONS, "an exceptions theory",
-                      "exception name", LEMMAS, BUILTINS)
+CATALOGUE = Catalogue(EXCEPTIONS, LEMMAS, BUILTINS)
 derive_lemma = CATALOGUE.derive_lemma
 builtin_proof = CATALOGUE.builtin_proof

@@ -688,6 +688,10 @@ def derive_initial_uniqueness(theory: Theory, f: Term) -> Derivation:
 
 # ------------------------------------------------------------ saturation
 
+# the most nodes a composite that a search round builds may have
+MAX_TERM_SIZE = 7
+
+
 @dataclass(frozen=True)
 class ProveResult:
     status: str  # 'proven' | 'refuted' | 'unknown'
@@ -703,8 +707,7 @@ class ProveResult:
 
 
 def saturate_prove(theory: Theory, goal: Equation, budget: int = 4,
-                   max_term_size: int = 7, fact_cap: int = 20000,
-                   model: Any = None) -> ProveResult:
+                   fact_cap: int = 20000, model: Any = None) -> ProveResult:
     """Decide goal by refutation on a finite model, then by saturation.
 
     With a finite model of the theory (`models.FiniteStateModel` or
@@ -721,7 +724,7 @@ def saturate_prove(theory: Theory, goal: Equation, budget: int = 4,
     composes every class of the round's start with every pool term (the
     terms and subterms seen so far) on both sides, as the flavor's
     substitution and replacement rules allow: when one member's composite
-    has at most `max_term_size` nodes, composing each tree edge of the class
+    has at most `MAX_TERM_SIZE` nodes, composing each tree edge of the class
     relates all the composites. A goal found in a class is explained as a
     chain of the tree edges' justifications, which are built only then.
     Every term the search holds is in normal form, so composites are built
@@ -741,7 +744,7 @@ def saturate_prove(theory: Theory, goal: Equation, budget: int = 4,
             return ProveResult("refuted", None,
                                "the goal fails in a model of the axioms",
                                0, 0, witness)
-    search = _Search(theory, goal, max_term_size, fact_cap)
+    search = _Search(theory, goal, fact_cap)
     try:
         return search.run(budget)
     except _CapReached:
@@ -856,10 +859,8 @@ class _Classes:
 class _Search:
     """The state of one saturation search; see `saturate_prove`."""
 
-    def __init__(self, theory: Theory, goal: Equation, max_term_size: int,
-                 fact_cap: int):
-        self.theory, self.goal = theory, goal
-        self.max_size, self.cap = max_term_size, fact_cap
+    def __init__(self, theory: Theory, goal: Equation, fact_cap: int):
+        self.theory, self.goal, self.cap = theory, goal, fact_cap
         self.side = EXCEPTIONS if theory.flavor == "exceptions" else STATES
         self.terms: list[Term] = []
         self.ids: dict[Term, int] = {}
@@ -1021,7 +1022,7 @@ class _Search:
                 need_pure = pure and kind == WEAK
                 for c in (by_src.get(side.tgt(t0), ()) if last
                           else by_tgt.get(side.src(t0), ())):
-                    if c.size + extra > self.max_size:
+                    if c.size + extra > MAX_TERM_SIZE:
                         break
                     if need_pure and c.level > 0:
                         continue

@@ -48,9 +48,9 @@ from typing import Any, Mapping, Optional, Sequence
 
 from . import errors as E
 from .terms import (
-    CaseSum, Catch, CatchAll, Coerce, Comp, ConstCotuple, FromEmpty, Gen, Id,
-    Inj1, Inj2, LocTuple, Lookup, PropCase, Proj1, Proj2, SemiCoprod, SemiProd,
-    Term, ToUnit, Throw, Update, factors, subterms,
+    EXCEPTIONS, STATES, CaseSum, Catch, CatchAll, Coerce, Comp, ConstCotuple,
+    FromEmpty, Gen, Id, Inj1, Inj2, LocTuple, Lookup, PropCase, Proj1, Proj2,
+    SemiCoprod, SemiProd, Side, Term, ToUnit, Throw, Update, factors, subterms,
 )
 from .theory import Equation, STRONG, Theory, eq_strong, typecheck_equation
 from .types import Coprod, Empty, Named, Param, Prod, TypeExpr, Unit, Value
@@ -71,9 +71,18 @@ class Valuation:
 
 
 class _Model:
+    side: Side  # the side whose theories the model interprets
+
     def __init__(self, theory: Theory, sizes: Mapping[str, int],
                  valuation: Optional[Valuation] = None,
                  bound: int = DEFAULT_BOUND):
+        side = self.side
+        if theory.flavor != side.flavor:
+            raise E.ModelError(f"{type(self).__name__} needs {side.a_theory}")
+        missing = set(side.indices(theory)) - set(sizes)
+        if missing:
+            raise E.CarrierMissing(
+                f"no sizes for {side.index_word}s {sorted(missing)}")
         self.theory = theory
         self.sizes = dict(sizes)
         self.valuation = valuation or Valuation()
@@ -163,15 +172,7 @@ class _Model:
 class FiniteStateModel(_Model):
     """Finite model of a states theory: one size per location."""
 
-    def __init__(self, theory: Theory, sizes: Mapping[str, int],
-                 valuation: Optional[Valuation] = None,
-                 bound: int = DEFAULT_BOUND):
-        if theory.flavor != "states":
-            raise E.ModelError("FiniteStateModel needs a states theory")
-        missing = set(theory.locations) - set(sizes)
-        if missing:
-            raise E.CarrierMissing(f"no sizes for locations {sorted(missing)}")
-        super().__init__(theory, sizes, valuation, bound)
+    side = STATES
 
     def states(self) -> list[tuple]:
         """All states, lexicographic in location order."""
@@ -185,15 +186,7 @@ class FiniteStateModel(_Model):
 class FiniteExceptionModel(_Model):
     """Finite model of an exceptions theory: one size per exception name."""
 
-    def __init__(self, theory: Theory, sizes: Mapping[str, int],
-                 valuation: Optional[Valuation] = None,
-                 bound: int = DEFAULT_BOUND):
-        if theory.flavor != "exceptions":
-            raise E.ModelError("FiniteExceptionModel needs an exceptions theory")
-        missing = set(theory.constructors) - set(sizes)
-        if missing:
-            raise E.CarrierMissing(f"no sizes for exception names {sorted(missing)}")
-        super().__init__(theory, sizes, valuation, bound)
+    side = EXCEPTIONS
 
     def exceptions(self) -> list[tuple]:
         """All exceptional outcomes (name, arg), names in theory order."""

@@ -407,7 +407,6 @@ BUILTINS = {
     "pr8": Entry(pr8, _IJ, too_few=_TWO),
 }
 
-CATALOGUE = Catalogue(STATES, "a states theory", "location",
-                      LEMMAS, BUILTINS)
+CATALOGUE = Catalogue(STATES, LEMMAS, BUILTINS)
 derive_lemma = CATALOGUE.derive_lemma
 builtin_proof = CATALOGUE.builtin_proof

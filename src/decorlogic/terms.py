@@ -486,6 +486,8 @@ class Side:
     update: type             # Update / Catch
     loc_tuple: type          # LocTuple / ConstCotuple
     semi: type               # SemiProd / SemiCoprod
+    a_theory: str            # "a <flavor> theory", for messages
+    index_word: str          # what an index is called on this side
 
     def indices(self, theory) -> tuple[str, ...]:
         """The theory's locations, or its exception names."""
@@ -513,9 +515,11 @@ class Side:
 
 
 STATES = Side("states", False, Unit, Value, Prod, ToUnit, (Proj1, Proj2),
-              Lookup, Update, LocTuple, SemiProd)
+              Lookup, Update, LocTuple, SemiProd, "a states theory",
+              "location")
 EXCEPTIONS = Side("exceptions", True, Empty, Param, Coprod, FromEmpty,
-                  (Inj1, Inj2), Throw, Catch, ConstCotuple, SemiCoprod)
+                  (Inj1, Inj2), Throw, Catch, ConstCotuple, SemiCoprod,
+                  "an exceptions theory", "exception name")
 
 
 # ---------------------------------------------------------------- syntax

@@ -7,10 +7,11 @@ import pytest
 from decorlogic import errors as E
 from decorlogic.exceptions import (LEMMAS, build_exceptions_theory,
                                    builtin_proof, derive_lemma, handle_term,
-                                   raise_term, with_catch_all)
+                                   raise_term, semi_pure_coproduct,
+                                   with_catch_all)
 from decorlogic.kernel import check_derivation
-from decorlogic.terms import (Catch, CatchAll, Comp, FromEmpty,
-                              Gen, Id, Throw, comp)
+from decorlogic.terms import (Catch, CatchAll, Comp, FromEmpty, Gen, Id,
+                              Lookup, SemiCoprod, Throw, comp)
 from decorlogic.theory import (STRONG, WEAK, infer_decoration, typecheck)
 from decorlogic.types import EMPTY, Param, UNIT
 
@@ -137,3 +138,13 @@ def test_single_constructor_theory():
     assert [a.name for a in th.axioms] == ["B1_e"]
     d = derive_lemma(th, "key-annihilation", {"i": "e"})
     assert check_derivation(th, d).valid
+
+
+def test_semi_pure_coproduct_normalizes_and_typechecks(exc2):
+    pi = Param("i")
+    for left in (True, False):
+        t = semi_pure_coproduct(exc2, Comp(Id(pi), Id(pi)),
+                                Comp(Id(pi), Catch("i")), left)
+        assert t == SemiCoprod(Id(pi), Catch("i"), left)
+    with pytest.raises(E.FlavorViolation):
+        semi_pure_coproduct(exc2, Id(pi), Lookup("i"))

@@ -805,7 +805,7 @@ def test_the_bank_and_capped_searches_are_pinned(states2):
 
 def test_the_pool_walk_stops_at_pooled_terms_but_meets_new_ones_in_order(
         states2):
-    search = _Search(states2, eq_weak(Lookup("x"), Lookup("x")), 7, 100)
+    search = _Search(states2, eq_weak(Lookup("x"), Lookup("x")), 100)
     read_back = comp(Lookup("y"), Update("x"), Lookup("x"))
     batches = [[comp(Update("x"), Lookup("x"))],
                [read_back, SemiProd(Lookup("y"), read_back, True),

@@ -8,9 +8,9 @@ from decorlogic import errors as E
 from decorlogic.kernel import check_derivation
 from decorlogic.states import (LEMMAS, build_states_theory, builtin_proof,
                                derive_lemma, mirror_interaction3,
-                               seven_equation_goals)
-from decorlogic.terms import (Comp, Id, Lookup, ToUnit, Update, comp,
-                              term_to_text)
+                               semi_pure_product, seven_equation_goals)
+from decorlogic.terms import (Comp, Id, Lookup, SemiProd, Throw, ToUnit,
+                              Update, comp, term_to_text)
 from decorlogic.theory import STRONG, WEAK, typecheck_equation
 from decorlogic.types import UNIT, Value
 
@@ -123,3 +123,13 @@ def test_single_location_theory_builds():
     assert [a.name for a in th.axioms] == ["A1_a"]
     d = derive_lemma(th, "annihilation", {"i": "a"})
     assert check_derivation(th, d).valid
+
+
+def test_semi_pure_product_normalizes_and_typechecks(states2):
+    vx = Value("x")
+    for left in (True, False):
+        t = semi_pure_product(states2, Comp(Id(vx), Id(vx)),
+                              Comp(Update("x"), Id(vx)), left)
+        assert t == SemiProd(Id(vx), Update("x"), left)
+    with pytest.raises(E.FlavorViolation):
+        semi_pure_product(states2, Id(vx), Throw("x"))

@@ -13,7 +13,8 @@ from decorlogic import errors as E
 from decorlogic.exceptions import (build_exceptions_theory, with_catch_all,
                                    builtin_proof as exc_proof,
                                    derive_lemma as exc_lemma)
-from decorlogic.kernel import RULES, check_derivation, hyp_node, node
+from decorlogic.kernel import (RULES, WellFormed, check_derivation,
+                               hyp_node, node)
 from decorlogic.models import (FiniteExceptionModel, FiniteStateModel,
                                eval_exceptions, eval_states)
 from decorlogic.states import (build_states_theory, builtin_proof as st_proof,
@@ -175,6 +176,36 @@ def test_builtin_proofs_cross_the_duality(states3):
         assert res.valid, f"{name}: {res.error}"
         # and back again, to the node
         assert dualize_derivation(dual, dd) == d
+
+
+def test_composing_rules_cross_the_duality_reversed(states2):
+    """The dual of a node that composes its premises takes them swapped,
+    and the dual of assoc swaps its outer terms f and h."""
+    vx, vy = Value("x"), Value("y")
+    p1 = node(states2, "binprod-proj", which=1, left=vx, right=vy)
+    bang = node(states2, "unit-arrow", at=vx)
+    pure = node(states2, "0-comp", [p1, bang])
+    read = node(states2, "1-comp",
+                [pure, hyp_node(states2, "l", WellFormed(Lookup("x"), 1))])
+    write = node(states2, "comp",
+                 [read, hyp_node(states2, "u", WellFormed(Update("x"), 2))])
+    assoc = node(states2, "assoc", f=Proj1(vx, vy), g=ToUnit(vx),
+                 h=Lookup("x"))
+    dual = dualize_theory(states2)
+    for d in (write, assoc):
+        dd = dualize_derivation(states2, d)
+        res = check_derivation(dual, dd)
+        assert res.valid, res.error
+        assert dd.conclusion == dualize_judgment(d.conclusion)
+        assert dualize_derivation(dual, dd) == d
+    n, dn = write, dualize_derivation(states2, write)
+    while n.premises:  # comp, 1-comp, 0-comp
+        assert [p.conclusion for p in dn.premises[::-1]] == [
+            dualize_judgment(p.conclusion) for p in n.premises]
+        n, dn = n.premises[0], dn.premises[-1]
+    assert dict(dualize_derivation(states2, assoc).inst) == {
+        "f": Throw("x"), "g": FromEmpty(Param("x")),
+        "h": Inj1(Param("x"), Param("y"))}
 
 
 def test_states_lemmas_land_on_an_independent_target(states2):
