@@ -127,6 +127,10 @@ def _wkind(theory: Theory) -> str:
     return WEAK if theory.flavor != "plain" else STRONG
 
 
+def _strength(theory: Theory, weak: bool) -> str:
+    return _wkind(theory) if weak else STRONG
+
+
 def _decorated(theory: Theory) -> bool:
     return theory.flavor != "plain"
 
@@ -289,10 +293,6 @@ def _r_id_src(side, rid, theory, ps, f):
 
 
 # strong and weak equality: each rule read at one strength ---------------
-
-def _strength(theory: Theory, weak: bool) -> str:
-    return _wkind(theory) if weak else STRONG
-
 
 @_rule("eq-refl", _CORE, "=> f == f", 0, dict(f="term"), weak=False)
 @_rule("w-refl", _CORE, "=> f ~~ f", 0, dict(f="term"), weak=True)
