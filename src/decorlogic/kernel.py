@@ -593,6 +593,9 @@ def hyp_node(theory: Theory, label: str, judgment: Judgment) -> Derivation:
         typecheck_equation(theory, eq)
         judgment = Holds(eq)
     else:
+        if judgment.level not in (0, 1, 2):
+            raise E.KernelError(f"hypothesis {label!r} has level "
+                                f"{judgment.level}; levels are 0, 1 and 2")
         typecheck(theory, judgment.term)
         judgment = WellFormed(normalize_assoc(judgment.term), judgment.level)
     return Derivation(("hyp", label), (), (), judgment)

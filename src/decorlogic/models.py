@@ -11,16 +11,19 @@ actual functions, by exhaustive enumeration:
 
 `check_equation` decides strong equations by comparing full outcomes on every
 input, weak ones by comparing result values only (states) or ordinary inputs
-only (exceptions). Everything is deterministic; enumeration order is
-documented by the carrier builders below, so counterexample witnesses are
-stable and can be frozen into tests.
+only (exceptions). Enumeration order is documented by the carrier builders
+below, so counterexample witnesses are stable and can be frozen into tests.
 
 `eval_states` and `eval_exceptions` walk the term tree for one input; they
 serve single evaluations and are the reference semantics. `check_equation`
 instead compiles each side once into an integer transition table (see
 `_StateTables` and `_ExceptionTables`): a term X -> Y becomes a list that
 maps the number of every input to the number of its outcome, so composition
-g . f is `g[f[p]]` and an equation is decided by comparing two lists.
+g . f is `g[f[p]]`. Equal tables decide a law at once; a weak states law
+reads its values through each side's last factor, without the side's own
+table; an exceptions term that passes exceptional inputs through keeps
+only its ordinary entries. Laws of one states-seven goal, or of one
+exception name in exceptions-laws, share their tables.
 
 Only the locations or exception names an equation mentions are enumerated
 (its footprint); the others pass through both sides unchanged, so no point
@@ -31,11 +34,12 @@ that differs from a checked one only outside the footprint can fail:
 * exceptions side: without a `cotuple(...)` or `catchall`, the exceptional
   inputs of the names its t[i]/c[i] name.
 
-The first failing point in enumeration order, and so the witness, is the
-same as in the full enumeration. `LawResult.points` and the search-space
-bound still count the full enumeration. Terms the tables do not cover
-(a theory's typecheck refuses them, or a generator has no usable table) are
-decided by `sweep_equation`, the interpreter point by point.
+The first failing point, and so the witness, is the full enumeration's;
+`LawResult.points` and the point bound count the full enumeration, and a
+suite checks every law's points before it builds a table. Terms the
+tables do not cover (refused by the theory's typecheck, a generator with
+no usable table, a table over the bound) go to `sweep_equation`, the
+interpreter point by point.
 """
 
 from __future__ import annotations
@@ -126,14 +130,14 @@ class _Model:
     def carrier_size(self, ty: TypeExpr) -> int:
         """len(self.carrier(ty)), worked out from ty's shape and the sizes
         without building the carrier; raises where `carrier` raises."""
+        if isinstance(ty, (Value, Param)) and ty.index in self.sizes:
+            return self.sizes[ty.index]
         if isinstance(ty, Prod):
             # carrier never reaches the right factor of an empty left one
             n = self.carrier_size(ty.left)
             return n * self.carrier_size(ty.right) if n else 0
         if isinstance(ty, Coprod):
             return self.carrier_size(ty.left) + self.carrier_size(ty.right)
-        if isinstance(ty, (Value, Param)) and ty.index in self.sizes:
-            return self.sizes[ty.index]
         if isinstance(ty, Named) and ty.name in self.valuation.base:
             return self.valuation.base[ty.name]
         return len(self.carrier(ty))  # 1 or 0, or CarrierMissing
@@ -278,15 +282,13 @@ def _step_exceptions(model: FiniteExceptionModel, t: Term, inp: ExcVal
         return inp
     if isinstance(t, ToUnit):
         return ("val", ())
-    if isinstance(t, FromEmpty):
-        raise E.ModelError("ordinary input of empty type cannot exist")
     if isinstance(t, Inj1):
         return ("val", ("l", x))
     if isinstance(t, Inj2):
         return ("val", ("r", x))
     if isinstance(t, Throw):
         return ("exc", (t.index, x))
-    if isinstance(t, (Catch, CatchAll, ConstCotuple)):
+    if isinstance(t, (FromEmpty, Catch, CatchAll, ConstCotuple)):
         raise E.ModelError("ordinary input of empty type cannot exist")
     if isinstance(t, Gen):
         return ("val", model._gen_apply(t, x))
@@ -327,30 +329,37 @@ class _Tables:
     """Compiles terms of one model into integer transition tables.
 
     A table is a list with one entry per input of the term's domain,
-    holding the number of the outcome; subclasses fix the numbering.
+    holding the number of the outcome; subclasses fix the numbering. One
+    has at most |domain| * n + k entries, and none over the bound is built.
     """
+
+    n, k = 1, 0
 
     def __init__(self, model: _Model):
         self.model = model
+        self.size = model.carrier_size
         self._built: dict[Term, list[int]] = {}
-
-    def size(self, ty: TypeExpr) -> int:
-        return len(self.model.carrier(ty))
 
     def table(self, t: Term) -> list[int]:
         """t's table; built once, since both sides share subterms."""
-        if t not in self._built:
-            if isinstance(t, Comp):
-                after = self.table(t.after)
-                self._built[t] = [after[p] for p in self.table(t.before)]
-            else:
-                self._built[t] = self._atom(t)
-        return self._built[t]
+        out = self._built.get(t)
+        if out is None:
+            entries = self.size(t.dom) * self.n + self.k
+            if entries > self.model.bound:
+                raise E.SearchSpaceTooLarge(f"a table of {entries} entries "
+                                            f"exceeds bound {self.model.bound}")
+            out = self._built[t] = (self._comp(t) if isinstance(t, Comp)
+                                    else self._atom(t))
+        return out
+
+    def _comp(self, t: Comp) -> list[int]:
+        after = self.table(t.after)
+        return [after[p] for p in self.table(t.before)]
 
     def _gen(self, g: Gen) -> list[int]:
         """g's table as positions in its codomain's carrier; a codomain
         over the model's bound is refused before its carrier is built."""
-        if self.model.carrier_size(g.cod) > self.model.bound:
+        if self.size(g.cod) > self.model.bound:
             raise E.SearchSpaceTooLarge(
                 f"codomain of {g.name!r} exceeds bound {self.model.bound}")
         at = self.model.positions(g.cod)
@@ -359,9 +368,6 @@ class _Tables:
         except (KeyError, TypeError):
             raise E.ModelError(
                 f"table for {g.name!r} has outputs outside {g.cod}") from None
-
-    def _atom(self, t: Term) -> list[int]:
-        raise NotImplementedError
 
 
 class _StateTables(_Tables):
@@ -372,14 +378,13 @@ class _StateTables(_Tables):
     table maps it to the point y*n + s' of the outcome.
     """
 
+    keyed, whole = (Lookup, Update), (LocTuple,)  # see _footprint
+
     def __init__(self, model: FiniteStateModel, locs: Sequence[str]):
         super().__init__(model)
         self.n = math.prod(model.sizes[i] for i in locs)
-        self.stride: dict[str, int] = {}
-        step = self.n
-        for i in locs:
-            step //= model.sizes[i]
-            self.stride[i] = step
+        self.stride = {i: math.prod(model.sizes[j] for j in locs[at + 1:])
+                       for at, i in enumerate(locs)}
 
     def state(self, s: int) -> tuple:
         """State number s, with every location outside `locs` at 0."""
@@ -390,13 +395,23 @@ class _StateTables(_Tables):
     def outcome(self, p: int, car: list) -> tuple:
         return car[p // self.n], self.state(p % self.n)
 
-    def observed(self, t: list[int], strong: bool, nx: int) -> list[int]:
-        return t if strong else [p // self.n for p in t]
+    def values(self, t: Term) -> list[int]:
+        """Each point's value; a composite's own table is not built."""
+        if isinstance(t, Comp):
+            vals = self.values(t.after)
+            return [vals[p] for p in self.table(t.before)]
+        return [p // self.n for p in self.table(t)]
 
-    def witness(self, p: int, o1: int, o2: int, dcar: list, ycar: list) -> dict:
+    def compared(self, eq: Equation, nx: int) -> tuple[list, list]:
+        side = self.table if eq.kind == STRONG else self.values
+        return side(eq.lhs), side(eq.rhs)
+
+    def witness(self, eq: Equation, p: int, vs: tuple, dcar: list) -> dict:
+        ycar = self.model.carrier(eq.lhs.cod)
         x, s = self.outcome(p, dcar)
-        return {"input": x, "state": s, "lhs": self.outcome(o1, ycar),
-                "rhs": self.outcome(o2, ycar)}
+        return {"input": x, "state": s,
+                "lhs": self.outcome(self.table(eq.lhs)[p], ycar),
+                "rhs": self.outcome(self.table(eq.rhs)[p], ycar)}
 
     def _atom(self, t: Term) -> list[int]:
         n, size = self.n, self.size
@@ -458,15 +473,29 @@ class _ExceptionTables(_Tables):
     ordinary value, while k < |X|, and the (k - |X|)-th exceptional input
     after that (names in theory order, `names` only, payloads counting
     up); outcomes in Y are numbered alike.
+
+    A term that passes every exceptional input through keeps a short table
+    of its |X| ordinary entries (input |X| + e goes to |Y| + e); catchers
+    keep full ones. That `run` is written out only behind a short `after`
+    whose `before` can raise, and on a short side of a strong law whose
+    other side is full.
     """
+
+    keyed, whole = (Throw, Catch), (ConstCotuple, CatchAll)  # see _footprint
 
     def __init__(self, model: FiniteExceptionModel, names: Sequence[str]):
         super().__init__(model)
-        self.offset: dict[str, int] = {}
-        self.k = 0
-        for i in names:
-            self.offset[i] = self.k
-            self.k += model.sizes[i]
+        sizes = [model.sizes[i] for i in names]
+        self.offset = dict(zip(names, itertools.accumulate(sizes, initial=0)))
+        self.k = sum(sizes)
+        self._runs: dict[int, list[int]] = {}
+
+    def run(self, ny: int) -> list[int]:
+        """Every exceptional input, passed through into ny values."""
+        out = self._runs.get(ny)
+        if out is None:
+            out = self._runs[ny] = list(range(ny, ny + self.k))
+        return out
 
     def outcome(self, p: int, car: list) -> tuple:
         if p < len(car):
@@ -476,32 +505,50 @@ class _ExceptionTables(_Tables):
                      if e >= at)
         return ("exc", (i, e - at))
 
-    def observed(self, t: list[int], strong: bool, nx: int) -> list[int]:
-        return t if strong else t[:nx]
+    def number(self, o: tuple, at: dict) -> int:
+        """The inverse of `outcome`, `at` giving the carrier's positions."""
+        tag, v = o
+        return at[v] if tag == "val" else len(at) + self.offset[v[0]] + v[1]
 
-    def witness(self, p: int, o1: int, o2: int, dcar: list, ycar: list) -> dict:
-        return {"input": self.outcome(p, dcar), "lhs": self.outcome(o1, ycar),
-                "rhs": self.outcome(o2, ycar)}
+    def _comp(self, t: Comp) -> list[int]:
+        after, before = self.table(t.after), self.table(t.before)
+        ny = self.size(t.after.dom)
+        full = len(after) > ny  # then a short before's inputs land in it
+        if not full and before and max(before) >= ny:
+            after = after + self.run(self.size(t.cod))
+        out = [after[p] for p in before]
+        return out + after[ny:] if full and len(before) == self.size(t.dom) else out
 
-    def passed(self, ny: int) -> list[int]:
-        """Every exceptional input, propagated into a codomain of ny values."""
-        return list(range(ny, ny + self.k))
+    def compared(self, eq: Equation, nx: int) -> tuple[list, list]:
+        t1, t2 = self.table(eq.lhs), self.table(eq.rhs)
+        if t1 == t2 or eq.kind == STRONG and len(t1) == len(t2):
+            return t1, t2
+        if eq.kind != STRONG:
+            return t1[:nx], t2[:nx]
+        run = self.run(self.size(eq.lhs.cod))  # one side short, one full
+        return (t1 + run, t2) if len(t1) < len(t2) else (t1, t2 + run)
+
+    def witness(self, eq: Equation, p: int, vs: tuple, dcar: list) -> dict:
+        ycar = self.model.carrier(eq.lhs.cod)
+        return {"input": self.outcome(p, dcar),
+                "lhs": self.outcome(vs[0][p], ycar),
+                "rhs": self.outcome(vs[1][p], ycar)}
 
     def _atom(self, t: Term) -> list[int]:
         size, k = self.size, self.k
         if isinstance(t, Id):
-            return list(range(size(t.at) + k))
+            return list(range(size(t.at)))
         if isinstance(t, ToUnit):
-            return [0] * size(t.frm) + self.passed(1)
+            return [0] * size(t.frm)
         if isinstance(t, FromEmpty):
-            return self.passed(size(t.to))
+            return []
         if isinstance(t, (Inj1, Inj2)):
-            na, nb = size(t.left), size(t.right)
-            vals = range(na) if isinstance(t, Inj1) else range(na, na + nb)
-            return list(vals) + self.passed(na + nb)
+            na = size(t.left)
+            return list(range(na) if isinstance(t, Inj1)
+                        else range(na, na + size(t.right)))
         if isinstance(t, Throw):
             at = self.offset[t.index]
-            return list(range(at, at + self.model.sizes[t.index])) + list(range(k))
+            return list(range(at, at + self.model.sizes[t.index]))
         if isinstance(t, Catch):
             at, ni = self.offset[t.index], self.model.sizes[t.index]
             return (list(range(ni, ni + at)) + list(range(ni))
@@ -509,7 +556,7 @@ class _ExceptionTables(_Tables):
         if isinstance(t, CatchAll):
             return [0] * k
         if isinstance(t, Gen):
-            return self._gen(t) + self.passed(size(t.cod))
+            return self._gen(t)
         if isinstance(t, SemiCoprod):
             return self._semi(t)
         if isinstance(t, ConstCotuple):
@@ -522,11 +569,9 @@ class _ExceptionTables(_Tables):
             return self.table(t.on_value)[:nx] + self.table(t.on_empty)
         if isinstance(t, PropCase):
             na, nb = size(t.on_left.dom), size(t.on_right.dom)
-            return (self.table(t.on_left)[:na] + self.table(t.on_right)[:nb]
-                    + self.passed(size(t.on_left.cod)))
+            return self.table(t.on_left)[:na] + self.table(t.on_right)[:nb]
         if isinstance(t, Coerce):
-            nx = size(t.inner.dom)
-            return self.table(t.inner)[:nx] + self.passed(size(t.inner.cod))
+            return self.table(t.inner)[:size(t.inner.dom)]
         raise E.ModelError(f"{type(t).__name__} cannot run on the exceptions side")
 
     def _semi(self, t: SemiCoprod) -> list[int]:
@@ -568,15 +613,15 @@ class SuiteReport:
         return all(r.holds for r in self.results)
 
 
-def _footprint(eq: Equation, indices: Sequence[str], keyed: tuple,
-               whole: tuple) -> tuple[str, ...]:
-    """The indices eq names through `keyed` atoms, in theory order; all of
-    them if a `whole` atom occurs, since that one reaches every index."""
+def _footprint(eq: Equation, indices: Sequence[str], kind: type
+               ) -> tuple[str, ...]:
+    """The indices eq names through `kind.keyed` atoms, in theory order;
+    all of them if a `kind.whole` atom occurs, since it reaches them all."""
     named = set()
     for t in itertools.chain(subterms(eq.lhs), subterms(eq.rhs)):
-        if isinstance(t, whole):
+        if isinstance(t, kind.whole):
             return tuple(indices)
-        if isinstance(t, keyed):
+        if isinstance(t, kind.keyed):
             named.add(t.index)
     return tuple(i for i in indices if i in named)
 
@@ -602,39 +647,43 @@ def check_equation(model: _Model, eq: Equation, name: str = "") -> LawResult:
 
     States: strong compares (value, state') on every (input, state), weak
     compares values only. Exceptions: strong runs exceptional inputs too,
-    weak only ordinary ones; outputs always compared in full.
-
-    Both sides are compiled into transition tables over eq's footprint
-    (see the module docstring) and compared whole; only on a mismatch is
-    the first differing point looked for and decoded into the witness,
-    the same one `sweep_equation` gives. `points` counts the full
-    enumeration, footprint or not.
+    weak only ordinary ones; outputs always compared in full. Both sides
+    are compiled into tables (see the module docstring); only a mismatch
+    is decoded, into the witness `sweep_equation` gives.
     """
+    return _check(model, eq, name, {})
+
+
+def _check(model: _Model, eq: Equation, name: str, shared: dict) -> LawResult:
+    """check_equation with the tables in `shared`, one per footprint."""
     dcar, total = _points(model, eq)
     try:
         typecheck_equation(model.theory, eq)
-        if isinstance(model, FiniteStateModel):
-            tabs = _StateTables(model, _footprint(
-                eq, model.theory.locations, (Lookup, Update), (LocTuple,)))
-        else:
-            tabs = _ExceptionTables(model, _footprint(
-                eq, model.theory.constructors, (Throw, Catch),
-                (ConstCotuple, CatchAll)))
-        t1, t2 = tabs.table(eq.lhs), tabs.table(eq.rhs)
-        ycar = model.carrier(eq.lhs.cod)
+        kind = _StateTables if model.side is STATES else _ExceptionTables
+        locs = _footprint(eq, model.side.indices(model.theory), kind)
+        tabs = shared.get(locs) or shared.setdefault(locs, kind(model, locs))
+        v1, v2 = vs = tabs.compared(eq, len(dcar))
+        if v1 == v2:
+            return LawResult(name, "holds", None, total)
+        p = next(p for p, (a, b) in enumerate(zip(v1, v2)) if a != b)
+        return LawResult(name, "fails", tabs.witness(eq, p, vs, dcar), total)
     except E.DecorError:
-        # the theory's typecheck refuses eq, or a carrier or a generator's
-        # table is missing: the interpreter decides, and raises where it
-        # raises
+        # the theory's typecheck refuses eq, a carrier or a generator's
+        # table is missing, or a table would exceed the bound: the
+        # interpreter decides, and raises where it raises
         return sweep_equation(model, eq, name)
-    strong = eq.kind == STRONG
-    v1 = tabs.observed(t1, strong, len(dcar))
-    v2 = tabs.observed(t2, strong, len(dcar))
-    if v1 == v2:
-        return LawResult(name, "holds", None, total)
-    p = next(p for p, (a, b) in enumerate(zip(v1, v2)) if a != b)
-    return LawResult(name, "fails",
-                     tabs.witness(p, t1[p], t2[p], dcar, ycar), total)
+
+
+def _check_groups(model: _Model, groups: list) -> list[LawResult]:
+    """Each group of (name, law) pairs shares its tables; every law's
+    point count meets the bound before any table is built."""
+    for _, eq in itertools.chain(*groups):
+        _points(model, eq)
+    results = []
+    for group in groups:
+        shared: dict = {}
+        results += [_check(model, eq, nm, shared) for nm, eq in group]
+    return results
 
 
 def sweep_equation(model: _Model, eq: Equation, name: str = "") -> LawResult:
@@ -679,46 +728,54 @@ def verify_law_suite(model: _Model, suite: str) -> SuiteReport:
 
 
 def _suite_states_seven(model: FiniteStateModel) -> SuiteReport:
+    """Each goal's direct law and its observations share their tables."""
     from .states import seven_equation_goals
 
     if not isinstance(model, FiniteStateModel):
         raise E.ModelError("states-seven runs on a states model")
-    results = []
-    for goal in seven_equation_goals(model.theory):
-        results.append(check_equation(model, goal.direct, goal.name))
-        for obs_name, obs_eq in goal.observations:
-            results.append(check_equation(model, obs_eq, obs_name))
-    return SuiteReport("states-seven", tuple(results))
+    groups = [[(g.name, g.direct), *g.observations]
+              for g in seven_equation_goals(model.theory)]
+    return SuiteReport("states-seven", tuple(_check_groups(model, groups)))
 
 
-def _suite_exceptions_laws(model: FiniteExceptionModel) -> SuiteReport:
+def _exception_law_groups(th: Theory) -> list[list[tuple[str, Equation]]]:
+    """exceptions-laws' (name, law) pairs in order, grouped by name."""
     from .exceptions import (catch_equation, handler_commute_equation,
                              handler_idempotent_equation, key_annihilation_equation,
                              raise_term)
 
+    groups = [[(ax.name, ax.eq)] for ax in th.axioms]
+    groups += [[(f"annihilation[{i}]", key_annihilation_equation(th, i)),
+                (f"catch-throw[{i}]", catch_equation(th, i)),
+                (f"raise-is-throw[{i}]",
+                 eq_strong(raise_term(th, i, Empty()), Throw(i))),
+                (f"handler-idempotent[{i}]", handler_idempotent_equation(th, i))]
+               for i in th.constructors]
+    groups += [[(f"handler-commute[{i},{j}]", handler_commute_equation(th, i, j))]
+               for i in th.constructors for j in th.constructors if i != j]
+    return groups
+
+
+def _suite_exceptions_laws(model: FiniteExceptionModel) -> SuiteReport:
     if not isinstance(model, FiniteExceptionModel):
         raise E.ModelError("exceptions-laws runs on an exceptions model")
-    th = model.theory
-    results = []
-    for ax in th.axioms:
-        results.append(check_equation(model, ax.eq, ax.name))
-    for i in th.constructors:
-        results.append(check_equation(
-            model, key_annihilation_equation(th, i), f"annihilation[{i}]"))
-        results.append(check_equation(
-            model, catch_equation(th, i), f"catch-throw[{i}]"))
-        results.append(check_equation(
-            model, eq_strong(raise_term(th, i, Empty()), Throw(i)),
-            f"raise-is-throw[{i}]"))
-        results.append(check_equation(
-            model, handler_idempotent_equation(th, i), f"handler-idempotent[{i}]"))
-    for i in th.constructors:
-        for j in th.constructors:
-            if i != j:
-                results.append(check_equation(
-                    model, handler_commute_equation(th, i, j),
-                    f"handler-commute[{i},{j}]"))
-    return SuiteReport("exceptions-laws", tuple(results))
+    return SuiteReport("exceptions-laws", tuple(
+        _check_groups(model, _exception_law_groups(model.theory))))
+
+
+def _expect(tabs: _ExceptionTables, ni: int, name: str, term: Term,
+            want) -> LawResult:
+    """term's outcome numbers on inputs 0..ni-1 against want(a)'s."""
+    at = tabs.model.positions(term.cod)
+    got = tabs.table(term)[:ni]
+    wanted = [tabs.number(want(a), at) for a in range(ni)]
+    if got == wanted:
+        return LawResult(name, "holds", None, ni)
+    a = next(a for a in range(ni) if got[a] != wanted[a])
+    return LawResult(name, "fails", {
+        "input": ("val", a),
+        "got": tabs.outcome(got[a], tabs.model.carrier(term.cod)),
+        "want": want(a)}, a + 1)
 
 
 def _suite_nesting(model: FiniteExceptionModel) -> SuiteReport:
@@ -752,26 +809,16 @@ def _suite_nesting(model: FiniteExceptionModel) -> SuiteReport:
     g = Comp(raise_term(th2, j, y), cast)            # i-clause that re-raises as j
     h = Id(y)                                        # j-clause that recovers
 
-    n1_a = handle_term(th2, f_a, [(i, g), (j, h)]).term
-    n2_a = handle_term(th2, handle_term(th2, f_a, [(i, g)]).term, [(j, h)]).term
     inner_clause = handle_term(th2, g, [(j, h)]).term
-    n3_a = handle_term(th2, f_a, [(i, inner_clause)]).term
-    n1_b = handle_term(th2, f_b, [(i, g), (j, h)]).term
-    n2_b = handle_term(th2, handle_term(th2, f_b, [(i, g)]).term, [(j, h)]).term
-    n3_b = handle_term(th2, f_b, [(i, inner_clause)]).term
+    n1_a, n2_a, n3_a, n1_b, n2_b, n3_b = (
+        run for f in (f_a, f_b) for run in (   # flat, in sequence, in the clause
+            handle_term(th2, f, [(i, g), (j, h)]).term,
+            handle_term(th2, handle_term(th2, f, [(i, g)]).term, [(j, h)]).term,
+            handle_term(th2, f, [(i, inner_clause)]).term))
 
     # every run throws and catches only i and j
     tabs = _ExceptionTables(m2, (i, j))
-    ycar = m2.carrier(y)
-
-    def expect(nm: str, term: Term, want) -> LawResult:
-        table = tabs.table(term)
-        for a in range(ni):
-            got = tabs.outcome(table[a], ycar)
-            if got != want(a):
-                return LawResult(nm, "fails", {
-                    "input": ("val", a), "got": got, "want": want(a)}, a + 1)
-        return LawResult(nm, "holds", None, ni)
+    expect = lambda nm, term, want: _expect(tabs, ni, nm, term, want)
 
     c = lambda a: a % nj
     results = (
@@ -807,17 +854,16 @@ def _suite_duality(model: _Model) -> SuiteReport:
         return LawResult(nm, "holds" if ok else "fails", wit,
                          st_res.points + ex_res.points)
 
-    results = []
-    for ax, dax in zip(th.axioms, dual_th.axioms):
-        results.append(pair(f"{ax.name}<->{dax.name}",
-                            check_equation(model, ax.eq),
-                            check_equation(dual_m, dax.eq)))
-    for i in th.locations:
-        results.append(pair(
-            f"annihilation[{i}]<->annihilation[{i}]",
-            check_equation(model, annihilation_equation(th, i)),
-            check_equation(dual_m, key_annihilation_equation(dual_th, i))))
-    return SuiteReport("duality-semantic", tuple(results))
+    rows = [(f"{ax.name}<->{dax.name}", ax.eq, dax.eq)
+            for ax, dax in zip(th.axioms, dual_th.axioms)]
+    rows += [(f"annihilation[{i}]<->annihilation[{i}]",
+              annihilation_equation(th, i),
+              key_annihilation_equation(dual_th, i)) for i in th.locations]
+    for _, st_eq, ex_eq in rows:  # every bound before any table
+        _points(model, st_eq), _points(dual_m, ex_eq)
+    return SuiteReport("duality-semantic", tuple(
+        pair(nm, check_equation(model, st_eq), check_equation(dual_m, ex_eq))
+        for nm, st_eq, ex_eq in rows))
 
 
 # the law suites, by the name `verify SUITE` gives

@@ -445,7 +445,7 @@ def _steps_texts(draw, th: str):
             text += f" holds {draw(field_texts('equation', th))}"
         elif head == "hyp":
             text += (f" wf {draw(field_texts('term', th))} "
-                     f"level {draw(_ints)}")
+                     f"level {draw(st.integers(0, 2))}")
         cited = draw(st.lists(st.integers(1, max(n - 1, 1)),
                               max_size=2 if n > 1 else 0))
         if cited:

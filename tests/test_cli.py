@@ -290,3 +290,27 @@ def test_a_deep_semi_pure_goal_is_decided_within_a_memory_cap(tmp_path, goal):
     assert run.returncode == 0, run.stderr
     (cmd,) = json.loads(run.stdout)["commands"]
     assert cmd["detail"]["status"] == "proven"
+
+
+def test_a_suite_checks_every_law_bound_before_building_a_table(tmp_path):
+    """With x at 5000, u[x]'s table for the first law would hold 5000 * 5000
+    entries, while a later law has 5000^2 * 45,000 points: the suite stops
+    on the point bound before building any table. Run in a child process
+    capped at 512 MB of address space."""
+    path = _write(tmp_path, "theory S = states(x: 3, y: 3, z: 3)\n"
+                            "verify states-seven in S\n")
+    child = ("import resource, sys\n"
+             "cap = 512 * 2**20\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+             "from decorlogic import cli\n"
+             "code = cli.main(['verify', sys.argv[1], '--model', 'x=5000'])\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,\n"
+             "      file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", child, path], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert "1125000000000 points exceeds bound 10000000" in run.stdout
+    assert "Traceback" not in run.stderr
+    assert int(run.stderr.split()[-1]) < 200 * 1024  # ru_maxrss is in KiB

@@ -343,6 +343,8 @@ _HEAD = ("theory S = states(x: 2, y: 2)\n"
      'line 3:40: expected == or ~~'),
     ('proof p in S { s1: hyp(h) wf l[x] lvl 1; }',
      "line 3:35: expected 'level', found 'lvl'"),
+    ('proof p in S { s1: hyp(h) wf l[x] level 3; }',
+     'line 3:41: level 3 is not 0, 1 or 2'),
     ('proof p in S { s1: hyp(h) l[x]; }',
      "line 3:27: expected 'wf', found 'l'"),
     ('proof p in S { s1: axiom(A1_x) }',

@@ -127,6 +127,16 @@ def test_hyp_node_typechecks_claims(states2):
         hyp_node(states2, "h", Holds(bad))
 
 
+def test_hyp_node_refuses_levels_outside_0_to_2(states2):
+    t = comp(Update("x"), Lookup("x"))
+    for level in (0, 1, 2):
+        h = hyp_node(states2, "h", WellFormed(t, level))
+        assert h.conclusion == WellFormed(t, level)
+    for level in (-1, 3, 7):
+        with pytest.raises(E.KernelError, match=f"level {level}; levels are"):
+            hyp_node(states2, "h", WellFormed(t, level))
+
+
 def test_check_rejects_tampered_conclusion(states2):
     d = node(states2, "w-sym", [axiom_node(states2, "A1_x")])
     assert d.conclusion.eq.rhs != d.conclusion.eq.lhs

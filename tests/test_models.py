@@ -14,10 +14,14 @@ import strategies as strat
 from decorlogic import errors as E
 from decorlogic.exceptions import build_exceptions_theory, with_catch_all
 from decorlogic.kernel import Holds
+from decorlogic.exceptions import raise_term
 from decorlogic.models import (FiniteExceptionModel, FiniteStateModel,
-                               Valuation, check_equation, eval_exceptions,
-                               eval_states, observational_equiv,
-                               sweep_equation, verify_law_suite)
+                               LawResult, Valuation, _ExceptionTables,
+                               _StateTables, _exception_law_groups, _expect,
+                               check_equation, eval_exceptions, eval_states,
+                               observational_equiv, sweep_equation,
+                               verify_law_suite)
+from decorlogic.states import build_states_theory, seven_equation_goals
 from decorlogic.terms import (Catch, CatchAll, FromEmpty, Gen, Id, LocTuple,
                               Lookup, SemiProd, Throw, Update, comp)
 from decorlogic.theory import eq_strong, eq_weak
@@ -318,3 +322,90 @@ def test_carrier_size_follows_the_carrier(states2, exc2):
             m.carrier_size(ty)
         with pytest.raises(E.CarrierMissing):
             m.carrier(ty)
+
+
+# ------------------------------------------ shared, short and value-first
+
+@settings(max_examples=12, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3))
+def test_suites_agree_with_each_law_swept_alone(sizes):
+    """The suites share tables within a goal (states-seven) or an exception
+    name (exceptions-laws), and leave pass-through runs implicit; each
+    result must still be the one the interpreter gives for that law."""
+    names = ["x", "y", "z"][:len(sizes)]
+    st_model = FiniteStateModel(build_states_theory("S", names),
+                                dict(zip(names, sizes)))
+    laws = [law for g in seven_equation_goals(st_model.theory)
+            for law in [(g.name, g.direct), *g.observations]]
+    assert verify_law_suite(st_model, "states-seven").results == tuple(
+        sweep_equation(st_model, eq, nm) for nm, eq in laws)
+
+    ex_model = FiniteExceptionModel(build_exceptions_theory("E", names),
+                                    dict(zip(names, sizes)))
+    laws = [law for group in _exception_law_groups(ex_model.theory)
+            for law in group]
+    assert verify_law_suite(ex_model, "exceptions-laws").results == tuple(
+        sweep_equation(ex_model, eq, nm) for nm, eq in laws)
+
+
+def test_a_failing_weak_states_law_decodes_the_sweep_witness(states2):
+    """Weak sides are compared by value, through the last factor; the
+    witness needs the full outcomes, which come from the whole tables."""
+    one = Gen("one", UNIT, Value("x"), 0)
+    m = FiniteStateModel(states2.with_gen(one), {"x": 3, "y": 2},
+                         Valuation(tables={"one": (1,)}))
+    eq = eq_weak(comp(Lookup("x"), Update("x"), one), Lookup("x"))
+    r = check_equation(m, eq, "write-one")
+    assert r == sweep_equation(m, eq, "write-one")
+    assert r == LawResult("write-one", "fails", {
+        "input": (), "state": (0, 0), "lhs": (1, (1, 0)),
+        "rhs": (0, (0, 0))}, 6)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["short-rhs", "short-lhs"])
+def test_a_strong_law_pads_its_short_side_against_a_full_one(exc2, swap):
+    """id passes every exceptional input through (a short table); c[j] . t[j]
+    catches j (a full one). The first exception of i agrees on both sides,
+    the first of j does not."""
+    m = FiniteExceptionModel(exc2, {"i": 2, "j": 3})
+    sides = (comp(Catch("j"), Throw("j")), Id(Param("j")))
+    eq = eq_strong(*(sides[::-1] if swap else sides))
+    r = check_equation(m, eq, "B1_j")
+    assert r == sweep_equation(m, eq, "B1_j")
+    caught, passed = ("val", 0), ("exc", ("j", 0))
+    assert r.witness == {"input": ("exc", ("j", 0)),
+                         "lhs": passed if swap else caught,
+                         "rhs": caught if swap else passed}
+    assert r.points == 3 + 5
+
+
+def test_nesting_expectations_decode_only_the_first_mismatch(exc2):
+    m = FiniteExceptionModel(exc2, {"i": 3, "j": 2})
+    tabs = _ExceptionTables(m, ("i", "j"))
+    raise_i = raise_term(exc2, "i", Param("j"))          # P[i] -> P[j]
+    assert _expect(tabs, 3, "raises", raise_i,
+                   lambda a: ("exc", ("i", a))) == LawResult(
+        "raises", "holds", None, 3)
+    want = lambda a: ("exc", ("i", a)) if a < 2 else ("val", 0)
+    assert _expect(tabs, 3, "probe", raise_i, want) == LawResult(
+        "probe", "fails", {"input": ("val", 2), "got": ("exc", ("i", 2)),
+                           "want": ("val", 0)}, 3)
+
+
+def test_a_table_over_the_bound_falls_back_on_the_sweep(states2):
+    """The law has 4 points, but u[x]'s table would have 4 * 4 entries: it
+    is refused, and the interpreter decides."""
+    one = Gen("one", UNIT, Value("x"), 0)
+    th = states2.with_gen(one)
+    m = FiniteStateModel(th, {"x": 4, "y": 1}, Valuation(tables={"one": (1,)}),
+                         bound=10)
+    with pytest.raises(E.SearchSpaceTooLarge, match="16 entries"):
+        _StateTables(m, ("x",)).table(Update("x"))
+    eq = eq_strong(comp(Lookup("x"), Update("x"), one), Lookup("x"))
+    r = check_equation(m, eq, "write-one")
+    assert r == sweep_equation(m, eq, "write-one")
+    assert r.witness == {"input": (), "state": (0, 0),
+                         "lhs": (1, (1, 0)), "rhs": (0, (0, 0))}
+    assert r.points == 4
+    assert check_equation(m, eq_strong(comp(Update("x"), Lookup("x")),
+                                       Id(UNIT))).holds
