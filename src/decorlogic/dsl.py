@@ -604,9 +604,10 @@ class _Parser:
                 t = self.term_expr(theory)
                 self.expect("ident", "level")
                 at = self.i
-                claim = (t, self.integer())
-                if claim[1] > 2:
-                    raise self.fail(f"level {claim[1]} is not 0, 1 or 2", at)
+                level = self.integer()
+                if level > 2:
+                    raise self.fail(f"level {level} is not 0, 1 or 2", at)
+                claim = (t, level)
         elif kind == "rule":
             if name not in RULES:
                 raise self.fail(f"unknown rule {name!r}", at)

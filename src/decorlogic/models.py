@@ -521,7 +521,7 @@ class _ExceptionTables(_Tables):
 
     def compared(self, eq: Equation, nx: int) -> tuple[list, list]:
         t1, t2 = self.table(eq.lhs), self.table(eq.rhs)
-        if t1 == t2 or eq.kind == STRONG and len(t1) == len(t2):
+        if t1 == t2 or (eq.kind == STRONG and len(t1) == len(t2)):
             return t1, t2
         if eq.kind != STRONG:
             return t1[:nx], t2[:nx]

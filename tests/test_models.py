@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import strategies as strat
 from decorlogic import errors as E
-from decorlogic.exceptions import build_exceptions_theory, with_catch_all
+from decorlogic.exceptions import (build_exceptions_theory, raise_term,
+                                   with_catch_all)
 from decorlogic.kernel import Holds
-from decorlogic.exceptions import raise_term
 from decorlogic.models import (FiniteExceptionModel, FiniteStateModel,
                                LawResult, Valuation, _ExceptionTables,
                                _StateTables, _exception_law_groups, _expect,
