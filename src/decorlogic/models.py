@@ -22,8 +22,14 @@ maps the number of every input to the number of its outcome, so composition
 g . f is `g[f[p]]`. Equal tables decide a law at once; a weak states law
 reads its values through each side's last factor, without the side's own
 table; an exceptions term that passes exceptional inputs through keeps
-only its ordinary entries. Laws of one states-seven goal, or of one
-exception name in exceptions-laws, share their tables.
+only its ordinary entries.
+
+Every law suite decides its rows through one checker, `_check_groups`,
+which takes (model, (name, law) pairs) groups and checks every law's
+point bound before it builds any table. The laws of one group share their
+tables: one states-seven goal's direct law and observations, one
+exception name's laws in exceptions-laws, the six nesting-matrix rows,
+and each model's half of duality-semantic.
 
 Only the locations or exception names an equation mentions are enumerated
 (its footprint); the others pass through both sides unchanged, so no point
@@ -35,8 +41,7 @@ that differs from a checked one only outside the footprint can fail:
   inputs of the names its t[i]/c[i] name.
 
 The first failing point, and so the witness, is the full enumeration's;
-`LawResult.points` and the point bound count the full enumeration, and a
-suite checks every law's points before it builds a table. Terms the
+`LawResult.points` and the point bound count the full enumeration. Terms the
 tables do not cover (refused by the theory's typecheck, a generator with
 no usable table, a table over the bound) go to `sweep_equation`, the
 interpreter point by point.
@@ -56,7 +61,8 @@ from .terms import (
     FromEmpty, Gen, Id, Inj1, Inj2, LocTuple, Lookup, PropCase, Proj1, Proj2,
     SemiCoprod, SemiProd, Side, Term, ToUnit, Throw, Update, factors, subterms,
 )
-from .theory import Equation, STRONG, Theory, eq_strong, typecheck_equation
+from .theory import (Equation, STRONG, Theory, eq_strong, eq_weak,
+                     typecheck_equation)
 from .types import Coprod, Empty, Named, Param, Prod, TypeExpr, Unit, Value
 
 DEFAULT_BOUND = 10_000_000
@@ -505,11 +511,6 @@ class _ExceptionTables(_Tables):
                      if e >= at)
         return ("exc", (i, e - at))
 
-    def number(self, o: tuple, at: dict) -> int:
-        """The inverse of `outcome`, `at` giving the carrier's positions."""
-        tag, v = o
-        return at[v] if tag == "val" else len(at) + self.offset[v[0]] + v[1]
-
     def _comp(self, t: Comp) -> list[int]:
         after, before = self.table(t.after), self.table(t.before)
         ny = self.size(t.after.dom)
@@ -674,13 +675,14 @@ def _check(model: _Model, eq: Equation, name: str, shared: dict) -> LawResult:
         return sweep_equation(model, eq, name)
 
 
-def _check_groups(model: _Model, groups: list) -> list[LawResult]:
-    """Each group of (name, law) pairs shares its tables; every law's
-    point count meets the bound before any table is built."""
-    for _, eq in itertools.chain(*groups):
-        _points(model, eq)
+def _check_groups(groups: list) -> list[LawResult]:
+    """Each (model, group of (name, law) pairs) shares its tables; every
+    law's point count meets the bound before any table is built."""
+    for model, group in groups:
+        for _, eq in group:
+            _points(model, eq)
     results = []
-    for group in groups:
+    for model, group in groups:
         shared: dict = {}
         results += [_check(model, eq, nm, shared) for nm, eq in group]
     return results
@@ -724,18 +726,17 @@ def sweep_equation(model: _Model, eq: Equation, name: str = "") -> LawResult:
 def verify_law_suite(model: _Model, suite: str) -> SuiteReport:
     if suite not in SUITES:
         raise E.SuiteUnknown(f"no suite named {suite!r}")
-    return SUITES[suite](model)
+    return SuiteReport(suite, tuple(SUITES[suite](model)))
 
 
-def _suite_states_seven(model: FiniteStateModel) -> SuiteReport:
+def _suite_states_seven(model: FiniteStateModel) -> list[LawResult]:
     """Each goal's direct law and its observations share their tables."""
     from .states import seven_equation_goals
 
     if not isinstance(model, FiniteStateModel):
         raise E.ModelError("states-seven runs on a states model")
-    groups = [[(g.name, g.direct), *g.observations]
-              for g in seven_equation_goals(model.theory)]
-    return SuiteReport("states-seven", tuple(_check_groups(model, groups)))
+    return _check_groups([(model, [(g.name, g.direct), *g.observations])
+                          for g in seven_equation_goals(model.theory)])
 
 
 def _exception_law_groups(th: Theory) -> list[list[tuple[str, Equation]]]:
@@ -756,35 +757,21 @@ def _exception_law_groups(th: Theory) -> list[list[tuple[str, Equation]]]:
     return groups
 
 
-def _suite_exceptions_laws(model: FiniteExceptionModel) -> SuiteReport:
+def _suite_exceptions_laws(model: FiniteExceptionModel) -> list[LawResult]:
     if not isinstance(model, FiniteExceptionModel):
         raise E.ModelError("exceptions-laws runs on an exceptions model")
-    return SuiteReport("exceptions-laws", tuple(
-        _check_groups(model, _exception_law_groups(model.theory))))
+    return _check_groups([(model, group) for group
+                          in _exception_law_groups(model.theory)])
 
 
-def _expect(tabs: _ExceptionTables, ni: int, name: str, term: Term,
-            want) -> LawResult:
-    """term's outcome numbers on inputs 0..ni-1 against want(a)'s."""
-    at = tabs.model.positions(term.cod)
-    got = tabs.table(term)[:ni]
-    wanted = [tabs.number(want(a), at) for a in range(ni)]
-    if got == wanted:
-        return LawResult(name, "holds", None, ni)
-    a = next(a for a in range(ni) if got[a] != wanted[a])
-    return LawResult(name, "fails", {
-        "input": ("val", a),
-        "got": tabs.outcome(got[a], tabs.model.carrier(term.cod)),
-        "want": want(a)}, a + 1)
-
-
-def _suite_nesting(model: FiniteExceptionModel) -> SuiteReport:
+def _suite_nesting(model: FiniteExceptionModel) -> list[LawResult]:
     """The three ways to nest two catch clauses genuinely differ.
 
     With f raising i and the i-clause g raising j: the flat handler lets g's
     exception escape while both nested forms catch it; with f raising j, the
-    nested-inside-clause form misses it while the other two catch it. The
-    suite pins the full expected outcome of each of the six runs.
+    nested-inside-clause form misses it while the other two catch it. Each
+    run is the weak law that it gives g's outcome (j escapes) or
+    nest_cast's (caught) on every ordinary input.
     """
     from .exceptions import handle_term, raise_term
 
@@ -805,34 +792,21 @@ def _suite_nesting(model: FiniteExceptionModel) -> SuiteReport:
 
     y = Param(j)
     f_a = raise_term(th2, i, y)                      # P[i] -> P[j], raises i
-    f_b = Comp(raise_term(th2, j, y), cast)          # raises j instead
-    g = Comp(raise_term(th2, j, y), cast)            # i-clause that re-raises as j
+    g = Comp(raise_term(th2, j, y), cast)            # raises j: f_b, the i-clause
     h = Id(y)                                        # j-clause that recovers
-
     inner_clause = handle_term(th2, g, [(j, h)]).term
-    n1_a, n2_a, n3_a, n1_b, n2_b, n3_b = (
-        run for f in (f_a, f_b) for run in (   # flat, in sequence, in the clause
-            handle_term(th2, f, [(i, g), (j, h)]).term,
-            handle_term(th2, handle_term(th2, f, [(i, g)]).term, [(j, h)]).term,
-            handle_term(th2, f, [(i, inner_clause)]).term))
-
-    # every run throws and catches only i and j
-    tabs = _ExceptionTables(m2, (i, j))
-    expect = lambda nm, term, want: _expect(tabs, ni, nm, term, want)
-
-    c = lambda a: a % nj
-    results = (
-        expect("a/flat-escapes", n1_a, lambda a: ("exc", (j, c(a)))),
-        expect("a/seq-catches", n2_a, lambda a: ("val", c(a))),
-        expect("a/clause-catches", n3_a, lambda a: ("val", c(a))),
-        expect("b/flat-catches", n1_b, lambda a: ("val", c(a))),
-        expect("b/seq-catches", n2_b, lambda a: ("val", c(a))),
-        expect("b/clause-misses", n3_b, lambda a: ("exc", (j, c(a)))),
-    )
-    return SuiteReport("nesting-matrix", results)
+    runs = [run for f in (f_a, g) for run in (   # flat, in sequence, in the clause
+        handle_term(th2, f, [(i, g), (j, h)]).term,
+        handle_term(th2, handle_term(th2, f, [(i, g)]).term, [(j, h)]).term,
+        handle_term(th2, f, [(i, inner_clause)]).term)]
+    names = ("a/flat-escapes", "a/seq-catches", "a/clause-catches",
+             "b/flat-catches", "b/seq-catches", "b/clause-misses")
+    wants = (g, cast, cast, cast, cast, g)
+    return _check_groups([(m2, [(nm, eq_weak(run, want)) for nm, run, want
+                                in zip(names, runs, wants)])])
 
 
-def _suite_duality(model: _Model) -> SuiteReport:
+def _suite_duality(model: _Model) -> list[LawResult]:
     """Each states law and its mirror-image exceptions law hold together.
 
     Runs on a states model; the exceptions side is its dual theory with the
@@ -848,10 +822,10 @@ def _suite_duality(model: _Model) -> SuiteReport:
     dual_th = dualize_theory(th)
     dual_m = FiniteExceptionModel(dual_th, model.sizes, model.valuation, model.bound)
 
-    def pair(nm: str, st_res: LawResult, ex_res: LawResult) -> LawResult:
+    def pair(st_res: LawResult, ex_res: LawResult) -> LawResult:
         ok = st_res.holds and ex_res.holds
         wit = None if ok else {"states": st_res.witness, "exceptions": ex_res.witness}
-        return LawResult(nm, "holds" if ok else "fails", wit,
+        return LawResult(st_res.name, "holds" if ok else "fails", wit,
                          st_res.points + ex_res.points)
 
     rows = [(f"{ax.name}<->{dax.name}", ax.eq, dax.eq)
@@ -859,11 +833,10 @@ def _suite_duality(model: _Model) -> SuiteReport:
     rows += [(f"annihilation[{i}]<->annihilation[{i}]",
               annihilation_equation(th, i),
               key_annihilation_equation(dual_th, i)) for i in th.locations]
-    for _, st_eq, ex_eq in rows:  # every bound before any table
-        _points(model, st_eq), _points(dual_m, ex_eq)
-    return SuiteReport("duality-semantic", tuple(
-        pair(nm, check_equation(model, st_eq), check_equation(dual_m, ex_eq))
-        for nm, st_eq, ex_eq in rows))
+    n = len(rows)
+    results = _check_groups([(model, [(nm, st) for nm, st, _ in rows]),
+                             (dual_m, [(nm, ex) for nm, _, ex in rows])])
+    return [pair(st, ex) for st, ex in zip(results[:n], results[n:])]
 
 
 # the law suites, by the name `verify SUITE` gives

@@ -12,13 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import strategies as strat
 from decorlogic import errors as E
-from decorlogic.exceptions import (build_exceptions_theory, raise_term,
-                                   with_catch_all)
+from decorlogic.exceptions import build_exceptions_theory, with_catch_all
 from decorlogic.kernel import Holds
 from decorlogic.models import (FiniteExceptionModel, FiniteStateModel,
-                               LawResult, Valuation, _ExceptionTables,
-                               _StateTables, _exception_law_groups, _expect,
-                               check_equation, eval_exceptions, eval_states,
+                               LawResult, Valuation, _StateTables,
+                               _exception_law_groups, check_equation,
+                               eval_exceptions, eval_states,
                                observational_equiv, sweep_equation,
                                verify_law_suite)
 from decorlogic.states import build_states_theory, seven_equation_goals
@@ -93,6 +92,22 @@ def test_nesting_matrix(exc_model22):
     assert [r.name for r in rep.results] == [
         "a/flat-escapes", "a/seq-catches", "a/clause-catches",
         "b/flat-catches", "b/seq-catches", "b/clause-misses"]
+
+
+def test_a_failing_nesting_row_reports_like_every_exceptions_law(
+        exc2, monkeypatch):
+    """With each handler cut down to its first clause, only the flat
+    handler of f_b lets j escape where nest_cast's value was wanted."""
+    import decorlogic.exceptions as X
+    handle = X.handle_term
+    monkeypatch.setattr(X, "handle_term", lambda th, body, clauses:
+                        handle(th, body, clauses[:1]))
+    rep = verify_law_suite(FiniteExceptionModel(exc2, {"i": 3, "j": 2}),
+                           "nesting-matrix")
+    assert [r for r in rep.results if not r.holds] == [LawResult(
+        "b/flat-catches", "fails", {"input": ("val", 0),
+                                    "lhs": ("exc", ("j", 0)),
+                                    "rhs": ("val", 0)}, 3)]
 
 
 def test_duality_semantic_runs_from_states(model32, exc_model22):
@@ -377,19 +392,6 @@ def test_a_strong_law_pads_its_short_side_against_a_full_one(exc2, swap):
                          "lhs": passed if swap else caught,
                          "rhs": caught if swap else passed}
     assert r.points == 3 + 5
-
-
-def test_nesting_expectations_decode_only_the_first_mismatch(exc2):
-    m = FiniteExceptionModel(exc2, {"i": 3, "j": 2})
-    tabs = _ExceptionTables(m, ("i", "j"))
-    raise_i = raise_term(exc2, "i", Param("j"))          # P[i] -> P[j]
-    assert _expect(tabs, 3, "raises", raise_i,
-                   lambda a: ("exc", ("i", a))) == LawResult(
-        "raises", "holds", None, 3)
-    want = lambda a: ("exc", ("i", a)) if a < 2 else ("val", 0)
-    assert _expect(tabs, 3, "probe", raise_i, want) == LawResult(
-        "probe", "fails", {"input": ("val", 2), "got": ("exc", ("i", 2)),
-                           "want": ("val", 0)}, 3)
 
 
 def test_a_table_over_the_bound_falls_back_on_the_sweep(states2):
