@@ -1292,11 +1292,12 @@ def _run_lemma(env: _Env, cmd: LemmaCmd) -> tuple[bool, dict]:
     return res.valid, detail
 
 
-def _decode_input(model, dom_ty: TypeExpr, n: int, pos: SrcPos) -> Any:
+def _decode_input(model, dom_ty: TypeExpr, n: int, pos: SrcPos,
+                  what: str = "input") -> Any:
     """An integer input names a carrier element by enumeration position."""
     car = model.carrier(dom_ty)
     if not 0 <= n < len(car):
-        raise E.ExecError(f"input {n} is out of range for {dom_ty} "
+        raise E.ExecError(f"{what} {n} is out of range for {dom_ty} "
                           f"({len(car)} elements)", pos.line, pos.col)
     return car[n]
 
@@ -1315,6 +1316,8 @@ def _run_eval(env: _Env, cmd: EvalCmd) -> tuple[bool, dict]:
         if len(state) != len(th.locations):
             raise E.ExecError(f"state needs {len(th.locations)} entries",
                               cmd.pos.line, cmd.pos.col)
+        state = tuple(_decode_input(model, Value(i), v, cmd.pos, "state entry")
+                      for i, v in zip(th.locations, state))
         value = _decode_input(model, dom_ty, cmd.value, cmd.pos)
         out_val, out_state = eval_states(model, cmd.term, value, state)
         return True, {"term": term_to_text(cmd.term),
@@ -1327,7 +1330,11 @@ def _run_eval(env: _Env, cmd: EvalCmd) -> tuple[bool, dict]:
     if cmd.input_kind == "val":
         inp = ("val", _decode_input(model, dom_ty, cmd.value, cmd.pos))
     else:
-        inp = ("exc", tuple(cmd.value))
+        name, arg = cmd.value
+        if name not in th.constructors:
+            raise E.ExecError(f"unknown exception name {name!r}",
+                              cmd.pos.line, cmd.pos.col)
+        inp = ("exc", (name, _decode_input(model, Param(name), arg, cmd.pos)))
     res = eval_exceptions(model, cmd.term, inp)
     return True, {"term": term_to_text(cmd.term),
                   "input": _jsonable(inp), "result": _jsonable(res)}

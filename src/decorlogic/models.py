@@ -99,6 +99,7 @@ class _Model:
         self.bound = bound
         self._carriers: dict[TypeExpr, list] = {}
         self._positions: dict[TypeExpr, dict] = {}
+        self._gen_tables: dict[Gen, Sequence[Any]] = {}
         for n in self.sizes.values():
             if n < 1:
                 raise E.ModelError("carriers must be non-empty")
@@ -156,8 +157,27 @@ class _Model:
                                         enumerate(self.carrier(ty))}
         return at
 
+    def has(self, ty: TypeExpr, v: Any) -> bool:
+        """Whether v is an element of ty's carrier, decided from ty's shape
+        without building the carrier."""
+        if isinstance(ty, (Prod, Coprod)):
+            if not (isinstance(v, tuple) and len(v) == 2):
+                return False
+            if isinstance(ty, Prod):
+                return self.has(ty.left, v[0]) and self.has(ty.right, v[1])
+            tag, x = v
+            return (tag == "l" and self.has(ty.left, x)
+                    or tag == "r" and self.has(ty.right, x))
+        if isinstance(ty, Unit):
+            return v == ()
+        return isinstance(v, int) and 0 <= v < self.carrier_size(ty)
+
     def gen_table(self, g: Gen) -> Sequence[Any]:
-        """g's outputs in the enumeration order of its domain."""
+        """g's outputs in the enumeration order of its domain; checked to
+        lie in its codomain once per generator."""
+        table = self._gen_tables.get(g)
+        if table is not None:
+            return table
         if g.dec != 0:
             raise E.NoInterpretation(
                 f"generator {g.name!r} has level {g.dec}; only pure generators "
@@ -165,11 +185,15 @@ class _Model:
         if g.name not in self.valuation.tables:
             raise E.NoInterpretation(f"no table for generator {g.name!r}")
         table = self.valuation.tables[g.name]
-        domain = self.carrier(g.dom)
-        if len(table) != len(domain):
+        n = self.carrier_size(g.dom)
+        if len(table) != n:
             raise E.ModelError(
                 f"table for {g.name!r} has {len(table)} entries, "
-                f"domain has {len(domain)}")
+                f"domain has {n}")
+        if not all([self.has(g.cod, v) for v in table]):
+            raise E.ModelError(
+                f"table for {g.name!r} has outputs outside {g.cod}")
+        self._gen_tables[g] = table
         return table
 
     def _gen_apply(self, g: Gen, x: Any) -> Any:
@@ -365,15 +389,12 @@ class _Tables:
     def _gen(self, g: Gen) -> list[int]:
         """g's table as positions in its codomain's carrier; a codomain
         over the model's bound is refused before its carrier is built."""
+        table = self.model.gen_table(g)
         if self.size(g.cod) > self.model.bound:
             raise E.SearchSpaceTooLarge(
                 f"codomain of {g.name!r} exceeds bound {self.model.bound}")
         at = self.model.positions(g.cod)
-        try:
-            return [at[v] for v in self.model.gen_table(g)]
-        except (KeyError, TypeError):
-            raise E.ModelError(
-                f"table for {g.name!r} has outputs outside {g.cod}") from None
+        return [at[v] for v in table]
 
 
 class _StateTables(_Tables):

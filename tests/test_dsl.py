@@ -597,6 +597,53 @@ def test_script_problems_raise_instead_of_reporting():
     assert "missing" in report.outcomes[0].detail["error"]
 
 
+_ACCT = ("theory Acct = states(a: 12)\n"
+         "pure gen add7 : V[a] -> V[a] in Acct = "
+         "[7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6]\n")
+_EXC = "theory E = exceptions(i: 2, j: 3)\n"
+
+
+@pytest.mark.parametrize("src, message", [
+    (_ACCT + "eval in Acct : l[a] on 0 state (99)\n",
+     "line 3:1: state entry 99 is out of range for V[a] (12 elements)"),
+    (_ACCT + "eval in Acct : add7 . l[a] on 0 state (99)\n",
+     "line 3:1: state entry 99 is out of range for V[a] (12 elements)"),
+    (_EXC + "eval in E : c[i] on throw(i: 7)\n",
+     "line 2:1: input 7 is out of range for P[i] (2 elements)"),
+    (_EXC + "eval in E : c[i] on throw(zz: 1)\n",
+     "line 2:1: unknown exception name 'zz'"),
+], ids=["state", "state-into-gen", "throw-arg", "throw-name"])
+def test_eval_checks_every_value_it_is_handed(tmp_path, capfd, src, message):
+    assert main(["eval", _write(tmp_path, src)]) == 2
+    assert capfd.readouterr().err == f"error: {message}\n"
+
+
+_BAD_F = ("theory S = states(x: 3)\n"
+          "pure gen f : V[x] -> V[x] in S = [5, 1, 2]\n")
+
+
+@pytest.mark.parametrize("src, message", [
+    (_BAD_F + "eval in S : f . f . l[x] on 0 state (0)\n",
+     "table for 'f' has outputs outside V[x]"),
+    (_BAD_F + "eval in S : f . l[x] on 0 state (0)\n",
+     "table for 'f' has outputs outside V[x]"),
+    ("theory S = states(x: 3)\n"
+     "pure gen g : V[x] -> V[x] * V[x] in S = [0, 1, 2]\n"
+     "eval in S : p1[V[x], V[x]] . g . l[x] on 0 state (0)\n",
+     "table for 'g' has outputs outside (V[x] * V[x])"),
+], ids=["twice", "once", "pair"])
+def test_a_table_outside_its_codomain_fails_the_command(src, message):
+    (out,) = execute(parse_script(src)).outcomes
+    assert not out.ok and out.detail == {"error": message}
+
+
+def test_a_table_outside_its_codomain_leaves_prove_to_the_search():
+    (out,) = execute(parse_script(
+        _BAD_F + "prove in S : f . f . l[x] ~~ l[x] budget 1\n")).outcomes
+    assert out.detail["status"] == "unknown"
+    assert out.detail["reason"] == "budget of 1 rounds exhausted"
+
+
 # a `gen` declaration replaces its theory, so the term is checked again
 @pytest.mark.parametrize("between, checks", [
     ("", 1), ("pure gen g : V[x] -> V[x] in S = [1, 0]\n", 2)])
