@@ -371,15 +371,29 @@ class _Tables:
         self._built: dict[Term, list[int]] = {}
 
     def table(self, t: Term) -> list[int]:
-        """t's table; built once, since both sides share subterms."""
+        """t's table; built once, since both sides share subterms. The
+        composites on t's spines are built deepest first, in a loop, so
+        that building one finds its factors built."""
         out = self._built.get(t)
         if out is None:
-            entries = self.size(t.dom) * self.n + self.k
-            if entries > self.model.bound:
-                raise E.SearchSpaceTooLarge(f"a table of {entries} entries "
-                                            f"exceeds bound {self.model.bound}")
-            out = self._built[t] = (self._comp(t) if isinstance(t, Comp)
-                                    else self._atom(t))
+            todo, order = [t], []
+            while todo:
+                u = todo.pop()
+                if u not in self._built:
+                    order.append(u)
+                    if isinstance(u, Comp):
+                        todo += (u.after, u.before)
+            for u in reversed(order):
+                if u in self._built:
+                    continue
+                entries = self.size(u.dom) * self.n + self.k
+                if entries > self.model.bound:
+                    raise E.SearchSpaceTooLarge(
+                        f"a table of {entries} entries exceeds bound "
+                        f"{self.model.bound}")
+                self._built[u] = (self._comp(u) if isinstance(u, Comp)
+                                  else self._atom(u))
+            out = self._built[t]
         return out
 
     def _comp(self, t: Comp) -> list[int]:
@@ -423,11 +437,17 @@ class _StateTables(_Tables):
         return car[p // self.n], self.state(p % self.n)
 
     def values(self, t: Term) -> list[int]:
-        """Each point's value; a composite's own table is not built."""
-        if isinstance(t, Comp):
-            vals = self.values(t.after)
-            return [vals[p] for p in self.table(t.before)]
-        return [p // self.n for p in self.table(t)]
+        """Each point's value; a composite's own table is not built: the
+        values of the factor its `after`s end at are read through the
+        tables of its `before`s, innermost first."""
+        befores = []
+        while isinstance(t, Comp):
+            befores.append(t.before)
+            t = t.after
+        vals = [p // self.n for p in self.table(t)]
+        for b in reversed(befores):
+            vals = [vals[p] for p in self.table(b)]
+        return vals
 
     def compared(self, eq: Equation, nx: int) -> tuple[list, list]:
         side = self.table if eq.kind == STRONG else self.values

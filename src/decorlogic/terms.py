@@ -19,7 +19,10 @@ sets the fields and the four facts through the slots' own setters; its
 signature is the dataclass one, so positional and keyword calls and
 `dataclasses.replace` work as usual. A node's hash is the dataclass hash of
 its fields, worked out on first use and kept in a slot, so hashing a term
-whose children were hashed already costs one tuple.
+whose children were hashed already costs one tuple. Hashing and `==`
+recurse once per level only inside nodes of at most `_SHALLOW` nodes;
+above that size they follow the term in loops, so a term of any depth
+hashes and compares.
 
 Composition is written `Comp(after, before)`: `Comp(g, f)` is g∘f, "f then g".
 `normalize_assoc` flattens composite spines to right-nested form and drops
@@ -93,7 +96,8 @@ def term_class(cls):
     names = tuple(f.name for f in fields(cls) if f.type == "Term")
     if names:
         cls._kids, cls.kids = names, _reader(names)
-    cls.__init__, cls.__hash__ = _init_and_hash(cls, names)
+    cls._values = _reader(tuple(f.name for f in fields(cls)))
+    cls.__init__, cls.__hash__, cls.__eq__ = _compiled(cls, names)
     cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
     return cls
 
@@ -111,23 +115,33 @@ def _refuse_delete(self, name: str) -> None:
 
 def _reader(names: tuple[str, ...]):
     """A method returning the fields `names`, as a tuple."""
+    if not names:
+        return lambda self: ()
     get = attrgetter(*names)
     if len(names) == 1:
         return lambda self: (get(self),)
     return lambda self: get(self)
 
 
-def _init_and_hash(cls, kids: tuple[str, ...]):
-    """`__init__` and `__hash__` for a term class, compiled from source as
-    dataclasses compiles its methods: building and hashing nodes is most of
-    what the prover does.
+# a node of at most this many nodes hashes and compares as dataclass does,
+# recursing once per level; a larger one goes through `_hash_below` and
+# `_same`, which walk it with loops down to nodes this small
+_SHALLOW = 64
+
+
+def _compiled(cls, kids: tuple[str, ...]):
+    """`__init__`, `__hash__` and `__eq__` for a term class, compiled from
+    source as dataclasses compiles its methods: building, hashing and
+    comparing nodes is most of what the prover does.
 
     `__init__` takes the fields in order, with their defaults, and sets
     them and the stored facts through the slots' own setters: `dom`, `cod`
     and `level` from the class's `_facts`, `size` from the children's. The
     hash is the one `dataclass` gives, of the tuple of the fields, worked
-    out on first use and kept in the `_hash` slot."""
+    out on first use and kept in the `_hash` slot; `==` is dataclass's too.
+    Both recurse on depth only below `_SHALLOW` nodes."""
     env = {f"_set_{n}": v for n, v in _SETTERS.items()}
+    env.update(_SHALLOW=_SHALLOW, _hash_below=_hash_below, _same=_same)
     params, body = [], []
     fs = fields(cls)
     for f in fs:
@@ -149,18 +163,60 @@ def _init_and_hash(cls, kids: tuple[str, ...]):
              "_set_level(self, _l)", f"_set_size(self, {size})",
              "_set__hash(self, None)"]
     values = "".join(f"self.{f.name}, " for f in fs)
+    others = "".join(f"other.{f.name}, " for f in fs)
     src = (f"def __init__(self, {', '.join(params)}):\n"
            + "".join(f"    {line}\n" for line in body)
            + "def __hash__(self):\n"
            "    h = self._hash\n"
            "    if h is None:\n"
+           "        if self.size > _SHALLOW:\n"
+           "            _hash_below(self)\n"
            f"        h = hash(({values}))\n"
            "        _set__hash(self, h)\n"
-           "    return h\n")
+           "    return h\n"
+           "def __eq__(self, other):\n"
+           "    if other.__class__ is not self.__class__:\n"
+           "        return NotImplemented\n"
+           "    if self.size > _SHALLOW:\n"
+           "        return _same(self, other)\n"
+           f"    return ({values}) == ({others})\n")
     exec(src, env)
-    for name in ("__init__", "__hash__"):
+    names = ("__init__", "__hash__", "__eq__")
+    for name in names:
         env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    return env["__init__"], env["__hash__"]
+    return tuple(env[name] for name in names)
+
+
+def _hash_below(t: Node) -> None:
+    """Store the hash of every node over `_SHALLOW` nodes below t that has
+    none yet, deepest first, so that hashing t then recurses only into
+    nodes at most that small."""
+    todo, big = list(t.kids()), []
+    while todo:
+        k = todo.pop()
+        if k.size > _SHALLOW and k._hash is None:
+            big.append(k)
+            todo += k.kids()
+    for k in reversed(big):
+        _SETTERS["_hash"](k, hash(k._values()))
+
+
+def _same(a: Node, b: Node) -> bool:
+    """a == b, with a loop over the nodes of over `_SHALLOW` nodes: their
+    fields are compared pairwise, and smaller nodes as dataclass does."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if not isinstance(a, Node) or a.size <= _SHALLOW:
+            if a != b:
+                return False
+        elif a.__class__ is not b.__class__ or a.size != b.size:
+            return False
+        else:
+            todo += zip(a._values(), b._values())
+    return True
 
 
 @term_class

@@ -252,6 +252,24 @@ def test_retry_reports_match_the_golden_bytes(mode, capfdbinary):
     _matches_the_golden_bytes("retry", mode, capfdbinary)
 
 
+# ----------------------------------------------------- deep composites
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_deep_prove_goal_runs_in_every_mode(tmp_path, mode, capfdbinary):
+    """Each side of the goal composes 3000 factors, parsed into two equal
+    but distinct terms: hashing, comparing and tabulating them follow the
+    spine in loops, so the search proves the goal."""
+    side = " . ".join(["step"] * 3000) + " . l[x]"
+    path = _write(tmp_path, "theory S = states(x: 3)\n"
+                            "pure gen step : V[x] -> V[x] in S = [1, 2, 0]\n"
+                            f"prove in S : {side} ~~ {side}\n")
+    assert cli.main([mode, path, "--format", "json"]) == 0
+    commands = json.loads(capfdbinary.readouterr().out)["commands"]
+    assert [c["detail"]["status"] for c in commands] == (
+        ["proven"] if mode == "check" else [])
+
+
 # ------------------------------------------------------- memory bounds
 
 

@@ -23,7 +23,8 @@ from decorlogic.exceptions import CATALOGUE as EXC_CATALOGUE
 from decorlogic.exceptions import build_exceptions_theory
 from decorlogic.exceptions import derive_lemma as exc_lemma
 from decorlogic.kernel import (RULES, ProveResult, axiom_node,
-                               check_derivation, node)
+                               check_derivation, node, saturate_prove)
+from decorlogic.models import FiniteStateModel, check_equation
 from decorlogic.states import CATALOGUE as STATE_CATALOGUE
 from decorlogic.states import build_states_theory
 from decorlogic.states import builtin_proof as st_proof, derive_lemma as st_lemma
@@ -948,13 +949,19 @@ def test_deep_composites_eval_and_check(tmp_path, capfdbinary):
     assert main(["check", path]) == 0
 
 
+def _deep_composite(n, nesting, first=Update("x")):
+    """n atoms alternating u[x] and l[x], `first` the innermost one."""
+    t = first
+    for k in range(1, n):
+        a = Lookup("x") if k % 2 else Update("x")
+        t = Comp(t, a) if nesting == "left" else Comp(a, t)
+    return t
+
+
 @pytest.mark.parametrize("nesting", ["left", "right"])
 def test_deep_composites_through_the_term_core(states2, nesting):
     n = 5000
-    atoms = [Lookup("x") if k % 2 else Update("x") for k in range(n)]
-    t = atoms[0]
-    for a in atoms[1:]:
-        t = Comp(t, a) if nesting == "left" else Comp(a, t)
+    t = _deep_composite(n, nesting)
     assert term_size(t) == 2 * n - 1
     assert typecheck(states2, t) == (t.dom, t.cod)
     norm = normalize_assoc(t)
@@ -962,6 +969,20 @@ def test_deep_composites_through_the_term_core(states2, nesting):
     text = str(t)
     assert text.count("l[x]") + text.count("u[x]") == n
     assert text.count("(") == n - 2
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_deep_composites_hash_compare_check_and_prove(states2, nesting):
+    """Two equal but distinct composites of 1200 factors, past the
+    recursion limit when hashed or compared one level per call."""
+    t, twin = (_deep_composite(1200, nesting) for _ in range(2))
+    assert t is not twin and t == twin and hash(t) == hash(twin)
+    assert t != _deep_composite(1200, nesting, first=Update("y"))
+    model = FiniteStateModel(states2, {"x": 2, "y": 1})
+    assert check_equation(model, Equation(t, twin, STRONG)).holds
+    res = saturate_prove(states2, Equation(t, twin, STRONG), model=model)
+    assert res.status == "proven"
+    assert check_derivation(states2, res.derivation).valid
 
 
 def test_int_and_name_instantiations_round_trip():
