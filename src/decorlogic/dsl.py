@@ -1100,7 +1100,6 @@ class _Env:
         self.theories: dict[str, Theory] = {}
         self.sizes: dict[str, dict[str, int]] = {}
         self.tables: dict[str, dict[str, tuple[int, ...]]] = {}
-        self.equations: dict[str, tuple[str, Equation]] = {}
         self.proofs: dict[str, ProofDecl] = {}
         self.models: dict[str, tuple[str, dict[str, int]]] = {}
         # built models, by (theory, model name); a theory's are dropped when
@@ -1418,7 +1417,6 @@ def _declare(env: _Env, d: Decl) -> None:
         env.typecheck(env.theory(d.theory, d.pos), d.term)
     elif isinstance(d, EquationDecl):
         typecheck_equation(env.theory(d.theory, d.pos), d.eq)
-        env.equations[d.name] = (d.theory, d.eq)
     elif isinstance(d, ModelDecl):
         env.theory(d.theory, d.pos)
         env.models[d.name] = (d.theory, dict(d.sizes))

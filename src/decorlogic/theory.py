@@ -14,7 +14,7 @@ finite models (models.py) attach cardinalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 from . import errors as E
 from .terms import (
@@ -23,8 +23,6 @@ from .terms import (
     Term, ToUnit, Throw, Update, normalize_assoc,
 )
 from .types import Coprod, Empty, Named, Param, Prod, TypeExpr, Unit, Value
-
-Flavor = Literal["states", "exceptions", "plain"]
 
 STRONG = "strong"
 WEAK = "weak"

@@ -6,7 +6,7 @@ import json
 import re
 from pathlib import Path
 
-from decorlogic.dsl import execute, parse_script
+from decorlogic.dsl import ExecConfig, execute, parse_script, report_json
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "report-schema.md"
 
@@ -44,6 +44,18 @@ def test_prove_reports_match_the_documented_keys():
     for status, detail in details.items():
         assert extra[status] <= optional
         assert set(detail) == required | extra[status], status
+
+
+def test_the_command_entry_example_is_what_bank_account_emits():
+    """`decor verify docs/bank_account.dec --format json` emits the entry
+    shown under "Command entries"."""
+    section = SCHEMA.read_text().split("\n## Command entries\n", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    example = json.loads(block.replace("{ ... }", "null"))
+    src = (SCHEMA.parent / "bank_account.dec").read_text()
+    report = report_json(execute(parse_script(src), ExecConfig(mode="verify")))
+    assert [(c["kind"], c["target"], c["ok"]) for c in report["commands"]] == [
+        (example["kind"], example["target"], example["ok"])]
 
 
 RUNS = """\
