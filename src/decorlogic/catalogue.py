@@ -1,7 +1,12 @@
 """Lemma catalogues: each side's library lemmas and built-in proofs,
 declared once with their parameters, and the readers that build them.
 The script front end parses, prints and defaults lemma arguments from the
-same entries."""
+same entries.
+
+The constructions both sides share are written here once against a
+`terms.Side`: the theory signature, the annihilation law and the
+unit-uniqueness derivation. On the exceptions side each reads as the dual
+of its states reading."""
 
 from __future__ import annotations
 
@@ -9,13 +14,53 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from . import errors as E
-from .kernel import Derivation
-from .terms import Side, TERM_CLASSES
-from .theory import Theory
+from .kernel import Derivation, node, read_on
+from .terms import Id, Side, TERM_CLASSES, Term, normalize_assoc
+from .theory import Axiom, Equation, Theory, eq_strong, eq_weak, typecheck
 from .types import TYPE_CLASSES
 
 # what the value of a term or type parameter must be
 _CLASSES = {"term": TERM_CLASSES, "type": TYPE_CLASSES}
+
+
+def signature(side: Side, name: str, indices) -> Theory:
+    """The theory over `indices` with its two weak axiom families, A1/A2 on
+    the states side and B1/B2 on the exceptions side:
+
+        A1_i:   l[i] . u[i]  ~~  id[V[i]]             read back what you wrote
+        A2_i_j: l[j] . u[i]  ~~  l[j] . unit[V[i]]    (j != i)  others untouched
+    """
+    ix = tuple(indices)
+    if len(set(ix)) != len(ix) or not ix:
+        raise E.BadParams(f"{side.index_word}s must be non-empty and distinct")
+    a, then = side.axiom, side.then
+    axioms = [Axiom(f"{a}1_{i}", eq_weak(then(side.lookup(i), side.update(i)),
+                                         Id(side.slot(i))))
+              for i in ix]
+    axioms += [Axiom(f"{a}2_{i}_{j}",
+                     eq_weak(then(side.lookup(j), side.update(i)),
+                             then(side.lookup(j), side.to_unit(side.slot(i)))))
+               for i in ix for j in ix if j != i]
+    return Theory(name, side.flavor, locations=() if side.op else ix,
+                  constructors=ix if side.op else (), axioms=tuple(axioms))
+
+
+def annihilation(side: Side, i: str) -> Equation:
+    """Reading i and writing it back changes nothing: u[i] . l[i] == id[1]."""
+    return eq_strong(side.then(side.update(i), side.lookup(i)), Id(side.unit()))
+
+
+def unit_uniqueness(side: Side, theory: Theory, f: Term) -> Derivation:
+    """f == unit[X] for any accessor f: X -> 1 (three nodes); on the
+    exceptions side, f == empty[Y] for any propagator f: 0 -> Y."""
+    f = normalize_assoc(f)
+    typecheck(theory, f)
+    if theory.flavor != "plain" and f.level > 1:
+        error = E.NotAPropagator if side.op else E.NotAnAccessor
+        raise error(f"{f} is level {f.level}")
+    n1 = node(theory, read_on(side, "w-final"), f=f)
+    n2 = node(theory, read_on(side, "unit-arrow"), at=side.src(f))
+    return node(theory, read_on(side, "w-to-s"), [n1, n2])
 
 
 @dataclass(frozen=True)

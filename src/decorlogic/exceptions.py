@@ -3,7 +3,7 @@ the dual law goals, and packaged kernel derivations.
 
 An exceptions theory over names i has t[i]: P[i] -> 0 (level 1, raise) and
 c[i]: 0 -> P[i] (level 2, catch), with two weak axiom families dual to the
-states ones:
+states ones, `catalogue.signature` read on this side:
 
     B1_i:   c[i] . t[i]  ~~  id[P[i]]          catch what you just raised
     B2_i_j: c[i] . t[j]  ~~  empty[P[i]] . t[j]   (j != i)  wrong key passes
@@ -16,11 +16,12 @@ That exercises the translation on every check, not just in its own tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from . import errors as E
-from .catalogue import Catalogue, Entry
-from .kernel import Derivation, derive_initial_uniqueness, node
+from .catalogue import Catalogue, Entry, signature, unit_uniqueness
+from .kernel import Derivation, node
 from .states import build_states_theory, mirror_interaction3
 from .states import derive_lemma as _states_lemma
 from .terms import (
@@ -33,21 +34,7 @@ from .types import EMPTY, Param, TypeExpr, UNIT
 
 
 def build_exceptions_theory(name: str, constructors) -> Theory:
-    names = tuple(constructors)
-    if len(set(names)) != len(names) or not names:
-        raise E.BadParams("exception names must be non-empty and distinct")
-    axioms = []
-    for i in names:
-        axioms.append(Axiom(
-            f"B1_{i}", eq_weak(comp(Catch(i), Throw(i)), Id(Param(i)))))
-    for i in names:
-        for j in names:
-            if j != i:
-                axioms.append(Axiom(
-                    f"B2_{i}_{j}",
-                    eq_weak(comp(Catch(i), Throw(j)),
-                            comp(FromEmpty(Param(i)), Throw(j)))))
-    return Theory(name, "exceptions", constructors=names, axioms=tuple(axioms))
+    return signature(EXCEPTIONS, name, constructors)
 
 
 def with_catch_all(theory: Theory) -> Theory:
@@ -161,10 +148,6 @@ def handler_chain(clauses: Sequence[tuple[str, Term]],
 
 # ----------------------------------------------------------- law goals
 
-def key_annihilation_equation(theory: Theory, i: str) -> Equation:
-    return eq_strong(comp(Throw(i), Catch(i)), Id(EMPTY))
-
-
 def catch_equation(theory: Theory, i: str,
                    to: Optional[TypeExpr] = None) -> Equation:
     """Catching key i and re-raising it is the same as not catching."""
@@ -249,8 +232,8 @@ def _bridge(theory: Theory, i: str, j: str, g: Term, h: Term,
     b2 = node(theory, "w-repl", [b1], by=pc)
     b3 = node(theory, runs, term=pc)
     weak = node(theory, "w-trans", [b2, node(theory, "s-to-w", [b3])])
-    a1 = derive_initial_uniqueness(theory, comp(inj, FromEmpty(pk)))
-    a2 = derive_initial_uniqueness(theory, other)
+    a1 = unit_uniqueness(EXCEPTIONS, theory, comp(inj, FromEmpty(pk)))
+    a2 = unit_uniqueness(EXCEPTIONS, theory, other)
     a3 = node(theory, "eq-trans", [a1, node(theory, "eq-sym", [a2])])
     a4 = node(theory, "eq-repl", [a3], by=sc)
     a5 = node(theory, "semicoprod-P2", term=sc)
@@ -350,7 +333,7 @@ LEMMAS = {
     "key-annihilation": Entry(_key_annihilation),
     # f == empty[Y] for a propagator f: 0 -> Y
     "initial-uniqueness": Entry(
-        derive_initial_uniqueness, (("f", "term"),),
+        partial(unit_uniqueness, EXCEPTIONS), (("f", "term"),),
         example=lambda i: FromEmpty(Param(i))),
     # re-raising a caught key changes nothing
     "catch-throw": Entry(_catch_throw, (("i", "name"), ("to", "type")),

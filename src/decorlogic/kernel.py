@@ -248,7 +248,7 @@ def list_rules(flavor: Optional[str] = None) -> list[str]:
     return sorted(r for r, s in RULES.items() if flavor in s.flavors)
 
 
-def _read_on(side: Side, rid: str) -> str:
+def read_on(side: Side, rid: str) -> str:
     """The states-side rule rid, read on `side`."""
     return RULES[rid].dual if side.op else rid
 
@@ -665,30 +665,6 @@ def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
     return CheckResult(True, None, None, tuple(hyps), count)
 
 
-# ------------------------------------------------- packaged derivations
-
-def _unit_uniqueness(theory: Theory, side: Side, f: Term,
-                     level_error: type) -> Derivation:
-    """f == unit[X] for any f: X -> 1 of level <= 1, read on `side`."""
-    f = normalize_assoc(f)
-    typecheck(theory, f)
-    if _decorated(theory) and f.level > 1:
-        raise level_error(f"{f} is level {f.level}")
-    n1 = node(theory, _read_on(side, "w-final"), f=f)
-    n2 = node(theory, _read_on(side, "unit-arrow"), at=side.src(f))
-    return node(theory, _read_on(side, "w-to-s"), [n1, n2])
-
-
-def derive_final_uniqueness(theory: Theory, f: Term) -> Derivation:
-    """f == unit[X] for any accessor f: X -> 1 (three nodes)."""
-    return _unit_uniqueness(theory, STATES, f, E.NotAnAccessor)
-
-
-def derive_initial_uniqueness(theory: Theory, f: Term) -> Derivation:
-    """f == empty[Y] for any propagator f: 0 -> Y (the exceptions-side twin)."""
-    return _unit_uniqueness(theory, EXCEPTIONS, f, E.NotAPropagator)
-
-
 # ------------------------------------------------------------ saturation
 
 # the most nodes a composite that a search round builds may have
@@ -879,7 +855,7 @@ class _Search:
 
     def rule(self, rid: str) -> str:
         """The states-side rule rid, read on this search's side."""
-        return _read_on(self.side, rid)
+        return read_on(self.side, rid)
 
     def node_id(self, t: Term) -> int:
         n = self.ids.get(t)

@@ -782,12 +782,12 @@ def _suite_states_seven(model: FiniteStateModel) -> list[LawResult]:
 
 def _exception_law_groups(th: Theory) -> list[list[tuple[str, Equation]]]:
     """exceptions-laws' (name, law) pairs in order, grouped by name."""
+    from .catalogue import annihilation
     from .exceptions import (catch_equation, handler_commute_equation,
-                             handler_idempotent_equation, key_annihilation_equation,
-                             raise_term)
+                             handler_idempotent_equation, raise_term)
 
     groups = [[(ax.name, ax.eq)] for ax in th.axioms]
-    groups += [[(f"annihilation[{i}]", key_annihilation_equation(th, i)),
+    groups += [[(f"annihilation[{i}]", annihilation(EXCEPTIONS, i)),
                 (f"catch-throw[{i}]", catch_equation(th, i)),
                 (f"raise-is-throw[{i}]",
                  eq_strong(raise_term(th, i, Empty()), Throw(i))),
@@ -853,8 +853,7 @@ def _suite_duality(model: _Model) -> list[LawResult]:
     Runs on a states model; the exceptions side is its dual theory with the
     same index sizes. Rows pair A1/B1, A2/B2 and the two annihilations.
     """
-    from .exceptions import key_annihilation_equation
-    from .states import annihilation_equation
+    from .catalogue import annihilation
     from .translators import dualize_theory
 
     if isinstance(model, FiniteExceptionModel):
@@ -872,8 +871,8 @@ def _suite_duality(model: _Model) -> list[LawResult]:
     rows = [(f"{ax.name}<->{dax.name}", ax.eq, dax.eq)
             for ax, dax in zip(th.axioms, dual_th.axioms)]
     rows += [(f"annihilation[{i}]<->annihilation[{i}]",
-              annihilation_equation(th, i),
-              key_annihilation_equation(dual_th, i)) for i in th.locations]
+              annihilation(STATES, i), annihilation(EXCEPTIONS, i))
+             for i in th.locations]
     n = len(rows)
     results = _check_groups([(model, [(nm, st) for nm, st, _ in rows]),
                              (dual_m, [(nm, ex) for nm, _, ex in rows])])

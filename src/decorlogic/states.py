@@ -2,12 +2,9 @@
 checkable goals, and packaged kernel derivations for the interesting ones.
 
 A states theory over locations i has l[i]: 1 -> V[i] (level 1) and
-u[i]: V[i] -> 1 (level 2), with two weak axiom families:
-
-    A1_i:   l[i] . u[i]  ~~  id[V[i]]        read back what you wrote
-    A2_i_j: l[j] . u[i]  ~~  l[j] . unit[V[i]]   (j != i)  other cells untouched
-
-The first index of A2 is the updated location, the second the observed one.
+u[i]: V[i] -> 1 (level 2), with the two weak axiom families A1/A2 of
+`catalogue.signature`. The first index of A2 is the updated location, the
+second the observed one.
 
 The derivations below are built node by node through the kernel (`node`
 recomputes every conclusion), so constructing them is already half a check;
@@ -17,36 +14,23 @@ recomputes every conclusion), so constructing them is already half a check;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import errors as E
-from .catalogue import Catalogue, Entry
-from .kernel import (
-    Derivation, axiom_node, derive_final_uniqueness, node,
+from .catalogue import (
+    Catalogue, Entry, annihilation, signature, unit_uniqueness,
 )
+from .kernel import Derivation, axiom_node, node
 from .terms import (
     STATES, Comp, Id, Lookup, Proj1, Proj2, SemiProd, Term, ToUnit, Update,
     comp, normalize_assoc,
 )
-from .theory import Axiom, Equation, Theory, WEAK, eq_strong, eq_weak, typecheck
+from .theory import Equation, Theory, WEAK, eq_strong, eq_weak, typecheck
 from .types import Prod, UNIT, Value
 
 
 def build_states_theory(name: str, locations) -> Theory:
-    locs = tuple(locations)
-    if len(set(locs)) != len(locs) or not locs:
-        raise E.BadParams("locations must be non-empty and distinct")
-    axioms = []
-    for i in locs:
-        axioms.append(Axiom(
-            f"A1_{i}", eq_weak(comp(Lookup(i), Update(i)), Id(Value(i)))))
-    for i in locs:
-        for j in locs:
-            if j != i:
-                axioms.append(Axiom(
-                    f"A2_{i}_{j}",
-                    eq_weak(comp(Lookup(j), Update(i)),
-                            comp(Lookup(j), ToUnit(Value(i))))))
-    return Theory(name, "states", locations=locs, axioms=tuple(axioms))
+    return signature(STATES, name, locations)
 
 
 def semi_pure_product(theory: Theory, pure: Term, eff: Term,
@@ -58,10 +42,6 @@ def semi_pure_product(theory: Theory, pure: Term, eff: Term,
 
 
 # ----------------------------------------------------------- law goals
-
-def annihilation_equation(theory: Theory, i: str) -> Equation:
-    return eq_strong(comp(Update(i), Lookup(i)), Id(UNIT))
-
 
 def _sp_left(i: str, j: str) -> SemiProd:
     """u[i] on the left factor, identity on the right: V[i]*V[j] -> 1*V[j]."""
@@ -114,7 +94,7 @@ def seven_equation_goals(theory: Theory) -> list[SevenGoal]:
     goals: list[SevenGoal] = []
     for i in theory.locations:
         vi = Value(i)
-        e1 = annihilation_equation(theory, i)
+        e1 = annihilation(STATES, i)
         goals.append(SevenGoal(f"1-read-then-write[{i}]", e1,
                                _observe(theory, f"1-read-then-write[{i}]", e1)))
         goals.append(SevenGoal(
@@ -155,8 +135,8 @@ def seven_equation_goals(theory: Theory) -> list[SevenGoal]:
 
 def _fin_pair(th: Theory, a: Term, b: Term) -> Derivation:
     """a == b for two accessors into 1, via both being unit[...]."""
-    da = derive_final_uniqueness(th, a)
-    db = derive_final_uniqueness(th, b)
+    da = unit_uniqueness(STATES, th, a)
+    db = unit_uniqueness(STATES, th, b)
     return node(th, "eq-trans", [da, node(th, "eq-sym", [db])])
 
 
@@ -317,8 +297,7 @@ def _commutation6(th: Theory, i: str, j: str) -> Derivation:
     if i == j:
         raise E.BadParams("commutation-6 needs two distinct locations")
     vi, vj = Value(i), Value(j)
-    lhs = comp(Update(j), Proj2(UNIT, vj), _sp_left(i, j))
-    rhs = comp(Update(i), Proj1(vi, UNIT), _sp_right(i, j))
+    goal = commutation6_equation(th, i, j)
 
     def fam_at(k: str) -> Term:
         if k == i:
@@ -330,7 +309,8 @@ def _commutation6(th: Theory, i: str, j: str) -> Derivation:
     branches_l = [_cell(th, i, j, k, True) for k in th.locations]
     branches_r = [_cell(th, i, j, k, False) for k in th.locations]
     fam = _tuple_family(th, fam_at)
-    return _conclude_by_cone(th, lhs, rhs, fam, branches_l, branches_r)
+    return _conclude_by_cone(th, goal.lhs, goal.rhs, fam, branches_l,
+                             branches_r)
 
 
 def _cell(th: Theory, i: str, j: str, k: str, first: bool) -> Derivation:
@@ -384,7 +364,7 @@ LEMMAS = {
     "annihilation": Entry(_annihilation),
     # f == unit[X] for an accessor f: X -> 1
     "final-uniqueness": Entry(
-        derive_final_uniqueness, (("f", "term"),),
+        partial(unit_uniqueness, STATES), (("f", "term"),),
         example=lambda i: Comp(ToUnit(Value(i)), Lookup(i))),
     # independent writes commute
     "commutation-6": Entry(_commutation6, _IJ),

@@ -544,6 +544,7 @@ class Side:
     semi: type               # SemiProd / SemiCoprod
     a_theory: str            # "a <flavor> theory", for messages
     index_word: str          # what an index is called on this side
+    axiom: str               # "A" / "B": the letter its axioms are named with
 
     def indices(self, theory) -> tuple[str, ...]:
         """The theory's locations, or its exception names."""
@@ -572,10 +573,10 @@ class Side:
 
 STATES = Side("states", False, Unit, Value, Prod, ToUnit, (Proj1, Proj2),
               Lookup, Update, LocTuple, SemiProd, "a states theory",
-              "location")
+              "location", "A")
 EXCEPTIONS = Side("exceptions", True, Empty, Param, Coprod, FromEmpty,
                   (Inj1, Inj2), Throw, Catch, ConstCotuple, SemiCoprod,
-                  "an exceptions theory", "exception name")
+                  "an exceptions theory", "exception name", "B")
 
 
 # ---------------------------------------------------------------- syntax

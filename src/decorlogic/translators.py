@@ -159,13 +159,15 @@ def dualize_equation(eq: Equation) -> Equation:
                     normalize_assoc(dualize_term(eq.rhs)), eq.kind)
 
 
+# each side's axiom letter, and the other side's
+_DUAL_LETTER = {STATES.axiom: EXCEPTIONS.axiom, EXCEPTIONS.axiom: STATES.axiom}
+
+
 def dual_axiom_name(name: str) -> str:
     """A1_x <-> B1_x, A2_x_y <-> B2_x_y; anything else keeps its name."""
-    if len(name) > 2 and name[1] in "12" and name[2] == "_":
-        if name[0] == "A":
-            return "B" + name[1:]
-        if name[0] == "B":
-            return "A" + name[1:]
+    if (len(name) > 2 and name[0] in _DUAL_LETTER and name[1] in "12"
+            and name[2] == "_"):
+        return _DUAL_LETTER[name[0]] + name[1:]
     return name
 
 

@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import strategies as strat
 from decorlogic import errors as E
+from decorlogic.catalogue import unit_uniqueness
 from decorlogic.dsl import execute, parse_script
 from decorlogic.exceptions import build_exceptions_theory
 from decorlogic.kernel import (Holds, RULES, WellFormed, apply_rule,
-                               axiom_node, check_derivation,
-                               derive_final_uniqueness,
-                               derive_initial_uniqueness, gen_node,
+                               axiom_node, check_derivation, gen_node,
                                hyp_node, list_rules, node, saturate_prove,
                                _Search)
 from decorlogic.models import FiniteStateModel, check_equation
@@ -99,7 +98,7 @@ def test_strong_to_weak_is_unconditional(states2):
 
 def test_final_uniqueness_derivation(states2):
     f = comp(ToUnit(Value("x")), Lookup("x"))
-    d = derive_final_uniqueness(states2, f)
+    d = unit_uniqueness(STATES, states2, f)
     assert check_derivation(states2, d).valid
     assert d.conclusion.eq.kind == STRONG
     assert d.conclusion.eq.rhs == ToUnit(UNIT)
@@ -107,7 +106,7 @@ def test_final_uniqueness_derivation(states2):
 
 def test_initial_uniqueness_derivation(exc2):
     f = FromEmpty(Param("i"))
-    d = derive_initial_uniqueness(exc2, f)
+    d = unit_uniqueness(EXCEPTIONS, exc2, f)
     assert check_derivation(exc2, d).valid
     assert d.conclusion.eq.rhs == FromEmpty(Param("i"))
 

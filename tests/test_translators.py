@@ -24,7 +24,7 @@ from decorlogic.terms import (EXCEPTIONS, STATES, TERM_CLASSES, CaseSum,
                               Id, Inj1, Inj2, Lookup, PropCase, Proj1, Proj2,
                               SemiProd, SemiCoprod, Side, Throw, ToUnit,
                               Update, cod, comp, dom)
-from decorlogic.theory import Equation, STRONG
+from decorlogic.theory import Equation, STRONG, WEAK
 from decorlogic.translators import (ECase, EPair, dual_axiom_name,
                                     dualize_derivation, dualize_equation, dualize_judgment,
                                     dualize_term,
@@ -158,6 +158,21 @@ def test_dualize_theory_matches_a_hand_built_dual():
     s = build_states_theory("S", ["x", "y"])
     assert dualize_theory(s) == build_exceptions_theory("S-dual", ["x", "y"])
     assert dualize_theory(dualize_theory(s)) == s
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_exceptions_signature_is_the_dual_of_the_states_one(n):
+    """B1/B2 are A1/A2 read on the exceptions side, written out here."""
+    ix = ["i", "j", "k"][:n]
+    ex = build_exceptions_theory("E", ix)
+    dual = dualize_theory(build_states_theory("E", ix))
+    assert dataclasses.replace(dual, name="E") == ex
+    want = [(f"B1_{i}", comp(Catch(i), Throw(i)), Id(Param(i))) for i in ix]
+    want += [(f"B2_{i}_{j}", comp(Catch(i), Throw(j)),
+              comp(FromEmpty(Param(i)), Throw(j)))
+             for i in ix for j in ix if j != i]
+    assert [(a.name, a.eq.lhs, a.eq.rhs) for a in ex.axioms] == want
+    assert {a.eq.kind for a in ex.axioms} == {WEAK}
 
 
 def test_dualize_theory_outside_domain(states2, exc2):
