@@ -34,7 +34,8 @@ from .kernel import (
 from .terms import (
     EXCEPTIONS, STATES, CaseSum, CatchAll, Coerce, Comp, FromEmpty, Gen, Id,
     Inj1, Inj2, Node, PropCase, Proj1, Proj2, SemiCoprod, SemiProd, Side,
-    TERM_CLASSES, Term, ToUnit, comp, factors, normalize_assoc, term_class,
+    TERM_CLASSES, Term, ToUnit, comp, compose_normal, factors, normalize_assoc,
+    term_class,
 )
 from .theory import Axiom, Equation, STRONG, Theory
 from .types import (
@@ -269,14 +270,10 @@ class ECase(Node):
 
 
 def ecomp(*parts: Term) -> Term:
-    """Compose right-to-left, dropping identities."""
-    flat = [f for p in reversed(parts) for f in factors(p)
-            if not isinstance(f, Id)]
-    if not flat:
-        return Id(parts[-1].dom)
-    out = flat[0]
-    for t in flat[1:]:
-        out = Comp(t, out)
+    """Compose normal terms right-to-left, dropping identities."""
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = compose_normal(p, out)
     return out
 
 
