@@ -850,7 +850,9 @@ class _Search:
         self.facts = 0
         self.rounds = 0
         self.fresh: list[int] = []      # ids whose subterms are not pooled yet
-        self.pool: dict[Term, str] = {}     # term -> its text
+        self.pool: set[Term] = set()    # the terms and subterms seen so far
+        # the pooled terms a round may compose, with their texts to sort by
+        self.small: dict[Term, str] = {}
         self.goal_ids = (self.node_id(goal.lhs), self.node_id(goal.rhs))
 
     def rule(self, rid: str) -> str:
@@ -928,7 +930,9 @@ class _Search:
             while todo:
                 s = todo.pop()
                 if s not in pool:
-                    pool[s] = str(s)
+                    pool.add(s)
+                    if s.size <= MAX_TERM_SIZE:
+                        self.small[s] = str(s)
                     new.append(s)
                     todo += reversed(s.kids())
         self.fresh.clear()
@@ -979,10 +983,10 @@ class _Search:
         """Compose the classes of the round's start with the pool; True as
         soon as the goal is reached."""
         side, th, terms = self.side, self.theory, self.terms
-        pool, then = self.pool, side.then_normal
+        small, then = self.small, side.then_normal
         by_src: dict[TypeExpr, list[Term]] = {}
         by_tgt: dict[TypeExpr, list[Term]] = {}
-        for c in sorted(pool, key=lambda t: (t.size, pool[t])):
+        for c in sorted(small, key=lambda t: (t.size, small[t])):
             if not isinstance(c, Id):
                 by_src.setdefault(side.src(c), []).append(c)
                 by_tgt.setdefault(side.tgt(c), []).append(c)
