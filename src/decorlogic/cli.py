@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="report format (default: text)")
         p.add_argument("--budget", type=int, default=None, metavar="N",
-                       help="saturation round budget for prove directives")
+                       help="saturation round budget for prove directives "
+                            "(N >= 0; 0 runs the closure of the axioms only)")
         p.add_argument("--fail-fast", action="store_true",
                        help="stop at the first failing command")
     return top
@@ -69,6 +70,12 @@ def _overrides(pairs: list[str]) -> dict[str, int]:
     return out
 
 
+def _budget(n: int | None) -> int | None:
+    if n is not None and n < 0:
+        raise E.ExecError(f"--budget wants N >= 0, got {n}")
+    return n
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -79,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = ExecConfig(mode=args.mode,
                             model_overrides=_overrides(args.model),
-                            budget=args.budget,
+                            budget=_budget(args.budget),
                             fail_fast=args.fail_fast)
         report = execute(parse_script(text), config)
     except E.ScriptError as exc:

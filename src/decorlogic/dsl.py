@@ -27,9 +27,9 @@ from .exceptions import build_exceptions_theory, handler_chain
 from .exceptions import builtin_proof as _exc_builtin
 from .exceptions import derive_lemma as _exc_lemma
 from .exceptions import with_catch_all
-from .kernel import (Derivation, Holds, Judgment, RULES, WellFormed,
-                     axiom_node, check_derivation, gen_node, hyp_node, node,
-                     saturate_prove)
+from .kernel import (DEFAULT_BUDGET, Derivation, Holds, Judgment, RULES,
+                     WellFormed, axiom_node, check_derivation, gen_node,
+                     hyp_node, node, saturate_prove)
 from .models import (FiniteExceptionModel, FiniteStateModel, SUITES,
                      Valuation, eval_exceptions, eval_states,
                      verify_law_suite)
@@ -1341,7 +1341,9 @@ def _run_eval(env: _Env, cmd: EvalCmd) -> tuple[bool, dict]:
 
 def _run_prove(env: _Env, cmd: ProveCmd) -> tuple[bool, dict]:
     th = env.theory(cmd.theory, cmd.pos)
-    budget = cmd.budget or env.config.budget or 4
+    budget = cmd.budget if cmd.budget is not None else env.config.budget
+    if budget is None:
+        budget = DEFAULT_BUDGET
     try:
         model = env.model_for(cmd.theory, None, cmd.pos)
     except E.DecorError:

@@ -669,6 +669,8 @@ def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
 
 # the most nodes a composite that a search round builds may have
 MAX_TERM_SIZE = 7
+# the rounds a search runs when its caller names no budget
+DEFAULT_BUDGET = 4
 
 
 @dataclass(frozen=True)
@@ -685,7 +687,8 @@ class ProveResult:
         return self.status == "proven"
 
 
-def saturate_prove(theory: Theory, goal: Equation, budget: int = 4,
+def saturate_prove(theory: Theory, goal: Equation,
+                   budget: int = DEFAULT_BUDGET,
                    fact_cap: int = 20000, model: Any = None) -> ProveResult:
     """Decide goal by refutation on a finite model, then by saturation.
 

@@ -63,6 +63,30 @@ def test_model_overrides_do_not_leak_into_the_next_call(tmp_path,
     assert sizes() == {"x": 2, "y": 2}
 
 
+def test_a_budget_of_zero_runs_the_closure_of_the_axioms_only(tmp_path,
+                                                             capfdbinary):
+    def prove(budget_clause, *extra):
+        path = _write(tmp_path, "theory S = states(x: 2, y: 2)\n"
+                                "prove in S : l[y] . (u[x] . l[x]) ~~ l[y]"
+                                f"{budget_clause}\n")
+        code = cli.main(["check", path, "--format", "json", *extra])
+        detail = json.loads(capfdbinary.readouterr().out)["commands"][0]["detail"]
+        return code, detail["budget"], detail["rounds"], detail["reason"]
+
+    closure = (1, 0, 0, "budget of 0 rounds exhausted")
+    assert prove(" budget 0") == closure
+    assert prove("", "--budget", "0") == closure
+    assert prove("") == (0, 4, 2, "found in round 2")
+
+
+def test_a_negative_budget_is_a_usage_error(tmp_path, capfd):
+    path = _write(tmp_path, "theory S = states(x: 2)\n"
+                            "prove in S : l[x] ~~ l[x]\n")
+    assert cli.main(["check", path, "--budget", "-3"]) == 2
+    out, err = capfd.readouterr()
+    assert out == "" and err == "error: --budget wants N >= 0, got -3\n"
+
+
 @pytest.mark.parametrize("argv", [["frobnicate", "x.dec"], ["check"],
                                   ["eval", "x.dec", "--format", "xml"]],
                          ids=["unknown-command", "no-script", "bad-choice"])
