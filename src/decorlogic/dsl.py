@@ -1294,11 +1294,11 @@ def _run_lemma(env: _Env, cmd: LemmaCmd) -> tuple[bool, dict]:
 def _decode_input(model, dom_ty: TypeExpr, n: int, pos: SrcPos,
                   what: str = "input") -> Any:
     """An integer input names a carrier element by enumeration position."""
-    car = model.carrier(dom_ty)
-    if not 0 <= n < len(car):
+    size = model.carrier_size(dom_ty)
+    if not 0 <= n < size:
         raise E.ExecError(f"{what} {n} is out of range for {dom_ty} "
-                          f"({len(car)} elements)", pos.line, pos.col)
-    return car[n]
+                          f"({size} elements)", pos.line, pos.col)
+    return model.element(dom_ty, n)
 
 
 def _run_eval(env: _Env, cmd: EvalCmd) -> tuple[bool, dict]:

@@ -149,6 +149,21 @@ class _Model:
             return self.valuation.base[ty.name]
         return len(self.carrier(ty))  # 1 or 0, or CarrierMissing
 
+    def element(self, ty: TypeExpr, n: int) -> Any:
+        """carrier(ty)[n] for 0 <= n < carrier_size(ty), decoded from ty's
+        shape without building the carrier."""
+        if isinstance(ty, Prod):
+            a, b = divmod(n, self.carrier_size(ty.right))
+            return self.element(ty.left, a), self.element(ty.right, b)
+        if isinstance(ty, Coprod):
+            k = self.carrier_size(ty.left)
+            if n < k:
+                return "l", self.element(ty.left, n)
+            return "r", self.element(ty.right, n - k)
+        if isinstance(ty, (Value, Param, Named)):
+            return n
+        return self.carrier(ty)[n]  # the unit type's one element
+
     def positions(self, ty: TypeExpr) -> dict:
         """The enumeration position of every element of ty's carrier."""
         at = self._positions.get(ty)

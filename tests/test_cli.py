@@ -300,6 +300,22 @@ def test_a_deep_prove_goal_runs_in_every_mode(tmp_path, mode, capfdbinary):
 # ------------------------------------------------------- memory bounds
 
 
+def _capped_cli(argv, mb):
+    """Run cli.main(argv) in a child process capped at mb MB of address
+    space. The child's peak RSS, in KiB, ends its standard error."""
+    child = ("import resource, sys\n"
+             "cap = int(sys.argv[1]) * 2**20\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+             "from decorlogic import cli\n"
+             "code = cli.main(sys.argv[2:])\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,\n"
+             "      file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", child, str(mb), *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def _deep_lsemi():
     term = "l[x]"
     for _ in range(16):
@@ -324,17 +340,28 @@ def test_a_deep_semi_pure_goal_is_decided_within_a_memory_cap(tmp_path, goal):
     search proves the goal. Run in a child process capped at 1.5 GB of
     address space."""
     path = _write(tmp_path, "theory S = states(x: 3)\n" + goal)
-    child = ("import resource, sys\n"
-             "cap = 1536 * 2**20\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-             "from decorlogic import cli\n"
-             "sys.exit(cli.main(['check', sys.argv[1], '--format', 'json']))\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, "-c", child, path], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = _capped_cli(["check", path, "--format", "json"], 1536)
     assert run.returncode == 0, run.stderr
     (cmd,) = json.loads(run.stdout)["commands"]
     assert cmd["detail"]["status"] == "proven"
+
+
+@pytest.mark.parametrize("script, answer", [
+    ("theory S = states(x: 100000000000)\n"
+     "eval in S : l[x] on 0 state (5)\n", 5),
+    ("theory E = exceptions(i: 100000000000)\n"
+     "eval in E : c[i] on throw(i: 7)\n", ["val", 7]),
+], ids=["states", "exceptions"])
+def test_eval_decodes_its_input_without_building_a_carrier(tmp_path, script,
+                                                           answer):
+    """A carrier of 10^11 elements is never listed: eval decodes an input
+    position from the type's shape. Run in a child process capped at 512 MB
+    of address space."""
+    path = _write(tmp_path, script)
+    run = _capped_cli(["eval", path, "--format", "json"], 512)
+    assert run.returncode == 0, run.stderr
+    (cmd,) = json.loads(run.stdout)["commands"]
+    assert cmd["detail"]["result"] == answer
 
 
 def test_a_suite_checks_every_law_bound_before_building_a_table(tmp_path):
@@ -344,17 +371,7 @@ def test_a_suite_checks_every_law_bound_before_building_a_table(tmp_path):
     capped at 512 MB of address space."""
     path = _write(tmp_path, "theory S = states(x: 3, y: 3, z: 3)\n"
                             "verify states-seven in S\n")
-    child = ("import resource, sys\n"
-             "cap = 512 * 2**20\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-             "from decorlogic import cli\n"
-             "code = cli.main(['verify', sys.argv[1], '--model', 'x=5000'])\n"
-             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,\n"
-             "      file=sys.stderr)\n"
-             "sys.exit(code)\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, "-c", child, path], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = _capped_cli(["verify", path, "--model", "x=5000"], 512)
     assert run.returncode == 1, run.stderr
     assert "1125000000000 points exceeds bound 10000000" in run.stdout
     assert "Traceback" not in run.stderr

@@ -339,6 +339,17 @@ def test_carrier_size_follows_the_carrier(states2, exc2):
             m.carrier(ty)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_element_decodes_a_carrier_position_without_the_carrier(data):
+    base = Valuation(base={"A": 2})
+    for m in (FiniteStateModel(strat.STATES2, {"x": 2, "y": 3}, base),
+              FiniteExceptionModel(strat.EXC2, {"i": 3, "j": 2}, base)):
+        ty = data.draw(strat.types(m.theory))
+        car = m.carrier(ty)
+        assert [m.element(ty, n) for n in range(len(car))] == car, ty
+
+
 # ------------------------------------------ shared, short and value-first
 
 @settings(max_examples=12, deadline=None)
