@@ -19,7 +19,7 @@ from decorlogic.terms import (TERM_CLASSES, CaseSum, Catch, Coerce, Comp,
                               SemiProd, Throw, ToUnit, Update, cod, comp,
                               compose_normal, dom, normalize_assoc, subterms,
                               term_size, term_to_text)
-from decorlogic.theory import (STRONG, WEAK, eq_strong, eq_weak,
+from decorlogic.theory import (STRONG, WEAK, Equation, eq_strong, eq_weak,
                                infer_decoration, norm_eq, typecheck,
                                typecheck_equation)
 from decorlogic.translators import (ECase, EPair, dualize_term,
@@ -303,6 +303,63 @@ def test_equation_kinds_and_render():
 def test_typecheck_equation_requires_same_profile(states2):
     with pytest.raises(E.TypingError):
         typecheck_equation(states2, eq_weak(Lookup("x"), Update("x")))
+
+
+_S, _E = strat.STATES2, strat.EXC2
+_CATCHER = comp(Catch("i"), Throw("i"))      # P[i] -> P[i], level 2
+# (theory, term or equation, the error, its message), one row per refusal
+_ILL_TYPED = {
+    "unknown-location": (_S, Id(Value("q")), E.UnknownIndex,
+                         "unknown location 'q'"),
+    "unknown-exception-name": (_E, Id(Param("q")), E.UnknownIndex,
+                               "unknown exception name 'q'"),
+    "product-on-exceptions": (
+        _E, Id(Prod(Param("i"), Param("j"))), E.FlavorViolation,
+        "product types do not occur on the exceptions side"),
+    "unknown-thrown-name": (_E, Throw("q"), E.UnknownIndex,
+                            "unknown exception name 'q'"),
+    "generator-profile": (
+        _S.with_gen(Gen("g", Value("x"), Value("y"), 1)),
+        Gen("g", Value("x"), Value("x"), 1), E.TypingError,
+        "generator 'g' used with profile V[x]->V[x] level 1, "
+        "declared V[x]->V[y] level 1"),
+    "tuple-component-target": (
+        _S, LocTuple((("x", Lookup("y")), ("y", Lookup("y")))),
+        E.TypingError, "component for 'x' must end at V[x], got V[y]"),
+    "tuple-component-modifier": (
+        _S, LocTuple((("x", comp(Lookup("x"), Update("x"), Lookup("x"))),
+                      ("y", Lookup("y")))),
+        E.NotAnAccessor, "tuple component for 'x' is a modifier"),
+    "cotuple-component-source": (
+        _E, ConstCotuple((("i", Throw("j")), ("j", Throw("j")))),
+        E.TypingError, "component for 'i' must start at P[i], got P[j]"),
+    "cotuple-component-catcher": (
+        _E, ConstCotuple((("i", comp(Throw("i"), _CATCHER)),
+                          ("j", Throw("j")))),
+        E.NotAPropagator, "cotuple component for 'i' is a catcher"),
+    "case-value-branch-catches": (
+        _E, CaseSum(_CATCHER, Catch("i")), E.NotAPropagator,
+        "case's value branch must not catch"),
+    "case-codomains": (_E, CaseSum(Id(Param("i")), Catch("j")),
+                       E.CodomainMismatch,
+                       "case branches must share a codomain"),
+    "cases-catcher": (_E, PropCase(_CATCHER, Throw("j")), E.NotAPropagator,
+                      "cases() takes propagators, not catchers"),
+    "cases-codomains": (_E, PropCase(Id(Param("i")), Throw("j")),
+                        E.CodomainMismatch,
+                        "cases branches must share a codomain"),
+    "equation-kind": (_S, Equation(Lookup("x"), Lookup("x"), "medium"),
+                      E.TypingError, "unknown equation kind 'medium'"),
+}
+
+
+@pytest.mark.parametrize("theory,thing,error,message", _ILL_TYPED.values(),
+                         ids=_ILL_TYPED)
+def test_every_typecheck_refusal_is_pinned(theory, thing, error, message):
+    check = typecheck_equation if isinstance(thing, Equation) else typecheck
+    with pytest.raises(error) as exc:
+        check(theory, thing)
+    assert str(exc.value) == message
 
 
 def test_exception_case_terms_typecheck(exc2):

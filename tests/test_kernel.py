@@ -762,6 +762,68 @@ def test_every_refusal_of_a_rule_family_is_pinned(rid, flavor, premises,
     assert str(exc.value) == message
 
 
+def _g(s):
+    """u then l: the map a cone's premises observe."""
+    return s.side.then(s.u, s.l)
+
+
+# rule ids of one family with instantiations: (rule id, flavor, samples ->
+# (premises, instantiation), the error, the refusal)
+_REFUSED_WITH_INST = {
+    "w-to-s-count": (
+        "w-to-s-prop", "exceptions", lambda s: ([], {}), E.BadPremises,
+        "w-to-s-prop takes the weak premise, optionally a WF premise"),
+    "w-to-s-wf-term": (
+        "w-to-s", "states",
+        lambda s: ([s.weq(s.c, s.id), WellFormed(s.lj, 1)], {}),
+        E.BadPremises, "w-to-s: WF premise names a term not in the equation"),
+    "loc-tuple-component": (
+        "loc-tuple", "states", lambda s: ([], dict(family=s.family, at="z")),
+        E.BadInstantiation, "loc-tuple: no component for 'z'"),
+    "loc-tuple-unique-count": (
+        "const-cotuple-unique", "exceptions",
+        lambda s: (_cone_premises(s, _g(s))[:1],
+                   dict(family=s.family, g=_g(s))),
+        E.BadPremises, "const-cotuple-unique takes 2 premises, got 1"),
+    "loc-tuple-unique-premise": (
+        "loc-tuple-unique", "states",
+        lambda s: (_cone_premises(s, _g(s))[::-1],
+                   dict(family=s.family, g=_g(s))),
+        E.BadPremises,
+        "loc-tuple-unique: premise for 'x' should be l[x] . (u[x] . l[x]) ~~ "
+        "l[x], got l[y] . (u[x] . l[x]) ~~ l[y]"),
+    "binprod-proj-which": (
+        "bincoprod-inj", "exceptions",
+        lambda s: ([], dict(which=3, left=s.T, right=s.one)),
+        E.BadInstantiation, "bincoprod-inj: which must be 1 or 2"),
+    "sum-case-unique-second": (
+        "sum-case-unique", "exceptions",
+        lambda s: ([s.weq(s.a, s.id), s.eq(s.u, s.u)],
+                   dict(term=CaseSum(s.id, s.u), h=s.a)),
+        E.BadPremises, "sum-case-unique: second premise should be "
+        "c[i] . (t[i] . empty[P[i]]) == c[i]"),
+}
+
+
+@pytest.mark.parametrize("rid,flavor,make,error,message",
+                         _REFUSED_WITH_INST.values(), ids=_REFUSED_WITH_INST)
+def test_every_refusal_with_an_instantiation_is_pinned(rid, flavor, make,
+                                                       error, message):
+    th, s = _on_flavor(rid, flavor)
+    premises, inst = make(s)
+    with pytest.raises(error) as exc:
+        apply_rule(th, rid, premises, inst)
+    assert str(exc.value) == message
+
+
+def test_an_unknown_citation_kind_invalidates_the_tree(states2):
+    d = dataclasses.replace(axiom_node(states2, "A1_x"),
+                            rule=("lemma", "A1_x"))
+    res = check_derivation(states2, d)
+    assert (res.valid, res.error, res.path) == (
+        False, "unknown citation kind 'lemma'", ())
+
+
 # The search itself, pinned: status, rounds, facts and proof nodes of the
 # read-back goals l[j] . u[i] . l[i] ~~ l[j] on 2 and 3 locations and their
 # duals, the bank goal and strong A1 under a small cap. A change that only
