@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none imports inside a function from a module it already imports at top
-level, none raises the interpreter's recursion limit, and every name the
-traced benchmark rebinds still exists.
+level, none raises the interpreter's recursion limit, every name the
+traced benchmark rebinds still exists, and the trusted kernel stands on
+its own.
 
 `__init__.py` is left out of the import scan, since re-exporting is what
 it imports for.
@@ -162,3 +163,30 @@ def test_the_duality_and_the_explicit_terms_are_declared_once():
     assert sides == [("terms.py", "Side")]
     assert {c.name for c in _classes(PACKAGE / "translators.py")
             if _is_term_class(c)} == {"EPair", "ECase"}
+
+
+def _package_imports(nodes) -> set[str]:
+    """The package modules that the import statements among `nodes` read."""
+    out: set[str] = set()
+    for n in nodes:
+        if isinstance(n, ast.ImportFrom) and n.level:
+            out |= {n.module} if n.module else {a.name for a in n.names}
+    return out
+
+
+def test_the_kernel_is_the_trust_boundary():
+    """At top level the kernel imports from the package only the modules
+    its rules read; the one local import is the prover's finite-model
+    check. No other module builds a `Derivation` but through the kernel."""
+    tree = ast.parse((PACKAGE / "kernel.py").read_text(encoding="utf-8"))
+    assert _package_imports(tree.body) == {"errors", "terms", "theory",
+                                           "types"}
+    assert {(f.name, m) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            for m in _package_imports(ast.walk(f))} == {("_refute", "models")}
+    builders = {p.name for p in PACKAGE.glob("*.py")
+                for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                if isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None))
+                == "Derivation"}
+    assert builders == {"kernel.py"}
