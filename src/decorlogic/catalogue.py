@@ -27,8 +27,8 @@ def signature(side: Side, name: str, indices) -> Theory:
     """The theory over `indices` with its two weak axiom families, A1/A2 on
     the states side and B1/B2 on the exceptions side:
 
-        A1_i:   l[i] . u[i]  ~~  id[V[i]]             read back what you wrote
-        A2_i_j: l[j] . u[i]  ~~  l[j] . unit[V[i]]    (j != i)  others untouched
+        A1_i:   l[i] . u[i]  ~~  id[V[i]]            read back what you wrote
+        A2_i_j: l[j] . u[i]  ~~  l[j] . unit[V[i]]   (j != i) others untouched
     """
     ix = tuple(indices)
     if len(set(ix)) != len(ix) or not ix:
@@ -47,7 +47,8 @@ def signature(side: Side, name: str, indices) -> Theory:
 
 def annihilation(side: Side, i: str) -> Equation:
     """Reading i and writing it back changes nothing: u[i] . l[i] == id[1]."""
-    return eq_strong(side.then(side.update(i), side.lookup(i)), Id(side.unit()))
+    return eq_strong(side.then(side.update(i), side.lookup(i)),
+                     Id(side.unit()))
 
 
 def unit_uniqueness(side: Side, theory: Theory, f: Term) -> Derivation:

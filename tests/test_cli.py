@@ -70,7 +70,8 @@ def test_a_budget_of_zero_runs_the_closure_of_the_axioms_only(tmp_path,
                                 "prove in S : l[y] . (u[x] . l[x]) ~~ l[y]"
                                 f"{budget_clause}\n")
         code = cli.main(["check", path, "--format", "json", *extra])
-        detail = json.loads(capfdbinary.readouterr().out)["commands"][0]["detail"]
+        (cmd,) = json.loads(capfdbinary.readouterr().out)["commands"]
+        detail = cmd["detail"]
         return code, detail["budget"], detail["rounds"], detail["reason"]
 
     closure = (1, 0, 0, "budget of 0 rounds exhausted")

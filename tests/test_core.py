@@ -316,6 +316,9 @@ _ILL_TYPED = {
     "product-on-exceptions": (
         _E, Id(Prod(Param("i"), Param("j"))), E.FlavorViolation,
         "product types do not occur on the exceptions side"),
+    "sum-on-states": (_S, Id(Coprod(Value("x"), Value("y"))),
+                      E.FlavorViolation,
+                      "sum types do not occur on the states side"),
     "unknown-thrown-name": (_E, Throw("q"), E.UnknownIndex,
                             "unknown exception name 'q'"),
     "generator-profile": (
