@@ -297,14 +297,18 @@ _LEMMAS = {**STATE_CATALOGUE.lemmas, **EXC_CATALOGUE.lemmas}
 MAX_NESTING = 100
 
 # how long a chain of premises a proof block may hold; past it a script is
-# refused with a ParseError instead of exhausting the Python stack when the
-# derivation is replayed, reported or printed (recursively, step by step)
+# refused with a ParseError. Replay and the other walks of a derivation are
+# flat in depth, but the report's tree is nested dicts, and the JSON
+# encoder (and the text report) recurse once per level: json.dumps with
+# indent=2 of a 500-deep tree raises RecursionError, and of a 300-deep one
+# does not
 MAX_PROOF_DEPTH = 100
 
 # how many nodes a proof block's tree may hold, each step counting 1 plus
 # its premises' trees; a step that cites one premise twice doubles it, and
-# the replay and the report revisit shared subtrees, so past it a script is
-# refused with a ParseError instead of growing as 2^steps
+# the report writes a shared subtree out at each place that cites it, so
+# past it a script is refused with a ParseError instead of growing as
+# 2^steps
 MAX_PROOF_NODES = 256
 
 
@@ -1002,30 +1006,32 @@ def print_script(script: Script) -> str:
 # ------------------------------------------------- derivations as scripts
 
 def derivation_to_proof(name: str, theory: str, d: Derivation) -> str:
-    """Serialize a derivation as a proof block; shared subtrees get one label."""
-    labels: dict[Derivation, str] = {}
+    """Serialize a derivation as a proof block; equal subtrees get one label.
+
+    A step is keyed on its rule, instantiation, conclusion and premise
+    labels, so two subtrees get one label exactly when they are equal."""
+    labels: dict[tuple, str] = {}  # step key -> label
+    label_of: dict[int, str] = {}  # id of a node -> its label
     steps: list[ProofStep] = []
-
-    def walk(n: Derivation) -> str:
-        if n in labels:
-            return labels[n]
-        prem = tuple(walk(p) for p in n.premises)
-        label = f"s{len(labels) + 1}"
-        labels[n] = label
-        if isinstance(n.rule, tuple):
-            tag, nm = n.rule
-            if tag == "hyp":
-                concl = n.conclusion
-                claim = (concl.eq if isinstance(concl, Holds)
-                         else (concl.term, concl.level))
-                steps.append(ProofStep(label, "hyp", nm, (), (), claim))
+    for n, _, done in d.walk():
+        if not done:
+            continue
+        prem = tuple(label_of[id(p)] for p in n.premises)
+        key = (n.rule, n.inst, n.conclusion, prem)
+        if key not in labels:
+            label = labels[key] = f"s{len(labels) + 1}"
+            if isinstance(n.rule, tuple):
+                tag, nm = n.rule
+                if tag == "hyp":
+                    concl = n.conclusion
+                    claim = (concl.eq if isinstance(concl, Holds)
+                             else (concl.term, concl.level))
+                    steps.append(ProofStep(label, "hyp", nm, (), (), claim))
+                else:
+                    steps.append(ProofStep(label, tag, nm))
             else:
-                steps.append(ProofStep(label, tag, nm))
-        else:
-            steps.append(ProofStep(label, "rule", n.rule, n.inst, prem))
-        return label
-
-    walk(d)
+                steps.append(ProofStep(label, "rule", n.rule, n.inst, prem))
+        label_of[id(n)] = labels[key]
     block = ProofDecl(name, theory, tuple(steps))
     return _decl_text(block) + "\n"
 
@@ -1053,17 +1059,24 @@ def build_proof(theory: Theory, decl: ProofDecl) -> Derivation:
 
 
 def derivation_json(d: Derivation) -> dict:
-    """A nested-tree view of a derivation, for reports."""
-    if isinstance(d.rule, tuple):
-        rule = f"{d.rule[0]}({d.rule[1]})"
-    else:
-        rule = d.rule
-    return {
-        "rule": rule,
-        "inst": {k: _written(_rule_kind(d.rule, k), v) for k, v in d.inst},
-        "conclusion": str(d.conclusion),
-        "premises": [derivation_json(p) for p in d.premises],
-    }
+    """A nested-tree view of a derivation, for reports. Each distinct node's
+    dict is built once, and a shared premise's dict is shared too; the
+    encoder writes it out at each place that cites it."""
+    out: dict[int, dict] = {}  # id of a node -> its dict
+    for n, _, done in d.walk():
+        if not done:
+            continue
+        if isinstance(n.rule, tuple):
+            rule = f"{n.rule[0]}({n.rule[1]})"
+        else:
+            rule = n.rule
+        out[id(n)] = {
+            "rule": rule,
+            "inst": {k: _written(_rule_kind(n.rule, k), v) for k, v in n.inst},
+            "conclusion": str(n.conclusion),
+            "premises": [out[id(p)] for p in n.premises],
+        }
+    return out[id(d)]
 
 
 # --------------------------------------------------------------- executor

@@ -5,7 +5,10 @@ A derivation is a tree whose nodes each carry the rule they claim to apply,
 the instantiation it needs, and the conclusion they claim to reach. The
 checker recomputes every conclusion bottom-up with `apply_rule` and compares
 against the stored one, so changing any single node (the root included)
-makes the tree invalid.
+makes the tree invalid. A premise may be shared: `Derivation.walk` visits
+each distinct node once, without recursion, so replay is linear in the
+distinct nodes and flat in depth. Every other reader of a derivation goes
+through the same walk.
 
 Leaf citations are not catalog rules: ('axiom', name) quotes a theory axiom,
 ('gen', name) quotes a generator's declared profile, ('hyp', label) assumes a
@@ -44,7 +47,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import (Any, Callable, Iterator, Mapping, Optional, Sequence,
+                    Union)
 
 from . import errors as E
 from .terms import (
@@ -93,13 +97,33 @@ class Derivation:
     inst: tuple[tuple[str, Any], ...]
     conclusion: Judgment
 
-    def iter_nodes(self):
-        yield self
-        for p in self.premises:
-            yield from p.iter_nodes()
+    def walk(self) -> Iterator[tuple["Derivation", int, bool]]:
+        """Visit each distinct node (by identity) once, depth first and left
+        to right, without recursion. Yield (node, k, False) on first
+        reaching it as premise k of its parent (0 at the root), and
+        (node, k, True) once its premises are done."""
+        seen = {id(self)}
+        yield self, 0, False
+        stack = [(self, 0, enumerate(self.premises))]
+        while stack:
+            n, k, todo = stack[-1]
+            for i, p in todo:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    yield p, i, False
+                    stack.append((p, i, enumerate(p.premises)))
+                    break
+            else:
+                stack.pop()
+                yield n, k, True
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        """The number of tree nodes, a shared premise counted each time."""
+        size: dict[int, int] = {}
+        for n, _, done in self.walk():
+            if done:
+                size[id(n)] = 1 + sum(size[id(p)] for p in n.premises)
+        return size[id(self)]
 
 
 # ------------------------------------------------------- premise helpers
@@ -616,53 +640,67 @@ class CheckResult:
 
 
 def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
-    """Recompute every node's conclusion; any mismatch invalidates the tree.
+    """Replay each distinct node once, premises first; any mismatch
+    invalidates the tree.
 
-    `path` addresses the offending node by premise indices from the root.
+    `path` addresses the first offending node in left-to-right post-order
+    by premise indices from the root. `nodes` is the size of the tree, a
+    shared premise counted each time it is cited, and `hypotheses` lists
+    each assumed name once, in replay order.
     """
     hyps: list[str] = []
-    count = 0
-
-    def walk(n: Derivation, path: tuple[int, ...]) -> Optional[tuple[tuple, str]]:
-        nonlocal count
-        count += 1
-        for k, p in enumerate(n.premises):
-            bad = walk(p, path + (k,))
-            if bad:
-                return bad
-        try:
-            if isinstance(n.rule, tuple):
-                tag, name = n.rule[0], n.rule[1]
-                if n.premises:
-                    return path, f"citation {tag}({name}) cannot have premises"
-                if tag == "axiom":
-                    want: Judgment = axiom_node(theory, name).conclusion
-                elif tag == "gen":
-                    want = gen_node(theory, name).conclusion
-                elif tag == "hyp":
-                    if isinstance(n.conclusion, Holds):
-                        typecheck_equation(theory, n.conclusion.eq)
-                    else:
-                        typecheck(theory, n.conclusion.term)
-                    hyps.append(name)
-                    return None
-                else:
-                    return path, f"unknown citation kind {tag!r}"
-            else:
-                want = apply_rule(theory, n.rule,
-                                  [p.conclusion for p in n.premises],
-                                  dict(n.inst))
-            if want != n.conclusion:
-                return path, (f"node claims {n.conclusion}, rule "
-                              f"{n.rule} yields {want}")
-        except E.DecorError as exc:
-            return path, str(exc)
-        return None
-
-    bad = walk(d, ())
+    size: dict[int, int] = {}
+    path: list[int] = []
+    bad: Optional[tuple[tuple[int, ...], str]] = None
+    for n, k, done in d.walk():
+        if not done:
+            path.append(k)
+            continue
+        total = 1  # a loop, not sum() of a generator: this runs once a node
+        for p in n.premises:
+            total += size[id(p)]
+        size[id(n)] = total
+        if bad is None:
+            error = _replay(theory, n, hyps)
+            if error is not None:
+                bad = tuple(path[1:]), error
+        path.pop()
+    hypotheses = tuple(dict.fromkeys(hyps))
     if bad:
-        return CheckResult(False, bad[1], bad[0], tuple(hyps), count)
-    return CheckResult(True, None, None, tuple(hyps), count)
+        return CheckResult(False, bad[1], bad[0], hypotheses, size[id(d)])
+    return CheckResult(True, None, None, hypotheses, size[id(d)])
+
+
+def _replay(theory: Theory, n: Derivation, hyps: list[str]) -> Optional[str]:
+    """Recompute one node's conclusion from its premises' stored ones; the
+    error that invalidates it, or None. A hypothesis's name joins hyps."""
+    try:
+        if isinstance(n.rule, tuple):
+            tag, name = n.rule[0], n.rule[1]
+            if n.premises:
+                return f"citation {tag}({name}) cannot have premises"
+            if tag == "axiom":
+                want: Judgment = axiom_node(theory, name).conclusion
+            elif tag == "gen":
+                want = gen_node(theory, name).conclusion
+            elif tag == "hyp":
+                if isinstance(n.conclusion, Holds):
+                    typecheck_equation(theory, n.conclusion.eq)
+                else:
+                    typecheck(theory, n.conclusion.term)
+                hyps.append(name)
+                return None
+            else:
+                return f"unknown citation kind {tag!r}"
+        else:
+            want = apply_rule(theory, n.rule,
+                              [p.conclusion for p in n.premises],
+                              dict(n.inst))
+        if want != n.conclusion:
+            return f"node claims {n.conclusion}, rule {n.rule} yields {want}"
+    except E.DecorError as exc:
+        return str(exc)
+    return None
 
 
 # ------------------------------------------------------------ saturation

@@ -56,28 +56,35 @@ def _rebuild(target: Theory, d: Derivation, *, judgment, axiom=_same,
     An axiom citation cites axiom(name) and a hypothesis claims
     judgment(its conclusion). A rule node applies rule(its rule id), which
     may refuse the node before its premises are rebuilt, to the rebuilt
-    premises, with each instantiation value mapped by `value`. With
+    premises, with each instantiation value mapped by `value`. A node
+    shared in d is rebuilt once and shared in the result. With
     `mirror`, composition is read reversed: the premises of a rule that
     composes them swap, and so do the outer terms of `assoc`.
     """
-    def go(n: Derivation) -> Derivation:
+    rids: dict[int, str] = {}  # id of a rule node -> its rule over target
+    out: dict[int, Derivation] = {}  # id of a node -> its rebuilt node
+    for n, _, done in d.walk():
         if isinstance(n.rule, tuple):
-            tag, name = n.rule[0], n.rule[1]
-            if tag == "axiom":
-                return axiom_node(target, axiom(name))
-            if tag == "gen":
-                return gen_node(target, name)
-            return hyp_node(target, name, judgment(n.conclusion))
-        rid = rule(n.rule)
-        prems = [go(p) for p in n.premises]
-        inst = {k: value(v) for k, v in n.inst}
-        if mirror and n.rule in _REVERSED_PREMISES:
-            prems.reverse()
-        if mirror and n.rule == "assoc":
-            inst["f"], inst["h"] = inst["h"], inst["f"]
-        return node(target, rid, prems, **inst)
-
-    return go(d)
+            if done:
+                tag, name = n.rule[0], n.rule[1]
+                if tag == "axiom":
+                    out[id(n)] = axiom_node(target, axiom(name))
+                elif tag == "gen":
+                    out[id(n)] = gen_node(target, name)
+                else:
+                    out[id(n)] = hyp_node(target, name,
+                                          judgment(n.conclusion))
+        elif not done:
+            rids[id(n)] = rule(n.rule)
+        else:
+            prems = [out[id(p)] for p in n.premises]
+            inst = {k: value(v) for k, v in n.inst}
+            if mirror and n.rule in _REVERSED_PREMISES:
+                prems.reverse()
+            if mirror and n.rule == "assoc":
+                inst["f"], inst["h"] = inst["h"], inst["f"]
+            out[id(n)] = node(target, rids[id(n)], prems, **inst)
+    return out[id(d)]
 
 
 # =============================================================== erasure

@@ -768,6 +768,23 @@ def test_hypotheses_surface_in_check_details():
     assert report.outcomes[0].detail["hypotheses"] == ["assume-swap"]
 
 
+@pytest.mark.parametrize("second", ["h1", "h2"])
+def test_a_hypothesis_is_listed_once(second):
+    """Each name once, whether a step cites one hypothesis twice or two
+    steps assume under one name."""
+    src = ("theory S = states(x: 2)\n"
+           "proof p in S {\n"
+           "  h1: hyp(h) holds l[x] == l[x];\n"
+           "  h2: hyp(h) holds l[x] == l[x];\n"
+           f"  s2: eq-trans from h1, {second};\n"
+           "}\n"
+           "check proof p in S\n")
+    report = execute(parse_script(src))
+    assert report.ok
+    detail = report.outcomes[0].detail
+    assert (detail["hypotheses"], detail["nodes"]) == (["h"], 3)
+
+
 # ---------------------------------------------------------------- reports
 
 

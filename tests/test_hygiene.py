@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none imports inside a function from a module it already imports at top
-level, none raises the interpreter's recursion limit, every name the
-traced benchmark rebinds still exists, and the trusted kernel stands on
-its own.
+level, none raises the interpreter's recursion limit, none recurses on
+a derivation's premises, every name the traced benchmark rebinds still
+exists, and the trusted kernel stands on its own.
 
 `__init__.py` is left out of the import scan, since re-exporting is what
 it imports for.
@@ -129,6 +129,50 @@ def test_the_scan_sees_a_recursion_limit_change():
                          ids=lambda p: p.name)
 def test_no_recursion_limit_changes(path):
     assert recursion_limit_uses(path.read_text(encoding="utf-8")) == []
+
+
+def premise_recursions(source: str) -> list[str]:
+    """The functions of `source`, by dotted name, that read an attribute
+    `premises` and call themselves, by name or as a method."""
+    found = []
+
+    def visit(tree: ast.AST, prefix: str) -> None:
+        for n in ast.iter_child_nodes(tree):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = list(ast.walk(n))
+                reads = any(isinstance(m, ast.Attribute)
+                            and m.attr == "premises" for m in body)
+                calls = any(isinstance(m, ast.Call) and getattr(
+                    m.func, "id", getattr(m.func, "attr", None)) == n.name
+                    for m in body)
+                if reads and calls:
+                    found.append(prefix + n.name)
+                visit(n, prefix + n.name + ".")
+            elif isinstance(n, ast.ClassDef):
+                visit(n, prefix + n.name + ".")
+            else:
+                visit(n, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_scan_sees_a_premise_recursion():
+    source = ("class D:\n    def size(self):\n"
+              "        return 1 + sum(p.size() for p in self.premises)\n"
+              "def check(d):\n    def go(n):\n"
+              "        return [go(p) for p in n.premises]\n    return go(d)\n"
+              "def flat(d):\n    return [p for p in d.premises]\n"
+              "def count(t):\n    return 1 + sum(count(k) for k in t.kids)\n")
+    assert premise_recursions(source) == ["D.size", "check.go"]
+
+
+def test_no_function_recurses_on_premises():
+    """Each reader of a derivation goes through `Derivation.walk`, which
+    visits each distinct node once without recursing, so none of them
+    revisits a shared premise or exhausts the Python stack on a deep one."""
+    assert [(p.name, f) for p in MODULES
+            for f in premise_recursions(p.read_text(encoding="utf-8"))] == []
 
 
 def test_the_traced_benchmark_finds_every_name_it_rebinds():

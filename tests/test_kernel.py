@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,21 +12,23 @@ from hypothesis import given, settings, strategies as st
 import strategies as strat
 from decorlogic import errors as E
 from decorlogic.catalogue import unit_uniqueness
-from decorlogic.dsl import execute, parse_script
+from decorlogic.dsl import (derivation_json, derivation_to_proof, execute,
+                            parse_script)
 from decorlogic.exceptions import build_exceptions_theory
 from decorlogic.kernel import (Holds, RULES, WellFormed, apply_rule,
                                axiom_node, check_derivation, gen_node,
                                hyp_node, list_rules, node, saturate_prove,
                                _Search)
 from decorlogic.models import FiniteStateModel, check_equation
-from decorlogic.states import build_states_theory
+from decorlogic.states import build_states_theory, derive_lemma as st_lemma
 from decorlogic.terms import (EXCEPTIONS, STATES, CaseSum, Catch, Coerce,
                               Comp, FromEmpty, Gen, Id, Lookup, PropCase,
                               SemiCoprod, SemiProd, ToUnit, Throw, Update,
                               comp, subterms)
 from decorlogic.theory import (Axiom, Equation, STRONG, WEAK, eq_strong,
                                eq_weak, norm_eq)
-from decorlogic.translators import (dualize_equation, dualize_theory,
+from decorlogic.translators import (dualize_derivation, dualize_equation,
+                                    dualize_theory, erase_derivation,
                                     erase_theory)
 from decorlogic.types import Param, UNIT, Value
 
@@ -172,6 +175,71 @@ def test_check_rejects_citation_with_premises(states2):
     res = check_derivation(states2, forged)
     assert not res.valid
     assert "premises" in res.error
+
+
+def test_an_invalid_tree_reports_its_whole_size(states2):
+    """`nodes` is the size of the tree, not of the part replayed before the
+    first failure."""
+    d = st_lemma(states2, "commutation-6", {"i": "x", "j": "y"})
+    first = dataclasses.replace(d.premises[0], rule="w-refl")
+    forged = dataclasses.replace(d, premises=(first,) + d.premises[1:])
+    res = check_derivation(states2, forged)
+    assert (res.valid, res.path, res.nodes) == (False, (0,), 50)
+    assert len(forged) == len(d) == 50
+
+
+def _chain(theory, length):
+    d = axiom_node(theory, "A1_x")
+    for _ in range(length):
+        d = node(theory, "w-sym", [d])
+    return d
+
+
+def test_a_deep_chain_is_replayed_printed_and_translated(states2):
+    """Every reader of a derivation is flat in depth: a 3000-deep chain
+    replays, serializes and crosses both translators."""
+    d = _chain(states2, 3000)
+    res = check_derivation(states2, d)
+    assert (res.valid, res.nodes, len(d)) == (True, 3001, 3001)
+    tree = derivation_json(d)
+    for _ in range(3000):
+        assert tree["rule"] == "w-sym"
+        (tree,) = tree["premises"]
+    assert tree["rule"] == "axiom(A1_x)"
+    text = derivation_to_proof("chain", "S", d)
+    assert text.count(": w-sym from ") == 3000
+    erased = erase_derivation(states2, d)
+    assert check_derivation(erase_theory(states2), erased).nodes == 3001
+    dual = dualize_derivation(states2, d)
+    assert check_derivation(dualize_theory(states2), dual).valid
+
+
+def test_shared_premises_are_replayed_once(states2):
+    """40 doublings make a tree of 2^41 - 1 nodes over 41 distinct ones:
+    replay and the proof block see each distinct node once, and `nodes`
+    still counts the tree."""
+    d = node(states2, "eq-refl", f=Lookup("x"))
+    for _ in range(40):
+        d = node(states2, "eq-trans", [d, d])
+    started = time.process_time()
+    res = check_derivation(states2, d)
+    assert time.process_time() - started < 1.0
+    assert (res.valid, res.nodes, len(d)) == (True, 2**41 - 1, 2**41 - 1)
+    assert sum(1 for _ in d.walk()) == 2 * 41
+    text = derivation_to_proof("doubled", "S", d)
+    assert sum(line.startswith("  s") for line in text.splitlines()) == 41
+
+
+def test_the_walk_meets_each_distinct_node_in_first_visit_order(states2):
+    a1 = axiom_node(states2, "A1_x")
+    sym = node(states2, "w-sym", [a1])
+    top = node(states2, "w-trans", [sym, node(states2, "w-sym", [sym])])
+    events = [(n.rule, k, done) for n, k, done in top.walk()]
+    assert events == [
+        ("w-trans", 0, False), ("w-sym", 0, False),
+        (("axiom", "A1_x"), 0, False), (("axiom", "A1_x"), 0, True),
+        ("w-sym", 0, True), ("w-sym", 1, False), ("w-sym", 1, True),
+        ("w-trans", 0, True)]
 
 
 def test_gen_node_states(states2):

@@ -242,11 +242,18 @@ def test_dual_of_annihilation_is_the_key_identity(states2):
 
 
 def test_handler_constructs_have_no_dual(exc2):
-    for d in (exc_lemma(exc2, "handler-commute", {"i": "i", "j": "j"}),
-              exc_proof(exc2, "bridge-r"),
-              exc_proof(exc2, "bridge-l")):
-        with pytest.raises(E.OutsideDualityDomain):
+    """A rule without a dual is refused where the rebuild enters it, before
+    its premises, so the message names the first such rule from the root,
+    not the first one a rebuild from the leaves would meet."""
+    for d, rid in (
+            (exc_lemma(exc2, "handler-commute", {"i": "i", "j": "j"}),
+             "coerce-unique"),
+            (exc_proof(exc2, "bridge-r"), "sum-case-unique"),
+            (exc_proof(exc2, "bridge-l"), "sum-case-unique")):
+        with pytest.raises(E.OutsideDualityDomain) as exc:
             dualize_derivation(exc2, d)
+        assert str(exc.value) == (f"rule {rid!r} has no counterpart on "
+                                  f"the other side")
 
 
 def test_type_one_has_no_states_side_dual(exc2):
