@@ -76,10 +76,24 @@ def _budget(n: int | None) -> int | None:
     return n
 
 
+def _decode(data: bytes) -> str:
+    """The script's text as `Path.read_text(encoding="utf-8")` reads it; a
+    byte that is not UTF-8 is a LexError at the lexer's line and column."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text ahead of the byte is valid; the byte sits where one more
+        # character would, at the end of that text's last line
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise E.LexError(f"byte {data[exc.start]:#04x} is not UTF-8 "
+                         f"({exc.reason})", len(lines), len(lines[-1])) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        text = Path(args.script).read_text(encoding="utf-8")
+        data = Path(args.script).read_bytes()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -88,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
                             model_overrides=_overrides(args.model),
                             budget=_budget(args.budget),
                             fail_fast=args.fail_fast)
-        report = execute(parse_script(text), config)
+        report = execute(parse_script(_decode(data)), config)
     except E.ScriptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

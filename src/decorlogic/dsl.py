@@ -28,8 +28,8 @@ from .exceptions import builtin_proof as _exc_builtin
 from .exceptions import derive_lemma as _exc_lemma
 from .exceptions import with_catch_all
 from .kernel import (DEFAULT_BUDGET, Derivation, Holds, Judgment, RULES,
-                     WellFormed, axiom_node, check_derivation, gen_node,
-                     hyp_node, node, saturate_prove)
+                     WellFormed, check_derivation, cite, node,
+                     saturate_prove)
 from .models import (FiniteExceptionModel, FiniteStateModel, SUITES,
                      Valuation, eval_exceptions, eval_states,
                      verify_law_suite)
@@ -197,7 +197,7 @@ class ProofStep:
     name: str  # rule id, or the cited axiom/gen/hypothesis name
     inst: tuple[tuple[str, Any], ...] = ()
     premises: tuple[str, ...] = ()
-    claim: Union[Equation, tuple[Term, int], None] = None  # hyp only
+    claim: Optional[Judgment] = None  # hyp only
 
 
 @dataclass(frozen=True)
@@ -594,7 +594,7 @@ class _Parser:
         head = self.expect("ident")
         kind, name = "rule", head.text
         inst: tuple[tuple[str, Any], ...] = ()
-        claim: Union[Equation, tuple[Term, int], None] = None
+        claim: Optional[Judgment] = None
         if head.text in ("axiom", "gen", "hyp"):
             kind = head.text
             self.expect("sym", "(")
@@ -602,7 +602,7 @@ class _Parser:
             self.expect("sym", ")")
         if kind == "hyp":
             if self.eat("ident", "holds"):
-                claim = self.equation(theory)
+                claim = Holds(self.equation(theory))
             else:
                 self.expect("ident", "wf")
                 t = self.term_expr(theory)
@@ -611,7 +611,7 @@ class _Parser:
                 level = self.integer()
                 if level > 2:
                     raise self.fail(f"level {level} is not 0, 1 or 2", at)
-                claim = (t, level)
+                claim = WellFormed(t, level)
         elif kind == "rule":
             if name not in RULES:
                 raise self.fail(f"unknown rule {name!r}", at)
@@ -831,11 +831,10 @@ def _step_text(step: ProofStep) -> str:
         head = f"{step.name}({args})" if step.inst else step.name
     else:
         head = f"{step.kind}({step.name})"
-    if isinstance(step.claim, Equation):
-        head += f" holds {_eq_text(step.claim)}"
+    if isinstance(step.claim, Holds):
+        head += f" holds {_eq_text(step.claim.eq)}"
     elif step.claim is not None:
-        t, lvl = step.claim
-        head += f" wf {term_to_text(t)} level {lvl}"
+        head += f" wf {term_to_text(step.claim.term)} level {step.claim.level}"
     out = f"  {step.label}: {head}"
     if step.premises:
         out += " from " + ", ".join(step.premises)
@@ -1020,17 +1019,9 @@ def derivation_to_proof(name: str, theory: str, d: Derivation) -> str:
         key = (n.rule, n.inst, n.conclusion, prem)
         if key not in labels:
             label = labels[key] = f"s{len(labels) + 1}"
-            if isinstance(n.rule, tuple):
-                tag, nm = n.rule
-                if tag == "hyp":
-                    concl = n.conclusion
-                    claim = (concl.eq if isinstance(concl, Holds)
-                             else (concl.term, concl.level))
-                    steps.append(ProofStep(label, "hyp", nm, (), (), claim))
-                else:
-                    steps.append(ProofStep(label, tag, nm))
-            else:
-                steps.append(ProofStep(label, "rule", n.rule, n.inst, prem))
+            kind, nm = ("rule", n.rule) if isinstance(n.rule, str) else n.rule
+            claim = n.conclusion if kind == "hyp" else None
+            steps.append(ProofStep(label, kind, nm, n.inst, prem, claim))
         label_of[id(n)] = labels[key]
     block = ProofDecl(name, theory, tuple(steps))
     return _decl_text(block) + "\n"
@@ -1040,20 +1031,11 @@ def build_proof(theory: Theory, decl: ProofDecl) -> Derivation:
     """Fold a parsed proof block into a kernel derivation (the last step)."""
     by_label: dict[str, Derivation] = {}
     for step in decl.steps:
-        if step.kind == "axiom":
-            out = axiom_node(theory, step.name)
-        elif step.kind == "gen":
-            out = gen_node(theory, step.name)
-        elif step.kind == "hyp":
-            if isinstance(step.claim, Equation):
-                j: Judgment = Holds(step.claim)
-            else:
-                t, lvl = step.claim
-                j = WellFormed(t, lvl)
-            out = hyp_node(theory, step.name, j)
-        else:
+        if step.kind == "rule":
             prem = [by_label[p] for p in step.premises]
             out = node(theory, step.name, prem, **dict(step.inst))
+        else:
+            out = cite(theory, (step.kind, step.name), step.claim)
         by_label[step.label] = out
     return by_label[decl.steps[-1].label]
 

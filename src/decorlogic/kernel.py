@@ -2,17 +2,17 @@
 and a small saturation prover.
 
 A derivation is a tree whose nodes each carry the rule they claim to apply,
-the instantiation it needs, and the conclusion they claim to reach. The
-checker recomputes every conclusion bottom-up with `apply_rule` and compares
-against the stored one, so changing any single node (the root included)
-makes the tree invalid. A premise may be shared: `Derivation.walk` visits
-each distinct node once, without recursion, so replay is linear in the
-distinct nodes and flat in depth. Every other reader of a derivation goes
-through the same walk.
-
-Leaf citations are not catalog rules: ('axiom', name) quotes a theory axiom,
-('gen', name) quotes a generator's declared profile, ('hyp', label) assumes a
-judgment (reported, so validity is "relative to hypotheses").
+the instantiation it needs, and the conclusion they claim to reach. Two
+constructors make nodes: `node` applies a catalog rule with `apply_rule`,
+and `cite` makes a leaf citation: ('axiom', name) quotes a theory axiom,
+('gen', name) a generator's declared profile, and ('hyp', label) assumes a
+judgment (reported, so validity is "relative to hypotheses"). The checker
+replays each node bottom-up through the constructor that made it and
+compares the stored conclusion, so changing any single node (the root
+included) makes the tree invalid. A premise may be shared: `Derivation.walk`
+visits each distinct node once, without recursion, so replay is linear in
+the distinct nodes and flat in depth, and every other reader of a derivation
+goes through the same walk.
 
 Rule naming follows the construct it governs, with the w- prefix for the weak
 variants. Conclusions are always associativity/identity-normalized; premise
@@ -155,12 +155,8 @@ def _strength(theory: Theory, weak: bool) -> str:
     return _wkind(theory) if weak else STRONG
 
 
-def _decorated(theory: Theory) -> bool:
-    return theory.flavor != "plain"
-
-
 def _require_level(theory: Theory, t: Term, k: int, rid: str, what: str) -> None:
-    if _decorated(theory) and t.level > k:
+    if theory.flavor != "plain" and t.level > k:
         raise E.SideConditionViolated(
             f"{rid}: {what} must be level <= {k}, {t} has level {t.level}")
 
@@ -590,39 +586,55 @@ def apply_rule(theory: Theory, rule_id: str, premises: Sequence[Judgment],
     return spec.impl(theory, ps, **vals)
 
 
-def _canon_inst(inst: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
-    return tuple(sorted(inst.items(), key=lambda kv: kv[0]))
-
-
 def node(theory: Theory, rule_id: str, premises: Sequence[Derivation] = (),
          **inst: Any) -> Derivation:
     """Build a derivation node, computing (and thereby checking) its conclusion."""
     concl = apply_rule(theory, rule_id, [p.conclusion for p in premises], inst)
-    return Derivation(rule_id, tuple(premises), _canon_inst(inst), concl)
+    return Derivation(rule_id, tuple(premises), tuple(sorted(inst.items())),
+                      concl)
+
+
+def cite(theory: Theory, rule: RuleRef,
+         claim: Optional[Judgment] = None) -> Derivation:
+    """The one constructor of citations, which replay runs too: ('axiom',
+    name) concludes the axiom, ('gen', name) the generator's profile at its
+    level, and ('hyp', label) assumes the judgment `claim`, typechecked and
+    normalized, at level 0, 1 or 2. Anything else raises a KernelError."""
+    if not isinstance(rule, tuple) or [type(x) for x in rule] != [str, str]:
+        raise E.KernelError(f"not a (kind, name) pair of strings: {rule!r}")
+    kind, name = rule
+    if kind == "axiom":
+        concl: Judgment = Holds(norm_eq(theory.axiom(name).eq))
+    elif kind == "gen":
+        g = theory.gen(name)
+        concl = WellFormed(g, g.dec)
+    elif kind != "hyp":
+        raise E.KernelError(f"unknown citation kind {kind!r}")
+    elif isinstance(claim, Holds):
+        concl = Holds(norm_eq(claim.eq))
+        typecheck_equation(theory, concl.eq)
+    elif isinstance(claim, WellFormed):
+        if claim.level not in (0, 1, 2):
+            raise E.KernelError(f"hypothesis {name!r} has level "
+                                f"{claim.level}; levels are 0, 1 and 2")
+        typecheck(theory, claim.term)
+        concl = WellFormed(normalize_assoc(claim.term), claim.level)
+    else:
+        raise E.KernelError(
+            f"hypothesis {name!r} claims {claim!r}, not a judgment")
+    return Derivation(rule, (), (), concl)
 
 
 def axiom_node(theory: Theory, name: str) -> Derivation:
-    ax = theory.axiom(name)
-    return Derivation(("axiom", name), (), (), Holds(norm_eq(ax.eq)))
+    return cite(theory, ("axiom", name))
 
 
 def gen_node(theory: Theory, name: str) -> Derivation:
-    g = theory.gen(name)
-    return Derivation(("gen", name), (), (), WellFormed(g, g.dec))
+    return cite(theory, ("gen", name))
 
 
 def hyp_node(theory: Theory, label: str, judgment: Judgment) -> Derivation:
-    if isinstance(judgment, Holds):
-        eq = norm_eq(judgment.eq)
-        typecheck_equation(theory, eq)
-        judgment = Holds(eq)
-    else:
-        if judgment.level not in (0, 1, 2):
-            raise E.KernelError(f"hypothesis {label!r} has level "
-                                f"{judgment.level}; levels are 0, 1 and 2")
-        typecheck(theory, judgment.term)
-        judgment = WellFormed(normalize_assoc(judgment.term), judgment.level)
-    return Derivation(("hyp", label), (), (), judgment)
+    return cite(theory, ("hyp", label), judgment)
 
 
 # ------------------------------------------------------------- checking
@@ -640,8 +652,8 @@ class CheckResult:
 
 
 def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
-    """Replay each distinct node once, premises first; any mismatch
-    invalidates the tree.
+    """Replay each distinct node once, premises first, up to the first
+    mismatch, which invalidates the tree; every node is counted.
 
     `path` addresses the first offending node in left-to-right post-order
     by premise indices from the root. `nodes` is the size of the tree, a
@@ -656,46 +668,29 @@ def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
         if not done:
             path.append(k)
             continue
-        total = 1  # a loop, not sum() of a generator: this runs once a node
-        for p in n.premises:
-            total += size[id(p)]
-        size[id(n)] = total
-        if bad is None:
-            error = _replay(theory, n, hyps)
-            if error is not None:
-                bad = tuple(path[1:]), error
+        size[id(n)] = 1 + sum([size[id(p)] for p in n.premises])
+        if bad is None and (error := _replay(theory, n, hyps)) is not None:
+            bad = tuple(path[1:]), error
         path.pop()
-    hypotheses = tuple(dict.fromkeys(hyps))
-    if bad:
-        return CheckResult(False, bad[1], bad[0], hypotheses, size[id(d)])
-    return CheckResult(True, None, None, hypotheses, size[id(d)])
+    where, why = bad or (None, None)
+    return CheckResult(bad is None, why, where, tuple(dict.fromkeys(hyps)),
+                       size[id(d)])
 
 
 def _replay(theory: Theory, n: Derivation, hyps: list[str]) -> Optional[str]:
-    """Recompute one node's conclusion from its premises' stored ones; the
-    error that invalidates it, or None. A hypothesis's name joins hyps."""
+    """Replay one node through the constructor that made it; the error that
+    invalidates it, or None. A hypothesis's name joins hyps."""
     try:
-        if isinstance(n.rule, tuple):
-            tag, name = n.rule[0], n.rule[1]
-            if n.premises:
-                return f"citation {tag}({name}) cannot have premises"
-            if tag == "axiom":
-                want: Judgment = axiom_node(theory, name).conclusion
-            elif tag == "gen":
-                want = gen_node(theory, name).conclusion
-            elif tag == "hyp":
-                if isinstance(n.conclusion, Holds):
-                    typecheck_equation(theory, n.conclusion.eq)
-                else:
-                    typecheck(theory, n.conclusion.term)
-                hyps.append(name)
-                return None
-            else:
-                return f"unknown citation kind {tag!r}"
-        else:
+        if isinstance(n.rule, str):
             want = apply_rule(theory, n.rule,
                               [p.conclusion for p in n.premises],
                               dict(n.inst))
+        else:
+            want = cite(theory, n.rule, n.conclusion).conclusion
+            if n.premises:
+                return f"citation {n.rule[0]}({n.rule[1]}) cannot have premises"
+            if n.rule[0] == "hyp":
+                hyps.append(n.rule[1])
         if want != n.conclusion:
             return f"node claims {n.conclusion}, rule {n.rule} yields {want}"
     except E.DecorError as exc:

@@ -1,10 +1,10 @@
 """Term syntax shared by the three logics.
 
-Terms are frozen, slotted dataclasses, so structural equality and hashing
-come from their fields; the kernel compares normalized terms with `==`.
-Every node also stores four facts, worked out once when it is built from
-the facts its children already store, and left out of equality, hashing
-and repr:
+Terms are immutable, slotted dataclasses, so structural equality and
+hashing come from their fields; the kernel compares normalized terms with
+`==`. Every node also stores four facts, worked out once when it is built
+from the facts its children already store, and left out of equality,
+hashing and repr:
 
 * `dom` and `cod`, its profile (generators carry their declared one);
 * `level`, its decoration: 0 pure, 1 accessor/propagator, 2 modifier/catcher;
@@ -85,14 +85,15 @@ class Node:
         return type(self), tuple([getattr(self, f.name) for f in fields(self)])
 
 
-# the slots' own setters, since a frozen dataclass refuses attribute assignment
+# the slots' own setters, since a term refuses attribute assignment
 _SETTERS = {name: getattr(Node, name).__set__ for name in Node.__slots__}
 
 
 def term_class(cls):
-    """Make `cls` a frozen, slotted dataclass whose fields annotated `Term`
-    are its children, with a compiled `__init__` and a cached hash."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    """Make `cls` a slotted dataclass whose fields annotated `Term` are its
+    children, with a compiled `__init__`, a cached hash, and no attribute
+    assignment or deletion; `dataclass` writes no methods but the repr."""
+    cls = dataclass(slots=True, init=False, eq=False)(cls)
     names = tuple(f.name for f in fields(cls) if f.type == "Term")
     if names:
         cls._kids, cls.kids = names, _reader(names)
@@ -102,9 +103,6 @@ def term_class(cls):
     return cls
 
 
-# the frozen `__setattr__` and `__delattr__` that `dataclass` writes refuse
-# a field but, once `slots=True` has rebuilt the class, fail with a
-# TypeError on any other name, such as a stored fact
 def _refuse_set(self, name: str, value: Any) -> None:
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 

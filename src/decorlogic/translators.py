@@ -28,8 +28,7 @@ from typing import Any, Optional
 
 from . import errors as E
 from .kernel import (
-    RULES, Derivation, Holds, Judgment, WellFormed, axiom_node, gen_node,
-    hyp_node, node,
+    RULES, Derivation, Holds, Judgment, RuleRef, WellFormed, cite, node,
 )
 from .terms import (
     EXCEPTIONS, STATES, CaseSum, CatchAll, Coerce, Comp, FromEmpty, Gen, Id,
@@ -49,33 +48,25 @@ def _same(x: Any) -> Any:
     return x
 
 
-def _rebuild(target: Theory, d: Derivation, *, judgment, axiom=_same,
-             rule=_same, value=_same, mirror: bool = False) -> Derivation:
+def _rebuild(target: Theory, d: Derivation, *, judgment, rule=_same,
+             value=_same, mirror: bool = False) -> Derivation:
     """Rebuild d over `target` node by node, each conclusion recomputed.
 
-    An axiom citation cites axiom(name) and a hypothesis claims
-    judgment(its conclusion). A rule node applies rule(its rule id), which
-    may refuse the node before its premises are rebuilt, to the rebuilt
-    premises, with each instantiation value mapped by `value`. A node
-    shared in d is rebuilt once and shared in the result. With
+    Each node is rebuilt under rule(its rule reference), which may refuse
+    it before its premises are rebuilt: a citation through `cite`, with
+    judgment(its conclusion) as a hypothesis's claim, and a rule node from
+    the rebuilt premises, each instantiation value mapped by `value`. A
+    node shared in d is rebuilt once and shared in the result. With
     `mirror`, composition is read reversed: the premises of a rule that
     composes them swap, and so do the outer terms of `assoc`.
     """
-    rids: dict[int, str] = {}  # id of a rule node -> its rule over target
+    rules: dict[int, RuleRef] = {}  # id of a node -> its rule over target
     out: dict[int, Derivation] = {}  # id of a node -> its rebuilt node
     for n, _, done in d.walk():
-        if isinstance(n.rule, tuple):
-            if done:
-                tag, name = n.rule[0], n.rule[1]
-                if tag == "axiom":
-                    out[id(n)] = axiom_node(target, axiom(name))
-                elif tag == "gen":
-                    out[id(n)] = gen_node(target, name)
-                else:
-                    out[id(n)] = hyp_node(target, name,
-                                          judgment(n.conclusion))
-        elif not done:
-            rids[id(n)] = rule(n.rule)
+        if not done:
+            rules[id(n)] = rule(n.rule)
+        elif not isinstance(n.rule, str):
+            out[id(n)] = cite(target, rules[id(n)], judgment(n.conclusion))
         else:
             prems = [out[id(p)] for p in n.premises]
             inst = {k: value(v) for k, v in n.inst}
@@ -83,7 +74,7 @@ def _rebuild(target: Theory, d: Derivation, *, judgment, axiom=_same,
                 prems.reverse()
             if mirror and n.rule == "assoc":
                 inst["f"], inst["h"] = inst["h"], inst["f"]
-            out[id(n)] = node(target, rids[id(n)], prems, **inst)
+            out[id(n)] = node(target, rules[id(n)], prems, **inst)
     return out[id(d)]
 
 
@@ -147,15 +138,28 @@ def dualize_type(ty: TypeExpr) -> TypeExpr:
 
 def dualize_term(t: Term) -> Term:
     """t read on the other side: each construct traded for its
-    counterpart, composition reversed, a generator's profile swapped."""
-    if isinstance(t, Comp):
-        return Comp(dualize_term(t.before), dualize_term(t.after))
-    if isinstance(t, Gen):
-        return Gen(t.name, dualize_type(t.cod), dualize_type(t.dom), t.dec)
-    if type(t) not in _DUAL_CLASS:
-        raise E.OutsideDualityDomain(
-            f"{type(t).__name__} has no counterpart on the other side")
-    return _DUAL_CLASS[type(t)](*map(_dualize_value, _field_values(t)))
+    counterpart, composition reversed, a generator's profile swapped. A
+    composite is mirrored node for node, so dualizing twice gives t back,
+    in a loop: a None in `todo` composes the top two duals in `done`."""
+    done: list[Term] = []
+    todo: list[Optional[Term]] = [t]
+    while todo:
+        u = todo.pop()
+        if u is None:
+            before = done.pop()
+            done.append(Comp(done.pop(), before))
+        elif isinstance(u, Comp):
+            todo += (None, u.after, u.before)
+        elif isinstance(u, Gen):
+            done.append(Gen(u.name, dualize_type(u.cod), dualize_type(u.dom),
+                            u.dec))
+        elif type(u) not in _DUAL_CLASS:
+            raise E.OutsideDualityDomain(
+                f"{type(u).__name__} has no counterpart on the other side")
+        else:
+            done.append(
+                _DUAL_CLASS[type(u)](*map(_dualize_value, _field_values(u))))
+    return done[0]
 
 
 def _field_values(t: Any) -> list:
@@ -214,12 +218,15 @@ def _dualize_value(v: Any) -> Any:
     return v
 
 
-def _dual_rule(rid: str) -> str:
-    # an unknown rule id passes through, for node() to reject
-    dual = RULES[rid].dual if rid in RULES else rid
+def _dual_rule(rule: RuleRef) -> RuleRef:
+    """A rule id's partner, or an axiom citation's dual axiom; anything
+    else passes through, for the kernel to take or reject."""
+    if isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "axiom":
+        return "axiom", dual_axiom_name(rule[1])
+    dual = RULES[rule].dual if isinstance(rule, str) and rule in RULES else rule
     if dual is None:
         raise E.OutsideDualityDomain(
-            f"rule {rid!r} has no counterpart on the other side")
+            f"rule {rule!r} has no counterpart on the other side")
     return dual
 
 
@@ -233,8 +240,7 @@ def dualize_derivation(theory: Theory, d: Derivation,
     if target is None:
         target = dualize_theory(theory)
     try:
-        return _rebuild(target, d, judgment=dualize_judgment,
-                        axiom=dual_axiom_name, rule=_dual_rule,
+        return _rebuild(target, d, judgment=dualize_judgment, rule=_dual_rule,
                         value=_dualize_value, mirror=True)
     except E.FlavorViolation as exc:
         # d holds on its own side, so the dual uses a construct the target
@@ -416,7 +422,7 @@ def _pure_base(t: Term) -> Term:
     """The explicit image of a level-0 term, no store column. A term of
     the pure fragment is its own image."""
     if isinstance(t, Comp):
-        return ecomp(_pure_base(t.after), _pure_base(t.before))
+        return ecomp(*[_pure_base(f) for f in factors(t)][::-1])
     if isinstance(t, (Id, ToUnit, FromEmpty, Proj1, Proj2, Inj1, Inj2)) or (
             isinstance(t, Gen) and t.dec == 0):
         return t

@@ -1,19 +1,25 @@
-"""The `decor` command run in-process: parser reuse, nesting bounds, and
-the golden report bytes of the worked examples; and in a child process
-under a memory cap."""
+"""The `decor` command run in-process: parser reuse, decoding, nesting
+bounds, the golden report bytes of the worked examples, and a fuzz of the
+grammar and of raw bytes; and in a child process under a memory cap."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decorlogic import cli
+import strategies as strat
+from decorlogic import cli, dsl
 from decorlogic.dsl import MAX_NESTING, MAX_PROOF_DEPTH, MAX_PROOF_NODES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,6 +108,41 @@ def test_usage_errors_repeat_byte_for_byte(argv, capfdbinary):
         errs.append(captured.err)
     assert errs[0] == errs[1]
     assert errs[0].startswith(b"usage: decor")
+
+
+# ------------------------------------------------------------- decoding
+
+
+@pytest.mark.parametrize("data, where, what", [
+    (b"theory S = states(x: 2)\n\xff\xfe\n", "2:1", "0xff is not UTF-8 "
+     "(invalid start byte)"),
+    (b"theory S = states(x: 2)\r\nerase S \xc3", "2:9", "0xc3 is not UTF-8 "
+     "(unexpected end of data)"),
+    (b"theory S\r= states(x: 2)  # caf\xe9\n", "2:22", "0xe9 is not UTF-8 "
+     "(invalid continuation byte)"),
+], ids=["start", "crlf-end", "cr-continuation"])
+def test_a_byte_that_is_not_utf8_is_a_lex_error(tmp_path, capfdbinary, data,
+                                                where, what):
+    path = tmp_path / "script.dec"
+    path.write_bytes(data)
+    for mode in MODES:
+        assert cli.main([mode, str(path)]) == 2
+        assert capfdbinary.readouterr().err.decode() == (
+            f"error: line {where}: byte {what}\n")
+
+
+def test_line_ends_read_as_text_mode_reads_them(tmp_path, capfdbinary):
+    """CR LF and a lone CR end a line as LF does, so every report on the
+    bank account is byte-identical whichever ends its lines."""
+    script = (ROOT / "docs" / "bank_account.dec").read_bytes()
+    path = tmp_path / "script.dec"
+    for mode in MODES:
+        reports = []
+        for ends in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(script.replace(b"\n", ends))
+            assert cli.main([mode, str(path), "--format", "json"]) == 0
+            reports.append(capfdbinary.readouterr().out)
+        assert reports[0] == reports[1] == reports[2]
 
 
 # -------------------------------------------------------------- nesting
@@ -377,3 +418,97 @@ def test_a_suite_checks_every_law_bound_before_building_a_table(tmp_path):
     assert "1125000000000 points exceeds bound 10000000" in run.stdout
     assert "Traceback" not in run.stderr
     assert int(run.stderr.split()[-1]) < 200 * 1024  # ru_maxrss is in KiB
+
+
+# ------------------------------------------------------------ fuzzing
+
+# what a mutation may put in place of a token: the grammar's words, the
+# symbols, names the head declares, and numbers at and past the edges
+_MUTANTS = sorted(dsl._RESERVED) + [
+    "(", ")", "[", "]", "{", "}", ".", ",", ":", ";", "=", "==", "~~", "->",
+    "=>", "*", "+", "|", "0", "3", "-1", "99999999999999999999", "S", "E",
+    "g", "h", "x", "i", "s1", "@", "\t", "\n"]
+
+
+@st.composite
+def _mutated_forms(draw):
+    """One to three rows of the grammar written after the head, then up to
+    three token mutations: a token deleted, doubled, swapped with the next
+    one or replaced."""
+    forms = draw(st.lists(st.sampled_from(dsl._GRAMMAR), min_size=1,
+                          max_size=3))
+    toks = (strat.SCRIPT_HEAD
+            + "\n".join(draw(strat.form_texts(f)) for f in forms)).split(" ")
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(toks) - 1))
+        how = draw(st.sampled_from(["delete", "double", "swap", "replace"]))
+        if how == "delete":
+            del toks[k]
+        elif how == "double":
+            toks.insert(k, toks[k])
+        elif how == "swap" and k + 1 < len(toks):
+            toks[k], toks[k + 1] = toks[k + 1], toks[k]
+        elif how == "replace":
+            toks[k] = draw(st.sampled_from(_MUTANTS))
+    return " ".join(toks).encode("utf-8")
+
+
+def _deep(shape, k):
+    """A line after the head whose parentheses, brackets, operators, try
+    blocks or proof steps nest or chain `k` deep."""
+    pairs = " . ".join(["u[x] . l[x]"] * k)
+    return {
+        "paren-term": f"term q in S = {'(' * k}l[x]{')' * k}\n",
+        "paren-type": f"term q in S = id[{'(' * k}V[x]{')' * k}]\n",
+        "product": f"term q in S = id[{' * '.join(['V[x]'] * k)}]\n",
+        "sum": f"term q in E = id[{' + '.join(['P[i]'] * k)}]\n",
+        "try": (f"term q in E = {'try ' * k}raise(i)"
+                f"{' catch (i => h)' * k}\n"),
+        "composite": f"term q in S = l[x] . {pairs}\neval in S : q on 0\n",
+        "prove": f"prove in S : l[x] . {pairs} ~~ l[x] . {pairs}\n",
+        "proof": ("proof p in S {\n  s0: eq-refl(f=l[x]);\n"
+                  + "".join(f"  s{n}: eq-sym from s{n - 1};\n"
+                            for n in range(1, k))
+                  + "}\ncheck proof p in S\n"),
+    }[shape]
+
+
+_deep_scripts = st.builds(
+    lambda shape, k: (strat.SCRIPT_HEAD + _deep(shape, k)).encode("utf-8"),
+    st.sampled_from(["paren-term", "paren-type", "product", "sum", "try",
+                     "composite", "prove", "proof"]),
+    st.integers(1, 5000))
+
+
+@st.composite
+def _junk(draw):
+    """Random bytes, or the head with up to five bytes replaced by any
+    byte, UTF-8 or not."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    data = bytearray(strat.SCRIPT_HEAD.encode("utf-8"))
+    for _ in range(draw(st.integers(1, 5))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "script.dec"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(_mutated_forms(), _deep_scripts, _junk()))
+def test_no_script_raises_out_of_the_cli(fuzz_path, data):
+    """Grammar rows with mutated tokens, nesting and chains up to 5000 deep,
+    and byte junk, run in every mode: each exits 0, 1 or 2 without raising,
+    and an exit 2 names the line and column at fault."""
+    fuzz_path.write_bytes(data)
+    for mode in MODES:
+        out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([mode, str(fuzz_path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert re.match(r"error: line \d+:\d+: ", err.getvalue()), (
+                mode, err.getvalue())

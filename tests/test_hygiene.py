@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none imports inside a function from a module it already imports at top
 level, none raises the interpreter's recursion limit, none recurses on
-a derivation's premises, every name the traced benchmark rebinds still
-exists, and the trusted kernel stands on its own.
+a derivation's premises, none but the kernel dispatches on a citation's
+kind, every name the traced benchmark rebinds still exists, and the
+trusted kernel stands on its own.
 
 `__init__.py` is left out of the import scan, since re-exporting is what
 it imports for.
@@ -173,6 +174,40 @@ def test_no_function_recurses_on_premises():
     revisits a shared premise or exhausts the Python stack on a deep one."""
     assert [(p.name, f) for p in MODULES
             for f in premise_recursions(p.read_text(encoding="utf-8"))] == []
+
+
+_CITERS = frozenset({"axiom_node", "gen_node", "hyp_node"})
+
+
+def citation_dispatches(source: str) -> list[str]:
+    """The functions of `source` that call more than one of the kernel's
+    per-kind citation builders, by name or as an attribute."""
+    found = []
+    for f in ast.walk(ast.parse(source)):
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+                      for n in ast.walk(f) if isinstance(n, ast.Call)}
+            if len(called & _CITERS) > 1:
+                found.append(f.name)
+    return found
+
+
+def test_the_scan_sees_a_citation_dispatch():
+    source = ("def build(th, kind, name):\n"
+              "    if kind == 'axiom':\n        return axiom_node(th, name)\n"
+              "    return kernel.gen_node(th, name)\n"
+              "def one(th):\n    return axiom_node(th, 'A1_x')\n"
+              "def via_cite(th, kind, name):\n"
+              "    return cite(th, (kind, name))\n")
+    assert citation_dispatches(source) == ["build"]
+
+
+def test_citation_kinds_are_dispatched_only_in_the_kernel():
+    """Every client builds a citation of any kind with `kernel.cite`, the
+    constructor replay runs, rather than choosing among the per-kind
+    builders itself."""
+    assert [(p.name, f) for p in MODULES if p.name != "kernel.py"
+            for f in citation_dispatches(p.read_text(encoding="utf-8"))] == []
 
 
 def test_the_traced_benchmark_finds_every_name_it_rebinds():

@@ -892,6 +892,51 @@ def test_an_unknown_citation_kind_invalidates_the_tree(states2):
         False, "unknown citation kind 'lemma'", ())
 
 
+_L = Lookup("x")
+_L_IDS = Comp(_L, Comp(Id(UNIT), Id(UNIT)))  # normal form: l[x]
+
+# forged citations, each with its conclusion (None: A1_x's own) and the
+# error that replay reports for it
+_FORGED_CITATIONS = {
+    "hyp-level-5": (("hyp", "h"), WellFormed(_L, 5),
+                    "hypothesis 'h' has level 5; levels are 0, 1 and 2"),
+    "hyp-wf-unnormalized": (
+        ("hyp", "h"), WellFormed(_L_IDS, 1),
+        "node claims l[x] . (id[1] . id[1]) : level 1, rule ('hyp', 'h') "
+        "yields l[x] : level 1"),
+    "hyp-holds-unnormalized": (
+        ("hyp", "h"), Holds(eq_weak(_L_IDS, _L)),
+        "node claims l[x] . (id[1] . id[1]) ~~ l[x], rule ('hyp', 'h') "
+        "yields l[x] ~~ l[x]"),
+    "hyp-not-a-judgment": (
+        ("hyp", "h"), eq_weak(_L, _L),
+        f"hypothesis 'h' claims {eq_weak(_L, _L)!r}, not a judgment"),
+    "one-field": (("axiom",), None,
+                  "not a (kind, name) pair of strings: ('axiom',)"),
+    "three-fields": (
+        ("axiom", "A1_x", "extra"), None,
+        "not a (kind, name) pair of strings: ('axiom', 'A1_x', 'extra')"),
+    "list-name": (("hyp", ["l"]), None,
+                  "not a (kind, name) pair of strings: ('hyp', ['l'])"),
+}
+
+
+@pytest.mark.parametrize("rule,conclusion,message",
+                         _FORGED_CITATIONS.values(), ids=_FORGED_CITATIONS)
+def test_a_forged_citation_invalidates_the_tree(states2, rule, conclusion,
+                                                message):
+    """Replay runs `cite`, the constructor that made the citation: what it
+    refuses, or concludes otherwise, is invalid, and replay raises
+    nothing."""
+    a1 = axiom_node(states2, "A1_x")
+    forged = dataclasses.replace(a1, rule=rule,
+                                 conclusion=conclusion or a1.conclusion)
+    top = dataclasses.replace(node(states2, "w-sym", [a1]), premises=(forged,))
+    for d, path in ((forged, ()), (top, (0,))):
+        res = check_derivation(states2, d)
+        assert (res.valid, res.error, res.path) == (False, message, path)
+
+
 # The search itself, pinned: status, rounds, facts and proof nodes of the
 # read-back goals l[j] . u[i] . l[i] ~~ l[j] on 2 and 3 locations and their
 # duals, the bank goal and strong A1 under a small cap. A change that only

@@ -147,6 +147,15 @@ def test_dualize_term_is_an_involution(t):
     assert cod(dualize_term(t)) == dualize_type(dom(t))
 
 
+def test_a_long_composite_crosses_the_duality_and_back():
+    """dualize_term mirrors a composite in a loop: 1500 `u[x] . l[x]` pairs
+    over l[x], and an equation of them, go across and come back."""
+    t = comp(Lookup("x"), *[Update("x"), Lookup("x")] * 1500)
+    assert dualize_term(dualize_term(t)) == t
+    eq = Equation(t, Lookup("x"), WEAK)
+    assert dualize_equation(dualize_equation(eq)) == eq
+
+
 def test_dual_axiom_name_toggles_prefix():
     assert dual_axiom_name("A1_x") == "B1_x"
     assert dual_axiom_name("B2_i_j") == "A2_i_j"
@@ -429,6 +438,17 @@ def test_expand_states_of_a_long_composite(states2, model22):
     t = comp(*[Update("x"), Lookup("x")] * 800)
     _states_agree_everywhere(states2, model22, t)
     assert str(expand_states(states2, t)).count(" . ") >= 1600
+
+
+def test_expand_states_of_a_long_pure_composite(states2):
+    """A pure composite is expanded as one pure map, whose spine
+    `_pure_base` walks in a loop: 3001 factors of a generator that counts
+    modulo 3 expand, and the expansion counts to 3001."""
+    g = Gen("g", Value("x"), Value("x"), 0)
+    e = expand_states(states2.with_gen(g), comp(*[g] * 3001))
+    assert str(e).count("g . ") == 3001  # the first one after p1
+    assert eval_explicit(e, (0, (1, 0)), {"g": lambda v: (v + 1) % 3}) == (
+        1, (1, 0))
 
 
 def _reference_text(t):
