@@ -4,9 +4,9 @@ The script front end parses, prints and defaults lemma arguments from the
 same entries.
 
 The constructions both sides share are written here once against a
-`terms.Side`: the theory signature, the annihilation law and the
-unit-uniqueness derivation. On the exceptions side each reads as the dual
-of its states reading."""
+`terms.Side`: the theory signature, the annihilation law, the semi-pure
+pair and the unit-uniqueness derivation. On the exceptions side each
+reads as the dual of its states reading."""
 
 from __future__ import annotations
 
@@ -49,6 +49,15 @@ def annihilation(side: Side, i: str) -> Equation:
     """Reading i and writing it back changes nothing: u[i] . l[i] == id[1]."""
     return eq_strong(side.then(side.update(i), side.lookup(i)),
                      Id(side.unit()))
+
+
+def semi_pure(side: Side, theory: Theory, pure: Term, eff: Term,
+              pure_on_left: bool = True) -> Term:
+    """The semi-pure pair (states) or case (exceptions) of a pure map and
+    an arbitrary one, typechecked against the theory."""
+    t = side.semi(normalize_assoc(pure), normalize_assoc(eff), pure_on_left)
+    typecheck(theory, t)
+    return t
 
 
 def unit_uniqueness(side: Side, theory: Theory, f: Term) -> Derivation:

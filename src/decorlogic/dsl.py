@@ -628,7 +628,7 @@ class _Parser:
                 self.expect("sym", ")")
                 inst = tuple(pairs)
         premises: tuple[str, ...] = ()
-        if self.eat("ident", "from"):
+        if kind == "rule" and self.eat("ident", "from"):
             labels = [self.expect("ident").text]
             while self.eat("sym", ","):
                 labels.append(self.expect("ident").text)
@@ -739,14 +739,7 @@ class _Parser:
             arg = self.integer()
             self.expect("sym", ")")
             return "exc", (idx, arg)
-        if self.eat("sym", "("):
-            # a type-annotated ordinary input: (i: 3) is the value 3
-            self.expect("ident")
-            self.expect("sym", ":")
-            v = self.integer()
-            self.expect("sym", ")")
-            return "val", v
-        raise self.fail("expected an input: INT, (i: INT), or throw(i: INT)")
+        raise self.fail("expected an input: INT or throw(i: INT)")
 
     # ---- declarations and commands
 
@@ -1034,6 +1027,9 @@ def build_proof(theory: Theory, decl: ProofDecl) -> Derivation:
         if step.kind == "rule":
             prem = [by_label[p] for p in step.premises]
             out = node(theory, step.name, prem, **dict(step.inst))
+        elif step.premises:
+            raise E.KernelError(f"citation {step.kind}({step.name}) "
+                                f"cannot have premises")
         else:
             out = cite(theory, (step.kind, step.name), step.claim)
         by_label[step.label] = out

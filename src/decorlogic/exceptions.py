@@ -8,19 +8,22 @@ states ones, `catalogue.signature` read on this side:
     B1_i:   c[i] . t[i]  ~~  id[P[i]]          catch what you just raised
     B2_i_j: c[i] . t[j]  ~~  empty[P[i]] . t[j]   (j != i)  wrong key passes
 
-Several derivations below are not built directly: they are the duals of
-states proofs, shipped through dualize_derivation and landed on this side.
-That exercises the translation on every check, not just in its own tests.
+Handlers are built only by `handle_term`; the handler laws and lemmas
+take theirs from it. The lemmas' cores are states proofs built on this
+theory's twin and carried across by dualize_derivation (`_dual`), which
+exercises the translation on every check, not just in its own tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
 
 from . import errors as E
-from .catalogue import Catalogue, Entry, signature, unit_uniqueness
+from .catalogue import (
+    Catalogue, Entry, semi_pure, signature, unit_uniqueness,
+)
 from .kernel import Derivation, node
 from .states import build_states_theory, mirror_interaction3
 from .states import derive_lemma as _states_lemma
@@ -41,22 +44,13 @@ def with_catch_all(theory: Theory) -> Theory:
     """Extend with the untagged catcher and its axioms CA_i."""
     if theory.flavor != "exceptions":
         raise E.BadParams("catch-all lives on the exceptions side")
-    axioms = list(theory.axioms)
-    for i in theory.constructors:
-        axioms.append(Axiom(
-            f"CA_{i}",
-            eq_weak(comp(CatchAll(), Throw(i)), ToUnit(Param(i)))))
-    return Theory(theory.name, theory.flavor, theory.locations,
-                  theory.constructors, theory.gens, tuple(axioms),
-                  catch_all=True)
+    return replace(theory, catch_all=True, axioms=theory.axioms + tuple(
+        Axiom(f"CA_{i}", eq_weak(comp(CatchAll(), Throw(i)), ToUnit(Param(i))))
+        for i in theory.constructors))
 
 
-def semi_pure_coproduct(theory: Theory, pure: Term, eff: Term,
-                        pure_on_left: bool = True) -> SemiCoprod:
-    """Case a pure map against an arbitrary one; typechecked."""
-    t = SemiCoprod(normalize_assoc(pure), normalize_assoc(eff), pure_on_left)
-    typecheck(theory, t)
-    return t
+# case a pure map against an arbitrary one; typechecked against the theory
+semi_pure_coproduct = partial(semi_pure, EXCEPTIONS)
 
 
 def raise_term(theory: Theory, name: str, to: TypeExpr) -> Term:
@@ -167,35 +161,49 @@ def _default_clauses(theory: Theory, i: str, y: TypeExpr, f, g, h):
     return f, g, h
 
 
+def _commuted(theory: Theory, i: str, j: str, f=None, g=None,
+              h=None) -> tuple[HandlerParts, HandlerParts]:
+    """The handlers of f with the clauses i => g, j => h, in that order
+    and swapped."""
+    f, g, h = _default_clauses(theory, i, Param(j), f, g, h)
+    return (handle_term(theory, f, [(i, g), (j, h)]),
+            handle_term(theory, f, [(j, h), (i, g)]))
+
+
+def _repeated(theory: Theory, i: str, f=None, g=None,
+              h=None) -> tuple[HandlerParts, HandlerParts]:
+    """The handlers of f with the clauses i => g, i => h, and i => g
+    alone."""
+    f, g, h = _default_clauses(theory, i, Param(i), f, g, h)
+    return (handle_term(theory, f, [(i, g), (i, h)]),
+            handle_term(theory, f, [(i, g)]))
+
+
 def handler_commute_equation(theory: Theory, i: str, j: str,
                              f=None, g=None, h=None) -> Equation:
     """Clauses for two different keys can swap places."""
-    f, g, h = _default_clauses(theory, i, Param(j), f, g, h)
-    lhs = handle_term(theory, f, [(i, g), (j, h)]).term
-    rhs = handle_term(theory, f, [(j, h), (i, g)]).term
-    return eq_strong(lhs, rhs)
+    p1, p2 = _commuted(theory, i, j, f, g, h)
+    return eq_strong(p1.term, p2.term)
 
 
 def handler_idempotent_equation(theory: Theory, i: str,
                                 f=None, g=None, h=None) -> Equation:
     """A second clause for the same key is dead code."""
-    f, g, h = _default_clauses(theory, i, Param(i), f, g, h)
-    lhs = handle_term(theory, f, [(i, g), (i, h)]).term
-    rhs = handle_term(theory, f, [(i, g)]).term
-    return eq_strong(lhs, rhs)
+    p1, p2 = _repeated(theory, i, f, g, h)
+    return eq_strong(p1.term, p2.term)
 
 
 # ------------------------------------------------------ derivations
 
-def _twin(theory: Theory) -> Theory:
-    """The states theory whose dual this one is, name for name."""
-    return build_states_theory(theory.name + "-mirror", theory.constructors)
+def _dual(theory: Theory, build, *args) -> Derivation:
+    """`build(twin, *args)`, a states proof on the theory whose dual this
+    one is, name for name, carried across the duality onto this theory."""
+    twin = build_states_theory(theory.name + "-mirror", theory.constructors)
+    return dualize_derivation(twin, build(twin, *args), target=theory)
 
 
 def _key_annihilation(theory: Theory, i: str) -> Derivation:
-    twin = _twin(theory)
-    d = _states_lemma(twin, "annihilation", {"i": i})
-    return dualize_derivation(twin, d, target=theory)
+    return _dual(theory, _states_lemma, "annihilation", {"i": i})
 
 
 def _catch_throw(theory: Theory, i: str,
@@ -203,16 +211,6 @@ def _catch_throw(theory: Theory, i: str,
     ka = _key_annihilation(theory, i)
     return node(theory, "eq-repl", [ka],
                 by=FromEmpty(Param(i) if to is None else to))
-
-
-def _check_clause(theory: Theory, g: Term, at: str, y: TypeExpr) -> Term:
-    g = normalize_assoc(g)
-    typecheck(theory, g)
-    if g.level > 1:
-        raise E.NotAPropagator(f"clause must be level <= 1: {g}")
-    if g.dom != Param(at) or g.cod != y:
-        raise E.TypingError(f"clause must map P[{at}] to {y}: {g}")
-    return g
 
 
 def _bridge(theory: Theory, i: str, j: str, g: Term, h: Term,
@@ -247,42 +245,29 @@ def _bridge(theory: Theory, i: str, j: str, g: Term, h: Term,
                 h=comp(pc, sc, inj), term=kt)
 
 
-def _handler_parts(theory: Theory, i: str, j: str, f, g, h):
-    """A handler lemma's body f and its clauses g for i and h for j,
-    defaulted, normalized and checked, with y the codomain of f."""
-    f, g, h = _default_clauses(theory, i, Param(j), f, g, h)
-    f = normalize_assoc(f)
-    typecheck(theory, f)
-    if f.level > 1:
-        raise E.NotAPropagator("the handled body must be level <= 1")
-    y = f.cod
-    return f, y, _check_clause(theory, g, i, y), _check_clause(theory, h, j, y)
-
-
-def _coerce_conclusion(theory: Theory, chains_eq: Derivation, f: Term,
-                       y: TypeExpr, k1: Term, k2: Term) -> Derivation:
-    """From K1 == K2 on the empty type (`chains_eq`) conclude the coerced
-    handlers coerce(case(id,K1) . f) and coerce(case(id,K2) . f) equal."""
-    hc1, hc2 = CaseSum(Id(y), k1), CaseSum(Id(y), k2)
+def _coerce_conclusion(theory: Theory, chains_eq: Derivation,
+                       p1: HandlerParts, p2: HandlerParts) -> Derivation:
+    """From chain1 == chain2 on the empty type (`chains_eq`) conclude the
+    two handlers of one body, coerce(case(id, chain) . body), equal."""
+    f = p1.body
+    hc1, hc2 = CaseSum(Id(f.cod), p1.chain), CaseSum(Id(f.cod), p2.chain)
     weak = node(theory, "sum-case-weak", term=hc1)
     empty = node(theory, "eq-trans",
                  [node(theory, "sum-case-empty", term=hc1), chains_eq])
     cases_eq = node(theory, "sum-case-unique", [weak, empty], h=hc1, term=hc2)
     after_f = node(theory, "eq-subs", [cases_eq], by=f)
-    c1, c2 = Coerce(comp(hc1, f)), Coerce(comp(hc2, f))
-    cw = node(theory, "coerce-weak", term=c1)
+    cw = node(theory, "coerce-weak", term=p1.term)
     chain = node(theory, "w-trans", [cw, node(theory, "s-to-w", [after_f])])
-    return node(theory, "coerce-unique", [chain], p=c1, term=c2)
+    return node(theory, "coerce-unique", [chain], p=p1.term, term=p2.term)
 
 
 def _handler_commute(theory: Theory, i: str, j: str, f=None, g=None,
                      h=None) -> Derivation:
     if i == j:
         raise E.BadParams("handler-commute needs two different keys")
-    f, y, g, h = _handler_parts(theory, i, j, f, g, h)
-    twin = _twin(theory)
-    d6 = _states_lemma(twin, "commutation-6", {"i": i, "j": j})
-    m1 = dualize_derivation(twin, d6, target=theory)
+    p1, p2 = _commuted(theory, i, j, f, g, h)
+    (_, g), (_, h) = p1.clauses
+    m1 = _dual(theory, _states_lemma, "commutation-6", {"i": i, "j": j})
     pc = PropCase(g, h)
     m2 = node(theory, "eq-repl", [m1], by=pc)
     m3 = node(theory, "eq-subs", [_bridge(theory, i, j, g, h, left=True)],
@@ -292,17 +277,14 @@ def _handler_commute(theory: Theory, i: str, j: str, f=None, g=None,
               [node(theory, "eq-trans",
                     [node(theory, "eq-sym", [m4]), node(theory, "eq-sym", [m2])]),
                m3])
-    k = comp(CaseSum(g, comp(h, Catch(j))), Catch(i))
-    k_swapped = comp(CaseSum(h, comp(g, Catch(i))), Catch(j))
-    return _coerce_conclusion(theory, m5, f, y, k, k_swapped)
+    return _coerce_conclusion(theory, m5, p1, p2)
 
 
 def _handler_idempotent(theory: Theory, i: str, f=None, g=None,
                         h=None) -> Derivation:
-    f, y, g, h = _handler_parts(theory, i, i, f, g, h)
-    twin = _twin(theory)
-    dm = mirror_interaction3(twin, i)
-    m1 = dualize_derivation(twin, dm, target=theory)
+    p1, p2 = _repeated(theory, i, f, g, h)
+    (_, g), (_, h) = p1.clauses
+    m1 = _dual(theory, mirror_interaction3, i)
     pc = PropCase(g, h)
     n2 = node(theory, "eq-repl", [m1], by=pc)
     n3 = node(theory, "propcase-inl", term=pc)
@@ -310,16 +292,13 @@ def _handler_idempotent(theory: Theory, i: str, f=None, g=None,
     n5 = node(theory, "eq-trans", [n2, n4])
     n7 = node(theory, "eq-subs", [_bridge(theory, i, i, g, h)], by=Catch(i))
     n9 = node(theory, "eq-trans", [node(theory, "eq-sym", [n7]), n5])
-    k = comp(CaseSum(g, comp(h, Catch(i))), Catch(i))
-    return _coerce_conclusion(theory, n9, f, y, k, comp(g, Catch(i)))
+    return _coerce_conclusion(theory, n9, p1, p2)
 
 
-def _bridge_proof(left: bool):
+def _bridge_proof(theory: Theory, i: str, j: str, left: bool) -> Derivation:
     """A bridge as a built-in proof: g raises i into y = P[j], h is id[y]."""
-    def build(theory: Theory, i: str, j: str) -> Derivation:
-        y = Param(j)
-        return _bridge(theory, i, j, raise_term(theory, i, y), Id(y), left)
-    return build
+    y = Param(j)
+    return _bridge(theory, i, j, raise_term(theory, i, y), Id(y), left)
 
 
 # ------------------------------------------------------------ catalogue
@@ -347,8 +326,8 @@ LEMMAS = {
 # handler lemma pieces, at the theory's first names
 _TWO = "{name} needs two exception names"
 BUILTINS = {
-    "bridge-r": Entry(_bridge_proof(False), _IJ, too_few=_TWO),
-    "bridge-l": Entry(_bridge_proof(True), _IJ, too_few=_TWO),
+    "bridge-r": Entry(partial(_bridge_proof, left=False), _IJ, too_few=_TWO),
+    "bridge-l": Entry(partial(_bridge_proof, left=True), _IJ, too_few=_TWO),
 }
 
 CATALOGUE = Catalogue(EXCEPTIONS, LEMMAS, BUILTINS)

@@ -104,14 +104,14 @@ class Derivation:
         (node, k, True) once its premises are done."""
         seen = {id(self)}
         yield self, 0, False
-        stack = [(self, 0, enumerate(self.premises))]
+        stack = [(self, 0, enumerate(_premises(self)))]
         while stack:
             n, k, todo = stack[-1]
             for i, p in todo:
                 if id(p) not in seen:
                     seen.add(id(p))
                     yield p, i, False
-                    stack.append((p, i, enumerate(p.premises)))
+                    stack.append((p, i, enumerate(_premises(p))))
                     break
             else:
                 stack.pop()
@@ -122,8 +122,15 @@ class Derivation:
         size: dict[int, int] = {}
         for n, _, done in self.walk():
             if done:
-                size[id(n)] = 1 + sum(size[id(p)] for p in n.premises)
+                size[id(n)] = 1 + sum(size[id(p)] for p in _premises(n))
         return size[id(self)]
+
+
+def _premises(n: Any) -> tuple:
+    """The premises `walk` descends into: none for a record that is not a
+    derivation or whose premises are not a tuple, which replay refuses."""
+    return (n.premises if type(n) is Derivation
+            and type(n.premises) is tuple else ())
 
 
 # ------------------------------------------------------- premise helpers
@@ -170,6 +177,8 @@ _SHAPES = {CaseSum: "case(g, k)", Coerce: "coerce(k)", PropCase: "cases(g, h)"}
 def _inst_value(theory: Theory, rid: str, key: str, kind: Any, v: Any) -> Any:
     """Check one instantiation value of the declared kind; returns it in
     the form the rule body reads."""
+    if kind == "name" and not isinstance(v, str):
+        raise E.BadInstantiation(f"{rid}: {key!r} must be a name")
     if kind in ("name", "int"):
         return v
     if kind == "type":
@@ -610,18 +619,22 @@ def cite(theory: Theory, rule: RuleRef,
         concl = WellFormed(g, g.dec)
     elif kind != "hyp":
         raise E.KernelError(f"unknown citation kind {kind!r}")
+    elif not (isinstance(claim, Holds) and isinstance(claim.eq, Equation)
+              and isinstance(claim.eq.lhs, TERM_CLASSES)
+              and isinstance(claim.eq.rhs, TERM_CLASSES)
+              or isinstance(claim, WellFormed)
+              and isinstance(claim.term, TERM_CLASSES)):
+        raise E.KernelError(
+            f"hypothesis {name!r} claims {claim!r}, not a judgment")
     elif isinstance(claim, Holds):
         concl = Holds(norm_eq(claim.eq))
         typecheck_equation(theory, concl.eq)
-    elif isinstance(claim, WellFormed):
-        if claim.level not in (0, 1, 2):
+    else:
+        if type(claim.level) is not int or claim.level not in (0, 1, 2):
             raise E.KernelError(f"hypothesis {name!r} has level "
                                 f"{claim.level}; levels are 0, 1 and 2")
         typecheck(theory, claim.term)
         concl = WellFormed(normalize_assoc(claim.term), claim.level)
-    else:
-        raise E.KernelError(
-            f"hypothesis {name!r} claims {claim!r}, not a judgment")
     return Derivation(rule, (), (), concl)
 
 
@@ -668,7 +681,7 @@ def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
         if not done:
             path.append(k)
             continue
-        size[id(n)] = 1 + sum([size[id(p)] for p in n.premises])
+        size[id(n)] = 1 + sum([size[id(p)] for p in _premises(n)])
         if bad is None and (error := _replay(theory, n, hyps)) is not None:
             bad = tuple(path[1:]), error
         path.pop()
@@ -680,15 +693,30 @@ def check_derivation(theory: Theory, d: Derivation) -> CheckResult:
 def _replay(theory: Theory, n: Derivation, hyps: list[str]) -> Optional[str]:
     """Replay one node through the constructor that made it; the error that
     invalidates it, or None. A hypothesis's name joins hyps."""
+    if type(n) is not Derivation:
+        return f"not a derivation node: {n!r}"
+    if type(n.premises) is not tuple:
+        return f"premises are a {type(n.premises).__name__}, not a tuple"
+    if type(n.inst) is not tuple:
+        return f"instantiation is a {type(n.inst).__name__}, not a tuple"
+    inst: dict[str, Any] = {}
+    for kv in n.inst:
+        if (type(kv) is not tuple or len(kv) != 2 or type(kv[0]) is not str
+                or kv[0] in inst):
+            return (f"instantiation {n.inst!r} is not distinct "
+                    f"(key, value) pairs")
+        inst[kv[0]] = kv[1]
     try:
         if isinstance(n.rule, str):
             want = apply_rule(theory, n.rule,
-                              [p.conclusion for p in n.premises],
-                              dict(n.inst))
+                              [p.conclusion for p in n.premises], inst)
         else:
             want = cite(theory, n.rule, n.conclusion).conclusion
+            where = f"citation {n.rule[0]}({n.rule[1]})"
             if n.premises:
-                return f"citation {n.rule[0]}({n.rule[1]}) cannot have premises"
+                return f"{where} cannot have premises"
+            if inst:
+                return f"{where} cannot have an instantiation"
             if n.rule[0] == "hyp":
                 hyps.append(n.rule[1])
         if want != n.conclusion:

@@ -706,16 +706,17 @@ def check_equation(model: _Model, eq: Equation, name: str = "") -> LawResult:
     compares values only. Exceptions: strong runs exceptional inputs too,
     weak only ordinary ones; outputs always compared in full. Both sides
     are compiled into tables (see the module docstring); only a mismatch
-    is decoded, into the witness `sweep_equation` gives.
+    is decoded, into the witness `sweep_equation` gives. A law the
+    model's theory does not type raises the typecheck's error.
     """
     return _check(model, eq, name, {})
 
 
 def _check(model: _Model, eq: Equation, name: str, shared: dict) -> LawResult:
     """check_equation with the tables in `shared`, one per footprint."""
+    typecheck_equation(model.theory, eq)
     dcar, total = _points(model, eq)
     try:
-        typecheck_equation(model.theory, eq)
         kind = _StateTables if model.side is STATES else _ExceptionTables
         locs = _footprint(eq, model.side.indices(model.theory), kind)
         tabs = shared.get(locs) or shared.setdefault(locs, kind(model, locs))
@@ -725,9 +726,9 @@ def _check(model: _Model, eq: Equation, name: str, shared: dict) -> LawResult:
         p = next(p for p, (a, b) in enumerate(zip(v1, v2)) if a != b)
         return LawResult(name, "fails", tabs.witness(eq, p, vs, dcar), total)
     except E.DecorError:
-        # the theory's typecheck refuses eq, a carrier or a generator's
-        # table is missing, or a table would exceed the bound: the
-        # interpreter decides, and raises where it raises
+        # a carrier or a generator's table is missing, or a table would
+        # exceed the bound: the interpreter decides, and raises where it
+        # raises
         return sweep_equation(model, eq, name)
 
 

@@ -18,14 +18,14 @@ from functools import partial
 
 from . import errors as E
 from .catalogue import (
-    Catalogue, Entry, annihilation, signature, unit_uniqueness,
+    Catalogue, Entry, annihilation, semi_pure, signature, unit_uniqueness,
 )
 from .kernel import Derivation, axiom_node, node
 from .terms import (
     STATES, Comp, Id, Lookup, Proj1, Proj2, SemiProd, Term, ToUnit, Update,
     comp, normalize_assoc,
 )
-from .theory import Equation, Theory, WEAK, eq_strong, eq_weak, typecheck
+from .theory import Equation, Theory, WEAK, eq_strong, eq_weak
 from .types import Prod, UNIT, Value
 
 
@@ -33,12 +33,8 @@ def build_states_theory(name: str, locations) -> Theory:
     return signature(STATES, name, locations)
 
 
-def semi_pure_product(theory: Theory, pure: Term, eff: Term,
-                      pure_on_left: bool = True) -> SemiProd:
-    """Pair a pure map with an arbitrary one; typechecked against theory."""
-    t = SemiProd(normalize_assoc(pure), normalize_assoc(eff), pure_on_left)
-    typecheck(theory, t)
-    return t
+# pair a pure map with an arbitrary one; typechecked against the theory
+semi_pure_product = partial(semi_pure, STATES)
 
 
 # ----------------------------------------------------------- law goals
@@ -130,8 +126,9 @@ def seven_equation_goals(theory: Theory) -> list[SevenGoal]:
 # pair that writes one factor of V[i]*V[j] and keeps the other: `first`
 # says whether the written factor is the first (u[i], `_sp_left`) or the
 # second (u[j], `_sp_right`). Each piece below is written once and takes
-# that factor as a parameter; the appendix trees pr1..pr8 are its readings
-# with the first factor written, or with the second.
+# that factor as a parameter. The appendix trees pr1..pr8 are rows of
+# `BUILTINS` below, each binding one piece with the first factor written,
+# or with the second.
 
 def _fin_pair(th: Theory, a: Term, b: Term) -> Derivation:
     """a == b for two accessors into 1, via both being unit[...]."""
@@ -186,9 +183,11 @@ def _shift(th: Theory, i: str, j: str, k: str, first: bool) -> Derivation:
     return _repl_weak(th, node(th, "eq-trans", [d2, d3]), Lookup(k))
 
 
-def _other_cell(th: Theory, w: str, k: str, p: Term) -> Derivation:
-    """l[k] . u[w] . p  ~~  l[k] . unit[..] for k != w: writing w leaves
-    location k as it was."""
+def _other_cell(th: Theory, i: str, j: str, k: str, first: bool
+                ) -> Derivation:
+    """l[k] . u[w] . column w  ~~  l[k] . unit[..] for the written index
+    w != k: writing w leaves location k as it was."""
+    w, p = (i if first else j), _column(i, j, first)
     s = _wsubs_ax(th, f"A2_{w}_{k}", p)
     fin = _unit_discard(th, p, ToUnit(p.dom))
     return node(th, "w-trans", [s, _repl_weak(th, fin, Lookup(k))])
@@ -204,8 +203,8 @@ def _to_written(th: Theory, i: str, j: str, k: str, first: bool
 
 def _third(th: Theory, i: str, j: str, k: str, first: bool) -> Derivation:
     """Observing k, neither written index, after the double write."""
-    tail = _other_cell(th, i if first else j, k, _column(i, j, first))
-    return node(th, "w-trans", [_to_written(th, i, j, k, first), tail])
+    return node(th, "w-trans", [_to_written(th, i, j, k, first),
+                                _other_cell(th, i, j, k, first)])
 
 
 def _written_cell(th: Theory, i: str, j: str, first: bool) -> Derivation:
@@ -223,46 +222,6 @@ def _kept_cell(th: Theory, i: str, j: str, first: bool) -> Derivation:
     return node(th, "w-trans", [a1, node(th, "semiprod-P1", term=sp)])
 
 
-# --------------------------------------------------- appendix proof trees
-
-def pr1(th: Theory, i: str, j: str, k: str) -> Derivation:
-    """Observing k != i,j after the first write of the commuted pair."""
-    return _kept_read(th, i, j, k, True)
-
-
-def pr2(th: Theory, i: str, j: str, k: str) -> Derivation:
-    """l[k] . unit[V[j]] . p2 . (u[i] rsemi id)  ~~  l[k] . u[i] . p1."""
-    return _shift(th, i, j, k, True)
-
-
-def pr3(th: Theory, i: str, j: str, k: str) -> Derivation:
-    """l[k] . u[i] . p1 ~~ l[k] . unit[V[i]*V[j]]."""
-    return _other_cell(th, i, k, _column(i, j, True))
-
-
-def pr4(th: Theory, i: str, j: str, k: str) -> Derivation:
-    return _third(th, i, j, k, True)
-
-
-def pr5(th: Theory, i: str, j: str) -> Derivation:
-    """Observing i itself after the first write."""
-    return _kept_read(th, i, j, i, True)
-
-
-def pr6(th: Theory, i: str, j: str) -> Derivation:
-    return _shift(th, i, j, i, True)
-
-
-def pr7(th: Theory, i: str, j: str) -> Derivation:
-    """l[i] of the left double write is the first component."""
-    return _written_cell(th, i, j, True)
-
-
-def pr8(th: Theory, i: str, j: str) -> Derivation:
-    """l[i] of the right double write is the first component."""
-    return _kept_cell(th, i, j, False)
-
-
 # ------------------------------------------------------------- lemmas
 
 def _tuple_family(th: Theory, per_loc) -> tuple:
@@ -277,7 +236,7 @@ def _conclude_by_cone(th: Theory, lhs: Term, rhs: Term, fam: tuple,
 
 
 def _annihilation(th: Theory, i: str) -> Derivation:
-    g = comp(Update(i), Lookup(i))
+    goal = annihilation(STATES, i)
     branches = []
     for j in th.locations:
         if j == i:
@@ -288,7 +247,7 @@ def _annihilation(th: Theory, i: str) -> Derivation:
             branches.append(node(th, "w-trans", [s1, _repl_weak(th, fin, Lookup(j))]))
     fam = _tuple_family(th, Lookup)
     refl = [node(th, "w-refl", f=Lookup(j)) for j in th.locations]
-    return _conclude_by_cone(th, g, Id(UNIT), fam, branches, refl)
+    return _conclude_by_cone(th, goal.lhs, goal.rhs, fam, branches, refl)
 
 
 def _commutation6(th: Theory, i: str, j: str) -> Derivation:
@@ -343,15 +302,13 @@ def _interaction3(th: Theory, i: str, mirrored: bool = False) -> Derivation:
             branches_r.append(_wsubs_ax(th, f"A1_{i}", keep))
         else:
             branches_l.append(_third(th, i, i, k, first))
-            branches_r.append(_other_cell(th, i, k, keep))
+            branches_r.append(_other_cell(th, i, i, k, not first))
     fam = _tuple_family(th, fam_at)
     return _conclude_by_cone(th, lhs, rhs, fam, branches_l, branches_r)
 
 
 def mirror_interaction3(theory: Theory, i: str) -> Derivation:
     """The mirrored form of interaction-3 (used via duality by handlers)."""
-    if i not in theory.locations:
-        raise E.UnknownIndex(f"unknown location {i!r}")
     return _interaction3(theory, i, mirrored=True)
 
 
@@ -377,14 +334,22 @@ _IJK = _IJ + (("k", "name"),)
 _THIRD = "{name} observes a third location; theory has only {n}"
 _TWO = "{name} needs two locations"
 BUILTINS = {
-    "pr1": Entry(pr1, _IJK, too_few=_THIRD),
-    "pr2": Entry(pr2, _IJK, too_few=_THIRD),
-    "pr3": Entry(pr3, _IJK, too_few=_THIRD),
-    "pr4": Entry(pr4, _IJK, too_few=_THIRD),
-    "pr5": Entry(pr5, _IJ, too_few=_TWO),
-    "pr6": Entry(pr6, _IJ, too_few=_TWO),
-    "pr7": Entry(pr7, _IJ, too_few=_TWO),
-    "pr8": Entry(pr8, _IJ, too_few=_TWO),
+    # observing k != i,j after the first write of the commuted pair
+    "pr1": Entry(partial(_kept_read, first=True), _IJK, too_few=_THIRD),
+    # l[k] . unit[V[j]] . p2 . (u[i] rsemi id)  ~~  l[k] . u[i] . p1
+    "pr2": Entry(partial(_shift, first=True), _IJK, too_few=_THIRD),
+    # l[k] . u[i] . p1  ~~  l[k] . unit[V[i]*V[j]]
+    "pr3": Entry(partial(_other_cell, first=True), _IJK, too_few=_THIRD),
+    "pr4": Entry(partial(_third, first=True), _IJK, too_few=_THIRD),
+    # observing i itself after the first write
+    "pr5": Entry(lambda th, i, j: _kept_read(th, i, j, i, True), _IJ,
+                 too_few=_TWO),
+    "pr6": Entry(lambda th, i, j: _shift(th, i, j, i, True), _IJ,
+                 too_few=_TWO),
+    # l[i] of the left double write is the first component
+    "pr7": Entry(partial(_written_cell, first=True), _IJ, too_few=_TWO),
+    # l[i] of the right double write is the first component
+    "pr8": Entry(partial(_kept_cell, first=False), _IJ, too_few=_TWO),
 }
 
 CATALOGUE = Catalogue(STATES, LEMMAS, BUILTINS)

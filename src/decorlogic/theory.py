@@ -13,7 +13,7 @@ finite models (models.py) attach cardinalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import errors as E
@@ -84,12 +84,10 @@ class Theory:
     def with_gen(self, g: Gen) -> "Theory":
         if any(old.name == g.name for old in self.gens):
             raise E.TypingError(f"generator {g.name!r} already declared")
-        return Theory(self.name, self.flavor, self.locations, self.constructors,
-                      self.gens + (g,), self.axioms, self.catch_all)
+        return replace(self, gens=self.gens + (g,))
 
     def with_axiom(self, a: Axiom) -> "Theory":
-        return Theory(self.name, self.flavor, self.locations, self.constructors,
-                      self.gens, self.axioms + (a,), self.catch_all)
+        return replace(self, axioms=self.axioms + (a,))
 
 
 # ----------------------------------------------------------- decorations

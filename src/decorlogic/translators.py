@@ -24,6 +24,7 @@ a translated tree is re-validated while it is being produced.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Optional
 
 from . import errors as E
@@ -89,8 +90,8 @@ def erase_theory(theory: Theory) -> Theory:
     if theory.flavor == "plain":
         return theory
     axioms = tuple(Axiom(a.name, erase_equation(a.eq)) for a in theory.axioms)
-    return Theory(theory.name + "-plain", "plain", theory.locations,
-                  theory.constructors, theory.gens, axioms, theory.catch_all)
+    return replace(theory, name=theory.name + "-plain", flavor="plain",
+                   axioms=axioms)
 
 
 def erase_judgment(j: Judgment) -> Judgment:

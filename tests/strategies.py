@@ -427,7 +427,8 @@ def field_texts(draw, kind: str, th: str):
 
 @st.composite
 def _steps_texts(draw, th: str):
-    """A proof block of one to four steps, each citing earlier ones."""
+    """A proof block of one to four steps; a rule step may cite earlier
+    ones, a citation step takes no premises."""
     lines = []
     for n in range(1, draw(st.integers(1, 4)) + 1):
         head = draw(st.sampled_from(["axiom", "gen", "hyp", "rule"]))
@@ -447,7 +448,7 @@ def _steps_texts(draw, th: str):
             text += (f" wf {draw(field_texts('term', th))} "
                      f"level {draw(st.integers(0, 2))}")
         cited = draw(st.lists(st.integers(1, max(n - 1, 1)),
-                              max_size=2 if n > 1 else 0))
+                              max_size=2 if n > 1 and head == "rule" else 0))
         if cited:
             text += " from " + ", ".join(f"s{k}" for k in cited)
         lines.append(f"  s{n}: {text};")

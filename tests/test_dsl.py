@@ -348,6 +348,10 @@ _HEAD = ("theory S = states(x: 2, y: 2)\n"
      'line 3:41: level 3 is not 0, 1 or 2'),
     ('proof p in S { s1: hyp(h) l[x]; }',
      "line 3:27: expected 'wf', found 'l'"),
+    ('proof p in S {\n  s1: axiom(A1_y);\n  s2: axiom(A1_x) from s1;\n}',
+     "line 5:19: expected ';', found 'from'"),
+    ('proof p in S { s1: hyp(h) wf l[x] level 1 from s1; }',
+     "line 3:43: expected ';', found 'from'"),
     ('proof p in S { s1: axiom(A1_x) }',
      "line 3:32: expected ';', found '}'"),
     ('proof p in S { s1: w-refl(f l[x]); }',
@@ -387,13 +391,15 @@ _HEAD = ("theory S = states(x: 2, y: 2)\n"
     ('eval in S : l[x] 0',
      "line 3:18: expected 'on', found '0'"),
     ('eval in S : l[x] on x',
-     'line 3:21: expected an input: INT, (i: INT), or throw(i: INT)'),
+     'line 3:21: expected an input: INT or throw(i: INT)'),
     ('eval in E : t[i] on throw(i 0)',
      "line 3:29: expected ':', found '0'"),
     ('eval in S : l[x] on 0 state 1',
      "line 3:29: expected '(', found '1'"),
     ('eval in S : l[x] on (x: y)',
-     "line 3:25: expected 'int', found 'y'"),
+     'line 3:21: expected an input: INT or throw(i: INT)'),
+    ('eval in S : id[V[x]] on (q: 3)',
+     'line 3:25: expected an input: INT or throw(i: INT)'),
     ('eval S : l[x] on 0',
      "line 3:6: expected 'in', found 'S'"),
     ('prove in S : l[x] ~~ l[x] budget x',
@@ -837,6 +843,16 @@ def test_derivation_to_proof_round_trips(states2, exc2):
         rebuilt = build_proof(theory, script.decls[1])
         assert rebuilt.conclusion == d.conclusion
         assert check_derivation(theory, rebuilt).valid
+
+
+def test_a_citation_step_with_premises_is_refused(states2):
+    """A citation takes no premises: `build_proof` refuses a step that
+    carries some rather than dropping them."""
+    steps = (dsl.ProofStep("s1", "axiom", "A1_y"),
+             dsl.ProofStep("s2", "axiom", "A1_x", premises=("s1",)))
+    with pytest.raises(E.KernelError) as err:
+        build_proof(states2, dsl.ProofDecl("p", "S", steps))
+    assert str(err.value) == "citation axiom(A1_x) cannot have premises"
 
 
 _PROOFS = Path(__file__).resolve().parent / "golden" / "catalogue_proofs.json"

@@ -9,10 +9,12 @@ from decorlogic.exceptions import (LEMMAS, build_exceptions_theory,
                                    builtin_proof, derive_lemma, handle_term,
                                    raise_term, semi_pure_coproduct,
                                    with_catch_all)
-from decorlogic.kernel import check_derivation
+from decorlogic.kernel import Holds, check_derivation
+from decorlogic.models import _exception_law_groups
 from decorlogic.terms import (Catch, CatchAll, Comp, FromEmpty, Gen, Id,
                               Lookup, SemiCoprod, Throw, comp)
-from decorlogic.theory import (STRONG, WEAK, infer_decoration, typecheck)
+from decorlogic.theory import (STRONG, WEAK, infer_decoration, norm_eq,
+                               typecheck)
 from decorlogic.types import EMPTY, Param, UNIT
 
 
@@ -148,3 +150,49 @@ def test_semi_pure_coproduct_normalizes_and_typechecks(exc2):
         assert t == SemiCoprod(Id(pi), Catch("i"), left)
     with pytest.raises(E.FlavorViolation):
         semi_pure_coproduct(exc2, Id(pi), Lookup("i"))
+
+
+# the lemma that proves each exceptions-laws law, by the law's name
+_LEMMA_OF_LAW = {"annihilation": "key-annihilation",
+                 "catch-throw": "catch-throw",
+                 "handler-commute": "handler-commute",
+                 "handler-idempotent": "handler-idempotent"}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_lemma_concludes_the_law_its_suite_checks(n):
+    """The lemma an exceptions-laws law names concludes that law as the
+    suite builds it, at every index the suite checks it at."""
+    th = build_exceptions_theory(f"E{n}", "ijk"[:n])
+    proven = 0
+    for name, eq in (row for group in _exception_law_groups(th)
+                     for row in group):
+        law, _, ix = name[:-1].partition("[")
+        if law in _LEMMA_OF_LAW:
+            params = dict(zip("ij", ix.split(",")))
+            d = derive_lemma(th, _LEMMA_OF_LAW[law], params)
+            assert d.conclusion == Holds(norm_eq(eq)), name
+            proven += 1
+    assert proven == 3 * n + n * (n - 1)
+
+
+@pytest.mark.parametrize("params,error,message", [
+    ({"g": Id(Param("i"))}, E.CodomainMismatch,
+     "clause for 'i' lands in P[i], body in P[j]"),
+    ({"h": Id(Param("i"))}, E.TypingError,
+     "clause for 'j' must start at P[j]"),
+    ({"f": Catch("j")}, E.NotAPropagator,
+     "handler body must be level <= 1: c[j]"),
+], ids=["clause-lands-off", "clause-starts-off", "body-catches"])
+def test_a_handler_lemma_refuses_clauses_as_handle_term_does(
+        exc2, params, error, message):
+    """A handler lemma builds its two handlers with `handle_term`, so it
+    refuses a custom body or clause with the same error."""
+    with pytest.raises(error) as err:
+        derive_lemma(exc2, "handler-commute", {"i": "i", "j": "j", **params})
+    assert str(err.value) == message
+    with pytest.raises(error) as again:
+        handle_term(exc2, params.get("f", raise_term(exc2, "i", Param("j"))),
+                    [("i", params.get("g", raise_term(exc2, "i", Param("j")))),
+                     ("j", params.get("h", Id(Param("j"))))])
+    assert str(again.value) == message

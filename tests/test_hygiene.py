@@ -2,8 +2,8 @@
 none imports inside a function from a module it already imports at top
 level, none raises the interpreter's recursion limit, none recurses on
 a derivation's premises, none but the kernel dispatches on a citation's
-kind, every name the traced benchmark rebinds still exists, and the
-trusted kernel stands on its own.
+kind, none but `handle_term` coerces a handler, every name the traced
+benchmark rebinds still exists, and the trusted kernel stands on its own.
 
 `__init__.py` is left out of the import scan, since re-exporting is what
 it imports for.
@@ -208,6 +208,31 @@ def test_citation_kinds_are_dispatched_only_in_the_kernel():
     builders itself."""
     assert [(p.name, f) for p in MODULES if p.name != "kernel.py"
             for f in citation_dispatches(p.read_text(encoding="utf-8"))] == []
+
+
+def constructors_of(source: str, cls: str) -> list[str]:
+    """The functions of `source` that call `cls`, by name or as an
+    attribute, in order."""
+    return [f.name for f in ast.walk(ast.parse(source))
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(n, ast.Call) and getattr(
+                n.func, "id", getattr(n.func, "attr", None)) == cls
+                for n in ast.walk(f))]
+
+
+def test_the_scan_sees_a_constructor_call():
+    source = ("def handle(t):\n    return Coerce(t)\n"
+              "def lemma(t):\n    return terms.Coerce(t)\n"
+              "def read(t):\n    return t.term, Coerce\n")
+    assert constructors_of(source, "Coerce") == ["handle", "lemma"]
+
+
+def test_only_handle_term_builds_a_handler():
+    """A handler is coerce(case(id, chain) . body); the exceptions lemmas
+    and laws take theirs from `handle_term`, which checks the body and the
+    clauses, rather than coercing one of their own."""
+    source = (PACKAGE / "exceptions.py").read_text(encoding="utf-8")
+    assert constructors_of(source, "Coerce") == ["handle_term"]
 
 
 def test_the_traced_benchmark_finds_every_name_it_rebinds():

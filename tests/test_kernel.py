@@ -7,19 +7,21 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import strategies as strat
 from decorlogic import errors as E
 from decorlogic.catalogue import unit_uniqueness
 from decorlogic.dsl import (derivation_json, derivation_to_proof, execute,
                             parse_script)
+from decorlogic.exceptions import CATALOGUE as EXC_CATALOGUE
 from decorlogic.exceptions import build_exceptions_theory
 from decorlogic.kernel import (Holds, RULES, WellFormed, apply_rule,
                                axiom_node, check_derivation, gen_node,
                                hyp_node, list_rules, node, saturate_prove,
                                _Search)
 from decorlogic.models import FiniteStateModel, check_equation
+from decorlogic.states import CATALOGUE as STATE_CATALOGUE
 from decorlogic.states import build_states_theory, derive_lemma as st_lemma
 from decorlogic.terms import (EXCEPTIONS, STATES, CaseSum, Catch, Coerce,
                               Comp, FromEmpty, Gen, Id, Lookup, PropCase,
@@ -935,6 +937,116 @@ def test_a_forged_citation_invalidates_the_tree(states2, rule, conclusion,
     for d, path in ((forged, ()), (top, (0,))):
         res = check_derivation(states2, d)
         assert (res.valid, res.error, res.path) == (False, message, path)
+
+
+def _malformed_records(th):
+    """Records no constructor makes, each with the path replay reports,
+    from the record itself, and its error."""
+    a1 = axiom_node(th, "A1_x")
+    h = hyp_node(th, "h", a1.conclusion)
+    refl = node(th, "w-refl", f=_L)
+    fam = (("x", Lookup("x")), ("y", Lookup("y")))
+    pick = node(th, "loc-tuple", family=fam, at="x")
+    return {
+        "holds-junk": (dataclasses.replace(h, conclusion=Holds("junk")), (),
+                       "hypothesis 'h' claims Holds(eq='junk'), not a "
+                       "judgment"),
+        "wf-junk": (dataclasses.replace(h, conclusion=WellFormed("junk", 1)),
+                    (), "hypothesis 'h' claims WellFormed(term='junk', "
+                        "level=1), not a judgment"),
+        "wf-bool-level": (
+            dataclasses.replace(h, conclusion=WellFormed(_L, True)), (),
+            "hypothesis 'h' has level True; levels are 0, 1 and 2"),
+        "inst-one-field": (
+            dataclasses.replace(refl, inst=(("f",),)), (),
+            "instantiation (('f',),) is not distinct (key, value) pairs"),
+        "inst-twice": (
+            dataclasses.replace(refl, inst=(("f", _L), ("f", _L))), (),
+            f"instantiation {(('f', _L), ('f', _L))!r} is not distinct "
+            f"(key, value) pairs"),
+        "name-a-list": (
+            dataclasses.replace(pick, inst=(("at", ["x"]), ("family", fam))),
+            (), "loc-tuple: 'at' must be a name"),
+        "premise-junk": (
+            dataclasses.replace(node(th, "w-sym", [a1]), premises=("junk",)),
+            (0,), "not a derivation node: 'junk'"),
+        "premises-a-list": (
+            dataclasses.replace(node(th, "w-sym", [a1]), premises=[a1]), (),
+            "premises are a list, not a tuple"),
+        "citation-inst": (
+            dataclasses.replace(a1, inst=(("f", Lookup("y")),)), (),
+            "citation axiom(A1_x) cannot have an instantiation"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_records(
+    build_states_theory("S", ["x", "y"]))))
+def test_a_malformed_record_invalidates_the_tree(states2, case):
+    """A field that holds what its class does not promise makes the tree
+    invalid, with an error and a path; replay raises nothing."""
+    forged, path, message = _malformed_records(states2)[case]
+    a1 = axiom_node(states2, "A1_x")
+    top = dataclasses.replace(node(states2, "w-sym", [a1]), premises=(forged,))
+    for d, where in ((forged, path), (top, (0, *path))):
+        res = check_derivation(states2, d)
+        assert (res.valid, res.path, res.error) == (False, where, message)
+
+
+def _library_trees():
+    """Every lemma and built-in of both catalogues, on three indices."""
+    out = []
+    for cat, th in ((STATE_CATALOGUE, build_states_theory("S3", "xyz")),
+                    (EXC_CATALOGUE, build_exceptions_theory("E3", "ijk"))):
+        out += [(th, cat.derive_lemma(th, lid, cat.default_params(th, lid)))
+                for lid in cat.lemmas]
+        out += [(th, cat.builtin_proof(th, name)) for name in cat.builtins]
+    return out
+
+
+_LIBRARY = _library_trees()
+_JUNK = ("junk", 5, None, ["x"], ("junk",), ("axiom",), (("f",),),
+         (("at", ["x"]),), (("f", Lookup("y")),), Holds("junk"),
+         WellFormed("junk", 1), WellFormed(_L, True), eq_weak(_L, _L))
+
+
+def _addressed(d):
+    """Each node of d with its path of premise indices from the root."""
+    out, todo = [], [((), d)]
+    while todo:
+        path, n = todo.pop()
+        out.append((path, n))
+        todo += [(path + (k,), p) for k, p in enumerate(n.premises)]
+    return out
+
+
+def _replaced(d, path, new):
+    """d with the node at `path` replaced by `new`, its ancestors rebuilt."""
+    spine = [d]
+    for k in path:
+        spine.append(spine[-1].premises[k])
+    for k, parent in zip(reversed(path), reversed(spine[:-1])):
+        premises = list(parent.premises)
+        premises[k] = new
+        new = dataclasses.replace(parent, premises=tuple(premises))
+    return new
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_junk_in_any_field_of_a_library_tree_is_refused(data):
+    """Swap one field of one node of a shipped tree for junk: replay
+    returns an invalid verdict, with an error and a path, and raises
+    nothing."""
+    theory, d = data.draw(st.sampled_from(_LIBRARY))
+    path, n = data.draw(st.sampled_from(_addressed(d)))
+    field = data.draw(st.sampled_from(["rule", "premises", "inst",
+                                       "conclusion"]))
+    junk = data.draw(st.sampled_from(_JUNK))
+    assume(junk != getattr(n, field))
+    res = check_derivation(theory, _replaced(
+        d, path, dataclasses.replace(n, **{field: junk})))
+    assert not res.valid
+    assert isinstance(res.error, str) and isinstance(res.path, tuple)
 
 
 # The search itself, pinned: status, rounds, facts and proof nodes of the

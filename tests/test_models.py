@@ -143,6 +143,21 @@ def test_flavor_mismatch_is_refused(states2, exc2):
         FiniteExceptionModel(states2, {"x": 2, "y": 2})
 
 
+@pytest.mark.parametrize("model,term,message", [
+    (FiniteExceptionModel(build_exceptions_theory("E", ["i"]), {"i": 2}),
+     Catch("q"), "unknown exception name 'q'"),
+    (FiniteStateModel(build_states_theory("S", ["x", "y"]),
+                      {"x": 2, "y": 2}),
+     Lookup("q"), "unknown location 'q'"),
+], ids=["exceptions", "states"])
+def test_a_law_the_theory_does_not_type_is_refused(model, term, message):
+    """The oracle decides typed laws only: an unknown index is the
+    typecheck's error, not a verdict and not a crash."""
+    with pytest.raises(E.UnknownIndex) as err:
+        check_equation(model, eq_strong(term, term))
+    assert str(err.value) == message
+
+
 def test_bound_guards_exhaustive_checks(states2):
     small = FiniteStateModel(states2, {"x": 3, "y": 2}, bound=5)
     eq = eq_weak(comp(Lookup("x"), Update("x")), Id(Value("x")))

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from decorlogic import errors as E
-from decorlogic.kernel import check_derivation
+from decorlogic.kernel import Holds, check_derivation
 from decorlogic.states import (LEMMAS, build_states_theory, builtin_proof,
                                derive_lemma, mirror_interaction3,
                                semi_pure_product, seven_equation_goals)
 from decorlogic.terms import (Comp, Id, Lookup, SemiProd, Throw, ToUnit,
                               Update, comp, term_to_text)
-from decorlogic.theory import STRONG, WEAK, typecheck_equation
+from decorlogic.theory import STRONG, WEAK, norm_eq, typecheck_equation
 from decorlogic.types import UNIT, Value
 
 
@@ -133,3 +133,25 @@ def test_semi_pure_product_normalizes_and_typechecks(states2):
         assert t == SemiProd(Id(vx), Update("x"), left)
     with pytest.raises(E.FlavorViolation):
         semi_pure_product(states2, Id(vx), Throw("x"))
+
+
+# the lemma that proves each states-seven law, by the law's name
+_LEMMA_OF_LAW = {"1-read-then-write": "annihilation",
+                 "3-overwrite": "interaction-3",
+                 "6-write-commute": "commutation-6"}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_lemma_concludes_the_law_its_suite_checks(n):
+    """The lemma a states-seven law names concludes that law as the suite
+    builds it, at every index the suite checks it at."""
+    th = build_states_theory(f"S{n}", "xyz"[:n])
+    proven = 0
+    for goal in seven_equation_goals(th):
+        law, ix = goal.name[:-1].split("[")
+        if law in _LEMMA_OF_LAW:
+            params = dict(zip("ij", ix.split(",")))
+            d = derive_lemma(th, _LEMMA_OF_LAW[law], params)
+            assert d.conclusion == Holds(norm_eq(goal.direct)), goal.name
+            proven += 1
+    assert proven == 2 * n + n * (n - 1)
